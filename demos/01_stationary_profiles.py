@@ -4,8 +4,8 @@
 A compliant population climbs the reputation ladder and occasionally gets
 knocked back to zero by service errors.  This demo computes the long-run
 profile three ways: the closed form for the harsh-punishment uniform rule,
-fixed-point iteration of the period kernel, and the same kernel with
-probabilistic forgiveness switched on.
+a direct solve of the period kernel, and the same kernel with probabilistic
+forgiveness switched on.
 """
 
 import numpy as np
@@ -30,10 +30,10 @@ print("=" * 72)
 print("Harsh punishment, uniform thresholds (L=3, h_o=1, b=2, eps=0.1)")
 print("=" * 72)
 closed = stationary_closed_form(params, env)
-iterated = stationary_fixed_point(params, env)
+solved = stationary_fixed_point(params, env)
 show("closed form", closed)
-show("fixed-point iteration", iterated)
-print(f"  sup-norm gap: {np.max(np.abs(closed.eta - iterated.eta)):.2e}")
+show("direct solve", solved)
+print(f"  sup-norm gap: {np.max(np.abs(closed.eta - solved.eta)):.2e}")
 print(f"  error-punishment probability alpha = {closed.alpha:.4f}"
       f"  (two uploads per period, 10% error each)")
 

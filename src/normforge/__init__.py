@@ -18,7 +18,6 @@ from .model import (
     social_strategy,
 )
 from .stationary import (
-    NonConvergenceError,
     ReputationDistribution,
     stationary_altruistic,
     stationary_closed_form,
@@ -31,6 +30,7 @@ from .incentives import (
     IncentiveReport,
     UtilityProfile,
     check_equilibrium,
+    collapsed_social_utility,
     existence_cost_threshold,
     existence_discount_threshold,
     max_altruist_fraction,
@@ -45,7 +45,6 @@ from .incentives import (
 from .designer import (
     DesignResult,
     DesignSpec,
-    collapsed_social_utility,
     solve,
     solve_osne,
     solve_osne_ah,
@@ -67,15 +66,15 @@ __version__ = "0.1.0"
 __all__ = [
     "Action", "NetworkEnv", "PeerKind", "ProtocolParams",
     "error_punish_prob", "phi_compliance", "reputation_update", "social_strategy",
-    "NonConvergenceError", "ReputationDistribution", "transition_matrix",
+    "ReputationDistribution", "transition_matrix",
     "stationary_closed_form", "stationary_fixed_point", "stationary_malicious",
     "stationary_altruistic", "stationary_for_regime",
     "IncentiveReport", "UtilityProfile", "check_equilibrium",
-    "existence_cost_threshold", "existence_discount_threshold",
+    "collapsed_social_utility", "existence_cost_threshold", "existence_discount_threshold",
     "max_altruist_fraction", "max_connections", "max_forgiveness",
     "min_service_threshold", "one_period_utilities", "overall_utilities",
     "social_utility", "upload_cost_profile",
-    "DesignResult", "DesignSpec", "collapsed_social_utility", "solve",
+    "DesignResult", "DesignSpec", "solve",
     "solve_osne", "solve_osne_ah", "solve_osne_vp", "solve_osne_vps",
     "DeviantPolicy", "SimConfig", "SimTrace", "measure_deviation_gain",
     "run_sim", "run_tft", "tft_sustainable",

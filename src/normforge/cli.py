@@ -11,8 +11,7 @@ Subcommands
 Scenarios are JSON objects with sections env / params / design / sweep / sim /
 output; every field can also be set or overridden by a flag named after the
 parameter (--eps, --delta, --h-o, ...).  Exit codes: 0 success, 2 config
-error (a machine-readable error object is printed), 3 infeasible design,
-4 non-convergence diagnostics.  NORMFORGE_THREADS caps sweep parallelism.
+error (a machine-readable error object is printed), 3 infeasible design.
 """
 
 from __future__ import annotations
@@ -22,21 +21,23 @@ import csv
 import io
 import itertools
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
-from .designer import DesignResult, DesignSpec, collapsed_social_utility, solve
-from .incentives import check_equilibrium, overall_utilities, social_utility
+from .designer import DesignResult, DesignSpec, solve
+from .incentives import (
+    check_equilibrium,
+    collapsed_social_utility,
+    overall_utilities,
+    social_utility,
+)
 from .model import NetworkEnv, PeerKind, ProtocolParams
 from .sim import SOCIAL_NORM, TFT, SimConfig, run_sim, run_tft, tft_sustainable
-from .stationary import NonConvergenceError, stationary_for_regime
+from .stationary import stationary_for_regime
 
 ENV_FIELDS = ("r", "c", "eps", "lambda", "delta", "p_c", "p_d")
 PARAM_FIELDS = ("L", "h_o", "b", "beta", "m_o")
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
-EXIT_NONCONVERGENCE = 4
 
 
 class CliError(Exception):
@@ -44,22 +45,6 @@ class CliError(Exception):
         super().__init__(message)
         self.field = field
         self.message = message
-
-
-def _threads() -> int:
-    raw = os.environ.get("NORMFORGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise CliError("NORMFORGE_THREADS", f"not an integer: {raw!r}")
-
-
-def _parallel_map(fn, items):
-    n = _threads()
-    if n == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------- scenario IO
@@ -402,7 +387,6 @@ def cmd_sweep(args) -> int:
         raise CliError("sweep", "sweep requires at least one axis")
     names = [ax["param"] for ax in axes]
     grids = [_axis_values(ax) for ax in axes]
-    points = list(itertools.product(*grids))
     mode = "solve" if sc["design"].get("problem") else "analyze"
 
     if mode == "analyze":
@@ -436,7 +420,7 @@ def cmd_sweep(args) -> int:
 
         header = [f"axis_{n}" for n in names] + SOLVE_COLUMNS
 
-    rows = _parallel_map(eval_point, points)
+    rows = [eval_point(values) for values in itertools.product(*grids)]
     _emit_text(_csv_text(header, rows), args.out or sc["output"].get("path"))
     return 0
 
@@ -537,8 +521,7 @@ def cmd_compare(args) -> int:
     if not sc["sim"]:
         raise CliError("sim", "compare needs a sim section")
 
-    def eval_cell(cell):
-        value, flavor = cell
+    def eval_cell(value, flavor):
         env_sec, par_sec = _apply_point(sc["env"], sc["params"], [axis["param"]], [value])
         env = _build_env(env_sec)
         params = _build_params(par_sec)
@@ -566,8 +549,7 @@ def cmd_compare(args) -> int:
                 s["delivery_rate"], s["recip_delivery_rate"],
                 per_kind.get(strategic), social]
 
-    cells = [(v, fl) for v in values for fl in flavors]
-    rows = _parallel_map(eval_cell, cells)
+    rows = [eval_cell(v, fl) for v in values for fl in flavors]
     _emit_text(_csv_text(COMPARE_COLUMNS, rows), args.out or sc["output"].get("path"))
     return 0
 
@@ -655,10 +637,6 @@ def main(argv=None) -> int:
         print(json.dumps({"error": {"field": exc.field, "message": exc.message}},
                          sort_keys=True))
         return EXIT_CONFIG
-    except NonConvergenceError as exc:
-        print(json.dumps({"error": {"field": "convergence", "message": str(exc),
-                                    "residual": exc.residual}}, sort_keys=True))
-        return EXIT_NONCONVERGENCE
 
 
 if __name__ == "__main__":

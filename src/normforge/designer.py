@@ -18,7 +18,13 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .incentives import check_equilibrium, max_connections, max_forgiveness, social_utility
+from .incentives import (
+    check_equilibrium,
+    collapsed_social_utility,
+    max_connections,
+    max_forgiveness,
+    social_utility,
+)
 from .model import NetworkEnv, ProtocolParams
 from .stationary import stationary_for_regime
 
@@ -85,25 +91,22 @@ def _uniform_utility(params: ProtocolParams, env: NetworkEnv) -> float:
     return social_utility(params, env, stationary_for_regime(params, env))
 
 
-def solve(spec: DesignSpec, **kw) -> DesignResult:
+def solve(spec: DesignSpec) -> DesignResult:
     """Dispatch to the solver matching spec.problem."""
     return {
         "OSNE": solve_osne,
         "OSNE_VP": solve_osne_vp,
         "OSNE_VPS": solve_osne_vps,
         "OSNE_AH": solve_osne_ah,
-    }[spec.problem](spec, **kw)
+    }[spec.problem](spec)
 
 
-def solve_osne(spec: DesignSpec, literal_sweep: bool = False) -> DesignResult:
+def solve_osne(spec: DesignSpec) -> DesignResult:
     """Best (h_o, b) under harsh punishment and uniform thresholds.
 
     For each activity threshold the slack is non-increasing in b, so the best
     sustainable b comes from a binary search; the utility comparison across
-    thresholds is then exhaustive.  With literal_sweep=True the published
-    nested-decrement sweep is reproduced instead (first feasible threshold
-    with its largest feasible b); it is kept for auditability and can miss
-    utility-better high-threshold designs.
+    thresholds is then exhaustive.
     """
     env = spec.env
     log = []
@@ -120,8 +123,6 @@ def solve_osne(spec: DesignSpec, literal_sweep: bool = False) -> DesignResult:
         key = _tie_key(u, params)
         if best is None or key < best[0]:
             best = (key, params, u)
-        if literal_sweep:
-            break  # first feasible threshold wins in the literal variant
     if best is None:
         return DesignResult(params=None, utility=0.0, feasible=False, search_log=log)
     _, params, u = best
@@ -173,37 +174,16 @@ def solve_osne_vp(spec: DesignSpec) -> DesignResult:
     return DesignResult(params=refined, utility=u, feasible=True, search_log=log)
 
 
-def _threshold_vectors(L: int, h_o: int, full: bool):
-    """Candidate client-threshold vectors over server reputations h_o..L.
-
-    The restricted family keeps entries in {h_o, h_o+1} (non-decreasing, so a
-    single switch point), which contains both the utility-maximal and the
-    incentive-maximal structures.  full=True enumerates every non-decreasing
-    vector over {1..L} instead.
-    """
-    n = L - h_o + 1
-    if full:
-        yield from itertools.combinations_with_replacement(range(1, L + 1), n)
-        return
-    if h_o == L:
-        yield (h_o,)
-        return
-    for switch in range(h_o, L + 2):  # switch = first reputation using h_o + 1
-        yield tuple(h_o if t < switch else h_o + 1 for t in range(h_o, L + 1))
-
-
-def solve_osne_vps(spec: DesignSpec, full_enumeration: bool = True) -> DesignResult:
+def solve_osne_vps(spec: DesignSpec) -> DesignResult:
     """Best (h_o, b, beta, m_o) over per-reputation client thresholds.
 
     Raising a server's client threshold lightens its upload load and deepens
     the punishment (a punished peer re-enters through costly rungs), so
     non-uniform vectors trade a sliver of utility for feasibility headroom.
-    The default searches every non-decreasing vector (the ladder is short,
-    L <= 6); full_enumeration=False restricts to entries in {h_o, h_o + 1},
-    which is cheaper but can miss designs whose thresholds sit above the
-    activity threshold everywhere.  Utility depends on m_o only through the
-    lowest threshold m_o(h_o), so ties are common and break toward the
-    lexicographically smallest vector (the most uniform one).
+    The search covers every non-decreasing vector over 1..L (the ladder is
+    short, L <= 6).  Utility depends on m_o only through the lowest threshold
+    m_o(h_o), so ties are common and break toward the lexicographically
+    smallest vector (the most uniform one).
     """
     if spec.L > 6:
         raise ValueError("threshold-vector search enumerates m_o; keep L <= 6")
@@ -212,7 +192,8 @@ def solve_osne_vps(spec: DesignSpec, full_enumeration: bool = True) -> DesignRes
     log = []
     best = None
     for h_o in range(1, spec.L + 1):
-        for m_o in _threshold_vectors(spec.L, h_o, full_enumeration):
+        for m_o in itertools.combinations_with_replacement(range(1, spec.L + 1),
+                                                         spec.L - h_o + 1):
             for b in range(1, spec.b_cap + 1):
                 base = ProtocolParams(L=spec.L, h_o=h_o, b=b, m_o=m_o)
                 # top-down grid scan: under non-uniform thresholds the
@@ -262,13 +243,6 @@ def _refine_beta_within_cell(params: ProtocolParams, env: NetworkEnv,
     return params.replace(beta=lo, m_o=params.m_o)
 
 
-def collapsed_social_utility(env: NetworkEnv, b: int, p_c: float) -> float:
-    """Average utility when reciprocative peers free-ride and only altruists
-    serve: the exchanged volume is capped by whichever side is scarcer,
-    altruist supply (p_c) or reciprocative demand (1 - p_c)."""
-    return env.lam * b * min(p_c, 1.0 - p_c) * ((1.0 - env.eps) * env.r - env.c)
-
-
 def solve_osne_ah(spec: DesignSpec) -> DesignResult:
     """Best (h_o, b, p_c) with a designer-deployed altruist fraction.
 
@@ -290,7 +264,7 @@ def solve_osne_ah(spec: DesignSpec) -> DesignResult:
         if p_c > 0.5:
             b = spec.b_cap
             params = ProtocolParams(L=spec.L, h_o=1, b=b)
-            u = env.lam * b * (1.0 - p_c) * ((1.0 - env.eps) * env.r - env.c)
+            u = collapsed_social_utility(env, b, p_c)
             log.append(((1, b, p_c), None, u))
             key = _tie_key(u, params, p_c)
             if best is None or key < best[0]:

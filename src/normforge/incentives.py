@@ -170,11 +170,10 @@ def social_utility(params: ProtocolParams, env: NetworkEnv,
     average runs over active reputations.
     """
     rate = env.lam * params.b
-    gross = (1.0 - env.eps) * env.r
     if env.p_c > 0.0:
         p_c, mu_c = env.p_c, dist.mu
         if p_c > 0.5:
-            return rate * (1.0 - p_c) * (gross - env.c)
+            return collapsed_social_utility(env, params.b, p_c)
         benefit = rate * (1.0 - env.eps) * ((p_c / (1.0 - p_c)) * (1.0 - mu_c) + (mu_c - p_c)) * env.r
         cost = rate * ((mu_c - p_c) ** 2 / mu_c - p_c) * env.c
         return benefit - cost
@@ -182,6 +181,13 @@ def social_utility(params: ProtocolParams, env: NetworkEnv,
     if params.uniform_thresholds:
         return float(np.dot(dist.eta, v))
     return float(np.dot(dist.eta[params.h_o:], v[params.h_o:]))
+
+
+def collapsed_social_utility(env: NetworkEnv, b: int, p_c: float) -> float:
+    """Average utility when reciprocative peers free-ride and only altruists
+    serve: the exchanged volume is capped by whichever side is scarcer,
+    altruist supply (p_c) or reciprocative demand (1 - p_c)."""
+    return env.lam * b * min(p_c, 1.0 - p_c) * ((1.0 - env.eps) * env.r - env.c)
 
 
 def _deviation_slacks(params: ProtocolParams, env: NetworkEnv,

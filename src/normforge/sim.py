@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .incentives import check_equilibrium
-from .model import NetworkEnv, PeerKind, ProtocolParams
+from .model import NetworkEnv, PeerKind, ProtocolParams, error_punish_prob
 from .stationary import stationary_for_regime
 
 KIND_ORDER = (PeerKind.RECIPROCATIVE, PeerKind.ALTRUISTIC, PeerKind.MALICIOUS)
@@ -270,7 +270,7 @@ def tft_sustainable(env: NetworkEnv, b: int, p_c: float = 0.0) -> bool:
     error-punishment probability alpha.
     """
     rate = env.lam * b
-    alpha_t = 1.0 - (1.0 - env.eps) ** rate
+    alpha_t = error_punish_prob(env, b)
     fed_while_punished = min(1.0, p_c / (1.0 - p_c)) if p_c < 1.0 else 1.0
     gap = rate * (1.0 - env.eps) * env.r * (1.0 - fed_while_punished)
     return env.c * rate <= env.delta * (1.0 - alpha_t) * gap + 1e-12

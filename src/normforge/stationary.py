@@ -5,8 +5,9 @@ active peers (reputation >= h_o) climb one step unless a service error gets
 them punished, punished peers fall to 0 unless forgiven, and inactive peers
 climb unconditionally.  This module computes the long-run distribution of
 that kernel, in closed form where one exists (harsh punishment, uniform
-client thresholds) and by fixed-point iteration otherwise, plus the mixtures
-induced by malicious and altruistic sub-populations.
+client thresholds) and by a direct elimination solve otherwise (never by
+iteration), plus the mixtures induced by malicious and altruistic
+sub-populations.
 """
 
 from __future__ import annotations
@@ -16,19 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import NetworkEnv, ProtocolParams, error_punish_prob
-
-FIXED_POINT_TOL = 1e-12
-FIXED_POINT_MAX_ITER = 10 ** 6
-
-
-class NonConvergenceError(RuntimeError):
-    """Fixed-point iteration failed to settle; carries the last iterate."""
-
-    def __init__(self, message: str, last_iterate: np.ndarray, residual: float):
-        super().__init__(f"{message} (residual={residual:.3e})")
-        self.last_iterate = last_iterate
-        self.residual = residual
-
 
 @dataclass
 class ReputationDistribution:
@@ -98,41 +86,37 @@ def stationary_closed_form(params: ProtocolParams, env: NetworkEnv) -> Reputatio
     return ReputationDistribution(eta=eta, mu=mu, alpha=alpha)
 
 
-def stationary_fixed_point(params: ProtocolParams, env: NetworkEnv,
-                           tol: float = FIXED_POINT_TOL,
-                           max_iter: int = FIXED_POINT_MAX_ITER,
-                           init: np.ndarray = None) -> ReputationDistribution:
-    """Stationary profile of the general (L, beta) scheme by iterating the
-    one-period kernel from the uniform distribution until the sup-norm change
-    drops below `tol`.
+def stationary_fixed_point(params: ProtocolParams, env: NetworkEnv) -> ReputationDistribution:
+    """Stationary profile of the general (L, beta) scheme by Grassmann-Taksar-
+    Heyman elimination on the one-period kernel.
 
-    With alpha = 0 nothing is ever punished and iteration only stalls in
-    representation, so the exact point mass at L is returned directly.
+    Rungs 0..L-1 are censored out in order, each one's transitions folded
+    into the rungs above it.  Eliminating a rung divides by its outflow to
+    the rungs that remain; the top rung's outflow vanishes at alpha = 0 or
+    beta = 1, so it is never eliminated.  Back-substitution from the top then
+    rebuilds the profile.  The elimination only adds,
+    multiplies and divides non-negative numbers, so the result is accurate to
+    rounding with no tolerance and no iteration.
     """
     L = params.L
-    alpha = error_punish_prob(env, params.b)
-    if alpha == 0.0:
-        eta = np.zeros(L + 1)
-        eta[L] = 1.0
-        return ReputationDistribution(eta=eta, mu=1.0, alpha=alpha)
-    P = transition_matrix(params, env)
-    if init is None:
-        eta = np.full(L + 1, 1.0 / (L + 1))
-    else:
-        eta = np.asarray(init, dtype=float)
-        if eta.shape != (L + 1,) or abs(eta.sum() - 1.0) > 1e-9 or (eta < 0).any():
-            raise ValueError("init must be a probability vector over 0..L")
-    for _ in range(max_iter):
-        nxt = eta @ P
-        change = float(np.max(np.abs(nxt - eta)))
-        eta = nxt
-        if change <= tol:
+    A = transition_matrix(params, env)
+    top = L
+    for k in range(L):
+        up = A[k, k + 1:].sum()
+        if up == 0.0:
+            # every error punishes (alpha rounds to 1): nothing climbs past
+            # rung k, so the profile reached from rung 0 lives on 0..k
+            top = k
             break
-    else:
-        raise NonConvergenceError("stationary iteration did not converge", eta, change)
-    eta = eta / eta.sum()  # shed accumulated rounding
+        A[k + 1:, k] /= up
+        A[k + 1:, k + 1:] += np.outer(A[k + 1:, k], A[k, k + 1:])
+    eta = np.zeros(L + 1)
+    eta[top] = 1.0
+    for k in range(top - 1, -1, -1):
+        eta[k] = eta[k + 1:top + 1] @ A[k + 1:top + 1, k]
+    eta /= eta.sum()
     mu = float(eta[params.h_o:].sum())
-    return ReputationDistribution(eta=eta, mu=mu, alpha=alpha)
+    return ReputationDistribution(eta=eta, mu=mu, alpha=error_punish_prob(env, params.b))
 
 
 def stationary_malicious(params: ProtocolParams, env: NetworkEnv) -> ReputationDistribution:

@@ -157,14 +157,6 @@ class TestSweep:
         header2 = out2.splitlines()[0]
         assert header1 == header2
 
-    def test_threads_env_var(self, scenario_file, capsys, monkeypatch):
-        monkeypatch.setenv("NORMFORGE_THREADS", "4")
-        code, out = run_cli(capsys, "sweep", "--config", scenario_file(),
-                            "--sweep", "c:0.1:0.4:0.1")
-        assert code == 0
-        rows = list(csv.DictReader(io.StringIO(out)))
-        assert [r["axis_c"] for r in rows] == ["0.1", "0.2", "0.3", "0.4"]
-
 
 class TestSimulate:
     def sim_section(self, **kw):

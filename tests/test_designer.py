@@ -76,15 +76,6 @@ class TestOsne:
         dist = stationary_for_regime(res.params, spec.env)
         assert res.utility == pytest.approx(social_utility(res.params, spec.env, dist))
 
-    def test_literal_sweep_returns_lowest_feasible_threshold(self):
-        spec = DesignSpec(problem="OSNE", L=3, b_cap=8, env=env(c=0.3, delta=0.7))
-        literal = solve_osne(spec, literal_sweep=True)
-        assert literal.feasible
-        h = literal.params.h_o
-        for lower in range(1, h):
-            assert all(not check_equilibrium(ProtocolParams(L=3, h_o=lower, b=b), spec.env).is_equilibrium
-                       for b in range(1, 9))
-
 
 class TestOsneVp:
     def test_error_free_forgiveness_changes_nothing(self):
@@ -150,14 +141,6 @@ class TestOsneVps:
         assert res.feasible
         m = res.params.m_o
         assert all(a <= b for a, b in zip(m, m[1:]))
-
-    def test_restricted_family_never_beats_full(self):
-        for c in (0.2, 0.35):
-            e = env(c=c, delta=0.7)
-            spec = DesignSpec(problem="OSNE_VPS", L=3, b_cap=4, env=e, beta_grid=0.1)
-            full = solve_osne_vps(spec, full_enumeration=True)
-            restricted = solve_osne_vps(spec, full_enumeration=False)
-            assert full.utility >= restricted.utility - 1e-12
 
     def test_nesting_chain(self):
         for c in (0.1, 0.3):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from normforge import (
     NetworkEnv,
@@ -94,26 +95,65 @@ class TestFixedPoint:
             assert np.max(np.abs(moved - d.eta)) <= 1e-10
 
     def test_unique_point_from_random_starts(self):
+        # the kernel carries every start to the solved point
         p = ProtocolParams(L=4, h_o=2, b=2, beta=0.3)
         ref = stationary_fixed_point(p, env()).eta
+        P_far = np.linalg.matrix_power(transition_matrix(p, env()), 2000)
         rng = np.random.default_rng(7)
         for _ in range(20):
             raw = rng.random(5)
-            init = raw / raw.sum()
-            d = stationary_fixed_point(p, env(), init=init)
-            assert np.max(np.abs(d.eta - ref)) <= 1e-8
+            assert np.max(np.abs(raw / raw.sum() @ P_far - ref)) <= 1e-8
 
     def test_agrees_with_nullspace_solve(self):
-        for beta in (0.0, 0.25, 0.9):
-            p = ProtocolParams(L=5, h_o=2, b=3, beta=beta)
-            d = stationary_fixed_point(p, env(eps=0.2))
-            assert np.max(np.abs(d.eta - stationary_nullspace(p, env(eps=0.2)))) <= 1e-10
+        cases = [(ProtocolParams(L=5, h_o=2, b=3, beta=beta), env(eps=0.2))
+                 for beta in (0.0, 0.25, 0.9)]
+        # long ladder, near-total forgiveness: the kernel mixes slowly
+        cases.append((ProtocolParams(L=20, h_o=1, b=3, beta=0.999), env(eps=0.5)))
+        for p, e in cases:
+            d = stationary_fixed_point(p, e)
+            assert np.max(np.abs(d.eta - stationary_nullspace(p, e))) <= 1e-10
+
+    def test_certain_punishment_keeps_mass_at_or_below_h_o(self):
+        # (1 - 0.5)**60 rounds alpha to 1: nobody climbs past h_o, and under
+        # harsh punishment the profile cycles through 0..h_o
+        e = env(eps=0.5)
+        for beta, m_o in ((0.5, None), (0.0, (2, 3, 4))):
+            p = ProtocolParams(L=4, h_o=2, b=60, beta=beta, m_o=m_o)
+            d = stationary_fixed_point(p, e)
+            assert d.alpha == 1.0
+            assert np.max(np.abs(d.eta - stationary_nullspace(p, e))) <= 1e-12
+            assert d.eta[3:].sum() == 0.0
 
     def test_sums_to_one(self):
         for eps in (0.05, 0.3, 0.7):
             d = stationary_fixed_point(ProtocolParams(L=6, h_o=3, b=4, beta=0.2), env(eps=eps))
             assert d.eta.sum() == pytest.approx(1.0, abs=1e-12)
             assert (d.eta >= 0).all()
+
+
+@st.composite
+def chains(draw):
+    L = draw(st.integers(1, 30))
+    h_o = draw(st.integers(1, L))
+    n = L - h_o + 1
+    non_uniform = st.lists(st.integers(1, L), min_size=n, max_size=n).map(sorted)
+    m_o = draw(st.one_of(st.none(), non_uniform.map(tuple)))
+    beta = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    eps = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.9)))
+    b = draw(st.integers(1, 8))
+    return ProtocolParams(L=L, h_o=h_o, b=b, beta=beta, m_o=m_o), env(eps=eps)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(chains())
+@example((ProtocolParams(L=30, h_o=7, b=4, beta=0.0), env(eps=0.3)))
+@example((ProtocolParams(L=30, h_o=1, b=8, beta=1.0), env(eps=0.9)))
+@example((ProtocolParams(L=12, h_o=4, b=3, beta=0.6), env(eps=0.0)))
+@example((ProtocolParams(L=6, h_o=2, b=5, beta=0.45, m_o=(2, 3, 3, 5, 6)), env(eps=0.4)))
+def test_fixed_point_matches_nullspace_oracle(chain):
+    p, e = chain
+    d = stationary_fixed_point(p, e)
+    assert np.max(np.abs(d.eta - stationary_nullspace(p, e))) <= 1e-12
 
 
 class TestMalicious:
