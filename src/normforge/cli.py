@@ -27,6 +27,7 @@ from .designer import DesignResult, DesignSpec, solve
 from .incentives import (
     check_equilibrium,
     collapsed_social_utility,
+    fed_while_punished,
     overall_utilities,
     social_utility,
 )
@@ -258,8 +259,7 @@ def _collapsed_recip_utility(params, env) -> float:
     only servers, so service is rationed by their supply."""
     if env.p_c <= 0.0:
         return 0.0
-    fed = min(1.0, env.p_c / (1.0 - env.p_c)) if env.p_c < 1.0 else 1.0
-    return env.lam * params.b * (1.0 - env.eps) * env.r * fed
+    return env.lam * params.b * (1.0 - env.eps) * env.r * fed_while_punished(env.p_c)
 
 
 ANALYZE_COLUMNS = [
@@ -453,14 +453,18 @@ def cmd_simulate(args) -> int:
     env = _build_env(sc["env"])
     params = _build_params(sc["params"])
     config = _build_sim(sc["sim"], params, env)
+    if args.compare_analytic:
+        if config.protocol_flavor == TFT:
+            raise CliError("sim.protocol_flavor", "analytic comparison covers the social-norm flavor")
+        try:  # the reference is the simulated population, not the env's p_c / p_d
+            dist = stationary_for_regime(params, config.analytic_env())
+        except ValueError as exc:
+            raise CliError("sim.population_mix", str(exc))
     trace = run_tft(config) if config.protocol_flavor == TFT else run_sim(config)
     payload = trace.to_json_dict()
     header = list(SIM_SUMMARY_COLUMNS)
     row = _sim_summary_row(config, trace)
     if args.compare_analytic:
-        if config.protocol_flavor == TFT:
-            raise CliError("sim.protocol_flavor", "analytic comparison covers the social-norm flavor")
-        dist = stationary_for_regime(params, env)
         linf = float(max(abs(trace.window_eta() - dist.eta)))
         payload["analytic_comparison"] = {
             "eta_analytic": dist.eta.tolist(),
@@ -609,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mix", help="population mix, e.g. reciprocative=0.9,altruistic=0.1")
     p.add_argument("--strategic", dest="strategic", action="store_true", default=None)
     p.add_argument("--compare-analytic", action="store_true",
-                   help="append the sup-norm gap to the analytic stationary profile")
+                   help="append the sup-norm gap to the simulated population's analytic profile")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("compare", help="social norm vs tit-for-tat along one axis")

@@ -123,10 +123,9 @@ def one_period_utilities(params: ProtocolParams, env: NetworkEnv,
         p_c, mu_c = env.p_c, dist.mu
         v[h_o:] = rate * gross - rate * ((mu_c - p_c) / mu_c) * env.c
         if p_c <= 0.5:
-            inactive = rate * (1.0 - env.eps) * (p_c / (1.0 - p_c)) * env.r
+            v[:h_o] = rate * (1.0 - env.eps) * fed_while_punished(p_c) * env.r
         else:
-            inactive = rate * gross
-        v[:h_o] = inactive
+            v[:h_o] = rate * gross
         return v
 
     if params.uniform_thresholds:
@@ -174,13 +173,20 @@ def social_utility(params: ProtocolParams, env: NetworkEnv,
         p_c, mu_c = env.p_c, dist.mu
         if p_c > 0.5:
             return collapsed_social_utility(env, params.b, p_c)
-        benefit = rate * (1.0 - env.eps) * ((p_c / (1.0 - p_c)) * (1.0 - mu_c) + (mu_c - p_c)) * env.r
+        fed = fed_while_punished(p_c)
+        benefit = rate * (1.0 - env.eps) * (fed * (1.0 - mu_c) + (mu_c - p_c)) * env.r
         cost = rate * ((mu_c - p_c) ** 2 / mu_c - p_c) * env.c
         return benefit - cost
     v = one_period_utilities(params, env, dist)
     if params.uniform_thresholds:
         return float(np.dot(dist.eta, v))
     return float(np.dot(dist.eta[params.h_o:], v[params.h_o:]))
+
+
+def fed_while_punished(p_c: float) -> float:
+    """Share of its requests a punished reciprocative peer still gets served:
+    altruist supply p_c over reciprocative demand 1 - p_c, capped at 1."""
+    return min(1.0, p_c / (1.0 - p_c)) if p_c < 1.0 else 1.0
 
 
 def collapsed_social_utility(env: NetworkEnv, b: int, p_c: float) -> float:

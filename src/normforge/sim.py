@@ -19,6 +19,14 @@ period) but never emit requests of their own.
 Randomness comes from one counter-based Philox generator keyed by (seed,
 period); all draws within a period follow a fixed program order, so a config
 replays byte-for-byte.
+
+The request list, the per-kind masks, each reputation's forgiveness
+probability and each client reputation's server-pool class (equal willing
+columns share a pool, visited in that column's byte order) are built once per
+run; periods only look them up, so the draws and their order are schema 1's.
+A finished run checks that outcomes partition `emitted` in every period, that
+histograms sum to 1 and that altruists stay pinned, and raises RuntimeError
+naming the first bad period otherwise.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .incentives import check_equilibrium
+from .incentives import check_equilibrium, fed_while_punished
 from .model import NetworkEnv, PeerKind, ProtocolParams, error_punish_prob
 from .stationary import stationary_for_regime
 
@@ -121,6 +129,12 @@ class SimConfig:
             counts[k] += 1
             short -= 1
         return counts
+
+    def analytic_env(self) -> NetworkEnv:
+        """The env with p_c / p_d set to the simulated population's shares."""
+        counts = self.kind_counts()
+        return self.env.replace(p_c=counts[PeerKind.ALTRUISTIC] / self.n_peers,
+                                p_d=counts[PeerKind.MALICIOUS] / self.n_peers)
 
     def as_dict(self) -> dict:
         return {
@@ -225,36 +239,22 @@ class SimTrace:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=1)
 
 
-class _Protocol:
-    """Flavor adapter: reputation range, prescribed willingness, update rule."""
-
-    def __init__(self, config: SimConfig):
-        params, env = config.params, config.env
-        self.flavor = config.protocol_flavor
-        if self.flavor == SOCIAL_NORM:
-            self.top = params.L
-            self.pinned = params.L
-            # willing[s, c]: a compliant s-server accepts a c-client
-            self.willing = np.zeros((self.top + 1, self.top + 1), dtype=bool)
-            for s in range(params.h_o, self.top + 1):
-                self.willing[s, params.m_o_at(s):] = True
-            self.beta = params.beta
-            self.L = params.L
-        else:
-            self.top = 1
-            self.pinned = 1
-            self.willing = np.zeros((2, 2), dtype=bool)
-            self.willing[:, 1] = True  # serve anyone whose last period was clean
-            self.beta = 0.0
-            self.L = 1
-
-    def update_reputations(self, rep, x, forgive_draws):
-        if self.flavor == SOCIAL_NORM:
-            clean = np.minimum(rep + 1, self.L)
-            keep = forgive_draws < self.beta ** (self.L - rep + 1)
-            punished = np.where(keep, rep, 0)
-            return np.where(x, punished, clean)
-        return np.where(x, 0, 1)
+def _protocol_tables(config: SimConfig):
+    """Flavor adapter: the top reputation, the prescribed willingness
+    willing[s, c] (a compliant s-server accepts a c-client) and keep_prob[r],
+    the chance that a punished r-peer keeps r instead of falling to 0.
+    Tit-for-tat is a two-rung ladder that serves anyone whose last period was
+    clean and never forgives."""
+    params = config.params
+    if config.protocol_flavor == TFT:
+        willing = np.zeros((2, 2), dtype=bool)
+        willing[:, 1] = True
+        return 1, willing, np.zeros(2)
+    L = params.L
+    willing = np.zeros((L + 1, L + 1), dtype=bool)
+    for s in range(params.h_o, L + 1):
+        willing[s, params.m_o_at(s):] = True
+    return L, willing, params.beta ** (L - np.arange(L + 1) + 1)
 
 
 def tft_sustainable(env: NetworkEnv, b: int, p_c: float = 0.0) -> bool:
@@ -271,23 +271,18 @@ def tft_sustainable(env: NetworkEnv, b: int, p_c: float = 0.0) -> bool:
     """
     rate = env.lam * b
     alpha_t = error_punish_prob(env, b)
-    fed_while_punished = min(1.0, p_c / (1.0 - p_c)) if p_c < 1.0 else 1.0
-    gap = rate * (1.0 - env.eps) * env.r * (1.0 - fed_while_punished)
+    gap = rate * (1.0 - env.eps) * env.r * (1.0 - fed_while_punished(p_c))
     return env.c * rate <= env.delta * (1.0 - alpha_t) * gap + 1e-12
 
 
 def _strategic_collapse(config: SimConfig) -> bool:
     """True when the configured protocol cannot sustain compliance, in which
     case strategic reciprocative peers free-ride."""
-    counts = config.kind_counts()
-    n = config.n_peers
-    p_c = counts[PeerKind.ALTRUISTIC] / n
-    p_d = counts[PeerKind.MALICIOUS] / n
+    env = config.analytic_env()
     if config.protocol_flavor == TFT:
-        return not tft_sustainable(config.env, config.params.b, p_c)
-    if p_c > 0.0 and p_d > 0.0:
+        return not tft_sustainable(config.env, config.params.b, env.p_c)
+    if env.p_c > 0.0 and env.p_d > 0.0:
         raise ValueError("strategic mode handles one non-reciprocative kind at a time")
-    env = config.env.replace(p_c=p_c, p_d=p_d)
     return not check_equilibrium(config.params, env).is_equilibrium
 
 
@@ -342,50 +337,56 @@ def run_tft(config: SimConfig) -> SimTrace:
 
 
 def _run(config: SimConfig) -> SimTrace:
-    proto = _Protocol(config)
-    env, params = config.env, config.params
+    top, willing, keep_prob = _protocol_tables(config)
+    env = config.env
     n = config.n_peers
     k = config.requests_per_peer
     T = config.n_periods
-    top = proto.top
 
     counts = config.kind_counts()
-    kinds = np.concatenate([
-        np.full(counts[PeerKind.RECIPROCATIVE], _K_RECIP, dtype=np.int8),
-        np.full(counts[PeerKind.ALTRUISTIC], _K_ALT, dtype=np.int8),
-        np.full(counts[PeerKind.MALICIOUS], _K_MAL, dtype=np.int8),
-    ])
+    kinds = np.repeat(np.arange(len(KIND_ORDER), dtype=np.int8),
+                      [counts[kind] for kind in KIND_ORDER])
     recip_mask = kinds == _K_RECIP
     alt_ids = np.flatnonzero(kinds == _K_ALT)
+    alt0 = counts[PeerKind.RECIPROCATIVE]  # altruists are one contiguous id block
     mal_ids = np.flatnonzero(kinds == _K_MAL)
-    have_alt = len(alt_ids) > 0
 
     if config.init_reputations is not None:
         rep = np.array(config.init_reputations, dtype=np.int64)
         if rep.shape != (n,) or rep.min() < 0 or rep.max() > top:
             raise ValueError("init_reputations must give every peer a reputation in range")
-        rep = rep.copy()
     else:
         rep = np.zeros(n, dtype=np.int64)
-    rep[alt_ids] = proto.pinned
+    rep[alt_ids] = top  # altruists are pinned at the top rung
 
     collapsed = _strategic_collapse(config) if config.strategic else False
     deviant = config.deviant_policy
     if deviant is not None and not (0 <= deviant.peer_id < n and recip_mask[deviant.peer_id]):
         raise ValueError("deviant peer must be a reciprocative peer id")
+    refuse_base = recip_mask if collapsed else np.zeros(n, dtype=bool)
 
     eta_series = np.zeros((T, top + 1))
     count_names = ("emitted", "served", "errored", "corrupted", "unserved",
                    "refusals", "served_by_recip")
     count_series = {name: np.zeros(T, dtype=np.int64) for name in count_names}
-    strategic_label = (PeerKind.TFT_AGENT.value if config.protocol_flavor == TFT
-                       else PeerKind.RECIPROCATIVE.value)
-    label_of = {PeerKind.RECIPROCATIVE: strategic_label,
-                PeerKind.ALTRUISTIC: PeerKind.ALTRUISTIC.value,
-                PeerKind.MALICIOUS: PeerKind.MALICIOUS.value}
-    util_series = {label_of[kind]: np.zeros(T) for kind in KIND_ORDER if counts[kind] > 0}
+    labels = [kind.value for kind in KIND_ORDER]
+    if config.protocol_flavor == TFT:
+        labels[_K_RECIP] = PeerKind.TFT_AGENT.value
+    kind_masks = [(labels[code], kinds == code) for code, kind in enumerate(KIND_ORDER)
+                  if counts[kind] > 0]
+    util_series = {label: np.zeros(T) for label, _ in kind_masks}
     discounted = np.zeros(n)
     disc_weight = 1.0
+
+    # requests: every reciprocative peer wants k chunks each period
+    clients = np.repeat(np.flatnonzero(recip_mask), k)
+    count_series["emitted"][:] = len(clients)
+    # client reputations with the same willing column share one server pool,
+    # so even loads stay even; classes run in the byte order of that column
+    col_keys = [willing[:, c].tobytes() for c in range(top + 1)]
+    class_keys = sorted(set(col_keys))
+    cls_of_rep = np.array([class_keys.index(key) for key in col_keys])
+    class_cols = [willing[:, col_keys.index(key)] for key in class_keys]
 
     for t in range(T):
         rng = _period_rng(config.seed, t)
@@ -395,34 +396,20 @@ def _run(config: SimConfig) -> SimTrace:
         cost = np.zeros(n)
         x = np.zeros(n, dtype=bool)
 
-        refuse_all = np.zeros(n, dtype=bool)
-        if collapsed:
-            refuse_all[recip_mask] = True
+        refuse_all = refuse_base
         if deviant is not None and deviant.active(t):
+            refuse_all = refuse_base.copy()
             refuse_all[deviant.peer_id] = True
-
-        # requests: every reciprocative peer wants k chunks this period
-        clients = np.repeat(np.flatnonzero(recip_mask), k)
-        count_series["emitted"][t] = len(clients)
         alt_capacity = np.full(len(alt_ids), k, dtype=np.int64)
-
-        # group client classes by pool signature so even loads stay even
-        client_rep = rep[clients]
-        signatures = {}
-        for c_rep in np.unique(client_rep):
-            key = proto.willing[:, c_rep].tobytes()
-            signatures.setdefault(key, []).append(int(c_rep))
+        client_cls = cls_of_rep[rep[clients]]
 
         n_served = n_errored = n_corrupted = n_unserved = n_refusals = n_served_recip = 0
 
-        for key in sorted(signatures):
-            class_reps = signatures[key]
-            req_mask = np.isin(client_rep, class_reps)
-            req_clients = clients[req_mask]
+        for cls, willing_col in enumerate(class_cols):
+            req_clients = clients[client_cls == cls]
             if len(req_clients) == 0:
                 continue
-            c_rep0 = class_reps[0]
-            apparent = recip_mask & proto.willing[rep, c_rep0]
+            apparent = recip_mask & willing_col[rep]
             serving = np.flatnonzero(apparent & ~refuse_all)
             refusing = np.flatnonzero(apparent & refuse_all)
 
@@ -435,13 +422,11 @@ def _run(config: SimConfig) -> SimTrace:
                     groups.append(("recip", serving))
                 if len(mal_ids) > 0:
                     groups.append(("malicious", mal_ids))
-                open_alts = alt_ids[alt_capacity > 0] if have_alt else alt_ids
+                open_alts = alt_ids[alt_capacity > 0]
                 if len(open_alts) > 0:
                     groups.append(("altruist", open_alts))
                 if not groups:
-                    n_unserved += len(pending)
-                    pending = pending[:0]
-                    break
+                    break  # nobody can take them: counted unserved below
 
                 sizes = np.array([len(g[1]) for g in groups], dtype=float)
                 split = rng.multinomial(len(pending), sizes / sizes.sum())
@@ -456,20 +441,19 @@ def _run(config: SimConfig) -> SimTrace:
                         continue
                     if tag == "refuse":
                         # bounced contacts: deviation observed, client redirects
-                        hit = _spread(rng, n_g, members)
-                        x[np.unique(hit)] = True
+                        x[_spread(rng, n_g, members)] = True
                         n_refusals += n_g
                         next_pending.append(part)
                         continue
                     if tag == "altruist":
-                        slots = rng.permutation(np.repeat(members, alt_capacity[np.searchsorted(alt_ids, members)]))
+                        slots = rng.permutation(np.repeat(members, alt_capacity[members - alt0]))
                         take = min(len(slots), n_g)
                         srv = slots[:take]
                         overflow = part[take:]
                         part = part[:take]
                         if len(overflow) > 0:
                             next_pending.append(overflow)
-                        np.add.at(alt_capacity, np.searchsorted(alt_ids, srv), -1)
+                        np.add.at(alt_capacity, srv - alt0, -1)
                     else:
                         srv = _spread(rng, n_g, members)
                     keep = _fix_self_service(rng, part, srv)
@@ -479,20 +463,18 @@ def _run(config: SimConfig) -> SimTrace:
                     if tag == "malicious":
                         # corrupt delivery: slot wasted, compliance judged by prescription
                         n_corrupted += len(part)
-                        prescribed = proto.willing[rep[srv], c_rep0]
-                        x[np.unique(srv[prescribed])] = True
+                        x[srv[willing_col[rep[srv]]]] = True
                         continue
                     # honest upload attempt: cost now, connectivity lottery
                     np.add.at(cost, srv, env.c)
                     err = rng.random(len(part)) < env.eps
                     ok = ~err
-                    benefit_ids = part[ok]
-                    np.add.at(benefit, benefit_ids, env.r)
+                    np.add.at(benefit, part[ok], env.r)
                     n_served += int(ok.sum())
                     n_errored += int(err.sum())
                     if tag == "recip":
                         n_served_recip += int(ok.sum())
-                        x[np.unique(srv[err])] = True
+                        x[srv[err]] = True
                     # altruists are pinned regardless of errors
                 pending = np.concatenate(next_pending) if next_pending else shuffled[:0]
                 if len(pending) == 0:
@@ -508,16 +490,17 @@ def _run(config: SimConfig) -> SimTrace:
         count_series["served_by_recip"][t] = n_served_recip
 
         util = benefit - cost
-        for kind in KIND_ORDER:
-            if counts[kind] > 0:
-                util_series[label_of[kind]][t] = float(util[kinds == _kind_code(kind)].mean())
+        for label, mask in kind_masks:
+            util_series[label][t] = float(util[mask].mean())
         discounted += disc_weight * util
         disc_weight *= env.delta
 
-        forgive = rng.random(n)
-        rep = proto.update_reputations(rep, x, forgive)
-        rep[alt_ids] = proto.pinned
+        # period boundary: climb when clean, else fall to 0 unless forgiven
+        forgiven = rng.random(n) < keep_prob[rep]
+        rep = np.where(x, np.where(forgiven, rep, 0), np.minimum(rep + 1, top))
+        rep[alt_ids] = top
 
+    _check_invariants(count_series, eta_series, rep[alt_ids], top)
     u_max = k * max(env.r, env.c)
     tail = 0.0 if env.delta == 0.0 else (env.delta ** T) * u_max / (1.0 - env.delta)
     return SimTrace(
@@ -533,9 +516,16 @@ def _run(config: SimConfig) -> SimTrace:
     )
 
 
-def _kind_code(kind: PeerKind) -> int:
-    return {PeerKind.RECIPROCATIVE: _K_RECIP, PeerKind.ALTRUISTIC: _K_ALT,
-            PeerKind.MALICIOUS: _K_MAL}[kind]
+def _check_invariants(counts: dict, eta: np.ndarray, alt_reps: np.ndarray, pinned: int) -> None:
+    """Run-time accounting checks: request outcomes partition `emitted` in
+    every period, every reputation histogram sums to 1, altruists end pinned."""
+    parts = counts["served"] + counts["errored"] + counts["corrupted"] + counts["unserved"]
+    for bad, what in ((parts != counts["emitted"], "request outcomes do not partition emitted"),
+                      (np.abs(eta.sum(axis=1) - 1.0) > 1e-9, "the eta row does not sum to 1")):
+        if bad.any():
+            raise RuntimeError(f"{what} in period {np.argmax(bad)}")
+    if np.any(alt_reps != pinned):
+        raise RuntimeError(f"an altruist left reputation {pinned} by period {len(eta) - 1}")
 
 
 def measure_deviation_gain(config: SimConfig, theta: int, n_pairs: int = 30) -> float:
@@ -555,9 +545,7 @@ def measure_deviation_gain(config: SimConfig, theta: int, n_pairs: int = 30) -> 
     counts = config.kind_counts()
     if counts[PeerKind.RECIPROCATIVE] < 1:
         raise ValueError("need at least one reciprocative peer to tag")
-    env_eff = config.env.replace(p_c=counts[PeerKind.ALTRUISTIC] / config.n_peers,
-                                 p_d=counts[PeerKind.MALICIOUS] / config.n_peers)
-    dist = stationary_for_regime(config.params, env_eff)
+    dist = stationary_for_regime(config.params, config.analytic_env())
     gains = []
     for i in range(n_pairs):
         seed_i = config.seed + i

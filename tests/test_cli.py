@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from normforge import NetworkEnv, ProtocolParams, stationary_for_regime
 from normforge.cli import main
 
 BASE_SCENARIO = {
@@ -191,6 +192,25 @@ class TestSimulate:
         rows = list(csv.DictReader(io.StringIO(csv_path.read_text())))
         assert "eta_linf" in rows[0]
         assert float(rows[0]["eta_linf"]) < 0.08
+
+    def test_compare_analytic_follows_the_simulated_mix(self, scenario_file, capsys):
+        # the env says p_c = 0; the reference must be the 30%-altruist profile
+        path = scenario_file(sim=self.sim_section(n_peers=100, n_periods=20))
+        code, out = run_cli(capsys, "simulate", "--config", path, "--compare-analytic",
+                            "--mix", "reciprocative=0.7,altruistic=0.3")
+        assert code == 0
+        want = stationary_for_regime(ProtocolParams(L=3, h_o=1, b=2),
+                                     NetworkEnv(r=1.0, c=0.2, eps=0.1, lam=1.0, delta=0.8, p_c=0.3))
+        got = json.loads(out)["analytic_comparison"]["eta_analytic"]
+        assert got == want.eta.tolist()
+        assert got == pytest.approx([0.112, 0.112, 0.091, 0.686], abs=5e-4)
+
+    def test_compare_analytic_rejects_two_kind_mix(self, scenario_file, capsys):
+        path = scenario_file(sim=self.sim_section())
+        code, out = run_cli(capsys, "simulate", "--config", path, "--compare-analytic",
+                            "--mix", "reciprocative=0.7,altruistic=0.2,malicious=0.1")
+        assert code == 2
+        assert json.loads(out)["error"]["field"] == "sim.population_mix"
 
     def test_tft_flavor_gains_binary_columns(self, scenario_file, capsys, tmp_path):
         path = scenario_file(sim=self.sim_section(protocol_flavor="TFT"))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -14,6 +15,7 @@ from normforge import (
     one_period_utilities,
     run_sim,
     run_tft,
+    sim,
     stationary_closed_form,
     stationary_malicious,
     tft_sustainable,
@@ -260,3 +262,52 @@ class TestTraceShape:
             config(population_mix={PeerKind.RECIPROCATIVE: 0.5})
         with pytest.raises(ValueError):
             config(population_mix={PeerKind.TFT_AGENT: 1.0})
+
+
+class TestRuntimeInvariants:
+    def test_lost_request_names_its_period(self, monkeypatch):
+        # a routing split that silently drops one request in period 3 must
+        # break the outcome partition and fail the run
+        real_rng = sim._period_rng
+
+        class DroppingRng:
+            def __init__(self, rng, period):
+                self._rng, self._period, self._dropped = rng, period, False
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+            def multinomial(self, n, pvals):
+                split = self._rng.multinomial(n, pvals)
+                if self._period == 3 and not self._dropped and split.sum() > 0:
+                    split[np.argmax(split)] -= 1
+                    self._dropped = True
+                return split
+
+        monkeypatch.setattr(sim, "_period_rng", lambda seed, t: DroppingRng(real_rng(seed, t), t))
+        with pytest.raises(RuntimeError, match="partition emitted in period 3$"):
+            run_sim(config(n_periods=6))
+
+
+def _integer_digest(trace) -> str:
+    ints = {"counts": {k: [int(v) for v in arr] for k, arr in trace.counts.items()},
+            "final_reputation": [int(v) for v in trace.final_reputation]}
+    return hashlib.sha256(json.dumps(ints, sort_keys=True).encode()).hexdigest()
+
+
+def test_stream_is_pinned():
+    # The draw order of the random stream is part of the trace format: any
+    # change to it must update these digests and bump the trace schema.
+    mix = {PeerKind.RECIPROCATIVE: 0.7, PeerKind.ALTRUISTIC: 0.2, PeerKind.MALICIOUS: 0.1}
+    social = config(n_peers=60, n_periods=40, seed=3, population_mix=mix,
+                    deviant_policy=DeviantPolicy(peer_id=0, window=(5, 10)))
+    forgiving = config(n_peers=50, n_periods=40, seed=4,
+                       params=ProtocolParams(L=4, h_o=2, b=3, beta=0.5, m_o=(1, 2, 3)))
+    tft = config(n_peers=50, n_periods=40, seed=5, protocol_flavor="TFT",
+                 population_mix={PeerKind.RECIPROCATIVE: 0.8, PeerKind.ALTRUISTIC: 0.2})
+    assert _integer_digest(run_sim(social)) == \
+        "67e241e33a42d9476deb8e1c397d9e0c21c28c641ae01342b795fd6987326c40"
+    assert _integer_digest(run_sim(forgiving)) == \
+        "aa4097eb9f7a3c36e2b454873b6a46a7a220faabd30b97597a0012559b4d839c"
+    assert _integer_digest(run_tft(tft)) == \
+        "db7ce3b7b759a08c51b98be172baf8300f63cba20dfc7a445b4a53a6338f65de"
