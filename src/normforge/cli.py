@@ -23,13 +23,12 @@ import itertools
 import json
 import sys
 
-from .designer import DesignResult, DesignSpec, solve
+from .designer import DesignResult, DesignSpec, solve, solve_osne
 from .incentives import (
     check_equilibrium,
     collapsed_social_utility,
     fed_while_punished,
     overall_utilities,
-    social_utility,
 )
 from .model import NetworkEnv, PeerKind, ProtocolParams
 from .sim import SOCIAL_NORM, TFT, SimConfig, run_sim, run_tft, tft_sustainable
@@ -206,8 +205,15 @@ def _csv_text(header: list, rows: list) -> str:
     return buf.getvalue()
 
 
-def _join(vec) -> str:
-    return ";".join(repr(float(v)) for v in vec)
+def _csv_cell(value):
+    """A list (a profile, a threshold vector) goes in one ';'-joined cell."""
+    return ";".join(str(v) for v in value) if isinstance(value, list) else value
+
+
+def _report_payload(report) -> dict:
+    return {"serve_slack": report.serve_slack, "refuse_slack": report.refuse_slack,
+            "per_theta_slacks": report.per_theta_slacks.tolist(),
+            "is_equilibrium": report.is_equilibrium}
 
 
 # ------------------------------------------------------------------ commands
@@ -216,7 +222,7 @@ def _analyze_payload(params: ProtocolParams, env: NetworkEnv) -> dict:
     dist = stationary_for_regime(params, env)
     profile = overall_utilities(params, env, dist)
     report = check_equilibrium(params, env)
-    u = social_utility(params, env, dist)
+    u = report.social_utility
     if report.is_equilibrium:
         u_eff = u
         recip_eff = _recip_average_utility(params, env, dist)
@@ -224,10 +230,8 @@ def _analyze_payload(params: ProtocolParams, env: NetworkEnv) -> dict:
         u_eff = collapsed_social_utility(env, params.b, env.p_c)
         recip_eff = _collapsed_recip_utility(params, env)
     return {
-        "env": {"r": env.r, "c": env.c, "eps": env.eps, "lambda": env.lam,
-                "delta": env.delta, "p_c": env.p_c, "p_d": env.p_d},
-        "params": {"L": params.L, "h_o": params.h_o, "b": params.b,
-                   "beta": params.beta, "m_o": list(params.m_o)},
+        "env": env.to_dict(),
+        "params": params.to_dict(),
         "alpha": dist.alpha,
         "mu": dist.mu,
         "eta": dist.eta.tolist(),
@@ -236,10 +240,7 @@ def _analyze_payload(params: ProtocolParams, env: NetworkEnv) -> dict:
         "social_utility": u,
         "social_utility_effective": u_eff,
         "recip_utility_effective": recip_eff,
-        "serve_slack": report.serve_slack,
-        "refuse_slack": report.refuse_slack,
-        "per_theta_slacks": report.per_theta_slacks.tolist(),
-        "is_equilibrium": report.is_equilibrium,
+        **_report_payload(report),
     }
 
 
@@ -272,14 +273,8 @@ ANALYZE_COLUMNS = [
 
 
 def _analyze_csv_row(payload: dict) -> list:
-    e, p = payload["env"], payload["params"]
-    return [e["r"], e["c"], e["eps"], e["lambda"], e["delta"], e["p_c"], e["p_d"],
-            p["L"], p["h_o"], p["b"], p["beta"], ";".join(str(v) for v in p["m_o"]),
-            payload["alpha"], payload["mu"], _join(payload["eta"]),
-            _join(payload["v_one"]), _join(payload["v_inf"]),
-            payload["social_utility"], payload["social_utility_effective"],
-            payload["recip_utility_effective"],
-            payload["serve_slack"], payload["refuse_slack"], payload["is_equilibrium"]]
+    flat = {**payload, **payload["env"], **payload["params"]}
+    return [_csv_cell(flat[name]) for name in ANALYZE_COLUMNS]
 
 
 def cmd_analyze(args) -> int:
@@ -298,13 +293,7 @@ def cmd_check(args) -> int:
     sc = _scenario(args)
     env = _build_env(sc["env"])
     params = _build_params(sc["params"])
-    report = check_equilibrium(params, env)
-    payload = {
-        "serve_slack": report.serve_slack,
-        "refuse_slack": report.refuse_slack,
-        "per_theta_slacks": report.per_theta_slacks.tolist(),
-        "is_equilibrium": report.is_equilibrium,
-    }
+    payload = _report_payload(check_equilibrium(params, env))
     _emit_text(json.dumps(payload, sort_keys=True, indent=1),
                args.out or sc["output"].get("path"))
     return 0
@@ -316,22 +305,16 @@ SOLVE_COLUMNS = ["problem", "r", "c", "eps", "lambda", "delta",
 
 
 def _solve_payload(spec: DesignSpec, result: DesignResult) -> dict:
-    p = result.params
-    return {
-        "problem": spec.problem,
-        "feasible": result.feasible,
-        "h_o_star": None if p is None else p.h_o,
-        "b_star": None if p is None else p.b,
-        "beta_star": None if p is None else p.beta,
-        "m_o_star": None if p is None else list(p.m_o),
-        "p_c_star": result.pC_star,
-        "utility": result.utility,
-        "search_log": [
-            {"candidate": list(cand) if isinstance(cand, tuple) else cand,
-             "slack": slack, "utility": util}
-            for cand, slack, util in result.search_log
-        ],
-    }
+    """The design outcome, keyed by SOLVE_COLUMNS names."""
+    star = {} if result.params is None else result.params.to_dict()
+    return {"problem": spec.problem, "feasible": result.feasible,
+            **{f"{k}_star": star.get(k) for k in ("h_o", "b", "beta", "m_o")},
+            "p_c_star": result.pC_star, "utility": result.utility}
+
+
+def _solve_csv_row(spec: DesignSpec, payload: dict) -> list:
+    flat = {**payload, **spec.env.to_dict(), "L": spec.L, "b_cap": spec.b_cap}
+    return [_csv_cell(flat[name]) for name in SOLVE_COLUMNS]
 
 
 def cmd_solve(args) -> int:
@@ -340,15 +323,12 @@ def cmd_solve(args) -> int:
     spec = _build_design(sc["design"], env)
     result = solve(spec)
     payload = _solve_payload(spec, result)
-    _emit_text(json.dumps(payload, sort_keys=True, indent=1),
+    log = [{"candidate": list(cand) if isinstance(cand, tuple) else cand,
+            "slack": slack, "utility": util} for cand, slack, util in result.search_log]
+    _emit_text(json.dumps(dict(payload, search_log=log), sort_keys=True, indent=1),
                args.out or sc["output"].get("path"))
     if args.csv_out:
-        row = [spec.problem, env.r, env.c, env.eps, env.lam, env.delta,
-               spec.L, spec.b_cap, result.feasible,
-               payload["h_o_star"], payload["b_star"], payload["beta_star"],
-               None if payload["m_o_star"] is None else ";".join(str(v) for v in payload["m_o_star"]),
-               payload["p_c_star"], payload["utility"]]
-        _emit_text(_csv_text(SOLVE_COLUMNS, [row]), args.csv_out)
+        _emit_text(_csv_text(SOLVE_COLUMNS, [_solve_csv_row(spec, payload)]), args.csv_out)
     return 0 if result.feasible else EXIT_INFEASIBLE
 
 
@@ -406,17 +386,8 @@ def cmd_sweep(args) -> int:
             for name, value in zip(names, values):
                 if name == "L":
                     design_sec["L"] = int(value)
-            env = _build_env(env_sec)
-            spec = _build_design(design_sec, env)
-            result = solve(spec)
-            p = result.params
-            return list(values) + [
-                spec.problem, env.r, env.c, env.eps, env.lam, env.delta,
-                spec.L, spec.b_cap, result.feasible,
-                None if p is None else p.h_o, None if p is None else p.b,
-                None if p is None else p.beta,
-                None if p is None else ";".join(str(v) for v in p.m_o),
-                result.pC_star, result.utility]
+            spec = _build_design(design_sec, _build_env(env_sec))
+            return list(values) + _solve_csv_row(spec, _solve_payload(spec, solve(spec)))
 
         header = [f"axis_{n}" for n in names] + SOLVE_COLUMNS
 
@@ -434,6 +405,17 @@ SIM_SUMMARY_COLUMNS = [
 ]
 
 
+def _analytic_profile(config: SimConfig):
+    """The simulated population's env and stationary profile, the reference
+    for strategic play and analytic comparison; a config error when the
+    analytic layers cannot model that population."""
+    env = config.analytic_env()
+    try:
+        return env, stationary_for_regime(config.params, env)
+    except ValueError as exc:
+        raise CliError("sim.population_mix", str(exc))
+
+
 def _sim_summary_row(config: SimConfig, trace) -> list:
     s = trace.summary()
     mix = {k.value: v for k, v in config.population_mix.items()}
@@ -442,7 +424,7 @@ def _sim_summary_row(config: SimConfig, trace) -> list:
             config.env.lam, config.env.delta, config.params.L, config.params.h_o,
             config.params.b, config.params.beta,
             mix.get("reciprocative", 0.0), mix.get("altruistic", 0.0), mix.get("malicious", 0.0),
-            s["final_window_mu"], _join(s["final_window_eta"]),
+            s["final_window_mu"], _csv_cell(s["final_window_eta"]),
             s["delivery_rate"], s["recip_delivery_rate"],
             s["final_window_mean_utility"].get(trace.strategic_kind()),
             s["truncation_bound"]]
@@ -453,13 +435,10 @@ def cmd_simulate(args) -> int:
     env = _build_env(sc["env"])
     params = _build_params(sc["params"])
     config = _build_sim(sc["sim"], params, env)
-    if args.compare_analytic:
-        if config.protocol_flavor == TFT:
-            raise CliError("sim.protocol_flavor", "analytic comparison covers the social-norm flavor")
-        try:  # the reference is the simulated population, not the env's p_c / p_d
-            dist = stationary_for_regime(params, config.analytic_env())
-        except ValueError as exc:
-            raise CliError("sim.population_mix", str(exc))
+    if args.compare_analytic and config.protocol_flavor == TFT:
+        raise CliError("sim.protocol_flavor", "analytic comparison covers the social-norm flavor")
+    if config.protocol_flavor == SOCIAL_NORM and (config.strategic or args.compare_analytic):
+        _, dist = _analytic_profile(config)
     trace = run_tft(config) if config.protocol_flavor == TFT else run_sim(config)
     payload = trace.to_json_dict()
     header = list(SIM_SUMMARY_COLUMNS)
@@ -489,26 +468,6 @@ COMPARE_COLUMNS = ["axis_param", "axis_value", "flavor", "sustained",
                    "mean_social_utility"]
 
 
-def _best_social_params(params: ProtocolParams, env: NetworkEnv, sim_sec: dict) -> ProtocolParams:
-    """Re-optimize (h_o, b) at this grid point, keeping b within the
-    configured cap and accounting for the population mix; falls back to the
-    configured protocol when nothing is sustainable (it then runs collapsed)."""
-    mix = sim_sec.get("population_mix") or {}
-    p_c = float(mix.get("altruistic", 0.0))
-    p_d = float(mix.get("malicious", 0.0))
-    env_eff = env.replace(p_c=p_c, p_d=p_d)
-    best = None
-    for h_o in range(1, params.L + 1):
-        for b in range(1, params.b + 1):
-            cand = ProtocolParams(L=params.L, h_o=h_o, b=b)
-            if not check_equilibrium(cand, env_eff).is_equilibrium:
-                continue
-            u = social_utility(cand, env_eff, stationary_for_regime(cand, env_eff))
-            if best is None or u > best[0]:
-                best = (u, cand)
-    return params if best is None else best[1]
-
-
 def cmd_compare(args) -> int:
     sc = _scenario(args)
     axes = sc["sweep"]
@@ -529,12 +488,16 @@ def cmd_compare(args) -> int:
         env_sec, par_sec = _apply_point(sc["env"], sc["params"], [axis["param"]], [value])
         env = _build_env(env_sec)
         params = _build_params(par_sec)
-        if flavor == SOCIAL_NORM and args.optimize_social:
-            params = _best_social_params(params, env, sc["sim"])
         sim_sec = dict(sc["sim"])
         sim_sec["protocol_flavor"] = flavor
         sim_sec.setdefault("strategic", True)
         config = _build_sim(sim_sec, params, env)
+        if flavor == SOCIAL_NORM:
+            mix_env, _ = _analytic_profile(config)
+            if args.optimize_social:
+                best = solve_osne(DesignSpec("OSNE", params.L, b_cap=params.b, env=mix_env))
+                if best.feasible:
+                    config = config.replace(params=best.params)
         trace = run_tft(config) if flavor == TFT else run_sim(config)
         s = trace.summary()
         per_kind = s["final_window_mean_utility"]
@@ -546,9 +509,7 @@ def cmd_compare(args) -> int:
         social = sum(per_kind.get(label[k], 0.0) * weights[k] for k in weights) / total
         sustained = (tft_sustainable(env, params.b, weights[PeerKind.ALTRUISTIC] / total)
                      if flavor == TFT else
-                     check_equilibrium(params, env.replace(
-                         p_c=weights[PeerKind.ALTRUISTIC] / total,
-                         p_d=weights[PeerKind.MALICIOUS] / total)).is_equilibrium)
+                     check_equilibrium(config.params, mix_env).is_equilibrium)
         return [axis["param"], value, flavor, sustained,
                 s["delivery_rate"], s["recip_delivery_rate"],
                 per_kind.get(strategic), social]
@@ -626,7 +587,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flavors", help="comma-separated flavors (default both)")
     p.add_argument("--sweep", action="append", help="axis as param:min:max:step")
     p.add_argument("--optimize-social", action="store_true",
-                   help="re-pick (h_o, b) per grid point for the social norm")
+                   help="solve OSNE per grid point for the social norm at the simulated "
+                        "mix, with --b as the connection cap; keeps the configured "
+                        "protocol where nothing is sustainable")
     p.set_defaults(fn=cmd_compare)
 
     return parser

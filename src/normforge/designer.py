@@ -1,11 +1,11 @@
 """Optimal protocol design: pick the utility-maximizing sustainable protocol.
 
-Four nested problems share one pattern: enumerate candidate designs, keep the
-ones that survive the one-shot-deviation check, and return the social-utility
-maximizer.  The searches lean on proved monotonicities (utility rises with b
-and with forgiveness, slack falls with b and forgiveness, slack rises with the
-activity threshold) but stay exhaustive over the small discrete axes so they
-provably match brute-force enumeration.
+Each of the four nested problems only generates candidates; one search loop
+scores them with `check_equilibrium` (verdict, slack and social utility from
+one stationary solve) and keeps the best sustainable one.  OSNE checks every
+(h_o, b), OSNE_AH does so at each altruist fraction up to one half, and
+OSNE_VP / OSNE_VPS push forgiveness to each cell's feasibility boundary.  The
+discrete axes stay exhaustive, so every problem matches brute force.
 
 Ties in utility break deterministically: smallest activity threshold, then
 most connections, then most forgiveness, then the lexicographically smallest
@@ -18,15 +18,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .incentives import (
-    check_equilibrium,
-    collapsed_social_utility,
-    max_connections,
-    max_forgiveness,
-    social_utility,
-)
+from .incentives import check_equilibrium, collapsed_social_utility, max_forgiveness
 from .model import NetworkEnv, ProtocolParams
-from .stationary import stationary_for_regime
 
 PROBLEMS = ("OSNE", "OSNE_VP", "OSNE_VPS", "OSNE_AH")
 
@@ -43,6 +36,8 @@ class DesignSpec:
     beta_grid  resolution of the forgiveness search (the winner is then
                refined by bisection)
     pC_grid    resolution of the altruist-fraction grid (OSNE_AH only)
+
+    The env must be one the problem's analysis covers (see __post_init__).
     """
 
     problem: str
@@ -63,6 +58,15 @@ class DesignSpec:
             raise ValueError(f"beta_grid must be in (0, 1], got {self.beta_grid}")
         if not 0.0 < self.pC_grid <= 1.0:
             raise ValueError(f"pC_grid must be in (0, 1], got {self.pC_grid}")
+        if self.env.p_c > 0.0 and self.env.p_d > 0.0:
+            raise ValueError("design analyzes one non-reciprocative kind at a time, "
+                             "got p_c > 0 and p_d > 0")
+        if self.env.p_d > 0.0 and self.problem != "OSNE":
+            raise ValueError(f"{self.problem} assumes p_d = 0: the malicious mixture is "
+                             "analyzed under harsh punishment and uniform thresholds")
+        if self.env.p_c > 0.0 and self.problem == "OSNE_VPS":
+            raise ValueError("OSNE_VPS assumes p_c = 0: mixed populations are analyzed "
+                             "under uniform client thresholds")
 
 
 @dataclass
@@ -72,8 +76,8 @@ class DesignResult:
     feasible is True when some candidate sustains cooperation (for OSNE_AH an
     altruist fraction above one half also counts: service then runs on
     altruists alone and needs no incentive constraint).  search_log holds one
-    (candidate, slack, utility) triple per evaluated candidate; slack is None
-    for candidates whose constraint check was not applicable.
+    (candidate, slack, utility) triple per evaluated candidate; utility is
+    None when the check fails and slack is None where no check applies.
     """
 
     params: Optional[ProtocolParams]
@@ -83,12 +87,31 @@ class DesignResult:
     search_log: list = field(default_factory=list)
 
 
-def _tie_key(utility: float, params: ProtocolParams, p_c: float = 0.0):
-    return (-utility, params.h_o, -params.b, -params.beta, params.m_o, p_c)
+def _tie_key(utility: float, params: ProtocolParams, p_c: Optional[float]):
+    return (-utility, params.h_o, -params.b, -params.beta, params.m_o, p_c or 0.0)
 
 
-def _uniform_utility(params: ProtocolParams, env: NetworkEnv) -> float:
-    return social_utility(params, env, stationary_for_regime(params, env))
+def _search(cells, refine=None) -> DesignResult:
+    """Log every cell (log entry, params, slack, utility or None when not
+    sustainable, deployed altruist fraction or None) and keep the best one.
+    `refine(params, utility)` moves the winner's beta off its grid; the
+    winner's entry, beta last, is then logged again as ("refined", ..., beta).
+    """
+    log, best = [], None
+    for entry, params, slack, u, p_c in cells:
+        log.append((entry, slack, u))
+        if u is None:
+            continue
+        key = _tie_key(u, params, p_c)
+        if best is None or key < best[0]:
+            best = (key, entry, params, u, p_c)
+    if best is None:
+        return DesignResult(params=None, utility=0.0, feasible=False, search_log=log)
+    _, entry, params, u, p_c = best
+    if refine is not None:
+        params, u = refine(params, u)
+        log.append((("refined", *entry[:-1], params.beta), None, u))
+    return DesignResult(params=params, utility=u, feasible=True, pC_star=p_c, search_log=log)
 
 
 def solve(spec: DesignSpec) -> DesignResult:
@@ -101,43 +124,33 @@ def solve(spec: DesignSpec) -> DesignResult:
     }[spec.problem](spec)
 
 
-def solve_osne(spec: DesignSpec) -> DesignResult:
-    """Best (h_o, b) under harsh punishment and uniform thresholds.
-
-    For each activity threshold the slack is non-increasing in b, so the best
-    sustainable b comes from a binary search; the utility comparison across
-    thresholds is then exhaustive.
-    """
-    env = spec.env
-    log = []
-    best = None
+def _osne_cells(spec: DesignSpec, env: NetworkEnv, p_c=None):
     for h_o in range(1, spec.L + 1):
-        b_star = max_connections(env, h_o, spec.b_cap)
-        if b_star is None:
-            log.append(((h_o, None), None, None))
-            continue
-        params = ProtocolParams(L=spec.L, h_o=h_o, b=b_star)
-        rep = check_equilibrium(params, env)
-        u = _uniform_utility(params, env)
-        log.append(((h_o, b_star), rep.serve_slack, u))
-        key = _tie_key(u, params)
-        if best is None or key < best[0]:
-            best = (key, params, u)
-    if best is None:
-        return DesignResult(params=None, utility=0.0, feasible=False, search_log=log)
-    _, params, u = best
-    return DesignResult(params=params, utility=u, feasible=True, search_log=log)
+        for b in range(1, spec.b_cap + 1):
+            params = ProtocolParams(L=spec.L, h_o=h_o, b=b)
+            rep = check_equilibrium(params, env)
+            yield ((h_o, b) if p_c is None else (h_o, b, p_c), params, rep.serve_slack,
+                   rep.social_utility if rep.is_equilibrium else None, p_c)
+
+
+def solve_osne(spec: DesignSpec) -> DesignResult:
+    """Best (h_o, b) under harsh punishment and uniform thresholds, by
+    checking every pair in the env's population regime."""
+    return _search(_osne_cells(spec, spec.env))
 
 
 def _beta_grid_floor(beta_max: float, grid: float, params: ProtocolParams,
-                     env: NetworkEnv) -> float:
+                     env: NetworkEnv):
     """Largest grid multiple at or below beta_max that still passes the check
-    (guards the float boundary of the bisection)."""
-    k = int(beta_max / grid + 1e-12)
-    beta = min(1.0, k * grid)
-    while beta > 0.0 and not check_equilibrium(params.replace(beta=beta), env).is_equilibrium:
+    (guards the float boundary of the bisection), with its report.  beta = 0
+    passes whenever max_forgiveness found a boundary."""
+    beta = min(1.0, int(beta_max / grid + 1e-12) * grid)
+    while True:
+        cand = params.replace(beta=beta)
+        rep = check_equilibrium(cand, env)
+        if rep.is_equilibrium or beta == 0.0:
+            return cand, rep
         beta = max(0.0, beta - grid)
-    return beta
 
 
 def solve_osne_vp(spec: DesignSpec) -> DesignResult:
@@ -145,33 +158,28 @@ def solve_osne_vp(spec: DesignSpec) -> DesignResult:
 
     Social utility rises with beta while the slack falls, so for each (h_o, b)
     the best forgiveness is the largest feasible one.  Candidates compete at
-    beta_grid resolution; the incumbent's beta is then refined by bisection.
+    beta_grid resolution; the winner's beta is then raised to the bisected
+    boundary.
     """
     env = spec.env
-    log = []
-    best = None
-    for h_o in range(1, spec.L + 1):
-        for b in range(1, spec.b_cap + 1):
-            base = ProtocolParams(L=spec.L, h_o=h_o, b=b)
-            beta_max = max_forgiveness(base, env)
-            if beta_max is None:
-                log.append(((h_o, b, None), None, None))
-                continue
-            beta = _beta_grid_floor(beta_max, spec.beta_grid, base, env)
-            params = base.replace(beta=beta)
-            rep = check_equilibrium(params, env)
-            u = _uniform_utility(params, env)
-            log.append(((h_o, b, beta), rep.serve_slack, u))
-            key = _tie_key(u, params)
-            if best is None or key < best[0]:
-                best = (key, params, u, beta_max)
-    if best is None:
-        return DesignResult(params=None, utility=0.0, feasible=False, search_log=log)
-    _, params, _, beta_max = best
-    refined = params.replace(beta=beta_max)
-    u = _uniform_utility(refined, env)
-    log.append((("refined", params.h_o, params.b, beta_max), None, u))
-    return DesignResult(params=refined, utility=u, feasible=True, search_log=log)
+    boundary = {}
+
+    def cells():
+        for h_o in range(1, spec.L + 1):
+            for b in range(1, spec.b_cap + 1):
+                base = ProtocolParams(L=spec.L, h_o=h_o, b=b)
+                beta_max = boundary[h_o, b] = max_forgiveness(base, env)
+                if beta_max is None:
+                    yield (h_o, b, None), base, None, None, None
+                    continue
+                params, rep = _beta_grid_floor(beta_max, spec.beta_grid, base, env)
+                yield (h_o, b, params.beta), params, rep.serve_slack, rep.social_utility, None
+
+    def refine(params, u):
+        refined = params.replace(beta=boundary[params.h_o, params.b])
+        return refined, check_equilibrium(refined, env).social_utility
+
+    return _search(cells(), refine)
 
 
 def solve_osne_vps(spec: DesignSpec) -> DesignResult:
@@ -189,58 +197,50 @@ def solve_osne_vps(spec: DesignSpec) -> DesignResult:
         raise ValueError("threshold-vector search enumerates m_o; keep L <= 6")
     env = spec.env
     n_beta = int(round(1.0 / spec.beta_grid))
-    log = []
-    best = None
-    for h_o in range(1, spec.L + 1):
-        for m_o in itertools.combinations_with_replacement(range(1, spec.L + 1),
-                                                         spec.L - h_o + 1):
-            for b in range(1, spec.b_cap + 1):
-                base = ProtocolParams(L=spec.L, h_o=h_o, b=b, m_o=m_o)
-                # top-down grid scan: under non-uniform thresholds the
-                # forgiveness-feasible set need not be an interval (a vector
-                # can fail harsh punishment yet pass at interior beta), so
-                # bisection from beta = 0 would miss candidates
-                beta = None
-                for k in range(n_beta, -1, -1):
-                    cand = min(1.0, k * spec.beta_grid)
-                    if check_equilibrium(base.replace(beta=cand, m_o=m_o), env).is_equilibrium:
-                        beta = cand
-                        break
-                if beta is None:
-                    log.append(((h_o, b, m_o, None), None, None))
-                    continue
-                params = base.replace(beta=beta, m_o=m_o)
-                rep = check_equilibrium(params, env)
-                u = _uniform_utility(params, env)
-                log.append(((h_o, b, m_o, beta), rep.serve_slack, u))
-                key = _tie_key(u, params)
-                if best is None or key < best[0]:
-                    best = (key, params, u)
-    if best is None:
-        return DesignResult(params=None, utility=0.0, feasible=False, search_log=log)
-    _, params, u = best
-    refined = _refine_beta_within_cell(params, env, spec.beta_grid)
-    u = _uniform_utility(refined, env)
-    log.append((("refined", refined.h_o, refined.b, refined.m_o, refined.beta), None, u))
-    return DesignResult(params=refined, utility=u, feasible=True, search_log=log)
+
+    def cells():
+        for h_o in range(1, spec.L + 1):
+            for m_o in itertools.combinations_with_replacement(range(1, spec.L + 1),
+                                                             spec.L - h_o + 1):
+                for b in range(1, spec.b_cap + 1):
+                    base = ProtocolParams(L=spec.L, h_o=h_o, b=b, m_o=m_o)
+                    # top-down grid scan: under non-uniform thresholds the
+                    # forgiveness-feasible set need not be an interval (a
+                    # vector can fail harsh punishment yet pass at interior
+                    # beta), so bisection from beta = 0 would miss candidates
+                    for k in range(n_beta, -1, -1):
+                        params = base.replace(beta=min(1.0, k * spec.beta_grid))
+                        rep = check_equilibrium(params, env)
+                        if rep.is_equilibrium:
+                            yield ((h_o, b, m_o, params.beta), params, rep.serve_slack,
+                                   rep.social_utility, None)
+                            break
+                    else:
+                        yield (h_o, b, m_o, None), base, None, None, None
+
+    return _search(cells(), lambda params, u: _refine_beta_within_cell(
+        params, u, env, spec.beta_grid))
 
 
-def _refine_beta_within_cell(params: ProtocolParams, env: NetworkEnv,
-                             grid: float) -> ProtocolParams:
+def _refine_beta_within_cell(params: ProtocolParams, utility: float, env: NetworkEnv,
+                             grid: float):
     """Push the incumbent's forgiveness toward the boundary inside its grid
-    cell; the result is always re-verified so a non-monotone pocket can only
-    leave beta at the already-feasible grid value."""
+    cell, returning the params and their utility; every step is checked, so
+    a non-monotone pocket can only leave beta at the already-feasible grid
+    value."""
     lo = params.beta
     hi = min(1.0, lo + grid)
-    if check_equilibrium(params.replace(beta=hi, m_o=params.m_o), env).is_equilibrium:
-        return params.replace(beta=hi, m_o=params.m_o)
+    rep = check_equilibrium(params.replace(beta=hi), env)
+    if rep.is_equilibrium:
+        return params.replace(beta=hi), rep.social_utility
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        if check_equilibrium(params.replace(beta=mid, m_o=params.m_o), env).is_equilibrium:
-            lo = mid
+        rep = check_equilibrium(params.replace(beta=mid), env)
+        if rep.is_equilibrium:
+            lo, utility = mid, rep.social_utility
         else:
             hi = mid
-    return params.replace(beta=lo, m_o=params.m_o)
+    return params.replace(beta=lo), utility
 
 
 def solve_osne_ah(spec: DesignSpec) -> DesignResult:
@@ -254,36 +254,16 @@ def solve_osne_ah(spec: DesignSpec) -> DesignResult:
     the compliance boundary.
     """
     env = spec.env
-    if env.p_d != 0.0:
-        raise ValueError("altruist design assumes p_d = 0")
     n_steps = int(round(1.0 / spec.pC_grid))
-    log = []
-    best = None
-    for i in range(n_steps + 1):
-        p_c = min(1.0, i * spec.pC_grid)
-        if p_c > 0.5:
-            b = spec.b_cap
-            params = ProtocolParams(L=spec.L, h_o=1, b=b)
-            u = collapsed_social_utility(env, b, p_c)
-            log.append(((1, b, p_c), None, u))
-            key = _tie_key(u, params, p_c)
-            if best is None or key < best[0]:
-                best = (key, params, u, p_c)
-            continue
-        env_pc = env.replace(p_c=p_c)
-        for h_o in range(1, spec.L + 1):
-            for b in range(1, spec.b_cap + 1):
-                params = ProtocolParams(L=spec.L, h_o=h_o, b=b)
-                rep = check_equilibrium(params, env_pc)
-                if not rep.is_equilibrium:
-                    log.append(((h_o, b, p_c), rep.serve_slack, None))
-                    continue
-                u = social_utility(params, env_pc, stationary_for_regime(params, env_pc))
-                log.append(((h_o, b, p_c), rep.serve_slack, u))
-                key = _tie_key(u, params, p_c)
-                if best is None or key < best[0]:
-                    best = (key, params, u, p_c)
-    if best is None:
-        return DesignResult(params=None, utility=0.0, feasible=False, search_log=log)
-    _, params, u, p_c = best
-    return DesignResult(params=params, utility=u, feasible=True, pC_star=p_c, search_log=log)
+
+    def cells():
+        for i in range(n_steps + 1):
+            p_c = min(1.0, i * spec.pC_grid)
+            if p_c <= 0.5:
+                yield from _osne_cells(spec, env.replace(p_c=p_c), p_c)
+            else:
+                params = ProtocolParams(L=spec.L, h_o=1, b=spec.b_cap)
+                yield ((1, spec.b_cap, p_c), params, None,
+                       collapsed_social_utility(env, spec.b_cap, p_c), p_c)
+
+    return _search(cells())

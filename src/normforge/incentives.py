@@ -30,6 +30,7 @@ SLACK_TOL = 1e-12          # float guard when classifying slack signs
 BISECT_TOL_BETA = 1e-8
 BISECT_TOL_DELTA = 1e-10
 BISECT_TOL_PC = 1e-6
+SCAN_STEP_PC = 0.01
 
 
 @dataclass
@@ -38,22 +39,24 @@ class UtilityProfile:
 
     v_one: np.ndarray
     v_inf: np.ndarray
-    social_utility: float
 
 
 @dataclass
 class IncentiveReport:
-    """Constraint slacks and the equilibrium verdict for one protocol.
+    """Constraint slacks, the equilibrium verdict and the social utility for
+    one protocol.
 
     per_theta_slacks[t] is the service-constraint slack for active t and the
     refusal-constraint slack for inactive t.  A protocol is an equilibrium
-    exactly when every slack is non-negative.
+    exactly when every slack is non-negative.  social_utility is the
+    population average under compliance, on the same stationary profile.
     """
 
     serve_slack: float
     refuse_slack: float
     per_theta_slacks: np.ndarray
     is_equilibrium: bool
+    social_utility: float
 
 
 def _check_mix_regime(params: ProtocolParams, env: NetworkEnv) -> None:
@@ -153,8 +156,7 @@ def overall_utilities(params: ProtocolParams, env: NetworkEnv,
     P = transition_matrix(params, env)
     n = params.L + 1
     v_inf = np.linalg.solve(np.eye(n) - env.delta * P, v_one)
-    return UtilityProfile(v_one=v_one, v_inf=v_inf,
-                          social_utility=social_utility(params, env, dist))
+    return UtilityProfile(v_one=v_one, v_inf=v_inf)
 
 
 def social_utility(params: ProtocolParams, env: NetworkEnv,
@@ -228,9 +230,11 @@ def check_equilibrium(params: ProtocolParams, env: NetworkEnv) -> IncentiveRepor
 
     Returns the binding service slack (minimum over active reputations), the
     binding refusal slack (minimum over inactive reputations), the full
-    per-reputation slack vector, and the equilibrium flag.
+    per-reputation slack vector, the equilibrium flag, and the social utility
+    of the stationary profile the slacks were computed on.
     """
-    profile = overall_utilities(params, env)
+    dist = stationary_for_regime(params, env)
+    profile = overall_utilities(params, env, dist)
     slacks = _deviation_slacks(params, env, profile.v_inf)
     serve_slack = float(slacks[params.h_o:].min())
     refuse_slack = float(slacks[:params.h_o].min())
@@ -239,6 +243,7 @@ def check_equilibrium(params: ProtocolParams, env: NetworkEnv) -> IncentiveRepor
         refuse_slack=refuse_slack,
         per_theta_slacks=slacks,
         is_equilibrium=bool(slacks.min() >= -SLACK_TOL),
+        social_utility=social_utility(params, env, dist),
     )
 
 
@@ -394,14 +399,14 @@ def max_forgiveness(params: ProtocolParams, env: NetworkEnv) -> Optional[float]:
     return lo
 
 
-def max_altruist_fraction(params: ProtocolParams, env: NetworkEnv,
-                          scan_step: float = 0.01) -> float:
+def max_altruist_fraction(params: ProtocolParams, env: NetworkEnv) -> float:
     """Largest altruist fraction p_c (capped at 0.5) under which
     reciprocative peers still comply.
 
     Altruists feed inactive peers, shrinking the punishment gap, and above
     one half of the population the gap is gone entirely, so the cap is 0.5.
-    A coarse scan locates the pass/fail boundary and bisection refines it.
+    A scan in steps of SCAN_STEP_PC locates the pass/fail boundary and
+    bisection refines it.
     """
     if env.p_d != 0.0:
         raise ValueError("altruist threshold assumes p_d = 0")
@@ -415,14 +420,14 @@ def max_altruist_fraction(params: ProtocolParams, env: NetworkEnv,
         return 0.5
     lo = 0.0
     hi = 0.5
-    p = scan_step
+    p = SCAN_STEP_PC
     while p < 0.5:
         if passes(p):
             lo = p
         else:
             hi = p
             break
-        p += scan_step
+        p += SCAN_STEP_PC
     while hi - lo > BISECT_TOL_PC:
         mid = 0.5 * (lo + hi)
         if passes(mid):

@@ -9,8 +9,9 @@ these primitives.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class Action(enum.Enum):
@@ -71,10 +72,12 @@ class NetworkEnv:
             raise ValueError(f"p_c + p_d must be <= 1, got {self.p_c + self.p_d}")
 
     def replace(self, **kw) -> "NetworkEnv":
-        d = dict(r=self.r, c=self.c, eps=self.eps, lam=self.lam,
-                 delta=self.delta, p_c=self.p_c, p_d=self.p_d)
-        d.update(kw)
-        return NetworkEnv(**d)
+        return dataclasses.replace(self, **kw)
+
+    def to_dict(self) -> dict:
+        """JSON form, keyed as in scenario files (lam is "lambda")."""
+        return {"r": self.r, "c": self.c, "eps": self.eps, "lambda": self.lam,
+                "delta": self.delta, "p_c": self.p_c, "p_d": self.p_d}
 
 
 @dataclass(frozen=True)
@@ -146,12 +149,15 @@ class ProtocolParams:
         return self.m_o[0]
 
     def replace(self, **kw) -> "ProtocolParams":
-        d = dict(L=self.L, h_o=self.h_o, b=self.b, beta=self.beta, m_o=self.m_o)
         if "L" in kw or "h_o" in kw:
             # the m_o vector is tied to (L, h_o); drop it unless given explicitly
-            d["m_o"] = kw.pop("m_o", None)
-        d.update(kw)
-        return ProtocolParams(**d)
+            kw.setdefault("m_o", None)
+        return dataclasses.replace(self, **kw)
+
+    def to_dict(self) -> dict:
+        """JSON form, keyed as in scenario files."""
+        return {"L": self.L, "h_o": self.h_o, "b": self.b, "beta": self.beta,
+                "m_o": list(self.m_o)}
 
 
 def social_strategy(params: ProtocolParams, server_rep: int, client_rep: int) -> Action:

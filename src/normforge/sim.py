@@ -144,11 +144,8 @@ class SimConfig:
             "protocol_flavor": self.protocol_flavor,
             "strategic": self.strategic,
             "population_mix": {k.value: v for k, v in self.population_mix.items()},
-            "params": {"L": self.params.L, "h_o": self.params.h_o, "b": self.params.b,
-                       "beta": self.params.beta, "m_o": list(self.params.m_o)},
-            "env": {"r": self.env.r, "c": self.env.c, "eps": self.env.eps,
-                    "lambda": self.env.lam, "delta": self.env.delta,
-                    "p_c": self.env.p_c, "p_d": self.env.p_d},
+            "params": self.params.to_dict(),
+            "env": self.env.to_dict(),
             "deviant_policy": None if self.deviant_policy is None else {
                 "peer_id": self.deviant_policy.peer_id,
                 "rule": self.deviant_policy.rule,
@@ -281,8 +278,6 @@ def _strategic_collapse(config: SimConfig) -> bool:
     env = config.analytic_env()
     if config.protocol_flavor == TFT:
         return not tft_sustainable(config.env, config.params.b, env.p_c)
-    if env.p_c > 0.0 and env.p_d > 0.0:
-        raise ValueError("strategic mode handles one non-reciprocative kind at a time")
     return not check_equilibrium(config.params, env).is_equilibrium
 
 

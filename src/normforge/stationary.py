@@ -34,9 +34,6 @@ class ReputationDistribution:
     def __post_init__(self):
         self.eta = np.asarray(self.eta, dtype=float)
 
-    def as_dict(self) -> dict:
-        return {"eta": self.eta.tolist(), "mu": float(self.mu), "alpha": float(self.alpha)}
-
 
 def transition_matrix(params: ProtocolParams, env: NetworkEnv) -> np.ndarray:
     """Row-stochastic one-period reputation kernel for a compliant peer.

@@ -106,6 +106,19 @@ class TestSolve:
         assert payload["utility"] == pytest.approx(want.utility)
         assert payload["search_log"]
 
+    @pytest.mark.parametrize("problem, flags", [
+        ("OSNE_VP", ["--p-d", "0.1"]),
+        ("OSNE_VPS", ["--p-c", "0.2"]),
+        ("OSNE_AH", ["--p-d", "0.1"]),
+        ("OSNE", ["--p-c", "0.1", "--p-d", "0.1"]),
+    ])
+    def test_unanalyzable_population_is_a_design_error(self, scenario_file, capsys,
+                                                       problem, flags):
+        path = scenario_file(design={"problem": problem, "L": 2, "b_cap": 2})
+        code, out = run_cli(capsys, "solve", "--config", path, *flags)
+        assert code == 2
+        assert json.loads(out)["error"]["field"] == "design"
+
     def test_altruist_problem_reports_p_c_star(self, scenario_file, capsys):
         path = scenario_file(design={"problem": "OSNE_AH", "L": 2, "b_cap": 2,
                                      "p_c_grid": 0.25})
@@ -243,6 +256,20 @@ class TestCompare:
         assert len(rows) == 4  # 2 grid points x 2 flavors
         assert {r["flavor"] for r in rows} == {"SocialNorm", "TFT"}
         assert {"delivery_rate", "recip_delivery_rate", "sustained"} <= set(rows[0])
+
+
+class TestTwoKindMix:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--strategic"],
+        ["compare", "--sweep", "c:0.1:0.1:0.1"],
+    ])
+    def test_strategic_analysis_rejects_altruists_with_malicious(self, scenario_file,
+                                                                 capsys, argv):
+        path = scenario_file(sim={"n_peers": 50, "n_periods": 5, "seed": 1})
+        code, out = run_cli(capsys, argv[0], "--config", path, *argv[1:],
+                            "--mix", "reciprocative=0.7,altruistic=0.2,malicious=0.1")
+        assert code == 2
+        assert json.loads(out)["error"]["field"] == "sim.population_mix"
 
 
 class TestScenarioRoundTrip:

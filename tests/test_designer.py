@@ -66,7 +66,19 @@ class TestOsne:
         res = solve_osne(spec)
         assert not res.feasible
         assert res.params is None
-        assert all(slack is None for _, slack, _ in res.search_log)
+        assert len(res.search_log) == 3 * 5  # every (h_o, b) is checked
+        assert all(u is None and slack < 0.0 for _, slack, u in res.search_log)
+
+    def test_altruist_env_design_passes_its_check(self):
+        # the connection count must come from the altruist-aware check, not
+        # from the all-reciprocative closed form
+        spec = DesignSpec(problem="OSNE", L=4, b_cap=8, env=env(p_c=0.3))
+        res = solve_osne(spec)
+        assert res.feasible
+        assert check_equilibrium(res.params, spec.env).is_equilibrium
+        want = enumerate_osne(spec)
+        assert (res.params.h_o, res.params.b) == (want[1].h_o, want[1].b)
+        assert res.utility == want[2]
 
     def test_feasible_result_reverifies(self):
         spec = DesignSpec(problem="OSNE", L=4, b_cap=6, env=env())
