@@ -13,15 +13,14 @@ unit utilization, delta = 0.8, 10% service errors.
 import numpy as np
 
 from normforge import (
+    DesignSpec,
     NetworkEnv,
     PeerKind,
     ProtocolParams,
     SimConfig,
-    check_equilibrium,
     run_sim,
     run_tft,
-    social_utility,
-    stationary_for_regime,
+    solve_osne,
     tft_sustainable,
 )
 
@@ -29,27 +28,14 @@ BASE = dict(r=1.0, eps=0.1, lam=1.0, delta=0.8)
 MIX = {PeerKind.RECIPROCATIVE: 0.7, PeerKind.ALTRUISTIC: 0.3}
 
 
-def best_social(env):
-    """Re-optimize (h_o, b) for the ladder protocol at this cost point."""
-    best = None
-    e = env.replace(p_c=0.3)
-    for h in (1, 2, 3):
-        for b in range(1, 6):
-            p = ProtocolParams(L=3, h_o=h, b=b)
-            if not check_equilibrium(p, e).is_equilibrium:
-                continue
-            u = social_utility(p, e, stationary_for_regime(p, e))
-            if best is None or u > best[0]:
-                best = (u, p)
-    return None if best is None else best[1]
-
-
 print("=" * 76)
 print(" c/r   ladder (h_o, b)  recip-delivery   TFT sustained  recip-delivery")
 print("=" * 76)
 for c in np.arange(0.05, 0.65, 0.05):
     env = NetworkEnv(c=float(c), **BASE)
-    params = best_social(env) or ProtocolParams(L=3, h_o=3, b=5)
+    # re-optimize (h_o, b) for the ladder protocol at this cost point
+    best = solve_osne(DesignSpec("OSNE", 3, b_cap=5, env=env.replace(p_c=0.3)))
+    params = best.params if best.feasible else ProtocolParams(L=3, h_o=3, b=5)
     cfg = SimConfig(n_peers=200, n_periods=300, seed=77, params=params, env=env,
                     population_mix=MIX, strategic=True)
     tr = run_sim(cfg)
@@ -61,7 +47,7 @@ for c in np.arange(0.05, 0.65, 0.05):
     tr_t = run_tft(cfg_t)
     served_t = tr_t.counts["served_by_recip"][-100:].sum() / tr_t.counts["emitted"][-100:].sum()
 
-    ladder = f"({params.h_o}, {params.b})" if best_social(env) else "collapsed"
+    ladder = f"({params.h_o}, {params.b})" if best.feasible else "collapsed"
     ok_t = tft_sustainable(env, 5, p_c=0.3)
     print(f" {c:.2f}   {ladder:<14}  {served:.3f}           "
           f"{str(ok_t):<5}          {served_t:.3f}")

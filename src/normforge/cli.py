@@ -11,7 +11,8 @@ Subcommands
 Scenarios are JSON objects with sections env / params / design / sweep / sim /
 output; every field can also be set or overridden by a flag named after the
 parameter (--eps, --delta, --h-o, ...).  Exit codes: 0 success, 2 config
-error (a machine-readable error object is printed), 3 infeasible design.
+error (a machine-readable error object is printed; this includes an env or
+population mix the analysis cannot model), 3 infeasible design.
 """
 
 from __future__ import annotations
@@ -25,14 +26,13 @@ import sys
 
 from .designer import DesignResult, DesignSpec, solve, solve_osne
 from .incentives import (
+    IncentiveReport,
     check_equilibrium,
     collapsed_social_utility,
     fed_while_punished,
-    overall_utilities,
 )
 from .model import NetworkEnv, PeerKind, ProtocolParams
 from .sim import SOCIAL_NORM, TFT, SimConfig, run_sim, run_tft, tft_sustainable
-from .stationary import stationary_for_regime
 
 ENV_FIELDS = ("r", "c", "eps", "lambda", "delta", "p_c", "p_d")
 PARAM_FIELDS = ("L", "h_o", "b", "beta", "m_o")
@@ -218,14 +218,22 @@ def _report_payload(report) -> dict:
 
 # ------------------------------------------------------------------ commands
 
+def _analytic_report(params: ProtocolParams, env: NetworkEnv, field: str) -> IncentiveReport:
+    """check_equilibrium, the one analytic evaluation every command reads; a
+    population the analysis cannot model is a config error on `field`."""
+    try:
+        return check_equilibrium(params, env)
+    except ValueError as exc:
+        raise CliError(field, str(exc))
+
+
 def _analyze_payload(params: ProtocolParams, env: NetworkEnv) -> dict:
-    dist = stationary_for_regime(params, env)
-    profile = overall_utilities(params, env, dist)
-    report = check_equilibrium(params, env)
+    report = _analytic_report(params, env, "env")
+    dist, profile = report.dist, report.utilities
     u = report.social_utility
     if report.is_equilibrium:
         u_eff = u
-        recip_eff = _recip_average_utility(params, env, dist)
+        recip_eff = _recip_average_utility(params, env, report)
     else:
         u_eff = collapsed_social_utility(env, params.b, env.p_c)
         recip_eff = _collapsed_recip_utility(params, env)
@@ -244,22 +252,16 @@ def _analyze_payload(params: ProtocolParams, env: NetworkEnv) -> dict:
     }
 
 
-def _recip_average_utility(params, env, dist) -> float:
+def _recip_average_utility(params, env, report: IncentiveReport) -> float:
     """Mean one-period utility of reciprocative peers under compliance."""
-    from .incentives import one_period_utilities
-    v = one_period_utilities(params, env, dist)
-    if env.p_c > 0.0:
-        recip_eta = dist.eta.copy()
-        recip_eta[params.L] -= env.p_c  # altruists sit at the top rung
-        return float(recip_eta @ v) / (1.0 - env.p_c)
-    return float(dist.eta @ v)
+    recip_eta = report.dist.eta.copy()
+    recip_eta[params.L] -= env.p_c  # altruists sit at the top rung
+    return float(recip_eta @ report.utilities.v_one) / (1.0 - env.p_c)
 
 
 def _collapsed_recip_utility(params, env) -> float:
     """Reciprocative mean utility once compliance fails: altruists are the
     only servers, so service is rationed by their supply."""
-    if env.p_c <= 0.0:
-        return 0.0
     return env.lam * params.b * (1.0 - env.eps) * env.r * fed_while_punished(env.p_c)
 
 
@@ -293,7 +295,7 @@ def cmd_check(args) -> int:
     sc = _scenario(args)
     env = _build_env(sc["env"])
     params = _build_params(sc["params"])
-    payload = _report_payload(check_equilibrium(params, env))
+    payload = _report_payload(_analytic_report(params, env, "env"))
     _emit_text(json.dumps(payload, sort_keys=True, indent=1),
                args.out or sc["output"].get("path"))
     return 0
@@ -405,17 +407,6 @@ SIM_SUMMARY_COLUMNS = [
 ]
 
 
-def _analytic_profile(config: SimConfig):
-    """The simulated population's env and stationary profile, the reference
-    for strategic play and analytic comparison; a config error when the
-    analytic layers cannot model that population."""
-    env = config.analytic_env()
-    try:
-        return env, stationary_for_regime(config.params, env)
-    except ValueError as exc:
-        raise CliError("sim.population_mix", str(exc))
-
-
 def _sim_summary_row(config: SimConfig, trace) -> list:
     s = trace.summary()
     mix = {k.value: v for k, v in config.population_mix.items()}
@@ -438,7 +429,7 @@ def cmd_simulate(args) -> int:
     if args.compare_analytic and config.protocol_flavor == TFT:
         raise CliError("sim.protocol_flavor", "analytic comparison covers the social-norm flavor")
     if config.protocol_flavor == SOCIAL_NORM and (config.strategic or args.compare_analytic):
-        _, dist = _analytic_profile(config)
+        dist = _analytic_report(params, config.analytic_env(), "sim.population_mix").dist
     trace = run_tft(config) if config.protocol_flavor == TFT else run_sim(config)
     payload = trace.to_json_dict()
     header = list(SIM_SUMMARY_COLUMNS)
@@ -492,24 +483,24 @@ def cmd_compare(args) -> int:
         sim_sec["protocol_flavor"] = flavor
         sim_sec.setdefault("strategic", True)
         config = _build_sim(sim_sec, params, env)
-        if flavor == SOCIAL_NORM:
-            mix_env, _ = _analytic_profile(config)
+        weights = config.kind_counts()
+        total = sum(weights.values())
+        if flavor == TFT:
+            sustained = tft_sustainable(env, params.b, weights[PeerKind.ALTRUISTIC] / total)
+        else:
+            mix_env = config.analytic_env()
+            sustained = _analytic_report(params, mix_env, "sim.population_mix").is_equilibrium
             if args.optimize_social:
                 best = solve_osne(DesignSpec("OSNE", params.L, b_cap=params.b, env=mix_env))
-                if best.feasible:
-                    config = config.replace(params=best.params)
+                if best.feasible:  # the winner passed its check at mix_env
+                    config, sustained = config.replace(params=best.params), True
         trace = run_tft(config) if flavor == TFT else run_sim(config)
         s = trace.summary()
         per_kind = s["final_window_mean_utility"]
         strategic = trace.strategic_kind()
-        weights = config.kind_counts()
-        total = sum(weights.values())
         label = {PeerKind.RECIPROCATIVE: strategic, PeerKind.ALTRUISTIC: "altruistic",
                  PeerKind.MALICIOUS: "malicious"}
         social = sum(per_kind.get(label[k], 0.0) * weights[k] for k in weights) / total
-        sustained = (tft_sustainable(env, params.b, weights[PeerKind.ALTRUISTIC] / total)
-                     if flavor == TFT else
-                     check_equilibrium(config.params, mix_env).is_equilibrium)
         return [axis["param"], value, flavor, sustained,
                 s["delivery_rate"], s["recip_delivery_rate"],
                 per_kind.get(strategic), social]

@@ -10,6 +10,8 @@ population regime, evaluates the two constraint families, and solves the
 existence thresholds (minimum activity threshold, maximum connections,
 cost-ratio and discount boundaries, maximum forgiveness, maximum altruist
 fraction) by closed form or bisection on proved monotonicities.
+`check_equilibrium` is the one analytic evaluation of a protocol point, and
+`stationary.check_regime` alone decides which populations it can model.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 from .model import NetworkEnv, ProtocolParams, error_punish_prob
 from .stationary import (
     ReputationDistribution,
+    check_regime,
     stationary_for_regime,
     transition_matrix,
 )
@@ -44,12 +47,12 @@ class UtilityProfile:
 @dataclass
 class IncentiveReport:
     """Constraint slacks, the equilibrium verdict and the social utility for
-    one protocol.
+    one protocol, with the profile and utilities they were computed on.
 
     per_theta_slacks[t] is the service-constraint slack for active t and the
     refusal-constraint slack for inactive t.  A protocol is an equilibrium
     exactly when every slack is non-negative.  social_utility is the
-    population average under compliance, on the same stationary profile.
+    population average under compliance over dist, utilities by reputation.
     """
 
     serve_slack: float
@@ -57,17 +60,8 @@ class IncentiveReport:
     per_theta_slacks: np.ndarray
     is_equilibrium: bool
     social_utility: float
-
-
-def _check_mix_regime(params: ProtocolParams, env: NetworkEnv) -> None:
-    if env.p_c > 0.0 and env.p_d > 0.0:
-        raise ValueError(
-            "analytic utilities treat altruistic and malicious fractions "
-            "separately; run the simulator for co-existing mixes")
-    if (env.p_c > 0.0 or env.p_d > 0.0) and not params.uniform_thresholds:
-        raise ValueError("mixed populations are analyzed under uniform client thresholds")
-    if env.p_d > 0.0 and params.beta != 0.0:
-        raise ValueError("the malicious mixture is analyzed under harsh punishment (beta = 0)")
+    dist: ReputationDistribution
+    utilities: UtilityProfile
 
 
 def upload_cost_profile(params: ProtocolParams, env: NetworkEnv,
@@ -111,7 +105,7 @@ def one_period_utilities(params: ProtocolParams, env: NetworkEnv,
     requires service eligibility and the upload cost follows the matching
     model in upload_cost_profile.
     """
-    _check_mix_regime(params, env)
+    check_regime(params, env)
     L, h_o = params.L, params.h_o
     rate = env.lam * params.b
     gross = (1.0 - env.eps) * env.r
@@ -170,6 +164,12 @@ def social_utility(params: ProtocolParams, env: NetworkEnv,
     demand alone caps the exchanged volume.  Under variable thresholds the
     average runs over active reputations.
     """
+    return _population_average(params, env, dist, one_period_utilities(params, env, dist))
+
+
+def _population_average(params: ProtocolParams, env: NetworkEnv,
+                        dist: ReputationDistribution, v_one: np.ndarray) -> float:
+    """social_utility given the compliant one-period utilities v_one."""
     rate = env.lam * params.b
     if env.p_c > 0.0:
         p_c, mu_c = env.p_c, dist.mu
@@ -179,10 +179,9 @@ def social_utility(params: ProtocolParams, env: NetworkEnv,
         benefit = rate * (1.0 - env.eps) * (fed * (1.0 - mu_c) + (mu_c - p_c)) * env.r
         cost = rate * ((mu_c - p_c) ** 2 / mu_c - p_c) * env.c
         return benefit - cost
-    v = one_period_utilities(params, env, dist)
     if params.uniform_thresholds:
-        return float(np.dot(dist.eta, v))
-    return float(np.dot(dist.eta[params.h_o:], v[params.h_o:]))
+        return float(np.dot(dist.eta, v_one))
+    return float(np.dot(dist.eta[params.h_o:], v_one[params.h_o:]))
 
 
 def fed_while_punished(p_c: float) -> float:
@@ -230,21 +229,38 @@ def check_equilibrium(params: ProtocolParams, env: NetworkEnv) -> IncentiveRepor
 
     Returns the binding service slack (minimum over active reputations), the
     binding refusal slack (minimum over inactive reputations), the full
-    per-reputation slack vector, the equilibrium flag, and the social utility
-    of the stationary profile the slacks were computed on.
+    per-reputation slack vector, the equilibrium flag, the social utility,
+    and the stationary profile and utilities all of these were computed on.
+    Raises ValueError when check_regime cannot model (params, env).
     """
     dist = stationary_for_regime(params, env)
-    profile = overall_utilities(params, env, dist)
-    slacks = _deviation_slacks(params, env, profile.v_inf)
-    serve_slack = float(slacks[params.h_o:].min())
-    refuse_slack = float(slacks[:params.h_o].min())
+    utilities = overall_utilities(params, env, dist)
+    slacks = _deviation_slacks(params, env, utilities.v_inf)
     return IncentiveReport(
-        serve_slack=serve_slack,
-        refuse_slack=refuse_slack,
+        serve_slack=float(slacks[params.h_o:].min()),
+        refuse_slack=float(slacks[:params.h_o].min()),
         per_theta_slacks=slacks,
         is_equilibrium=bool(slacks.min() >= -SLACK_TOL),
-        social_utility=social_utility(params, env, dist),
+        social_utility=_population_average(params, env, dist, utilities.v_one),
+        dist=dist,
+        utilities=utilities,
     )
+
+
+def _require_baseline(env: NetworkEnv, what: str) -> None:
+    if env.p_c > 0.0 or env.p_d > 0.0:
+        raise ValueError(f"{what} assumes an all-reciprocative population (p_c = p_d = 0)")
+
+
+def _bisect(ok, lo: float, hi: float, tol: float):
+    """Halve [lo, hi] to width tol, keeping ok(lo) and not ok(hi)."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def _uniform_service_slack(env: NetworkEnv, b: int, h_o: int) -> float:
@@ -276,6 +292,7 @@ def min_service_threshold(env: NetworkEnv, b: int) -> Optional[int]:
     h_o grows the slack rises toward a finite limit; when even that limit
     falls short no threshold exists and None is returned.
     """
+    _require_baseline(env, "min_service_threshold")
     alpha = error_punish_prob(env, b)
     delta = env.delta
     net = (1.0 - env.eps) * env.r - env.c
@@ -311,6 +328,7 @@ def max_connections(env: NetworkEnv, h_o: int, b_cap: int) -> Optional[int]:
     false-punishment rate faster than they raise the stake), so an integer
     binary search is exact.
     """
+    _require_baseline(env, "max_connections")
     if b_cap < 1:
         raise ValueError(f"b_cap must be >= 1, got {b_cap}")
     if _uniform_service_slack(env, 1, h_o) < 0.0:
@@ -332,6 +350,7 @@ def existence_cost_threshold(env: NetworkEnv, L: int) -> float:
 
         T_c = delta*(1-eps)**2*(1-delta**L) / (1 - delta + delta*(1-delta**L)).
     """
+    _require_baseline(env, "existence_cost_threshold")
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
     delta, eps = env.delta, env.eps
@@ -348,6 +367,7 @@ def existence_discount_threshold(env: NetworkEnv, L: int) -> Optional[float]:
     and None when it holds for none (cost too high even for fully patient
     peers).  Requires c/r < 1 - eps so that serving has positive net value.
     """
+    _require_baseline(env, "existence_discount_threshold")
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
     eps, r, c = env.eps, env.r, env.c
@@ -364,13 +384,7 @@ def existence_discount_threshold(env: NetworkEnv, L: int) -> Optional[float]:
     # limit as delta -> 1: (1-eps)*L*net / (1 + eps*L)
     if (1.0 - eps) * L * net / (1.0 + eps * L) <= c:
         return None
-    lo, hi = 0.0, 1.0 - 1e-15
-    while hi - lo > BISECT_TOL_DELTA:
-        mid = 0.5 * (lo + hi)
-        if g(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = _bisect(lambda d: g(d) < 0.0, 0.0, 1.0 - 1e-15, BISECT_TOL_DELTA)
     return 0.5 * (lo + hi)
 
 
@@ -389,14 +403,7 @@ def max_forgiveness(params: ProtocolParams, env: NetworkEnv) -> Optional[float]:
         return None
     if passes(1.0):
         return 1.0
-    lo, hi = 0.0, 1.0  # invariant: passes(lo), not passes(hi)
-    while hi - lo > BISECT_TOL_BETA:
-        mid = 0.5 * (lo + hi)
-        if passes(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _bisect(passes, 0.0, 1.0, BISECT_TOL_BETA)[0]
 
 
 def max_altruist_fraction(params: ProtocolParams, env: NetworkEnv) -> float:
@@ -418,8 +425,7 @@ def max_altruist_fraction(params: ProtocolParams, env: NetworkEnv) -> float:
         return 0.0
     if passes(0.5):
         return 0.5
-    lo = 0.0
-    hi = 0.5
+    lo, hi = 0.0, 0.5
     p = SCAN_STEP_PC
     while p < 0.5:
         if passes(p):
@@ -428,10 +434,4 @@ def max_altruist_fraction(params: ProtocolParams, env: NetworkEnv) -> float:
             hi = p
             break
         p += SCAN_STEP_PC
-    while hi - lo > BISECT_TOL_PC:
-        mid = 0.5 * (lo + hi)
-        if passes(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _bisect(passes, lo, hi, BISECT_TOL_PC)[0]

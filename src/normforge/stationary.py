@@ -8,6 +8,7 @@ that kernel, in closed form where one exists (harsh punishment, uniform
 client thresholds) and by a direct elimination solve otherwise (never by
 iteration), plus the mixtures induced by malicious and altruistic
 sub-populations.
+`check_regime` alone decides which populations the analysis can model.
 """
 
 from __future__ import annotations
@@ -57,11 +58,16 @@ def transition_matrix(params: ProtocolParams, env: NetworkEnv) -> np.ndarray:
     return P
 
 
-def _require_harsh_uniform(params: ProtocolParams, what: str) -> None:
-    if params.beta != 0.0:
-        raise ValueError(f"{what} requires beta = 0, got beta={params.beta}")
-    if not params.uniform_thresholds:
-        raise ValueError(f"{what} requires uniform client thresholds m_o = h_o, got m_o={params.m_o}")
+def check_regime(params: ProtocolParams, env: NetworkEnv) -> None:
+    """Raise ValueError unless the analysis can model (params, env): one
+    non-reciprocative kind at a time, uniform client thresholds with either
+    kind present, and harsh punishment (beta = 0) with malicious peers."""
+    if env.p_c > 0.0 and env.p_d > 0.0:
+        raise ValueError("analytic profiles handle one non-reciprocative kind at a time")
+    if (env.p_c > 0.0 or env.p_d > 0.0) and not params.uniform_thresholds:
+        raise ValueError("mixed populations are analyzed under uniform client thresholds")
+    if env.p_d > 0.0 and params.beta != 0.0:
+        raise ValueError("the malicious mixture is analyzed under harsh punishment (beta = 0)")
 
 
 def stationary_closed_form(params: ProtocolParams, env: NetworkEnv) -> ReputationDistribution:
@@ -71,7 +77,9 @@ def stationary_closed_form(params: ProtocolParams, env: NetworkEnv) -> Reputatio
     the stretch above decays geometrically, and the remainder piles up at L.
     Rejects beta != 0 or non-uniform thresholds (use stationary_fixed_point).
     """
-    _require_harsh_uniform(params, "stationary_closed_form")
+    if params.beta != 0.0 or not params.uniform_thresholds:
+        raise ValueError("stationary_closed_form requires beta = 0 and uniform client "
+                         f"thresholds m_o = h_o, got beta={params.beta}, m_o={params.m_o}")
     L, h_o = params.L, params.h_o
     alpha = error_punish_prob(env, params.b)
     mu = 1.0 / (1.0 + alpha * h_o)
@@ -128,7 +136,6 @@ def stationary_malicious(params: ProtocolParams, env: NetworkEnv) -> ReputationD
     """
     if env.p_c != 0.0:
         raise ValueError("malicious mixture assumes p_c = 0 (no altruists)")
-    _require_harsh_uniform(params, "stationary_malicious")
     p_d = env.p_d
     recip = stationary_closed_form(params, env)
     omega_d = np.zeros(params.L + 1)
@@ -147,24 +154,25 @@ def stationary_altruistic(params: ProtocolParams, env: NetworkEnv) -> Reputation
     if env.p_d != 0.0:
         raise ValueError("altruistic mixture assumes p_d = 0 (no malicious peers)")
     p_c = env.p_c
-    if params.beta == 0.0 and params.uniform_thresholds:
-        recip = stationary_closed_form(params, env)
-    else:
-        recip = stationary_fixed_point(params, env)
+    recip = _reciprocative(params, env)
     eta = (1.0 - p_c) * recip.eta
     eta[params.L] += p_c
     mu = float(eta[params.h_o:].sum())
     return ReputationDistribution(eta=eta, mu=mu, alpha=recip.alpha)
 
 
+def _reciprocative(params: ProtocolParams, env: NetworkEnv) -> ReputationDistribution:
+    """Reciprocative profile: closed form where one exists, else GTH."""
+    if params.beta == 0.0 and params.uniform_thresholds:
+        return stationary_closed_form(params, env)
+    return stationary_fixed_point(params, env)
+
+
 def stationary_for_regime(params: ProtocolParams, env: NetworkEnv) -> ReputationDistribution:
-    """Dispatch to the stationary profile matching the population mix."""
-    if env.p_d > 0.0 and env.p_c > 0.0:
-        raise ValueError("analytic profiles handle one non-reciprocative kind at a time")
+    """Stationary profile of the population mix, once check_regime admits it."""
+    check_regime(params, env)
     if env.p_d > 0.0:
         return stationary_malicious(params, env)
     if env.p_c > 0.0:
         return stationary_altruistic(params, env)
-    if params.beta == 0.0 and params.uniform_thresholds:
-        return stationary_closed_form(params, env)
-    return stationary_fixed_point(params, env)
+    return _reciprocative(params, env)

@@ -272,6 +272,39 @@ class TestTwoKindMix:
         assert json.loads(out)["error"]["field"] == "sim.population_mix"
 
 
+UNANALYZABLE_ENVS = [
+    ["--p-d", "0.1", "--beta", "0.5"],
+    ["--p-c", "0.1", "--p-d", "0.1"],
+    ["--p-d", "0.1", "--m-o", "1,2,3"],
+    ["--p-c", "0.2", "--m-o", "1,2,3"],
+]
+UNANALYZABLE_CASES = [
+    *[(cmd + flags, "env")
+      for cmd in (["analyze"], ["check"], ["sweep", "--sweep", "c:0.2:0.2:0.1"])
+      for flags in UNANALYZABLE_ENVS],
+    *[(cmd + ["--mix", "reciprocative=0.8,altruistic=0.2", "--m-o", "1,2,3"],
+       "sim.population_mix")
+      for cmd in (["simulate", "--strategic"], ["compare", "--sweep", "c:0.1:0.1:0.1"])],
+]
+
+
+class TestUnanalyzablePopulation:
+    @pytest.mark.parametrize("argv, field", [pytest.param(argv, field, id=" ".join(argv))
+                                             for argv, field in UNANALYZABLE_CASES])
+    def test_is_a_config_error_in_every_command(self, scenario_file, capsys, argv, field):
+        path = scenario_file(sim={"n_peers": 50, "n_periods": 5, "seed": 1})
+        code, out = run_cli(capsys, argv[0], "--config", path, *argv[1:])
+        assert code == 2
+        assert json.loads(out)["error"]["field"] == field
+
+
+def test_analyze_point_solves_its_profile_once(scenario_file, count_calls, capsys):
+    calls = count_calls("stationary_for_regime", "overall_utilities")
+    code, _ = run_cli(capsys, "analyze", "--config", scenario_file(), "--beta", "0.5")
+    assert code == 0
+    assert calls == {"stationary_for_regime": 1, "overall_utilities": 1}
+
+
 class TestScenarioRoundTrip:
     def test_emitted_config_echo_reloads_identically(self, scenario_file, capsys, tmp_path):
         path = scenario_file(sim={"n_peers": 80, "n_periods": 10, "seed": 2})

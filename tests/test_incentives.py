@@ -173,6 +173,23 @@ class TestCheckEquilibrium:
                             assert (check_equilibrium(p, e).is_equilibrium
                                     == brute_force_equilibrium(p, e))
 
+    @pytest.mark.parametrize("p, e", [
+        (ProtocolParams(L=3, h_o=1, b=2), env()),
+        (ProtocolParams(L=4, h_o=2, b=3, beta=0.4), env()),
+        (ProtocolParams(L=3, h_o=1, b=2, beta=0.3, m_o=(1, 2, 3)), env()),
+        (ProtocolParams(L=3, h_o=1, b=2), env(p_d=0.2)),
+        (ProtocolParams(L=3, h_o=1, b=2, beta=0.5), env(p_c=0.2)),
+    ])
+    def test_one_solve_per_check(self, count_calls, p, e):
+        calls = count_calls("stationary_for_regime", "one_period_utilities")
+        rep = check_equilibrium(p, e)
+        assert calls == {"stationary_for_regime": 1, "one_period_utilities": 1}
+        # the report carries what it was scored on, bit for bit
+        dist = stationary_for_regime(p, e)
+        assert rep.dist.eta.tolist() == dist.eta.tolist()
+        assert rep.utilities.v_inf.tolist() == overall_utilities(p, e, dist).v_inf.tolist()
+        assert rep.social_utility == social_utility(p, e, dist)
+
 
 class TestSlackMonotonicity:
     def test_per_request_slack_non_increasing_in_connections(self):
@@ -299,6 +316,21 @@ class TestExistenceThresholds:
             p = ProtocolParams(L=L, h_o=L, b=1)
             assert check_equilibrium(p, e.replace(delta=min(t + 1e-6, 1 - 1e-12))).is_equilibrium
             assert not check_equilibrium(p, e.replace(delta=max(t - 1e-6, 0.0))).is_equilibrium
+
+
+@pytest.mark.parametrize("mix", [{"p_c": 0.3}, {"p_d": 0.1}], ids=["p_c", "p_d"])
+@pytest.mark.parametrize("threshold", [
+    lambda e: min_service_threshold(e, 2),
+    lambda e: max_connections(e, 2, 8),
+    lambda e: existence_cost_threshold(e, 3),
+    lambda e: existence_discount_threshold(e, 3),
+], ids=["min_service_threshold", "max_connections", "existence_cost_threshold",
+        "existence_discount_threshold"])
+def test_baseline_closed_forms_reject_mixed_populations(threshold, mix):
+    # unguarded, max_connections(env(p_c=0.3), 2, 8) answers 8, yet
+    # (L=4, h_o=2, b=8) fails check_equilibrium at that env
+    with pytest.raises(ValueError, match="all-reciprocative"):
+        threshold(env(**mix))
 
 
 class TestMaxForgiveness:
