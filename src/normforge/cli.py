@@ -33,6 +33,7 @@ from .incentives import (
 )
 from .model import NetworkEnv, PeerKind, ProtocolParams
 from .sim import SOCIAL_NORM, TFT, SimConfig, run_sim, run_tft, tft_sustainable
+from .stationary import check_regime, stationary_for_regime
 
 ENV_FIELDS = ("r", "c", "eps", "lambda", "delta", "p_c", "p_d")
 PARAM_FIELDS = ("L", "h_o", "b", "beta", "m_o")
@@ -114,15 +115,18 @@ def _attr(flag_name: str) -> str:
     return {"lambda": "lam"}.get(flag_name, flag_name)
 
 
-def _build_env(section: dict) -> NetworkEnv:
-    required = ("r", "c", "eps", "lambda", "delta")
-    for name in required:
-        if name not in section:
-            raise CliError(f"env.{name}", "required environment field is missing")
-    known = set(ENV_FIELDS)
+def _check_fields(section: dict, name: str, noun: str, required, known) -> None:
+    """A section must carry every required field and no unknown one."""
+    for key in required:
+        if key not in section:
+            raise CliError(f"{name}.{key}", f"required {noun} field is missing")
     for key in section:
         if key not in known:
-            raise CliError(f"env.{key}", f"unknown environment field {key!r}")
+            raise CliError(f"{name}.{key}", f"unknown {noun} field {key!r}")
+
+
+def _build_env(section: dict) -> NetworkEnv:
+    _check_fields(section, "env", "environment", ("r", "c", "eps", "lambda", "delta"), ENV_FIELDS)
     try:
         return NetworkEnv(r=float(section["r"]), c=float(section["c"]),
                           eps=float(section["eps"]), lam=float(section["lambda"]),
@@ -134,13 +138,7 @@ def _build_env(section: dict) -> NetworkEnv:
 
 
 def _build_params(section: dict) -> ProtocolParams:
-    for name in ("L", "h_o", "b"):
-        if name not in section:
-            raise CliError(f"params.{name}", "required protocol field is missing")
-    known = set(PARAM_FIELDS)
-    for key in section:
-        if key not in known:
-            raise CliError(f"params.{key}", f"unknown protocol field {key!r}")
+    _check_fields(section, "params", "protocol", ("L", "h_o", "b"), PARAM_FIELDS)
     try:
         return ProtocolParams(L=int(section["L"]), h_o=int(section["h_o"]),
                               b=int(section["b"]), beta=float(section.get("beta", 0.0)),
@@ -150,13 +148,8 @@ def _build_params(section: dict) -> ProtocolParams:
 
 
 def _build_design(section: dict, env: NetworkEnv) -> DesignSpec:
-    for name in ("problem", "L", "b_cap"):
-        if name not in section:
-            raise CliError(f"design.{name}", "required design field is missing")
-    known = {"problem", "L", "b_cap", "beta_grid", "p_c_grid"}
-    for key in section:
-        if key not in known:
-            raise CliError(f"design.{key}", f"unknown design field {key!r}")
+    _check_fields(section, "design", "design", ("problem", "L", "b_cap"),
+                  ("problem", "L", "b_cap", "beta_grid", "p_c_grid"))
     try:
         return DesignSpec(problem=str(section["problem"]), L=int(section["L"]),
                           b_cap=int(section["b_cap"]), env=env,
@@ -167,13 +160,9 @@ def _build_design(section: dict, env: NetworkEnv) -> DesignSpec:
 
 
 def _build_sim(section: dict, params: ProtocolParams, env: NetworkEnv) -> SimConfig:
-    for name in ("n_peers", "n_periods", "seed"):
-        if name not in section:
-            raise CliError(f"sim.{name}", "required simulation field is missing")
-    known = {"n_peers", "n_periods", "seed", "population_mix", "protocol_flavor", "strategic"}
-    for key in section:
-        if key not in known:
-            raise CliError(f"sim.{key}", f"unknown simulation field {key!r}")
+    _check_fields(section, "sim", "simulation", ("n_peers", "n_periods", "seed"),
+                  ("n_peers", "n_periods", "seed", "population_mix", "protocol_flavor",
+                   "strategic"))
     try:
         return SimConfig(n_peers=int(section["n_peers"]), n_periods=int(section["n_periods"]),
                          seed=int(section["seed"]), params=params, env=env,
@@ -218,17 +207,17 @@ def _report_payload(report) -> dict:
 
 # ------------------------------------------------------------------ commands
 
-def _analytic_report(params: ProtocolParams, env: NetworkEnv, field: str) -> IncentiveReport:
-    """check_equilibrium, the one analytic evaluation every command reads; a
-    population the analysis cannot model is a config error on `field`."""
+def _analytic(fn, params: ProtocolParams, env: NetworkEnv, field: str):
+    """fn(params, env) from the analytic layers; a population they cannot
+    model (stationary.check_regime) is a config error on `field`."""
     try:
-        return check_equilibrium(params, env)
+        return fn(params, env)
     except ValueError as exc:
         raise CliError(field, str(exc))
 
 
 def _analyze_payload(params: ProtocolParams, env: NetworkEnv) -> dict:
-    report = _analytic_report(params, env, "env")
+    report = _analytic(check_equilibrium, params, env, "env")
     dist, profile = report.dist, report.utilities
     u = report.social_utility
     if report.is_equilibrium:
@@ -295,7 +284,7 @@ def cmd_check(args) -> int:
     sc = _scenario(args)
     env = _build_env(sc["env"])
     params = _build_params(sc["params"])
-    payload = _report_payload(_analytic_report(params, env, "env"))
+    payload = _report_payload(_analytic(check_equilibrium, params, env, "env"))
     _emit_text(json.dumps(payload, sort_keys=True, indent=1),
                args.out or sc["output"].get("path"))
     return 0
@@ -429,7 +418,9 @@ def cmd_simulate(args) -> int:
     if args.compare_analytic and config.protocol_flavor == TFT:
         raise CliError("sim.protocol_flavor", "analytic comparison covers the social-norm flavor")
     if config.protocol_flavor == SOCIAL_NORM and (config.strategic or args.compare_analytic):
-        dist = _analytic_report(params, config.analytic_env(), "sim.population_mix").dist
+        # a strategic run checks the protocol itself; here the mix is admitted
+        fn = stationary_for_regime if args.compare_analytic else check_regime
+        dist = _analytic(fn, params, config.analytic_env(), "sim.population_mix")
     trace = run_tft(config) if config.protocol_flavor == TFT else run_sim(config)
     payload = trace.to_json_dict()
     header = list(SIM_SUMMARY_COLUMNS)
@@ -489,7 +480,8 @@ def cmd_compare(args) -> int:
             sustained = tft_sustainable(env, params.b, weights[PeerKind.ALTRUISTIC] / total)
         else:
             mix_env = config.analytic_env()
-            sustained = _analytic_report(params, mix_env, "sim.population_mix").is_equilibrium
+            sustained = _analytic(check_equilibrium, params, mix_env,
+                                  "sim.population_mix").is_equilibrium
             if args.optimize_social:
                 best = solve_osne(DesignSpec("OSNE", params.L, b_cap=params.b, env=mix_env))
                 if best.feasible:  # the winner passed its check at mix_env

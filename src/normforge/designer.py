@@ -20,6 +20,7 @@ from typing import Optional
 
 from .incentives import check_equilibrium, collapsed_social_utility, max_forgiveness
 from .model import NetworkEnv, ProtocolParams
+from .stationary import check_regime
 
 PROBLEMS = ("OSNE", "OSNE_VP", "OSNE_VPS", "OSNE_AH")
 
@@ -37,7 +38,7 @@ class DesignSpec:
                refined by bisection)
     pC_grid    resolution of the altruist-fraction grid (OSNE_AH only)
 
-    The env must be one the problem's analysis covers (see __post_init__).
+    stationary.check_regime must admit the env for what the problem explores.
     """
 
     problem: str
@@ -58,15 +59,12 @@ class DesignSpec:
             raise ValueError(f"beta_grid must be in (0, 1], got {self.beta_grid}")
         if not 0.0 < self.pC_grid <= 1.0:
             raise ValueError(f"pC_grid must be in (0, 1], got {self.pC_grid}")
-        if self.env.p_c > 0.0 and self.env.p_d > 0.0:
-            raise ValueError("design analyzes one non-reciprocative kind at a time, "
-                             "got p_c > 0 and p_d > 0")
-        if self.env.p_d > 0.0 and self.problem != "OSNE":
-            raise ValueError(f"{self.problem} assumes p_d = 0: the malicious mixture is "
-                             "analyzed under harsh punishment and uniform thresholds")
-        if self.env.p_c > 0.0 and self.problem == "OSNE_VPS":
-            raise ValueError("OSNE_VPS assumes p_c = 0: mixed populations are analyzed "
-                             "under uniform client thresholds")
+        # check_regime on what the problem explores: forgiveness (VP, VPS), a
+        # non-uniform threshold vector (VPS), deployed altruists (AH)
+        check_regime(ProtocolParams(
+            L=self.L, h_o=1, b=1, beta=float(self.problem in ("OSNE_VP", "OSNE_VPS")),
+            m_o=(1,) * (self.L - 1) + (self.L,) if self.problem == "OSNE_VPS" else None),
+            self.env.replace(p_c=self.pC_grid) if self.problem == "OSNE_AH" else self.env)
 
 
 @dataclass

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import NetworkEnv, ProtocolParams, error_punish_prob
+from .model import NetworkEnv, ProtocolParams, error_punish_prob, forgiveness_prob
 from .stationary import (
     ReputationDistribution,
     check_regime,
@@ -157,12 +157,13 @@ def social_utility(params: ProtocolParams, env: NetworkEnv,
                    dist: ReputationDistribution) -> float:
     """Average per-period utility across the whole population.
 
-    Baseline and malicious regimes average the compliant one-period utilities
-    over the stationary profile (equal to lam*b*mu*[(1-eps)*r - c] in the
-    baseline).  The altruistic regime accounts for altruists' upload costs
-    with a two-branch formula split at p_c = 0.5, above which reciprocative
-    demand alone caps the exchanged volume.  Under variable thresholds the
-    average runs over active reputations.
+    The malicious regime averages the compliant one-period utilities over the
+    stationary profile.  An all-reciprocative population gets the active
+    peers' benefit minus the cost of serving every eligible client
+    (lam*b*mu*[(1-eps)*r - c] under uniform thresholds).  The altruistic
+    regime accounts for altruists' upload costs with a two-branch formula
+    split at p_c = 0.5, above which reciprocative demand alone caps the
+    exchanged volume.
     """
     return _population_average(params, env, dist, one_period_utilities(params, env, dist))
 
@@ -179,9 +180,14 @@ def _population_average(params: ProtocolParams, env: NetworkEnv,
         benefit = rate * (1.0 - env.eps) * (fed * (1.0 - mu_c) + (mu_c - p_c)) * env.r
         cost = rate * ((mu_c - p_c) ** 2 / mu_c - p_c) * env.c
         return benefit - cost
-    if params.uniform_thresholds:
+    if env.p_d > 0.0:
         return float(np.dot(dist.eta, v_one))
-    return float(np.dot(dist.eta[params.h_o:], v_one[params.h_o:]))
+    # every eligible client's requests land on some active server: summing
+    # the cost that way, vectors sharing m_o(h_o) tie exactly, not by rounding
+    eta, elig = dist.eta, params.client_eligibility
+    gross = (1.0 - env.eps) * env.r
+    return rate * (gross * float(eta[max(params.h_o, elig):].sum())
+                   - env.c * float(eta[elig:].sum()))
 
 
 def fed_while_punished(p_c: float) -> float:
@@ -208,13 +214,13 @@ def _deviation_slacks(params: ProtocolParams, env: NetworkEnv,
     deviation is serving someone, an instant loss of c followed by the same
     deviation lottery.  Slack >= 0 for every t means no deviation profits.
     """
-    L, h_o, beta = params.L, params.h_o, params.beta
+    L, h_o = params.L, params.h_o
     alpha = error_punish_prob(env, params.b)
     delta = env.delta
     rate_cost = env.lam * params.b * env.c
     slacks = np.empty(L + 1)
     for t in range(L + 1):
-        keep = beta ** (L - t + 1)
+        keep = forgiveness_prob(params, t)
         up = v_inf[min(L, t + 1)]
         future_gap = delta * (1.0 - alpha) * (up - keep * v_inf[t] - (1.0 - keep) * v_inf[0])
         if t >= h_o:

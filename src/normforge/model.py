@@ -185,14 +185,21 @@ def reputation_update(params: ProtocolParams, rep: int, x: int, forgiven: int = 
     x = 1 (at least one non-compliant transaction): drop to 0, unless the
     forgiveness lottery came up (forgiven = 1), in which case the reputation
     is unchanged.  The caller draws `forgiven` with probability
-    beta**(L - rep + 1); the analytic modules integrate over that lottery and
-    the simulator samples it.
+    forgiveness_prob(params, rep); the analytic modules integrate over that
+    lottery and the simulator samples it.
     """
     if x == 0:
         return min(params.L, rep + 1)
     if forgiven:
         return rep
     return 0
+
+
+def forgiveness_prob(params: ProtocolParams, rep):
+    """Chance beta**(L - rep + 1) that a punished peer keeps reputation `rep`.
+    An int `rep` takes Python's power, an array numpy's; they can differ in
+    the last bit, so each caller keeps the form it passes."""
+    return params.beta ** (params.L - rep + 1)
 
 
 def error_punish_prob(env: NetworkEnv, b: int) -> float:

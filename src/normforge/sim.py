@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .incentives import check_equilibrium, fed_while_punished
-from .model import NetworkEnv, PeerKind, ProtocolParams, error_punish_prob
+from .model import NetworkEnv, PeerKind, ProtocolParams, error_punish_prob, forgiveness_prob
 from .stationary import stationary_for_regime
 
 KIND_ORDER = (PeerKind.RECIPROCATIVE, PeerKind.ALTRUISTIC, PeerKind.MALICIOUS)
@@ -251,7 +251,7 @@ def _protocol_tables(config: SimConfig):
     willing = np.zeros((L + 1, L + 1), dtype=bool)
     for s in range(params.h_o, L + 1):
         willing[s, params.m_o_at(s):] = True
-    return L, willing, params.beta ** (L - np.arange(L + 1) + 1)
+    return L, willing, forgiveness_prob(params, np.arange(L + 1))
 
 
 def tft_sustainable(env: NetworkEnv, b: int, p_c: float = 0.0) -> bool:

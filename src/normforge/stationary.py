@@ -3,11 +3,11 @@
 The population's reputation profile evolves by a simple per-period kernel:
 active peers (reputation >= h_o) climb one step unless a service error gets
 them punished, punished peers fall to 0 unless forgiven, and inactive peers
-climb unconditionally.  This module computes the long-run distribution of
-that kernel, in closed form where one exists (harsh punishment, uniform
-client thresholds) and by a direct elimination solve otherwise (never by
-iteration), plus the mixtures induced by malicious and altruistic
-sub-populations.
+climb unconditionally.  No peer climbs more than one rung and every fall
+lands on 0, so the long-run distribution of that kernel is a running product
+of per-rung ratios (the harsh-punishment closed form is its beta = 0 case).
+This module computes that product directly (never by iteration), plus the
+mixtures induced by malicious and altruistic sub-populations.
 `check_regime` alone decides which populations the analysis can model.
 """
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NetworkEnv, ProtocolParams, error_punish_prob
+from .model import NetworkEnv, ProtocolParams, error_punish_prob, forgiveness_prob
 
 @dataclass
 class ReputationDistribution:
@@ -44,14 +44,14 @@ def transition_matrix(params: ProtocolParams, env: NetworkEnv) -> np.ndarray:
       t >= h_o : climb to min(L, t+1) w.p. 1 - alpha; on an error event
                  (prob alpha) stay put w.p. beta**(L - t + 1), else drop to 0.
     """
-    L, h_o, beta = params.L, params.h_o, params.beta
+    L, h_o = params.L, params.h_o
     alpha = error_punish_prob(env, params.b)
     P = np.zeros((L + 1, L + 1))
     for t in range(L + 1):
         if t < h_o:
             P[t, t + 1] = 1.0
         else:
-            keep = beta ** (L - t + 1)
+            keep = forgiveness_prob(params, t)
             P[t, min(L, t + 1)] += 1.0 - alpha
             P[t, t] += alpha * keep
             P[t, 0] += alpha * (1.0 - keep)
@@ -92,36 +92,35 @@ def stationary_closed_form(params: ProtocolParams, env: NetworkEnv) -> Reputatio
 
 
 def stationary_fixed_point(params: ProtocolParams, env: NetworkEnv) -> ReputationDistribution:
-    """Stationary profile of the general (L, beta) scheme by Grassmann-Taksar-
-    Heyman elimination on the one-period kernel.
+    """Stationary profile of the general (L, beta) scheme as a product over
+    the reputation ladder.
 
-    Rungs 0..L-1 are censored out in order, each one's transitions folded
-    into the rungs above it.  Eliminating a rung divides by its outflow to
-    the rungs that remain; the top rung's outflow vanishes at alpha = 0 or
-    beta = 1, so it is never eliminated.  Back-substitution from the top then
-    rebuilds the profile.  The elimination only adds,
-    multiplies and divides non-negative numbers, so the result is accurate to
-    rounding with no tolerance and no iteration.
+    Rung t >= 1 is entered only by a climb from t-1: no move skips a rung and
+    every fall lands on 0.  Balance at t is then
+    eta[t] * outflow(t) = eta[t-1] * climb(t-1), where outflow(t) is climb
+    plus reset below the top and reset alone at L (a climb from L stays put).
+    Walking t = 1..L multiplies these ratios out of non-negative terms, so
+    the profile is accurate to rounding with no matrix, no tolerance and no
+    iteration.  A rung with zero outflow keeps every peer that reaches it
+    (L when alpha = 0 or beta = 1, h_o when alpha = 1 and beta = 1), so the
+    first one on the way up takes all the mass.
     """
-    L = params.L
-    A = transition_matrix(params, env)
-    top = L
-    for k in range(L):
-        up = A[k, k + 1:].sum()
-        if up == 0.0:
-            # every error punishes (alpha rounds to 1): nothing climbs past
-            # rung k, so the profile reached from rung 0 lives on 0..k
-            top = k
+    L, h_o = params.L, params.h_o
+    alpha = error_punish_prob(env, params.b)
+    climb = [1.0] * h_o + [1.0 - alpha] * (L - h_o) + [0.0]  # climb[t] leaves rung t
+    w, weights = 1.0, [1.0]
+    for t in range(1, L + 1):
+        reset = alpha * (1.0 - forgiveness_prob(params, t)) if t >= h_o else 0.0
+        out = climb[t] + reset
+        if out == 0.0:
+            weights = [0.0] * t + [1.0]
             break
-        A[k + 1:, k] /= up
-        A[k + 1:, k + 1:] += np.outer(A[k + 1:, k], A[k, k + 1:])
+        w = w * climb[t - 1] / out
+        weights.append(w)
     eta = np.zeros(L + 1)
-    eta[top] = 1.0
-    for k in range(top - 1, -1, -1):
-        eta[k] = eta[k + 1:top + 1] @ A[k + 1:top + 1, k]
+    eta[:len(weights)] = weights
     eta /= eta.sum()
-    mu = float(eta[params.h_o:].sum())
-    return ReputationDistribution(eta=eta, mu=mu, alpha=error_punish_prob(env, params.b))
+    return ReputationDistribution(eta=eta, mu=float(eta[h_o:].sum()), alpha=alpha)
 
 
 def stationary_malicious(params: ProtocolParams, env: NetworkEnv) -> ReputationDistribution:
@@ -131,13 +130,14 @@ def stationary_malicious(params: ProtocolParams, env: NetworkEnv) -> ReputationD
     (refusing is what an inactive peer is supposed to do) and is punished the
     moment it reaches the activity threshold: its reputation cycles
     0 -> 1 -> ... -> h_o -> 0, i.e. uniform mass 1/(h_o+1) on 0..h_o.  The
-    reciprocative remainder sits at the harsh-punishment stationary profile,
-    and the population profile is the p_d-weighted mixture.
+    reciprocative remainder sits at its profile under the harsh uniform rule
+    check_regime demands, and the population profile is the p_d mixture.
     """
     if env.p_c != 0.0:
         raise ValueError("malicious mixture assumes p_c = 0 (no altruists)")
+    check_regime(params, env)
     p_d = env.p_d
-    recip = stationary_closed_form(params, env)
+    recip = stationary_fixed_point(params, env)
     omega_d = np.zeros(params.L + 1)
     omega_d[0:params.h_o + 1] = 1.0 / (params.h_o + 1)
     eta = (1.0 - p_d) * recip.eta + p_d * omega_d
@@ -154,18 +154,11 @@ def stationary_altruistic(params: ProtocolParams, env: NetworkEnv) -> Reputation
     if env.p_d != 0.0:
         raise ValueError("altruistic mixture assumes p_d = 0 (no malicious peers)")
     p_c = env.p_c
-    recip = _reciprocative(params, env)
+    recip = stationary_fixed_point(params, env)
     eta = (1.0 - p_c) * recip.eta
     eta[params.L] += p_c
     mu = float(eta[params.h_o:].sum())
     return ReputationDistribution(eta=eta, mu=mu, alpha=recip.alpha)
-
-
-def _reciprocative(params: ProtocolParams, env: NetworkEnv) -> ReputationDistribution:
-    """Reciprocative profile: closed form where one exists, else GTH."""
-    if params.beta == 0.0 and params.uniform_thresholds:
-        return stationary_closed_form(params, env)
-    return stationary_fixed_point(params, env)
 
 
 def stationary_for_regime(params: ProtocolParams, env: NetworkEnv) -> ReputationDistribution:
@@ -175,4 +168,4 @@ def stationary_for_regime(params: ProtocolParams, env: NetworkEnv) -> Reputation
         return stationary_malicious(params, env)
     if env.p_c > 0.0:
         return stationary_altruistic(params, env)
-    return _reciprocative(params, env)
+    return stationary_fixed_point(params, env)

@@ -2,9 +2,10 @@
 
 Everything here recomputes quantities through a different route than the
 library: discounted values by value iteration instead of a linear solve,
-stationary profiles by an LU null-space solve instead of GTH elimination,
-and equilibrium verdicts by enumerating every deterministic one-period
-deviation rule instead of the two-constraint reduction.
+stationary profiles by an LU null-space solve on the full kernel instead of
+the product over the reputation ladder, and equilibrium verdicts by
+enumerating every deterministic one-period deviation rule instead of the
+two-constraint reduction.
 """
 
 from __future__ import annotations

@@ -305,6 +305,14 @@ def test_analyze_point_solves_its_profile_once(scenario_file, count_calls, capsy
     assert calls == {"stationary_for_regime": 1, "overall_utilities": 1}
 
 
+def test_strategic_simulate_checks_once(scenario_file, count_calls, capsys):
+    calls = count_calls("check_equilibrium")
+    path = scenario_file(sim={"n_peers": 50, "n_periods": 5, "seed": 1})
+    code, _ = run_cli(capsys, "simulate", "--config", path, "--strategic")
+    assert code == 0
+    assert calls == {"check_equilibrium": 1}
+
+
 class TestScenarioRoundTrip:
     def test_emitted_config_echo_reloads_identically(self, scenario_file, capsys, tmp_path):
         path = scenario_file(sim={"n_peers": 80, "n_periods": 10, "seed": 2})

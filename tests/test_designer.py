@@ -154,6 +154,13 @@ class TestOsneVps:
         m = res.params.m_o
         assert all(a <= b for a, b in zip(m, m[1:]))
 
+    def test_tied_vectors_break_toward_the_smallest(self):
+        # at beta = 0.25, b = 8 five vectors with m_o(1) = 1 pass with one
+        # utility; the smallest must win whatever the rounding of each score
+        res = solve_osne_vps(DesignSpec(problem="OSNE_VPS", L=4, b_cap=8, env=env(c=0.25),
+                                        beta_grid=0.05))
+        assert res.params.m_o == (1, 2, 3, 4)
+
     def test_nesting_chain(self):
         for c in (0.1, 0.3):
             for delta in (0.7, 0.9):

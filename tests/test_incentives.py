@@ -181,9 +181,11 @@ class TestCheckEquilibrium:
         (ProtocolParams(L=3, h_o=1, b=2, beta=0.5), env(p_c=0.2)),
     ])
     def test_one_solve_per_check(self, count_calls, p, e):
-        calls = count_calls("stationary_for_regime", "one_period_utilities")
+        calls = count_calls("stationary_for_regime", "one_period_utilities",
+                            "stationary_fixed_point", "transition_matrix")
         rep = check_equilibrium(p, e)
-        assert calls == {"stationary_for_regime": 1, "one_period_utilities": 1}
+        assert calls == {"stationary_for_regime": 1, "one_period_utilities": 1,
+                         "stationary_fixed_point": 1, "transition_matrix": 1}
         # the report carries what it was scored on, bit for bit
         dist = stationary_for_regime(p, e)
         assert rep.dist.eta.tolist() == dist.eta.tolist()
@@ -417,6 +419,19 @@ class TestThresholdStructure:
             best = max(utilities.values())
             anchored = max(u for m, u in utilities.items() if m[0] == h_o)
             assert anchored == pytest.approx(best, abs=1e-12)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.25, 0.7])
+    def test_vectors_sharing_the_bottom_threshold_tie_exactly(self, beta):
+        # utility depends on m_o only through m_o(h_o); a tie left to
+        # rounding would let the design search pick any of the tied vectors
+        e = env(c=0.25)
+        for h_o, vecs in self.grid(4).items():
+            by_bottom = {}
+            for m in vecs:
+                p = ProtocolParams(L=4, h_o=h_o, b=8, beta=beta, m_o=m)
+                u = social_utility(p, e, stationary_for_regime(p, e))
+                by_bottom.setdefault(m[0], set()).add(u)
+            assert all(len(us) == 1 for us in by_bottom.values()), (h_o, by_bottom)
 
     @pytest.mark.parametrize("L", [3, 4])
     def test_step_vector_beats_uniform_on_min_slack(self, L):

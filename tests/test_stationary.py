@@ -150,6 +150,9 @@ def chains(draw):
 @example((ProtocolParams(L=30, h_o=1, b=8, beta=1.0), env(eps=0.9)))
 @example((ProtocolParams(L=12, h_o=4, b=3, beta=0.6), env(eps=0.0)))
 @example((ProtocolParams(L=6, h_o=2, b=5, beta=0.45, m_o=(2, 3, 3, 5, 6)), env(eps=0.4)))
+# alpha within rounding of 1 on a long ladder: each climb past h_o has
+# probability 2.2e-16, so the profile above h_o runs down to subnormals
+@example((ProtocolParams(L=24, h_o=2, b=6, beta=0.94), env(eps=0.0958738714, lam=60)))
 def test_fixed_point_matches_nullspace_oracle(chain):
     p, e = chain
     d = stationary_fixed_point(p, e)
