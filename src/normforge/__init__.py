@@ -11,6 +11,7 @@ from .model import (
     Action,
     NetworkEnv,
     PeerKind,
+    Points,
     ProtocolParams,
     error_punish_prob,
     phi_compliance,
@@ -29,6 +30,7 @@ from .stationary import (
 from .incentives import (
     IncentiveReport,
     UtilityProfile,
+    check_equilibria,
     check_equilibrium,
     collapsed_social_utility,
     existence_cost_threshold,
@@ -62,21 +64,3 @@ from .sim import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Action", "NetworkEnv", "PeerKind", "ProtocolParams",
-    "error_punish_prob", "phi_compliance", "reputation_update", "social_strategy",
-    "ReputationDistribution", "transition_matrix",
-    "stationary_closed_form", "stationary_fixed_point", "stationary_malicious",
-    "stationary_altruistic", "stationary_for_regime",
-    "IncentiveReport", "UtilityProfile", "check_equilibrium",
-    "collapsed_social_utility", "existence_cost_threshold", "existence_discount_threshold",
-    "max_altruist_fraction", "max_connections", "max_forgiveness",
-    "min_service_threshold", "one_period_utilities", "overall_utilities",
-    "social_utility", "upload_cost_profile",
-    "DesignResult", "DesignSpec", "solve",
-    "solve_osne", "solve_osne_ah", "solve_osne_vp", "solve_osne_vps",
-    "DeviantPolicy", "SimConfig", "SimTrace", "measure_deviation_gain",
-    "run_sim", "run_tft", "tft_sustainable",
-    "__version__",
-]

@@ -25,13 +25,9 @@ import json
 import sys
 
 from .designer import DesignResult, DesignSpec, solve, solve_osne
-from .incentives import (
-    IncentiveReport,
-    check_equilibrium,
-    collapsed_social_utility,
-    fed_while_punished,
-)
-from .model import NetworkEnv, PeerKind, ProtocolParams
+from .incentives import (IncentiveReport, blocks, check_equilibria, check_equilibrium,
+                         collapsed_social_utility, fed_while_punished)
+from .model import NetworkEnv, PeerKind, Points, ProtocolParams, point_of
 from .sim import SOCIAL_NORM, TFT, SimConfig, run_sim, run_tft, tft_sustainable
 from .stationary import check_regime, stationary_for_regime
 
@@ -125,52 +121,49 @@ def _check_fields(section: dict, name: str, noun: str, required, known) -> None:
             raise CliError(f"{name}.{key}", f"unknown {noun} field {key!r}")
 
 
+def _built(field: str, make, errors=(TypeError, ValueError)):
+    """make() on config values, a value it rejects being a config error on
+    `field` (the analytic layers raise ValueError on unanalyzable populations)."""
+    try:
+        return make()
+    except errors as exc:
+        raise CliError(field, str(exc))
+
+
 def _build_env(section: dict) -> NetworkEnv:
     _check_fields(section, "env", "environment", ("r", "c", "eps", "lambda", "delta"), ENV_FIELDS)
-    try:
-        return NetworkEnv(r=float(section["r"]), c=float(section["c"]),
-                          eps=float(section["eps"]), lam=float(section["lambda"]),
-                          delta=float(section["delta"]),
-                          p_c=float(section.get("p_c", 0.0)),
-                          p_d=float(section.get("p_d", 0.0)))
-    except (TypeError, ValueError) as exc:
-        raise CliError("env", str(exc))
+    return _built("env", lambda: NetworkEnv(
+        r=float(section["r"]), c=float(section["c"]), eps=float(section["eps"]),
+        lam=float(section["lambda"]), delta=float(section["delta"]),
+        p_c=float(section.get("p_c", 0.0)), p_d=float(section.get("p_d", 0.0))))
 
 
 def _build_params(section: dict) -> ProtocolParams:
     _check_fields(section, "params", "protocol", ("L", "h_o", "b"), PARAM_FIELDS)
-    try:
-        return ProtocolParams(L=int(section["L"]), h_o=int(section["h_o"]),
-                              b=int(section["b"]), beta=float(section.get("beta", 0.0)),
-                              m_o=section.get("m_o"))
-    except (TypeError, ValueError) as exc:
-        raise CliError("params", str(exc))
+    return _built("params", lambda: ProtocolParams(
+        L=int(section["L"]), h_o=int(section["h_o"]), b=int(section["b"]),
+        beta=float(section.get("beta", 0.0)), m_o=section.get("m_o")))
 
 
 def _build_design(section: dict, env: NetworkEnv) -> DesignSpec:
     _check_fields(section, "design", "design", ("problem", "L", "b_cap"),
                   ("problem", "L", "b_cap", "beta_grid", "p_c_grid"))
-    try:
-        return DesignSpec(problem=str(section["problem"]), L=int(section["L"]),
-                          b_cap=int(section["b_cap"]), env=env,
-                          beta_grid=float(section.get("beta_grid", 0.01)),
-                          pC_grid=float(section.get("p_c_grid", 0.01)))
-    except (TypeError, ValueError) as exc:
-        raise CliError("design", str(exc))
+    return _built("design", lambda: DesignSpec(
+        problem=str(section["problem"]), L=int(section["L"]), b_cap=int(section["b_cap"]),
+        env=env, beta_grid=float(section.get("beta_grid", 0.01)),
+        pC_grid=float(section.get("p_c_grid", 0.01))))
 
 
 def _build_sim(section: dict, params: ProtocolParams, env: NetworkEnv) -> SimConfig:
     _check_fields(section, "sim", "simulation", ("n_peers", "n_periods", "seed"),
                   ("n_peers", "n_periods", "seed", "population_mix", "protocol_flavor",
                    "strategic"))
-    try:
-        return SimConfig(n_peers=int(section["n_peers"]), n_periods=int(section["n_periods"]),
-                         seed=int(section["seed"]), params=params, env=env,
-                         population_mix=section.get("population_mix"),
-                         protocol_flavor=section.get("protocol_flavor", SOCIAL_NORM),
-                         strategic=bool(section.get("strategic", False)))
-    except (TypeError, ValueError) as exc:
-        raise CliError("sim", str(exc))
+    return _built("sim", lambda: SimConfig(
+        n_peers=int(section["n_peers"]), n_periods=int(section["n_periods"]),
+        seed=int(section["seed"]), params=params, env=env,
+        population_mix=section.get("population_mix"),
+        protocol_flavor=section.get("protocol_flavor", SOCIAL_NORM),
+        strategic=bool(section.get("strategic", False))))
 
 
 # ------------------------------------------------------------------- outputs
@@ -207,25 +200,27 @@ def _report_payload(report) -> dict:
 
 # ------------------------------------------------------------------ commands
 
-def _analytic(fn, params: ProtocolParams, env: NetworkEnv, field: str):
-    """fn(params, env) from the analytic layers; a population they cannot
-    model (stationary.check_regime) is a config error on `field`."""
-    try:
-        return fn(params, env)
-    except ValueError as exc:
-        raise CliError(field, str(exc))
+def _analyze_payloads(points):
+    """Yield each (params, env) point's analyze payload, checked in blocks."""
+    for L, run in itertools.groupby(points, key=lambda point: point[0].L):
+        for block in blocks(list(run), L):
+            batch = _built("env", lambda: check_equilibria(Points.of(
+                [p for p, _ in block], [e for _, e in block])), ValueError)
+            for j, (params, env) in enumerate(block):
+                yield _analyze_payload(params, env, point_of(batch, j))
 
 
-def _analyze_payload(params: ProtocolParams, env: NetworkEnv) -> dict:
-    report = _analytic(check_equilibrium, params, env, "env")
+def _analyze_payload(params: ProtocolParams, env: NetworkEnv, report: IncentiveReport) -> dict:
     dist, profile = report.dist, report.utilities
     u = report.social_utility
-    if report.is_equilibrium:
+    if report.is_equilibrium:  # reciprocative peers' mean, altruists sitting at L
         u_eff = u
-        recip_eff = _recip_average_utility(params, env, report)
-    else:
+        recip_eta = dist.eta.copy()
+        recip_eta[params.L] -= env.p_c
+        recip_eff = float(recip_eta @ profile.v_one) / (1.0 - env.p_c)
+    else:  # altruists alone serve, rationing reciprocative peers by their supply
         u_eff = collapsed_social_utility(env, params.b, env.p_c)
-        recip_eff = _collapsed_recip_utility(params, env)
+        recip_eff = env.lam * params.b * (1.0 - env.eps) * env.r * fed_while_punished(env.p_c)
     return {
         "env": env.to_dict(),
         "params": params.to_dict(),
@@ -239,19 +234,6 @@ def _analyze_payload(params: ProtocolParams, env: NetworkEnv) -> dict:
         "recip_utility_effective": recip_eff,
         **_report_payload(report),
     }
-
-
-def _recip_average_utility(params, env, report: IncentiveReport) -> float:
-    """Mean one-period utility of reciprocative peers under compliance."""
-    recip_eta = report.dist.eta.copy()
-    recip_eta[params.L] -= env.p_c  # altruists sit at the top rung
-    return float(recip_eta @ report.utilities.v_one) / (1.0 - env.p_c)
-
-
-def _collapsed_recip_utility(params, env) -> float:
-    """Reciprocative mean utility once compliance fails: altruists are the
-    only servers, so service is rationed by their supply."""
-    return env.lam * params.b * (1.0 - env.eps) * env.r * fed_while_punished(env.p_c)
 
 
 ANALYZE_COLUMNS = [
@@ -272,7 +254,7 @@ def cmd_analyze(args) -> int:
     sc = _scenario(args)
     env = _build_env(sc["env"])
     params = _build_params(sc["params"])
-    payload = _analyze_payload(params, env)
+    payload = next(_analyze_payloads([(params, env)]))
     _emit_text(json.dumps(payload, sort_keys=True, indent=1),
                args.out or sc["output"].get("path"))
     if args.csv_out:
@@ -284,7 +266,7 @@ def cmd_check(args) -> int:
     sc = _scenario(args)
     env = _build_env(sc["env"])
     params = _build_params(sc["params"])
-    payload = _report_payload(_analytic(check_equilibrium, params, env, "env"))
+    payload = _report_payload(_built("env", lambda: check_equilibrium(params, env), ValueError))
     _emit_text(json.dumps(payload, sort_keys=True, indent=1),
                args.out or sc["output"].get("path"))
     return 0
@@ -359,17 +341,17 @@ def cmd_sweep(args) -> int:
     names = [ax["param"] for ax in axes]
     grids = [_axis_values(ax) for ax in axes]
     mode = "solve" if sc["design"].get("problem") else "analyze"
+    grid = list(itertools.product(*grids))
 
     if mode == "analyze":
         if not sc["params"]:
             raise CliError("params", "sweep in analyze mode needs a params section")
-
-        def eval_point(values):
-            env_sec, par_sec = _apply_point(sc["env"], sc["params"], names, values)
-            payload = _analyze_payload(_build_params(par_sec), _build_env(env_sec))
-            return list(values) + _analyze_csv_row(payload)
-
+        sections = (_apply_point(sc["env"], sc["params"], names, values) for values in grid)
+        payloads = _analyze_payloads((_build_params(par_sec), _build_env(env_sec))
+                                     for env_sec, par_sec in sections)
         header = [f"axis_{n}" for n in names] + ANALYZE_COLUMNS
+        rows = [list(values) + _analyze_csv_row(payload)
+                for values, payload in zip(grid, payloads)]
     else:
         def eval_point(values):
             env_sec, par_sec = _apply_point(sc["env"], dict(), names, values)
@@ -381,8 +363,7 @@ def cmd_sweep(args) -> int:
             return list(values) + _solve_csv_row(spec, _solve_payload(spec, solve(spec)))
 
         header = [f"axis_{n}" for n in names] + SOLVE_COLUMNS
-
-    rows = [eval_point(values) for values in itertools.product(*grids)]
+        rows = [eval_point(values) for values in grid]
     _emit_text(_csv_text(header, rows), args.out or sc["output"].get("path"))
     return 0
 
@@ -420,7 +401,8 @@ def cmd_simulate(args) -> int:
     if config.protocol_flavor == SOCIAL_NORM and (config.strategic or args.compare_analytic):
         # a strategic run checks the protocol itself; here the mix is admitted
         fn = stationary_for_regime if args.compare_analytic else check_regime
-        dist = _analytic(fn, params, config.analytic_env(), "sim.population_mix")
+        dist = _built("sim.population_mix", lambda: fn(params, config.analytic_env()),
+                      ValueError)
     trace = run_tft(config) if config.protocol_flavor == TFT else run_sim(config)
     payload = trace.to_json_dict()
     header = list(SIM_SUMMARY_COLUMNS)
@@ -476,17 +458,20 @@ def cmd_compare(args) -> int:
         config = _build_sim(sim_sec, params, env)
         weights = config.kind_counts()
         total = sum(weights.values())
-        if flavor == TFT:
-            sustained = tft_sustainable(env, params.b, weights[PeerKind.ALTRUISTIC] / total)
-        else:
-            mix_env = config.analytic_env()
-            sustained = _analytic(check_equilibrium, params, mix_env,
-                                  "sim.population_mix").is_equilibrium
+        mix_env = config.analytic_env()
+        if flavor == SOCIAL_NORM:
+            _built("sim.population_mix", lambda: check_regime(params, mix_env), ValueError)
             if args.optimize_social:
                 best = solve_osne(DesignSpec("OSNE", params.L, b_cap=params.b, env=mix_env))
                 if best.feasible:  # the winner passed its check at mix_env
-                    config, sustained = config.replace(params=best.params), True
+                    config = config.replace(params=best.params)
         trace = run_tft(config) if flavor == TFT else run_sim(config)
+        if config.strategic:  # the run checked the protocol it simulated
+            sustained = not trace.collapsed
+        elif flavor == TFT:
+            sustained = tft_sustainable(env, params.b, mix_env.p_c)
+        else:
+            sustained = check_equilibrium(config.params, mix_env).is_equilibrium
         s = trace.summary()
         per_kind = s["final_window_mean_utility"]
         strategic = trace.strategic_kind()
@@ -523,58 +508,41 @@ def build_parser() -> argparse.ArgumentParser:
         description="reputation-protocol design and simulation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="stationary profile, utilities, and verdict")
-    _add_common(p)
-    p.set_defaults(fn=cmd_analyze)
+    def command(name, fn, help_text, design=False, run_mix=None, sweep=False):
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p)
+        if design:
+            p.add_argument("--problem", choices=("OSNE", "OSNE_VP", "OSNE_VPS", "OSNE_AH"))
+            p.add_argument("--b-cap", dest="b_cap", type=int)
+            p.add_argument("--beta-grid", dest="beta_grid", type=float)
+            p.add_argument("--p-c-grid", dest="p_c_grid", type=float)
+        if run_mix:
+            p.add_argument("--n-peers", dest="n_peers", type=int)
+            p.add_argument("--n-periods", dest="n_periods", type=int)
+            p.add_argument("--seed", dest="seed", type=int)
+            p.add_argument("--mix", help=f"population mix, e.g. {run_mix}")
+            p.add_argument("--strategic", dest="strategic", action="store_true", default=None)
+        if sweep:
+            p.add_argument("--sweep", action="append", help="axis as param:min:max:step")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("check", help="incentive slacks and equilibrium verdict")
-    _add_common(p)
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("solve", help="solve a protocol design problem")
-    _add_common(p)
-    p.add_argument("--problem", choices=("OSNE", "OSNE_VP", "OSNE_VPS", "OSNE_AH"))
-    p.add_argument("--b-cap", dest="b_cap", type=int)
-    p.add_argument("--beta-grid", dest="beta_grid", type=float)
-    p.add_argument("--p-c-grid", dest="p_c_grid", type=float)
-    p.set_defaults(fn=cmd_solve)
-
-    p = sub.add_parser("sweep", help="grid of analyze or solve rows as CSV")
-    _add_common(p)
-    p.add_argument("--problem", choices=("OSNE", "OSNE_VP", "OSNE_VPS", "OSNE_AH"))
-    p.add_argument("--b-cap", dest="b_cap", type=int)
-    p.add_argument("--beta-grid", dest="beta_grid", type=float)
-    p.add_argument("--p-c-grid", dest="p_c_grid", type=float)
-    p.add_argument("--sweep", action="append", help="axis as param:min:max:step")
-    p.set_defaults(fn=cmd_sweep)
-
-    p = sub.add_parser("simulate", help="run one seeded agent-based simulation")
-    _add_common(p)
-    p.add_argument("--n-peers", dest="n_peers", type=int)
-    p.add_argument("--n-periods", dest="n_periods", type=int)
-    p.add_argument("--seed", dest="seed", type=int)
+    command("analyze", cmd_analyze, "stationary profile, utilities, and verdict")
+    command("check", cmd_check, "incentive slacks and equilibrium verdict")
+    command("solve", cmd_solve, "solve a protocol design problem", design=True)
+    command("sweep", cmd_sweep, "grid of analyze or solve rows as CSV", design=True, sweep=True)
+    p = command("simulate", cmd_simulate, "run one seeded agent-based simulation",
+                run_mix="reciprocative=0.9,altruistic=0.1")
     p.add_argument("--flavor", choices=(SOCIAL_NORM, TFT))
-    p.add_argument("--mix", help="population mix, e.g. reciprocative=0.9,altruistic=0.1")
-    p.add_argument("--strategic", dest="strategic", action="store_true", default=None)
     p.add_argument("--compare-analytic", action="store_true",
                    help="append the sup-norm gap to the simulated population's analytic profile")
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("compare", help="social norm vs tit-for-tat along one axis")
-    _add_common(p)
-    p.add_argument("--n-peers", dest="n_peers", type=int)
-    p.add_argument("--n-periods", dest="n_periods", type=int)
-    p.add_argument("--seed", dest="seed", type=int)
-    p.add_argument("--mix", help="population mix, e.g. reciprocative=0.7,altruistic=0.3")
-    p.add_argument("--strategic", dest="strategic", action="store_true", default=None)
+    p = command("compare", cmd_compare, "social norm vs tit-for-tat along one axis",
+                run_mix="reciprocative=0.7,altruistic=0.3", sweep=True)
     p.add_argument("--flavors", help="comma-separated flavors (default both)")
-    p.add_argument("--sweep", action="append", help="axis as param:min:max:step")
     p.add_argument("--optimize-social", action="store_true",
                    help="solve OSNE per grid point for the social norm at the simulated "
                         "mix, with --b as the connection cap; keeps the configured "
                         "protocol where nothing is sustainable")
-    p.set_defaults(fn=cmd_compare)
-
     return parser
 
 

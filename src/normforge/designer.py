@@ -1,11 +1,11 @@
 """Optimal protocol design: pick the utility-maximizing sustainable protocol.
 
 Each of the four nested problems only generates candidates; one search loop
-scores them with `check_equilibrium` (verdict, slack and social utility from
-one stationary solve) and keeps the best sustainable one.  OSNE checks every
-(h_o, b), OSNE_AH does so at each altruist fraction up to one half, and
-OSNE_VP / OSNE_VPS push forgiveness to each cell's feasibility boundary.  The
-discrete axes stay exhaustive, so every problem matches brute force.
+keeps the best sustainable one.  `check_equilibria` scores a block of
+candidates per call: all (h_o, b) cells for OSNE and for each altruist
+fraction of OSNE_AH, a threshold vector's beta column for every b in
+OSNE_VPS, and one halving of every cell's forgiveness bisection in OSNE_VP.
+The discrete axes stay exhaustive, so every problem matches brute force.
 
 Ties in utility break deterministically: smallest activity threshold, then
 most connections, then most forgiveness, then the lexicographically smallest
@@ -18,8 +18,11 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .incentives import check_equilibrium, collapsed_social_utility, max_forgiveness
-from .model import NetworkEnv, ProtocolParams
+import numpy as np
+
+from .incentives import (blocks, check_equilibria, check_equilibrium, collapsed_social_utility,
+                         max_forgiveness)
+from .model import NetworkEnv, Points, ProtocolParams
 from .stationary import check_regime
 
 PROBLEMS = ("OSNE", "OSNE_VP", "OSNE_VPS", "OSNE_AH")
@@ -114,41 +117,43 @@ def _search(cells, refine=None) -> DesignResult:
 
 def solve(spec: DesignSpec) -> DesignResult:
     """Dispatch to the solver matching spec.problem."""
-    return {
-        "OSNE": solve_osne,
-        "OSNE_VP": solve_osne_vp,
-        "OSNE_VPS": solve_osne_vps,
-        "OSNE_AH": solve_osne_ah,
-    }[spec.problem](spec)
+    return {"OSNE": solve_osne, "OSNE_VP": solve_osne_vp, "OSNE_VPS": solve_osne_vps,
+            "OSNE_AH": solve_osne_ah}[spec.problem](spec)
 
 
-def _osne_cells(spec: DesignSpec, env: NetworkEnv, p_c=None):
-    for h_o in range(1, spec.L + 1):
-        for b in range(1, spec.b_cap + 1):
-            params = ProtocolParams(L=spec.L, h_o=h_o, b=b)
-            rep = check_equilibrium(params, env)
-            yield ((h_o, b) if p_c is None else (h_o, b, p_c), params, rep.serve_slack,
-                   rep.social_utility if rep.is_equilibrium else None, p_c)
+def _osne_grid(spec: DesignSpec) -> list:
+    return [ProtocolParams(L=spec.L, h_o=h_o, b=b)
+            for h_o in range(1, spec.L + 1) for b in range(1, spec.b_cap + 1)]
+
+
+def _osne_cells(grid: list, env: NetworkEnv, p_c=None):
+    for block in blocks(grid, grid[0].L):
+        rep = check_equilibria(Points.of(block, env))
+        scored = zip(rep.serve_slack.tolist(), rep.social_utility.tolist(), rep.is_equilibrium)
+        for params, (slack, u, ok) in zip(block, scored):
+            yield ((params.h_o, params.b) if p_c is None else (params.h_o, params.b, p_c),
+                   params, slack, u if ok else None, p_c)
 
 
 def solve_osne(spec: DesignSpec) -> DesignResult:
     """Best (h_o, b) under harsh punishment and uniform thresholds, by
     checking every pair in the env's population regime."""
-    return _search(_osne_cells(spec, spec.env))
+    return _search(_osne_cells(_osne_grid(spec), spec.env))
 
 
-def _beta_grid_floor(beta_max: float, grid: float, params: ProtocolParams,
-                     env: NetworkEnv):
-    """Largest grid multiple at or below beta_max that still passes the check
-    (guards the float boundary of the bisection), with its report.  beta = 0
-    passes whenever max_forgiveness found a boundary."""
-    beta = min(1.0, int(beta_max / grid + 1e-12) * grid)
-    while True:
-        cand = params.replace(beta=beta)
-        rep = check_equilibrium(cand, env)
-        if rep.is_equilibrium or beta == 0.0:
-            return cand, rep
-        beta = max(0.0, beta - grid)
+def _beta_grid_floor(beta_max: np.ndarray, grid: float, points: Points):
+    """Each point's largest grid multiple at or below beta_max that passes
+    (guards the float boundary of the bisection), with its slack and utility.
+    beta = 0 passes whenever max_forgiveness found a boundary."""
+    beta = np.minimum(1.0, np.trunc(beta_max / grid + 1e-12) * grid)
+    todo, slack, utility = np.arange(len(beta)), np.empty(len(beta)), np.empty(len(beta))
+    while len(todo):
+        rep = check_equilibria(points.take(todo).replace(beta=beta[todo, None]))
+        done = rep.is_equilibrium | (beta[todo] == 0.0)
+        slack[todo[done]], utility[todo[done]] = rep.serve_slack[done], rep.social_utility[done]
+        todo = todo[~done]
+        beta[todo] = np.maximum(0.0, beta[todo] - grid)
+    return beta.tolist(), slack.tolist(), utility.tolist()
 
 
 def solve_osne_vp(spec: DesignSpec) -> DesignResult:
@@ -157,21 +162,25 @@ def solve_osne_vp(spec: DesignSpec) -> DesignResult:
     Social utility rises with beta while the slack falls, so for each (h_o, b)
     the best forgiveness is the largest feasible one.  Candidates compete at
     beta_grid resolution; the winner's beta is then raised to the bisected
-    boundary.
+    boundary.  The cells bisect, and step down to the grid, in lockstep.
     """
     env = spec.env
     boundary = {}
 
     def cells():
-        for h_o in range(1, spec.L + 1):
-            for b in range(1, spec.b_cap + 1):
-                base = ProtocolParams(L=spec.L, h_o=h_o, b=b)
-                beta_max = boundary[h_o, b] = max_forgiveness(base, env)
-                if beta_max is None:
-                    yield (h_o, b, None), base, None, None, None
+        for block in blocks(_osne_grid(spec), spec.L, 2):
+            points = Points.of(block, env)
+            beta_max = max_forgiveness(points)
+            found = np.flatnonzero([b is not None for b in beta_max])
+            floors = zip(*_beta_grid_floor(beta_max[found].astype(float), spec.beta_grid,
+                                           points.take(found)))
+            for base, b_max in zip(block, beta_max):
+                boundary[base.h_o, base.b] = b_max
+                if b_max is None:
+                    yield (base.h_o, base.b, None), base, None, None, None
                     continue
-                params, rep = _beta_grid_floor(beta_max, spec.beta_grid, base, env)
-                yield (h_o, b, params.beta), params, rep.serve_slack, rep.social_utility, None
+                beta, slack, u = next(floors)
+                yield (base.h_o, base.b, beta), base.replace(beta=beta), slack, u, None
 
     def refine(params, u):
         refined = params.replace(beta=boundary[params.h_o, params.b])
@@ -186,35 +195,36 @@ def solve_osne_vps(spec: DesignSpec) -> DesignResult:
     Raising a server's client threshold lightens its upload load and deepens
     the punishment (a punished peer re-enters through costly rungs), so
     non-uniform vectors trade a sliver of utility for feasibility headroom.
-    The search covers every non-decreasing vector over 1..L (the ladder is
-    short, L <= 6).  Utility depends on m_o only through the lowest threshold
-    m_o(h_o), so ties are common and break toward the lexicographically
-    smallest vector (the most uniform one).
+    Every b's beta column is checked for each of the C(2L, L) - 1 vectors
+    (923 at L = 6, 3,431 at L = 7), so L stays <= 6.  Utility depends on m_o
+    only through m_o(h_o); ties break toward the smallest vector.
     """
     if spec.L > 6:
         raise ValueError("threshold-vector search enumerates m_o; keep L <= 6")
     env = spec.env
-    n_beta = int(round(1.0 / spec.beta_grid))
+    # top-down grid scan: under non-uniform thresholds the forgiveness-
+    # feasible set need not be an interval (a vector can fail harsh
+    # punishment yet pass at interior beta), so bisection could miss it
+    betas = np.minimum(1.0, np.arange(int(round(1.0 / spec.beta_grid)), -1, -1) * spec.beta_grid)
 
     def cells():
-        for h_o in range(1, spec.L + 1):
-            for m_o in itertools.combinations_with_replacement(range(1, spec.L + 1),
-                                                             spec.L - h_o + 1):
-                for b in range(1, spec.b_cap + 1):
-                    base = ProtocolParams(L=spec.L, h_o=h_o, b=b, m_o=m_o)
-                    # top-down grid scan: under non-uniform thresholds the
-                    # forgiveness-feasible set need not be an interval (a
-                    # vector can fail harsh punishment yet pass at interior
-                    # beta), so bisection from beta = 0 would miss candidates
-                    for k in range(n_beta, -1, -1):
-                        params = base.replace(beta=min(1.0, k * spec.beta_grid))
-                        rep = check_equilibrium(params, env)
-                        if rep.is_equilibrium:
-                            yield ((h_o, b, m_o, params.beta), params, rep.serve_slack,
-                                   rep.social_utility, None)
-                            break
-                    else:
-                        yield (h_o, b, m_o, None), base, None, None, None
+        vectors = ((h_o, m_o) for h_o in range(1, spec.L + 1) for m_o in
+                   itertools.combinations_with_replacement(range(1, spec.L + 1), spec.L - h_o + 1))
+        for h_o, m_o in vectors:
+            bases = [ProtocolParams(L=spec.L, h_o=h_o, b=b, m_o=m_o)
+                     for b in range(1, spec.b_cap + 1)]
+            for block in blocks(bases, spec.L, len(betas)):
+                column = Points.of(block, env).take(np.repeat(np.arange(len(block)), len(betas)))
+                rep = check_equilibria(column.replace(beta=np.tile(betas, len(block))[:, None]))
+                first = rep.is_equilibrium.reshape(len(block), -1).argmax(axis=1)
+                for j, (base, k) in enumerate(zip(block, first)):
+                    i = j * len(betas) + k
+                    if not rep.is_equilibrium[i]:
+                        yield (h_o, base.b, m_o, None), base, None, None, None
+                        continue
+                    params = base.replace(beta=float(betas[k]))
+                    yield ((h_o, base.b, m_o, params.beta), params,
+                           float(rep.serve_slack[i]), float(rep.social_utility[i]), None)
 
     return _search(cells(), lambda params, u: _refine_beta_within_cell(
         params, u, env, spec.beta_grid))
@@ -253,12 +263,13 @@ def solve_osne_ah(spec: DesignSpec) -> DesignResult:
     """
     env = spec.env
     n_steps = int(round(1.0 / spec.pC_grid))
+    grid = _osne_grid(spec)
 
     def cells():
         for i in range(n_steps + 1):
             p_c = min(1.0, i * spec.pC_grid)
             if p_c <= 0.5:
-                yield from _osne_cells(spec, env.replace(p_c=p_c), p_c)
+                yield from _osne_cells(grid, env.replace(p_c=p_c), p_c)
             else:
                 params = ProtocolParams(L=spec.L, h_o=1, b=spec.b_cap)
                 yield ((1, spec.b_cap, p_c), params, None,

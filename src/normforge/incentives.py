@@ -9,9 +9,10 @@ c.  This module computes one-period and discounted utilities in every
 population regime, evaluates the two constraint families, and solves the
 existence thresholds (minimum activity threshold, maximum connections,
 cost-ratio and discount boundaries, maximum forgiveness, maximum altruist
-fraction) by closed form or bisection on proved monotonicities.
-`check_equilibrium` is the one analytic evaluation of a protocol point, and
-`stationary.check_regime` alone decides which populations it can model.
+fraction) by closed form or bisection on proved monotonicities.  Like the
+stationary layer, it answers one point (params, env) or a `Points` batch.
+`check_equilibria` is the one analytic evaluation: it checks a batch in one
+pass, and `check_equilibrium` is its batch of one.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import NetworkEnv, ProtocolParams, error_punish_prob, forgiveness_prob
+from .model import NetworkEnv, Points, ProtocolParams, batched, error_punish_prob, point_of
 from .stationary import (
     ReputationDistribution,
     check_regime,
@@ -34,6 +35,8 @@ BISECT_TOL_BETA = 1e-8
 BISECT_TOL_DELTA = 1e-10
 BISECT_TOL_PC = 1e-6
 SCAN_STEP_PC = 0.01
+# kernel entries per evaluator call: a wider grid costs calls, not memory
+BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass
@@ -64,8 +67,8 @@ class IncentiveReport:
     utilities: UtilityProfile
 
 
-def upload_cost_profile(params: ProtocolParams, env: NetworkEnv,
-                        dist: ReputationDistribution) -> np.ndarray:
+@batched
+def upload_cost_profile(points: Points, dist: ReputationDistribution) -> np.ndarray:
     """Expected per-period upload cost by server reputation under variable
     client thresholds.
 
@@ -76,25 +79,16 @@ def upload_cost_profile(params: ProtocolParams, env: NetworkEnv,
     client class's demand.  With uniform thresholds this reduces to lam*b*c
     for every active server.
     """
-    L, h_o = params.L, params.h_o
     eta = dist.eta
-    rate = env.lam * params.b
-    elig = params.client_eligibility
-    willing_mass = np.zeros(L + 1)  # indexed by client reputation
-    for t in range(elig, L + 1):
-        willing_mass[t] = sum(eta[s] for s in range(h_o, L + 1) if params.m_o_at(s) <= t)
-    q = np.zeros(L + 1)
-    for s in range(h_o, L + 1):
-        load = 0.0
-        for t in range(max(elig, params.m_o_at(s)), L + 1):
-            if willing_mass[t] > 0.0:
-                load += rate * eta[t] / willing_mass[t]
-        q[s] = env.c * load
-    return q
+    # willing[i, s, t]: at point i a server at rung s takes clients at rung t
+    willing = (points.m_o[:, :, None] <= points.rung).astype(float)
+    mass = np.einsum("is,ist->it", eta, willing)
+    share = np.divide(eta, mass, out=np.zeros_like(eta), where=mass > 0.0)
+    return points.c * (points.lam * points.b) * np.einsum("ist,it->is", willing, share)
 
 
-def one_period_utilities(params: ProtocolParams, env: NetworkEnv,
-                         dist: ReputationDistribution) -> np.ndarray:
+@batched
+def one_period_utilities(points: Points, dist: ReputationDistribution) -> np.ndarray:
     """Expected one-period utility by reputation for a compliant
     reciprocative peer, in the regime implied by (params, env).
 
@@ -105,107 +99,87 @@ def one_period_utilities(params: ProtocolParams, env: NetworkEnv,
     requires service eligibility and the upload cost follows the matching
     model in upload_cost_profile.
     """
-    check_regime(params, env)
-    L, h_o = params.L, params.h_o
-    rate = env.lam * params.b
-    gross = (1.0 - env.eps) * env.r
-    v = np.zeros(L + 1)
-
-    if env.p_d > 0.0:
-        share = (dist.mu - env.p_d / (h_o + 1)) / (dist.mu + h_o * env.p_d / (h_o + 1))
-        v[h_o:] = rate * share * (gross - env.c)
-        return v
-
-    if env.p_c > 0.0:
-        p_c, mu_c = env.p_c, dist.mu
-        v[h_o:] = rate * gross - rate * ((mu_c - p_c) / mu_c) * env.c
-        if p_c <= 0.5:
-            v[:h_o] = rate * (1.0 - env.eps) * fed_while_punished(p_c) * env.r
-        else:
-            v[:h_o] = rate * gross
-        return v
-
-    if params.uniform_thresholds:
-        v[h_o:] = rate * (gross - env.c)
-        return v
-
-    q = upload_cost_profile(params, env, dist)
-    elig = params.client_eligibility
-    for t in range(L + 1):
-        benefit = rate * gross if t >= elig else 0.0
-        v[t] = benefit - q[t]
+    check_regime(points)
+    act, h_o, p_c, p_d = points.active, points.h_o, points.p_c, points.p_d
+    rate, gross = points.lam * points.b, (1.0 - points.eps) * points.r
+    v, mu = np.where(act, rate * (gross - points.c), 0.0), dist.mu[:, None]
+    if (p_d > 0.0).any():
+        share = (mu - p_d / (h_o + 1)) / (mu + h_o * p_d / (h_o + 1))
+        v = np.where(p_d > 0.0, np.where(act, rate * share * (gross - points.c), 0.0), v)
+    if (p_c > 0.0).any():
+        punished = np.where(p_c <= 0.5, rate * (1.0 - points.eps) * fed_while_punished(p_c)
+                            * points.r, rate * gross)
+        v = np.where(p_c > 0.0, np.where(act, rate * gross - rate * ((mu - p_c) / mu)
+                                         * points.c, punished), v)
+    if not points.uniform.all():
+        benefit = np.where(points.rung >= points.eligibility, rate * gross, 0.0)
+        v = np.where(points.uniform, v, benefit - upload_cost_profile(points, dist))
     return v
 
 
-def overall_utilities(params: ProtocolParams, env: NetworkEnv,
-                      dist: ReputationDistribution = None) -> UtilityProfile:
+@batched
+def overall_utilities(points: Points, dist: ReputationDistribution = None) -> UtilityProfile:
     """Discounted overall utilities by solving the compliance recursion.
 
     v_inf = v_one + delta * P @ v_inf with P the compliant reputation kernel;
     delta < 1 keeps (I - delta * P) nonsingular, so one dense solve suffices.
     """
     if dist is None:
-        dist = stationary_for_regime(params, env)
-    v_one = one_period_utilities(params, env, dist)
-    P = transition_matrix(params, env)
-    n = params.L + 1
-    v_inf = np.linalg.solve(np.eye(n) - env.delta * P, v_one)
+        dist = stationary_for_regime(points)
+    v_one = one_period_utilities(points, dist)
+    A = np.eye(points.L + 1) - points.delta[:, :, None] * transition_matrix(points)
+    v_inf = np.linalg.solve(A, v_one[:, :, None])[:, :, 0]
     return UtilityProfile(v_one=v_one, v_inf=v_inf)
 
 
-def social_utility(params: ProtocolParams, env: NetworkEnv,
-                   dist: ReputationDistribution) -> float:
+@batched
+def social_utility(points: Points, dist: ReputationDistribution,
+                   v_one: np.ndarray = None) -> np.ndarray:
     """Average per-period utility across the whole population.
 
-    The malicious regime averages the compliant one-period utilities over the
-    stationary profile.  An all-reciprocative population gets the active
-    peers' benefit minus the cost of serving every eligible client
-    (lam*b*mu*[(1-eps)*r - c] under uniform thresholds).  The altruistic
-    regime accounts for altruists' upload costs with a two-branch formula
-    split at p_c = 0.5, above which reciprocative demand alone caps the
-    exchanged volume.
+    The malicious regime averages the compliant one-period utilities v_one
+    (computed unless given) over the stationary profile.  An
+    all-reciprocative population gets the active peers' benefit minus the
+    cost of serving every eligible client (lam*b*mu*[(1-eps)*r - c] under
+    uniform thresholds).  The altruistic regime accounts for altruists'
+    upload costs with a two-branch formula split at p_c = 0.5, above which
+    reciprocative demand alone caps the exchanged volume.
     """
-    return _population_average(params, env, dist, one_period_utilities(params, env, dist))
-
-
-def _population_average(params: ProtocolParams, env: NetworkEnv,
-                        dist: ReputationDistribution, v_one: np.ndarray) -> float:
-    """social_utility given the compliant one-period utilities v_one."""
-    rate = env.lam * params.b
-    if env.p_c > 0.0:
-        p_c, mu_c = env.p_c, dist.mu
-        if p_c > 0.5:
-            return collapsed_social_utility(env, params.b, p_c)
-        fed = fed_while_punished(p_c)
-        benefit = rate * (1.0 - env.eps) * (fed * (1.0 - mu_c) + (mu_c - p_c)) * env.r
-        cost = rate * ((mu_c - p_c) ** 2 / mu_c - p_c) * env.c
-        return benefit - cost
-    if env.p_d > 0.0:
-        return float(np.dot(dist.eta, v_one))
+    rate, eta, t, p_c = points.lam * points.b, dist.eta, points.rung, points.p_c
     # every eligible client's requests land on some active server: summing
     # the cost that way, vectors sharing m_o(h_o) tie exactly, not by rounding
-    eta, elig = dist.eta, params.client_eligibility
-    gross = (1.0 - env.eps) * env.r
-    return rate * (gross * float(eta[max(params.h_o, elig):].sum())
-                   - env.c * float(eta[elig:].sum()))
+    elig = points.eligibility
+    served = (eta * (t >= np.maximum(points.h_o, elig))).sum(axis=1, keepdims=True)
+    asking = (eta * (t >= elig)).sum(axis=1, keepdims=True)
+    u = rate * ((1.0 - points.eps) * points.r * served - points.c * asking)
+    if (points.p_d > 0.0).any():
+        v_one = one_period_utilities(points, dist) if v_one is None else v_one
+        u = np.where(points.p_d > 0.0, (eta * v_one).sum(axis=1, keepdims=True), u)
+    if (p_c > 0.0).any():
+        mu = dist.mu[:, None]
+        benefit = (rate * (1.0 - points.eps) * (fed_while_punished(p_c) * (1.0 - mu)
+                                                + (mu - p_c)) * points.r)
+        cost = rate * ((mu - p_c) ** 2 / mu - p_c) * points.c
+        u = np.where(p_c > 0.5, collapsed_social_utility(points, points.b, p_c),
+                     np.where(p_c > 0.0, benefit - cost, u))
+    return u[:, 0]
 
 
-def fed_while_punished(p_c: float) -> float:
+def fed_while_punished(p_c):
     """Share of its requests a punished reciprocative peer still gets served:
     altruist supply p_c over reciprocative demand 1 - p_c, capped at 1."""
-    return min(1.0, p_c / (1.0 - p_c)) if p_c < 1.0 else 1.0
+    return np.minimum(1.0, p_c / np.maximum(1.0 - p_c, p_c))
 
 
 def collapsed_social_utility(env: NetworkEnv, b: int, p_c: float) -> float:
     """Average utility when reciprocative peers free-ride and only altruists
     serve: the exchanged volume is capped by whichever side is scarcer,
     altruist supply (p_c) or reciprocative demand (1 - p_c)."""
-    return env.lam * b * min(p_c, 1.0 - p_c) * ((1.0 - env.eps) * env.r - env.c)
+    return env.lam * b * np.minimum(p_c, 1.0 - p_c) * ((1.0 - env.eps) * env.r - env.c)
 
 
-def _deviation_slacks(params: ProtocolParams, env: NetworkEnv,
-                      v_inf: np.ndarray) -> np.ndarray:
-    """Per-reputation one-shot-deviation slacks.
+def _deviation_slacks(points: Points, v_inf: np.ndarray) -> np.ndarray:
+    """Per-reputation one-shot-deviation slacks, one row per point.
 
     For active t the deviation is refusing all prescribed uploads: it saves
     lam*b*c this period (once punishment is certain the peer refuses every
@@ -214,20 +188,35 @@ def _deviation_slacks(params: ProtocolParams, env: NetworkEnv,
     deviation is serving someone, an instant loss of c followed by the same
     deviation lottery.  Slack >= 0 for every t means no deviation profits.
     """
-    L, h_o = params.L, params.h_o
-    alpha = error_punish_prob(env, params.b)
-    delta = env.delta
-    rate_cost = env.lam * params.b * env.c
-    slacks = np.empty(L + 1)
-    for t in range(L + 1):
-        keep = forgiveness_prob(params, t)
-        up = v_inf[min(L, t + 1)]
-        future_gap = delta * (1.0 - alpha) * (up - keep * v_inf[t] - (1.0 - keep) * v_inf[0])
-        if t >= h_o:
-            slacks[t] = future_gap - rate_cost
-        else:
-            slacks[t] = future_gap + env.c
-    return slacks
+    t, keep = points.rung, points.keep
+    up = v_inf[:, np.minimum(points.L, t + 1)]
+    future_gap = points.delta * (1.0 - points.alpha) * (
+        up - keep * v_inf - (1.0 - keep) * v_inf[:, :1])
+    return np.where(points.active, future_gap - points.lam * points.b * points.c,
+                    future_gap + points.c)
+
+
+def check_equilibria(points: Points) -> IncentiveReport:
+    """check_equilibrium for every point of a batch, a row per point."""
+    dist = stationary_for_regime(points)
+    utilities = overall_utilities(points, dist)
+    slacks = _deviation_slacks(points, utilities.v_inf)
+    return IncentiveReport(
+        serve_slack=np.where(points.active, slacks, np.inf).min(axis=1),
+        refuse_slack=np.where(points.active, np.inf, slacks).min(axis=1),
+        per_theta_slacks=slacks,
+        is_equilibrium=slacks.min(axis=1) >= -SLACK_TOL,
+        social_utility=social_utility(points, dist, utilities.v_one),
+        dist=dist,
+        utilities=utilities,
+    )
+
+
+def blocks(items: list, L: int, points_per_item: int = 1):
+    """Slices of items (points_per_item points each) for one evaluator call."""
+    size = max(1, BLOCK_ENTRIES // ((L + 1) ** 2 * points_per_item))
+    for i in range(0, len(items), size):
+        yield items[i:i + size]
 
 
 def check_equilibrium(params: ProtocolParams, env: NetworkEnv) -> IncentiveReport:
@@ -239,18 +228,7 @@ def check_equilibrium(params: ProtocolParams, env: NetworkEnv) -> IncentiveRepor
     and the stationary profile and utilities all of these were computed on.
     Raises ValueError when check_regime cannot model (params, env).
     """
-    dist = stationary_for_regime(params, env)
-    utilities = overall_utilities(params, env, dist)
-    slacks = _deviation_slacks(params, env, utilities.v_inf)
-    return IncentiveReport(
-        serve_slack=float(slacks[params.h_o:].min()),
-        refuse_slack=float(slacks[:params.h_o].min()),
-        per_theta_slacks=slacks,
-        is_equilibrium=bool(slacks.min() >= -SLACK_TOL),
-        social_utility=_population_average(params, env, dist, utilities.v_one),
-        dist=dist,
-        utilities=utilities,
-    )
+    return point_of(check_equilibria(Points.of([params], env)), 0)
 
 
 def _require_baseline(env: NetworkEnv, what: str) -> None:
@@ -258,14 +236,14 @@ def _require_baseline(env: NetworkEnv, what: str) -> None:
         raise ValueError(f"{what} assumes an all-reciprocative population (p_c = p_d = 0)")
 
 
-def _bisect(ok, lo: float, hi: float, tol: float):
-    """Halve [lo, hi] to width tol, keeping ok(lo) and not ok(hi)."""
-    while hi - lo > tol:
+def _bisect(ok, lo, hi, tol: float):
+    """Halve [lo, hi] to width tol, keeping ok(lo) and not ok(hi); arrays of
+    brackets halve in lockstep."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    while np.any(live := hi - lo > tol):
         mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
+        good = ok(mid)
+        lo, hi = np.where(live & good, mid, lo), np.where(live & ~good, mid, hi)
     return lo, hi
 
 
@@ -391,25 +369,29 @@ def existence_discount_threshold(env: NetworkEnv, L: int) -> Optional[float]:
     if (1.0 - eps) * L * net / (1.0 + eps * L) <= c:
         return None
     lo, hi = _bisect(lambda d: g(d) < 0.0, 0.0, 1.0 - 1e-15, BISECT_TOL_DELTA)
-    return 0.5 * (lo + hi)
+    return float(0.5 * (lo + hi))
 
 
-def max_forgiveness(params: ProtocolParams, env: NetworkEnv) -> Optional[float]:
+@batched
+def max_forgiveness(points: Points) -> np.ndarray:
     """Largest forgiveness base beta keeping the protocol sustainable.
 
     Forgiveness weakens the punishment threat, so the per-reputation slacks
     fall as beta rises and the feasible set is an interval [0, beta_max].
     Returns None when even beta = 0 fails and 1.0 when beta = 1 still passes;
-    otherwise bisects the boundary to 1e-8 after validating the bracket.
+    otherwise bisects the boundary to 1e-8 after validating the bracket.  A
+    batch gets an object array; its bisections share one call per halving.
     """
-    def passes(beta: float) -> bool:
-        return check_equilibrium(params.replace(beta=beta), env).is_equilibrium
-
-    if not passes(0.0):
-        return None
-    if passes(1.0):
-        return 1.0
-    return _bisect(passes, 0.0, 1.0, BISECT_TOL_BETA)[0]
+    n = len(points)
+    ends = check_equilibria(points.take(np.tile(np.arange(n), 2)).replace(
+        beta=np.repeat([[0.0], [1.0]], n, axis=0))).is_equilibrium
+    beta = np.where(ends[:n], 1.0, np.nan)
+    inner = np.flatnonzero(ends[:n] & ~ends[n:])
+    sub = points.take(inner)
+    beta[inner] = _bisect(lambda mid: check_equilibria(sub.replace(beta=mid[:, None]))
+                          .is_equilibrium, np.zeros(len(inner)), np.ones(len(inner)),
+                          BISECT_TOL_BETA)[0]
+    return np.array([None if np.isnan(b) else b for b in beta.tolist()], dtype=object)
 
 
 def max_altruist_fraction(params: ProtocolParams, env: NetworkEnv) -> float:
@@ -440,4 +422,4 @@ def max_altruist_fraction(params: ProtocolParams, env: NetworkEnv) -> float:
             hi = p
             break
         p += SCAN_STEP_PC
-    return _bisect(passes, lo, hi, BISECT_TOL_PC)[0]
+    return float(_bisect(passes, lo, hi, BISECT_TOL_PC)[0])

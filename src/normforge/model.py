@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class Action(enum.Enum):
@@ -160,6 +163,78 @@ class ProtocolParams:
                 "m_o": list(self.m_o)}
 
 
+class Points:
+    """B protocol points sharing L: each ProtocolParams and NetworkEnv field as
+    a (B, 1) column broadcasting over the ladder `rung`; `m_o` as each server
+    rung's client threshold (L + 1, which no client reaches, below h_o)."""
+
+    FIELDS = ("h_o", "b", "beta", "r", "c", "eps", "lam", "delta", "p_c", "p_d")
+
+    def __init__(self, L: int, **cols):
+        self.L, self.cols, self.rung = L, cols, np.arange(L + 1)
+        self.__dict__.update(cols)
+        self.active = self.rung >= self.h_o
+
+    @classmethod
+    def of(cls, params, env) -> "Points":
+        """ProtocolParams sharing L, under one NetworkEnv or one env each."""
+        L, envs = params[0].L, [env] * len(params) if isinstance(env, NetworkEnv) else env
+        if any(p.L != L for p in params):
+            raise ValueError("the points of a batch share L")
+        table = np.array([(p.h_o, p.b, p.beta, e.r, e.c, e.eps, e.lam, e.delta, e.p_c, e.p_d)
+                          for p, e in zip(params, envs)], dtype=float)
+        return cls(L, m_o=np.array([[L + 1] * p.h_o + list(p.m_o) for p in params]),
+                   **{name: table[:, k:k + 1] for k, name in enumerate(cls.FIELDS)})
+
+    def __len__(self) -> int:
+        return len(self.h_o)
+
+    def take(self, rows) -> "Points":
+        return Points(self.L, **{k: v[rows] for k, v in self.cols.items()})
+
+    def replace(self, **cols) -> "Points":
+        return Points(self.L, **{**self.cols, **cols})
+
+    @functools.cached_property
+    def alpha(self) -> np.ndarray:
+        return error_punish_prob(self, self.b)
+
+    @functools.cached_property
+    def keep(self) -> np.ndarray:
+        return forgiveness_prob(self, self.rung)
+
+    @functools.cached_property
+    def eligibility(self) -> np.ndarray:
+        # m_o is non-decreasing and L + 1 below h_o: the row minimum is m_o(h_o)
+        return self.m_o.min(axis=1, keepdims=True)
+
+    @functools.cached_property
+    def uniform(self) -> np.ndarray:
+        return (self.eligibility == self.h_o) & (self.m_o[:, -1:] == self.h_o)
+
+
+def batched(fn):
+    """Let `fn(points, *args)`, which answers a Points batch row by row, also
+    take one point as `(params, env, *args)`, run as a batch of one."""
+    @functools.wraps(fn)
+    def call(params, *args):
+        if isinstance(params, Points):
+            return fn(params, *args)
+        rest = [type(a)(**{k: np.asarray(v)[None] for k, v in vars(a).items()})
+                if dataclasses.is_dataclass(a) else a for a in args[1:]]
+        return point_of(fn(Points.of([params], args[0]), *rest), 0)
+    return call
+
+
+def point_of(result, i: int):
+    """Point i of a batched answer: an array row (per-point numbers become
+    Python floats and bools), or a dataclass of such rows."""
+    if dataclasses.is_dataclass(result):
+        return type(result)(**{name: point_of(v, i) for name, v in vars(result).items()})
+    row = None if result is None else result[i]
+    return row.item() if isinstance(row, np.generic) else row
+
+
 def social_strategy(params: ProtocolParams, server_rep: int, client_rep: int) -> Action:
     """Prescribed action of a server toward a client, by reputations alone.
 
@@ -195,10 +270,10 @@ def reputation_update(params: ProtocolParams, rep: int, x: int, forgiven: int = 
     return 0
 
 
-def forgiveness_prob(params: ProtocolParams, rep):
+def forgiveness_prob(params, rep):
     """Chance beta**(L - rep + 1) that a punished peer keeps reputation `rep`.
-    An int `rep` takes Python's power, an array numpy's; they can differ in
-    the last bit, so each caller keeps the form it passes."""
+    `params` is a ProtocolParams or a Points batch (whose beta column makes
+    the answer one row per point); `rep` is an int or an array of rungs."""
     return params.beta ** (params.L - rep + 1)
 
 
@@ -209,6 +284,6 @@ def error_punish_prob(env: NetworkEnv, b: int) -> float:
     lam * b is the per-period upload volume; it need not be an integer here
     (the simulator discretizes to round(lam * b) requests per peer).
     """
-    if b < 1:
+    if np.min(b) < 1:
         raise ValueError(f"b must be >= 1, got {b}")
     return 1.0 - (1.0 - env.eps) ** (env.lam * b)

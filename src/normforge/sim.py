@@ -176,6 +176,7 @@ class SimTrace:
     final_reputation: np.ndarray     # (n_peers,)
     kinds: np.ndarray                # (n_peers,) kind codes
     truncation_bound: float
+    collapsed: bool = False
 
     def window_eta(self, last: int = None) -> np.ndarray:
         """Mean reputation histogram over the final `last` periods (default:
@@ -508,6 +509,7 @@ def _run(config: SimConfig) -> SimTrace:
         final_reputation=rep,
         kinds=kinds,
         truncation_bound=tail,
+        collapsed=collapsed,
     )
 
 

@@ -7,7 +7,8 @@ climb unconditionally.  No peer climbs more than one rung and every fall
 lands on 0, so the long-run distribution of that kernel is a running product
 of per-rung ratios (the harsh-punishment closed form is its beta = 0 case).
 This module computes that product directly (never by iteration), plus the
-mixtures induced by malicious and altruistic sub-populations.
+mixtures induced by malicious and altruistic sub-populations, for one point
+(params, env) or a `Points` batch (answers then gain a leading batch axis).
 `check_regime` alone decides which populations the analysis can model.
 """
 
@@ -17,11 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NetworkEnv, ProtocolParams, error_punish_prob, forgiveness_prob
+from .model import NetworkEnv, Points, ProtocolParams, batched, error_punish_prob
+
 
 @dataclass
 class ReputationDistribution:
-    """A population profile over reputations 0..L.
+    """A population profile over reputations 0..L (one row per batch point).
 
     eta    probability vector, eta[t] = fraction of peers at reputation t
     mu     mass at or above the activity threshold h_o
@@ -32,11 +34,9 @@ class ReputationDistribution:
     mu: float
     alpha: float
 
-    def __post_init__(self):
-        self.eta = np.asarray(self.eta, dtype=float)
 
-
-def transition_matrix(params: ProtocolParams, env: NetworkEnv) -> np.ndarray:
+@batched
+def transition_matrix(points: Points) -> np.ndarray:
     """Row-stochastic one-period reputation kernel for a compliant peer.
 
     Row t is the distribution of next-period reputation given reputation t:
@@ -44,29 +44,25 @@ def transition_matrix(params: ProtocolParams, env: NetworkEnv) -> np.ndarray:
       t >= h_o : climb to min(L, t+1) w.p. 1 - alpha; on an error event
                  (prob alpha) stay put w.p. beta**(L - t + 1), else drop to 0.
     """
-    L, h_o = params.L, params.h_o
-    alpha = error_punish_prob(env, params.b)
-    P = np.zeros((L + 1, L + 1))
-    for t in range(L + 1):
-        if t < h_o:
-            P[t, t + 1] = 1.0
-        else:
-            keep = forgiveness_prob(params, t)
-            P[t, min(L, t + 1)] += 1.0 - alpha
-            P[t, t] += alpha * keep
-            P[t, 0] += alpha * (1.0 - keep)
+    t, act, alpha, keep = points.rung, points.active, points.alpha, points.keep
+    P = np.zeros((len(points), points.L + 1, points.L + 1))
+    P[:, t, np.minimum(points.L, t + 1)] = np.where(act, 1.0 - alpha, 1.0)
+    P[:, t, t] += np.where(act, alpha * keep, 0.0)
+    P[:, t, 0] += np.where(act, alpha * (1.0 - keep), 0.0)
     return P
 
 
-def check_regime(params: ProtocolParams, env: NetworkEnv) -> None:
-    """Raise ValueError unless the analysis can model (params, env): one
+@batched
+def check_regime(points: Points) -> None:
+    """Raise ValueError unless the analysis can model every point: one
     non-reciprocative kind at a time, uniform client thresholds with either
     kind present, and harsh punishment (beta = 0) with malicious peers."""
-    if env.p_c > 0.0 and env.p_d > 0.0:
+    altruists, malicious = points.p_c > 0.0, points.p_d > 0.0
+    if (altruists & malicious).any():
         raise ValueError("analytic profiles handle one non-reciprocative kind at a time")
-    if (env.p_c > 0.0 or env.p_d > 0.0) and not params.uniform_thresholds:
+    if ((altruists | malicious) & ~points.uniform).any():
         raise ValueError("mixed populations are analyzed under uniform client thresholds")
-    if env.p_d > 0.0 and params.beta != 0.0:
+    if (malicious & (points.beta != 0.0)).any():
         raise ValueError("the malicious mixture is analyzed under harsh punishment (beta = 0)")
 
 
@@ -91,7 +87,8 @@ def stationary_closed_form(params: ProtocolParams, env: NetworkEnv) -> Reputatio
     return ReputationDistribution(eta=eta, mu=mu, alpha=alpha)
 
 
-def stationary_fixed_point(params: ProtocolParams, env: NetworkEnv) -> ReputationDistribution:
+@batched
+def stationary_fixed_point(points: Points) -> ReputationDistribution:
     """Stationary profile of the general (L, beta) scheme as a product over
     the reputation ladder.
 
@@ -99,73 +96,54 @@ def stationary_fixed_point(params: ProtocolParams, env: NetworkEnv) -> Reputatio
     every fall lands on 0.  Balance at t is then
     eta[t] * outflow(t) = eta[t-1] * climb(t-1), where outflow(t) is climb
     plus reset below the top and reset alone at L (a climb from L stays put).
-    Walking t = 1..L multiplies these ratios out of non-negative terms, so
-    the profile is accurate to rounding with no matrix, no tolerance and no
+    A running product of these non-negative ratios along the ladder gives
+    the profile accurate to rounding, with no matrix, no tolerance and no
     iteration.  A rung with zero outflow keeps every peer that reaches it
     (L when alpha = 0 or beta = 1, h_o when alpha = 1 and beta = 1), so the
     first one on the way up takes all the mass.
     """
-    L, h_o = params.L, params.h_o
-    alpha = error_punish_prob(env, params.b)
-    climb = [1.0] * h_o + [1.0 - alpha] * (L - h_o) + [0.0]  # climb[t] leaves rung t
-    w, weights = 1.0, [1.0]
-    for t in range(1, L + 1):
-        reset = alpha * (1.0 - forgiveness_prob(params, t)) if t >= h_o else 0.0
-        out = climb[t] + reset
-        if out == 0.0:
-            weights = [0.0] * t + [1.0]
-            break
-        w = w * climb[t - 1] / out
-        weights.append(w)
-    eta = np.zeros(L + 1)
-    eta[:len(weights)] = weights
-    eta /= eta.sum()
-    return ReputationDistribution(eta=eta, mu=float(eta[h_o:].sum()), alpha=alpha)
+    act, alpha = points.active, points.alpha
+    climb = np.where(act, 1.0 - alpha, 1.0)  # climb[:, t] leaves rung t
+    climb[:, -1] = 0.0
+    out = climb[:, 1:] + np.where(act, alpha * (1.0 - points.keep), 0.0)[:, 1:]
+    eta = np.ones_like(climb)
+    np.divide(climb[:, :-1], out, out=eta[:, 1:], where=out > 0.0)
+    eta = np.cumprod(eta, axis=1)
+    dead = out == 0.0
+    if dead.any():
+        sink = np.where(dead.any(axis=1), dead.argmax(axis=1) + 1, -1)[:, None]
+        eta = np.where(sink < 0, eta, points.rung == sink)
+    eta /= eta.sum(axis=1, keepdims=True)
+    return ReputationDistribution(eta=eta, mu=(eta * act).sum(axis=1), alpha=alpha[:, 0])
 
 
-def stationary_malicious(params: ProtocolParams, env: NetworkEnv) -> ReputationDistribution:
-    """Population profile with a malicious fraction p_d mixed in.
+@batched
+def stationary_for_regime(points: Points) -> ReputationDistribution:
+    """Stationary profile of the population mix, once check_regime admits it:
+    each malicious peer cycles uniformly through 0..h_o (it climbs while
+    inactive and is punished the moment it must upload), altruists sit at L."""
+    check_regime(points)
+    recip = stationary_fixed_point(points)
+    if not (points.p_c + points.p_d > 0.0).any():
+        return recip
+    cycle = np.where(points.rung <= points.h_o, 1.0 / (points.h_o + 1), 0.0)
+    eta = ((1.0 - points.p_c - points.p_d) * recip.eta + points.p_d * cycle
+           + points.p_c * (points.rung == points.L))
+    return ReputationDistribution(eta=eta, mu=(eta * points.active).sum(axis=1),
+                                  alpha=recip.alpha)
 
-    A malicious peer never delivers usable data, so it climbs while inactive
-    (refusing is what an inactive peer is supposed to do) and is punished the
-    moment it reaches the activity threshold: its reputation cycles
-    0 -> 1 -> ... -> h_o -> 0, i.e. uniform mass 1/(h_o+1) on 0..h_o.  The
-    reciprocative remainder sits at its profile under the harsh uniform rule
-    check_regime demands, and the population profile is the p_d mixture.
-    """
-    if env.p_c != 0.0:
+
+@batched
+def stationary_malicious(points: Points) -> ReputationDistribution:
+    """Population profile with a malicious fraction p_d mixed in."""
+    if np.any(points.p_c != 0.0):
         raise ValueError("malicious mixture assumes p_c = 0 (no altruists)")
-    check_regime(params, env)
-    p_d = env.p_d
-    recip = stationary_fixed_point(params, env)
-    omega_d = np.zeros(params.L + 1)
-    omega_d[0:params.h_o + 1] = 1.0 / (params.h_o + 1)
-    eta = (1.0 - p_d) * recip.eta + p_d * omega_d
-    mu = float(eta[params.h_o:].sum())
-    return ReputationDistribution(eta=eta, mu=mu, alpha=recip.alpha)
+    return stationary_for_regime(points)
 
 
-def stationary_altruistic(params: ProtocolParams, env: NetworkEnv) -> ReputationDistribution:
-    """Population profile with an altruistic fraction p_c pinned at L.
-
-    Altruists are deployed by the operator and keep reputation L no matter
-    what; reciprocative peers follow their usual stationary profile.
-    """
-    if env.p_d != 0.0:
+@batched
+def stationary_altruistic(points: Points) -> ReputationDistribution:
+    """Population profile with an altruistic fraction p_c pinned at L."""
+    if np.any(points.p_d != 0.0):
         raise ValueError("altruistic mixture assumes p_d = 0 (no malicious peers)")
-    p_c = env.p_c
-    recip = stationary_fixed_point(params, env)
-    eta = (1.0 - p_c) * recip.eta
-    eta[params.L] += p_c
-    mu = float(eta[params.h_o:].sum())
-    return ReputationDistribution(eta=eta, mu=mu, alpha=recip.alpha)
-
-
-def stationary_for_regime(params: ProtocolParams, env: NetworkEnv) -> ReputationDistribution:
-    """Stationary profile of the population mix, once check_regime admits it."""
-    check_regime(params, env)
-    if env.p_d > 0.0:
-        return stationary_malicious(params, env)
-    if env.p_c > 0.0:
-        return stationary_altruistic(params, env)
-    return stationary_fixed_point(params, env)
+    return stationary_for_regime(points)

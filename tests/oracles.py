@@ -42,14 +42,24 @@ def value_iterate_v_inf(params: ProtocolParams, env: NetworkEnv,
 
 def stationary_nullspace(params: ProtocolParams, env: NetworkEnv) -> np.ndarray:
     """Stationary profile as the normalized solution of eta (P - I) = 0,
-    solved with a replaced normalization row (no iteration involved)."""
+    solved with a replaced normalization row (no iteration involved).
+
+    Only the rungs that rung 0 reaches enter the solve: the ladder up to the
+    first rung that cannot be climbed out of.  That rung keeps every peer
+    when it is absorbing, and past it the kernel may hold further absorbing
+    rungs (alpha = 1 with beta = 1 makes every active rung one), which
+    would leave the full system singular; unreached rungs get no mass.
+    """
     P = transition_matrix(params, env)
-    n = params.L + 1
-    A = (P - np.eye(n)).T
+    stuck = [t for t in range(params.L) if P[t, t + 1] == 0.0]
+    n = (stuck[0] if stuck else params.L) + 1
+    A = (P[:n, :n] - np.eye(n)).T
     A[-1, :] = 1.0
     rhs = np.zeros(n)
     rhs[-1] = 1.0
-    return np.linalg.solve(A, rhs)
+    eta = np.zeros(params.L + 1)
+    eta[:n] = np.linalg.solve(A, rhs)
+    return eta
 
 
 def brute_force_equilibrium(params: ProtocolParams, env: NetworkEnv,

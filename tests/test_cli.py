@@ -313,6 +313,17 @@ def test_strategic_simulate_checks_once(scenario_file, count_calls, capsys):
     assert calls == {"check_equilibrium": 1}
 
 
+def test_compare_checks_each_social_norm_cell_once(scenario_file, count_calls, capsys):
+    # the strategic run checks the protocol it simulates; compare reads its
+    # sustained column off that run instead of checking again
+    calls = count_calls("check_equilibrium")
+    path = scenario_file(sim={"n_peers": 50, "n_periods": 5, "seed": 1})
+    code, _ = run_cli(capsys, "compare", "--config", path, "--flavors", "SocialNorm",
+                      "--sweep", "c:0.2:0.2:0.1")
+    assert code == 0
+    assert calls == {"check_equilibrium": 1}
+
+
 class TestScenarioRoundTrip:
     def test_emitted_config_echo_reloads_identically(self, scenario_file, capsys, tmp_path):
         path = scenario_file(sim={"n_peers": 80, "n_periods": 10, "seed": 2})

@@ -1,12 +1,15 @@
 import itertools
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from normforge import (
     DesignSpec,
     NetworkEnv,
     ProtocolParams,
     check_equilibrium,
+    collapsed_social_utility,
     existence_cost_threshold,
     max_forgiveness,
     social_utility,
@@ -17,6 +20,9 @@ from normforge import (
     solve_osne_vps,
     stationary_for_regime,
 )
+
+from oracles import brute_force_equilibrium
+from test_acceptance import _enumerate_beta_grid, _enumerate_osne
 
 
 def env(**kw):
@@ -232,3 +238,90 @@ class TestOsneAh:
                               beta_grid=0.25, pC_grid=0.25)
             res = solve(spec)
             assert res.feasible
+
+
+@st.composite
+def small_envs(draw):
+    """A small random env in one of the three population regimes."""
+    regime = draw(st.sampled_from(["baseline", "altruists", "malicious"]))
+    return NetworkEnv(r=1.0, c=draw(st.floats(0.02, 0.6)),
+                      eps=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.4))),
+                      lam=draw(st.sampled_from([0.5, 1.0, 2.0])),
+                      delta=draw(st.floats(0.5, 0.95)),
+                      p_c=draw(st.floats(0.05, 0.45)) if regime == "altruists" else 0.0,
+                      p_d=draw(st.floats(0.05, 0.4)) if regime == "malicious" else 0.0)
+
+
+def _assert_same_winner(got, want, grid=1.0):
+    """The solver and a brute-force enumeration pick one design; the solver
+    may only have raised forgiveness within its grid cell."""
+    if want is None:
+        assert not got.feasible
+        return
+    assert got.feasible
+    assert (got.params.h_o, got.params.b, got.params.m_o) == \
+        (want[1].h_o, want[1].b, want[1].m_o)
+    assert abs(got.params.beta - want[1].beta) < grid
+    assert got.utility >= want[2] - 1e-12
+
+
+def _enumerate_osne_ah(spec):
+    """Exhaustive (p_c, h_o, b) search with the designer's tie-break."""
+    best = None
+    for i in range(int(round(1.0 / spec.pC_grid)) + 1):
+        p_c = min(1.0, i * spec.pC_grid)
+        if p_c <= 0.5:
+            want = _enumerate_osne(DesignSpec("OSNE", spec.L, spec.b_cap,
+                                              spec.env.replace(p_c=p_c)))
+            if want is None:
+                continue
+            params, u = want[1], want[2]
+        else:
+            params = ProtocolParams(L=spec.L, h_o=1, b=spec.b_cap)
+            u = collapsed_social_utility(spec.env, spec.b_cap, p_c)
+        key = (-u, params.h_o, -params.b, p_c)
+        if best is None or key < best[0]:
+            best = (key, params, u, p_c)
+    return best
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(small_envs())
+def test_solvers_match_brute_force(e):
+    # OSNE in the env's own regime: every cell's verdict agrees with the
+    # deviation enumeration oracle, and the winner with criterion 6's search
+    spec = DesignSpec("OSNE", L=3, b_cap=3, env=e)
+    got = solve_osne(spec)
+    for (h_o, b), _, u in got.search_log:
+        assert (u is not None) == brute_force_equilibrium(ProtocolParams(L=3, h_o=h_o, b=b), e)
+    _assert_same_winner(got, _enumerate_osne(spec))
+    if e.p_d > 0.0:
+        return  # forgiveness and deployed altruists are explored without malicious peers
+    spec = DesignSpec("OSNE_VP", L=3, b_cap=3, env=e, beta_grid=0.1)
+    got = solve_osne_vp(spec)
+    _assert_same_winner(got, _enumerate_beta_grid(spec, lambda h: [(h,) * (4 - h)]), 0.1)
+    if got.feasible:
+        assert brute_force_equilibrium(got.params, e)
+    spec = DesignSpec("OSNE_AH", L=2, b_cap=2, env=e.replace(p_c=0.0), pC_grid=0.25)
+    got, want = solve_osne_ah(spec), _enumerate_osne_ah(spec)
+    assert (got.params.h_o, got.params.b, got.pC_star) == (want[1].h_o, want[1].b, want[3])
+    assert got.utility == pytest.approx(want[2], abs=1e-12)
+    if e.p_c > 0.0:
+        return  # client-threshold vectors are explored in all-reciprocative populations
+    spec = DesignSpec("OSNE_VPS", L=2, b_cap=2, env=e, beta_grid=0.25)
+    _assert_same_winner(solve_osne_vps(spec), _enumerate_beta_grid(
+        spec, lambda h: itertools.combinations_with_replacement((1, 2), 3 - h)), 0.25)
+
+
+def test_one_evaluator_call_per_block(count_calls):
+    # the searches hand whole blocks to check_equilibria, never one cell at a
+    # time; check_equilibrium (a block of one) is left to refinement steps
+    calls = count_calls("check_equilibria", "check_equilibrium")
+    solve_osne_ah(DesignSpec(problem="OSNE_AH", L=3, b_cap=4, env=env(), pC_grid=0.25))
+    # one block per altruist fraction up to one half: 0, 0.25 and 0.5
+    assert calls == {"check_equilibria": 3, "check_equilibrium": 0}
+    calls.update(check_equilibria=0, check_equilibrium=0)
+    solve_osne_vps(DesignSpec(problem="OSNE_VPS", L=3, b_cap=4, env=env(), beta_grid=0.25))
+    # one block per (h_o, m_o) column holding every b and beta: C(6, 3) - 1
+    # vectors, plus one block of one per refinement check
+    assert calls["check_equilibria"] == comb(6, 3) - 1 + calls["check_equilibrium"]

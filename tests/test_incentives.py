@@ -2,10 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from normforge import (
     NetworkEnv,
+    Points,
     ProtocolParams,
+    check_equilibria,
     check_equilibrium,
     error_punish_prob,
     existence_cost_threshold,
@@ -24,6 +27,7 @@ from normforge import (
     upload_cost_profile,
 )
 
+from normforge.model import point_of
 from oracles import brute_force_equilibrium, value_iterate_v_inf
 
 
@@ -191,6 +195,51 @@ class TestCheckEquilibrium:
         assert rep.dist.eta.tolist() == dist.eta.tolist()
         assert rep.utilities.v_inf.tolist() == overall_utilities(p, e, dist).v_inf.tolist()
         assert rep.social_utility == social_utility(p, e, dist)
+
+
+@st.composite
+def points_on(draw, L):
+    """One analyzable point on a ladder of length L, in any regime: the
+    baseline, non-uniform client thresholds, altruists or malicious peers.
+    Up to lam * b = 160 uploads a period make alpha round to 1, and eps = 0
+    or beta = 1 give rungs with zero outflow."""
+    regime = draw(st.sampled_from(["baseline", "thresholds", "altruists", "malicious"]))
+    h_o = draw(st.integers(1, L))
+    m_o = None
+    if regime == "thresholds":
+        n = L - h_o + 1
+        m_o = tuple(sorted(draw(st.lists(st.integers(1, L), min_size=n, max_size=n))))
+    beta = 0.0 if regime == "malicious" else draw(
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    e = NetworkEnv(r=1.0, c=draw(st.floats(0.0, 0.9)),
+                   eps=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.9))),
+                   lam=draw(st.one_of(st.just(1.0), st.floats(0.05, 20.0))),
+                   delta=draw(st.floats(0.05, 0.95)),
+                   p_c=draw(st.floats(0.01, 1.0)) if regime == "altruists" else 0.0,
+                   p_d=draw(st.floats(0.01, 1.0)) if regime == "malicious" else 0.0)
+    return ProtocolParams(L=L, h_o=h_o, b=draw(st.integers(1, 8)), beta=beta, m_o=m_o), e
+
+
+@st.composite
+def mixed_batches(draw):
+    L = draw(st.integers(1, 7))
+    return draw(st.lists(points_on(L), min_size=1, max_size=12))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mixed_batches())
+def test_batched_check_matches_each_single_check(points):
+    # every point of a mixed batch gets what check_equilibrium gives it alone
+    batch = check_equilibria(Points.of([p for p, _ in points], [e for _, e in points]))
+    for i, (p, e) in enumerate(points):
+        got, want = point_of(batch, i), check_equilibrium(p, e)
+        assert got.is_equilibrium == want.is_equilibrium
+        for a, b in ((got.per_theta_slacks, want.per_theta_slacks),
+                     (got.utilities.v_one, want.utilities.v_one),
+                     (got.utilities.v_inf, want.utilities.v_inf),
+                     (got.social_utility, want.social_utility),
+                     (got.dist.eta, want.dist.eta)):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
 class TestSlackMonotonicity:

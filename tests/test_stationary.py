@@ -141,7 +141,10 @@ def chains(draw):
     beta = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
     eps = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.9)))
     b = draw(st.integers(1, 8))
-    return ProtocolParams(L=L, h_o=h_o, b=b, beta=beta, m_o=m_o), env(eps=eps)
+    # up to lam * b = 480 uploads a period: (1 - eps)**480 underflows for the
+    # larger eps, so alpha = 1 and rungs with zero outflow are drawn
+    lam = draw(st.one_of(st.just(1.0), st.floats(0.05, 60.0)))
+    return ProtocolParams(L=L, h_o=h_o, b=b, beta=beta, m_o=m_o), env(eps=eps, lam=lam)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -153,6 +156,9 @@ def chains(draw):
 # alpha within rounding of 1 on a long ladder: each climb past h_o has
 # probability 2.2e-16, so the profile above h_o runs down to subnormals
 @example((ProtocolParams(L=24, h_o=2, b=6, beta=0.94), env(eps=0.0958738714, lam=60)))
+# alpha = 1 and beta = 1: every active rung is absorbing and h_o, the first
+# one reached, keeps every peer
+@example((ProtocolParams(L=5, h_o=2, b=8, beta=1.0), env(eps=0.9, lam=60)))
 def test_fixed_point_matches_nullspace_oracle(chain):
     p, e = chain
     d = stationary_fixed_point(p, e)
