@@ -24,7 +24,7 @@ import itertools
 import json
 import sys
 
-from .designer import DesignResult, DesignSpec, solve, solve_osne
+from .designer import PROBLEMS, DesignResult, DesignSpec, solve, solve_osne
 from .incentives import (IncentiveReport, blocks, check_equilibria, check_equilibrium,
                          collapsed_social_utility, fed_while_punished)
 from .model import NetworkEnv, PeerKind, Points, ProtocolParams, point_of
@@ -512,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
         if design:
-            p.add_argument("--problem", choices=("OSNE", "OSNE_VP", "OSNE_VPS", "OSNE_AH"))
+            p.add_argument("--problem", choices=PROBLEMS)
             p.add_argument("--b-cap", dest="b_cap", type=int)
             p.add_argument("--beta-grid", dest="beta_grid", type=float)
             p.add_argument("--p-c-grid", dest="p_c_grid", type=float)

@@ -3,9 +3,10 @@
 Each of the four nested problems only generates candidates; one search loop
 keeps the best sustainable one.  `check_equilibria` scores a block of
 candidates per call: all (h_o, b) cells for OSNE and for each altruist
-fraction of OSNE_AH, a threshold vector's beta column for every b in
-OSNE_VPS, and one halving of every cell's forgiveness bisection in OSNE_VP.
-The discrete axes stay exhaustive, so every problem matches brute force.
+fraction of OSNE_AH, and a threshold vector's beta column for every b in
+the forgiveness search, which OSNE_VPS runs over every client-threshold
+vector and OSNE_VP over the uniform ones.  The discrete axes stay
+exhaustive, so every problem matches brute force.
 
 Ties in utility break deterministically: smallest activity threshold, then
 most connections, then most forgiveness, then the lexicographically smallest
@@ -20,8 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .incentives import (blocks, check_equilibria, check_equilibrium, collapsed_social_utility,
-                         max_forgiveness)
+from .incentives import (BISECT_TOL_BETA, _bisect, blocks, check_equilibria, check_equilibrium,
+                         collapsed_social_utility)
 from .model import NetworkEnv, Points, ProtocolParams
 from .stationary import check_regime
 
@@ -95,8 +96,9 @@ def _tie_key(utility: float, params: ProtocolParams, p_c: Optional[float]):
 def _search(cells, refine=None) -> DesignResult:
     """Log every cell (log entry, params, slack, utility or None when not
     sustainable, deployed altruist fraction or None) and keep the best one.
-    `refine(params, utility)` moves the winner's beta off its grid; the
-    winner's entry, beta last, is then logged again as ("refined", ..., beta).
+    `refine(params)` moves the winner's beta off its grid and returns it with
+    its utility; the winner's entry, beta last, is then logged again as
+    ("refined", ..., beta).
     """
     log, best = [], None
     for entry, params, slack, u, p_c in cells:
@@ -110,7 +112,7 @@ def _search(cells, refine=None) -> DesignResult:
         return DesignResult(params=None, utility=0.0, feasible=False, search_log=log)
     _, entry, params, u, p_c = best
     if refine is not None:
-        params, u = refine(params, u)
+        params, u = refine(params)
         log.append((("refined", *entry[:-1], params.beta), None, u))
     return DesignResult(params=params, utility=u, feasible=True, pC_star=p_c, search_log=log)
 
@@ -141,75 +143,20 @@ def solve_osne(spec: DesignSpec) -> DesignResult:
     return _search(_osne_cells(_osne_grid(spec), spec.env))
 
 
-def _beta_grid_floor(beta_max: np.ndarray, grid: float, points: Points):
-    """Each point's largest grid multiple at or below beta_max that passes
-    (guards the float boundary of the bisection), with its slack and utility.
-    beta = 0 passes whenever max_forgiveness found a boundary."""
-    beta = np.minimum(1.0, np.trunc(beta_max / grid + 1e-12) * grid)
-    todo, slack, utility = np.arange(len(beta)), np.empty(len(beta)), np.empty(len(beta))
-    while len(todo):
-        rep = check_equilibria(points.take(todo).replace(beta=beta[todo, None]))
-        done = rep.is_equilibrium | (beta[todo] == 0.0)
-        slack[todo[done]], utility[todo[done]] = rep.serve_slack[done], rep.social_utility[done]
-        todo = todo[~done]
-        beta[todo] = np.maximum(0.0, beta[todo] - grid)
-    return beta.tolist(), slack.tolist(), utility.tolist()
+def _forgiveness_search(spec: DesignSpec, vectors) -> DesignResult:
+    """Best (h_o, b, beta, m_o) over the given (h_o, m_o) threshold vectors.
 
-
-def solve_osne_vp(spec: DesignSpec) -> DesignResult:
-    """Best (h_o, b, beta): forgiveness is pushed to its feasibility boundary.
-
-    Social utility rises with beta while the slack falls, so for each (h_o, b)
-    the best forgiveness is the largest feasible one.  Candidates compete at
-    beta_grid resolution; the winner's beta is then raised to the bisected
-    boundary.  The cells bisect, and step down to the grid, in lockstep.
+    For each vector every b's beta column is checked top-down on the
+    beta_grid, and each cell's candidate is its first passing beta.  The scan
+    does not assume that the forgiveness-feasible set is an interval: under
+    non-uniform thresholds a vector can fail harsh punishment yet pass at
+    interior beta, which a bisection from beta = 0 would miss.  The winner's
+    beta is then bisected toward the boundary inside its grid cell.
     """
     env = spec.env
-    boundary = {}
-
-    def cells():
-        for block in blocks(_osne_grid(spec), spec.L, 2):
-            points = Points.of(block, env)
-            beta_max = max_forgiveness(points)
-            found = np.flatnonzero([b is not None for b in beta_max])
-            floors = zip(*_beta_grid_floor(beta_max[found].astype(float), spec.beta_grid,
-                                           points.take(found)))
-            for base, b_max in zip(block, beta_max):
-                boundary[base.h_o, base.b] = b_max
-                if b_max is None:
-                    yield (base.h_o, base.b, None), base, None, None, None
-                    continue
-                beta, slack, u = next(floors)
-                yield (base.h_o, base.b, beta), base.replace(beta=beta), slack, u, None
-
-    def refine(params, u):
-        refined = params.replace(beta=boundary[params.h_o, params.b])
-        return refined, check_equilibrium(refined, env).social_utility
-
-    return _search(cells(), refine)
-
-
-def solve_osne_vps(spec: DesignSpec) -> DesignResult:
-    """Best (h_o, b, beta, m_o) over per-reputation client thresholds.
-
-    Raising a server's client threshold lightens its upload load and deepens
-    the punishment (a punished peer re-enters through costly rungs), so
-    non-uniform vectors trade a sliver of utility for feasibility headroom.
-    Every b's beta column is checked for each of the C(2L, L) - 1 vectors
-    (923 at L = 6, 3,431 at L = 7), so L stays <= 6.  Utility depends on m_o
-    only through m_o(h_o); ties break toward the smallest vector.
-    """
-    if spec.L > 6:
-        raise ValueError("threshold-vector search enumerates m_o; keep L <= 6")
-    env = spec.env
-    # top-down grid scan: under non-uniform thresholds the forgiveness-
-    # feasible set need not be an interval (a vector can fail harsh
-    # punishment yet pass at interior beta), so bisection could miss it
     betas = np.minimum(1.0, np.arange(int(round(1.0 / spec.beta_grid)), -1, -1) * spec.beta_grid)
 
     def cells():
-        vectors = ((h_o, m_o) for h_o in range(1, spec.L + 1) for m_o in
-                   itertools.combinations_with_replacement(range(1, spec.L + 1), spec.L - h_o + 1))
         for h_o, m_o in vectors:
             bases = [ProtocolParams(L=spec.L, h_o=h_o, b=b, m_o=m_o)
                      for b in range(1, spec.b_cap + 1)]
@@ -226,29 +173,47 @@ def solve_osne_vps(spec: DesignSpec) -> DesignResult:
                     yield ((h_o, base.b, m_o, params.beta), params,
                            float(rep.serve_slack[i]), float(rep.social_utility[i]), None)
 
-    return _search(cells(), lambda params, u: _refine_beta_within_cell(
-        params, u, env, spec.beta_grid))
+    def refine(params):
+        # the scan saw every grid beta above the winner fail; above the top of
+        # a grid that does not divide 1, beta = 1 is still unchecked
+        def ok(beta):
+            return check_equilibrium(params.replace(beta=beta), env).is_equilibrium
+
+        hi = float(betas[betas > params.beta].min(initial=1.0))
+        beta = hi if hi > betas[0] and ok(hi) else _bisect(ok, params.beta, hi, BISECT_TOL_BETA)[0]
+        refined = params.replace(beta=beta)
+        return refined, check_equilibrium(refined, env).social_utility
+
+    return _search(cells(), refine)
 
 
-def _refine_beta_within_cell(params: ProtocolParams, utility: float, env: NetworkEnv,
-                             grid: float):
-    """Push the incumbent's forgiveness toward the boundary inside its grid
-    cell, returning the params and their utility; every step is checked, so
-    a non-monotone pocket can only leave beta at the already-feasible grid
-    value."""
-    lo = params.beta
-    hi = min(1.0, lo + grid)
-    rep = check_equilibrium(params.replace(beta=hi), env)
-    if rep.is_equilibrium:
-        return params.replace(beta=hi), rep.social_utility
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        rep = check_equilibrium(params.replace(beta=mid), env)
-        if rep.is_equilibrium:
-            lo, utility = mid, rep.social_utility
-        else:
-            hi = mid
-    return params.replace(beta=lo), utility
+def solve_osne_vp(spec: DesignSpec) -> DesignResult:
+    """Best (h_o, b, beta) under uniform client thresholds.
+
+    Social utility rises with beta while the slack falls, so for each (h_o, b)
+    the best forgiveness is the largest feasible one.  This is OSNE_VPS's
+    search restricted to the L uniform vectors: candidates compete at
+    beta_grid resolution, and the winner's beta is raised to the boundary.
+    """
+    return _forgiveness_search(spec, ((h_o, (h_o,) * (spec.L - h_o + 1))
+                                      for h_o in range(1, spec.L + 1)))
+
+
+def solve_osne_vps(spec: DesignSpec) -> DesignResult:
+    """Best (h_o, b, beta, m_o) over per-reputation client thresholds.
+
+    Raising a server's client threshold lightens its upload load and deepens
+    the punishment (a punished peer re-enters through costly rungs), so
+    non-uniform vectors trade a sliver of utility for feasibility headroom.
+    Every b's beta column is checked for each of the C(2L, L) - 1 vectors
+    (923 at L = 6, 3,431 at L = 7), so L stays <= 6.  Utility depends on m_o
+    only through m_o(h_o); ties break toward the smallest vector.
+    """
+    if spec.L > 6:
+        raise ValueError("threshold-vector search enumerates m_o; keep L <= 6")
+    return _forgiveness_search(spec, (
+        (h_o, m_o) for h_o in range(1, spec.L + 1) for m_o in
+        itertools.combinations_with_replacement(range(1, spec.L + 1), spec.L - h_o + 1)))
 
 
 def solve_osne_ah(spec: DesignSpec) -> DesignResult:

@@ -236,14 +236,14 @@ def _require_baseline(env: NetworkEnv, what: str) -> None:
         raise ValueError(f"{what} assumes an all-reciprocative population (p_c = p_d = 0)")
 
 
-def _bisect(ok, lo, hi, tol: float):
-    """Halve [lo, hi] to width tol, keeping ok(lo) and not ok(hi); arrays of
-    brackets halve in lockstep."""
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    while np.any(live := hi - lo > tol):
+def _bisect(ok, lo: float, hi: float, tol: float):
+    """Halve [lo, hi] to width tol, keeping ok(lo) and not ok(hi)."""
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        good = ok(mid)
-        lo, hi = np.where(live & good, mid, lo), np.where(live & ~good, mid, hi)
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
     return lo, hi
 
 
@@ -360,38 +360,31 @@ def existence_discount_threshold(env: NetworkEnv, L: int) -> Optional[float]:
     if c <= 0.0:
         return 0.0
     net = (1.0 - eps) * r - c
-
-    def g(d: float) -> float:
-        denom = 1.0 - d * (1.0 - eps) - eps * d ** (L + 1)
-        return d * (1.0 - eps) * (1.0 - d ** L) * net / denom - c
-
     # limit as delta -> 1: (1-eps)*L*net / (1 + eps*L)
     if (1.0 - eps) * L * net / (1.0 + eps * L) <= c:
         return None
-    lo, hi = _bisect(lambda d: g(d) < 0.0, 0.0, 1.0 - 1e-15, BISECT_TOL_DELTA)
+    unit = env.replace(lam=1.0)  # unit utilization: lam*b = 1 at b = 1
+    lo, hi = _bisect(lambda d: _uniform_service_slack(unit.replace(delta=d), 1, L) < 0.0,
+                     0.0, 1.0 - 1e-15, BISECT_TOL_DELTA)
     return float(0.5 * (lo + hi))
 
 
-@batched
-def max_forgiveness(points: Points) -> np.ndarray:
+def max_forgiveness(params: ProtocolParams, env: NetworkEnv) -> Optional[float]:
     """Largest forgiveness base beta keeping the protocol sustainable.
 
     Forgiveness weakens the punishment threat, so the per-reputation slacks
     fall as beta rises and the feasible set is an interval [0, beta_max].
     Returns None when even beta = 0 fails and 1.0 when beta = 1 still passes;
-    otherwise bisects the boundary to 1e-8 after validating the bracket.  A
-    batch gets an object array; its bisections share one call per halving.
+    otherwise bisects the boundary to BISECT_TOL_BETA.
     """
-    n = len(points)
-    ends = check_equilibria(points.take(np.tile(np.arange(n), 2)).replace(
-        beta=np.repeat([[0.0], [1.0]], n, axis=0))).is_equilibrium
-    beta = np.where(ends[:n], 1.0, np.nan)
-    inner = np.flatnonzero(ends[:n] & ~ends[n:])
-    sub = points.take(inner)
-    beta[inner] = _bisect(lambda mid: check_equilibria(sub.replace(beta=mid[:, None]))
-                          .is_equilibrium, np.zeros(len(inner)), np.ones(len(inner)),
-                          BISECT_TOL_BETA)[0]
-    return np.array([None if np.isnan(b) else b for b in beta.tolist()], dtype=object)
+    def passes(beta: float) -> bool:
+        return check_equilibrium(params.replace(beta=beta), env).is_equilibrium
+
+    if not passes(0.0):
+        return None
+    if passes(1.0):
+        return 1.0
+    return _bisect(passes, 0.0, 1.0, BISECT_TOL_BETA)[0]
 
 
 def max_altruist_fraction(params: ProtocolParams, env: NetworkEnv) -> float:
@@ -400,8 +393,8 @@ def max_altruist_fraction(params: ProtocolParams, env: NetworkEnv) -> float:
 
     Altruists feed inactive peers, shrinking the punishment gap, and above
     one half of the population the gap is gone entirely, so the cap is 0.5.
-    A scan in steps of SCAN_STEP_PC locates the pass/fail boundary and
-    bisection refines it.
+    One batched check of 0, every SCAN_STEP_PC scan point and 0.5 locates
+    the pass/fail boundary, and bisection refines it.
     """
     if env.p_d != 0.0:
         raise ValueError("altruist threshold assumes p_d = 0")
@@ -409,17 +402,15 @@ def max_altruist_fraction(params: ProtocolParams, env: NetworkEnv) -> float:
     def passes(p_c: float) -> bool:
         return check_equilibrium(params, env.replace(p_c=p_c)).is_equilibrium
 
-    if not passes(0.0):
+    scan = [0.0]
+    while scan[-1] + SCAN_STEP_PC < 0.5:
+        scan.append(scan[-1] + SCAN_STEP_PC)
+    scan.append(0.5)
+    ok = check_equilibria(Points.of([params] * len(scan),
+                                    [env.replace(p_c=p_c) for p_c in scan])).is_equilibrium
+    if not ok[0]:
         return 0.0
-    if passes(0.5):
+    if ok[-1]:
         return 0.5
-    lo, hi = 0.0, 0.5
-    p = SCAN_STEP_PC
-    while p < 0.5:
-        if passes(p):
-            lo = p
-        else:
-            hi = p
-            break
-        p += SCAN_STEP_PC
-    return float(_bisect(passes, lo, hi, BISECT_TOL_PC)[0])
+    k = int(np.argmin(ok))  # the first failing point
+    return float(_bisect(passes, scan[k - 1], scan[k], BISECT_TOL_PC)[0])

@@ -325,3 +325,8 @@ def test_one_evaluator_call_per_block(count_calls):
     # one block per (h_o, m_o) column holding every b and beta: C(6, 3) - 1
     # vectors, plus one block of one per refinement check
     assert calls["check_equilibria"] == comb(6, 3) - 1 + calls["check_equilibrium"]
+    calls.update(check_equilibria=0, check_equilibrium=0)
+    solve_osne_vp(DesignSpec(problem="OSNE_VP", L=3, b_cap=4, env=env(), beta_grid=0.25))
+    # the same search over the L uniform vectors: one block per h_o, never
+    # one evaluator call per bisection halving of every cell
+    assert calls["check_equilibria"] == 3 + calls["check_equilibrium"]
