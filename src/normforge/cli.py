@@ -79,7 +79,7 @@ def _scenario(args) -> dict:
     for name in ("L", "h_o", "b", "beta"):
         override(params, name, getattr(args, _attr(name), None))
     if getattr(args, "m_o", None) is not None:
-        params["m_o"] = [int(v) for v in args.m_o.split(",")]
+        params["m_o"] = _built("params.m_o", lambda: [int(v) for v in args.m_o.split(",")])
     for name in ("problem", "b_cap", "beta_grid", "p_c_grid"):
         override(design, name, getattr(args, _attr(name), None))
     if "L" in params and "L" not in design:
@@ -94,15 +94,15 @@ def _scenario(args) -> dict:
             kind, _, frac = part.partition("=")
             if not frac:
                 raise CliError("sim.population_mix", f"expected kind=fraction, got {part!r}")
-            mix[kind.strip()] = float(frac)
+            mix[kind.strip()] = _built("sim.population_mix", lambda: float(frac))
         sim["population_mix"] = mix
     sweep = list(cfg.get("sweep", []))
     for spec in getattr(args, "sweep", None) or []:
         bits = spec.split(":")
         if len(bits) != 4:
             raise CliError("sweep", f"expected param:min:max:step, got {spec!r}")
-        sweep.append({"param": bits[0], "min": float(bits[1]),
-                      "max": float(bits[2]), "step": float(bits[3])})
+        sweep.append(_built("sweep", lambda: {"param": bits[0], "min": float(bits[1]),
+                                              "max": float(bits[2]), "step": float(bits[3])}))
     return {"env": env, "params": params, "design": design, "sweep": sweep,
             "sim": sim, "output": dict(cfg.get("output", {}))}
 
@@ -213,11 +213,12 @@ def _analyze_payloads(points):
 def _analyze_payload(params: ProtocolParams, env: NetworkEnv, report: IncentiveReport) -> dict:
     dist, profile = report.dist, report.utilities
     u = report.social_utility
-    if report.is_equilibrium:  # reciprocative peers' mean, altruists sitting at L
+    if report.is_equilibrium:  # reciprocative peers' mean (see stationary_for_regime)
         u_eff = u
         recip_eta = dist.eta.copy()
         recip_eta[params.L] -= env.p_c
-        recip_eff = float(recip_eta @ profile.v_one) / (1.0 - env.p_c)
+        recip_eta[:params.h_o + 1] -= env.p_d / (params.h_o + 1)
+        recip_eff = float(recip_eta @ profile.v_one) / (1.0 - env.p_c - env.p_d)
     else:  # altruists alone serve, rationing reciprocative peers by their supply
         u_eff = collapsed_social_utility(env, params.b, env.p_c)
         recip_eff = env.lam * params.b * (1.0 - env.eps) * env.r * fed_while_punished(env.p_c)
@@ -311,10 +312,10 @@ def _axis_values(axis: dict) -> list:
             raise CliError(f"sweep.{name}", "sweep axis field is missing")
     if axis["param"] not in ENV_FIELDS + ("L", "h_o", "b", "beta"):
         raise CliError("sweep.param", f"unknown sweep parameter {axis['param']!r}")
-    step = float(axis["step"])
+    lo, hi, step = (_built(f"sweep.{name}", lambda: float(axis[name]))
+                    for name in ("min", "max", "step"))
     if step <= 0:
         raise CliError("sweep.step", "step must be > 0")
-    lo, hi = float(axis["min"]), float(axis["max"])
     values, v, i = [], lo, 0
     while v <= hi + 1e-12:
         values.append(round(v, 12))

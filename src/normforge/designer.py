@@ -63,6 +63,8 @@ class DesignSpec:
             raise ValueError(f"beta_grid must be in (0, 1], got {self.beta_grid}")
         if not 0.0 < self.pC_grid <= 1.0:
             raise ValueError(f"pC_grid must be in (0, 1], got {self.pC_grid}")
+        if self.problem == "OSNE_VPS" and self.L > 6:
+            raise ValueError("threshold-vector search enumerates m_o; keep L <= 6")
         # check_regime on what the problem explores: forgiveness (VP, VPS), a
         # non-uniform threshold vector (VPS), deployed altruists (AH)
         check_regime(ProtocolParams(
@@ -206,11 +208,9 @@ def solve_osne_vps(spec: DesignSpec) -> DesignResult:
     the punishment (a punished peer re-enters through costly rungs), so
     non-uniform vectors trade a sliver of utility for feasibility headroom.
     Every b's beta column is checked for each of the C(2L, L) - 1 vectors
-    (923 at L = 6, 3,431 at L = 7), so L stays <= 6.  Utility depends on m_o
-    only through m_o(h_o); ties break toward the smallest vector.
+    (923 at L = 6, 3,431 at L = 7); DesignSpec caps L at 6.  Utility depends
+    on m_o only through m_o(h_o); ties break toward the smallest vector.
     """
-    if spec.L > 6:
-        raise ValueError("threshold-vector search enumerates m_o; keep L <= 6")
     return _forgiveness_search(spec, (
         (h_o, m_o) for h_o in range(1, spec.L + 1) for m_o in
         itertools.combinations_with_replacement(range(1, spec.L + 1), spec.L - h_o + 1)))

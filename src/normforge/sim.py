@@ -20,13 +20,16 @@ Randomness comes from one counter-based Philox generator keyed by (seed,
 period); all draws within a period follow a fixed program order, so a config
 replays byte-for-byte.
 
-The request list, the per-kind masks, each reputation's forgiveness
-probability and each client reputation's server-pool class (equal willing
-columns share a pool, visited in that column's byte order) are built once per
-run; periods only look them up, so the draws and their order are schema 1's.
-A finished run checks that outcomes partition `emitted` in every period, that
-histograms sum to 1 and that altruists stay pinned, and raises RuntimeError
-naming the first bad period otherwise.
+Each pool's requests pass through one routing loop over one table of server
+groups: refusers (first pass only), serving reciprocators, malicious peers and
+altruists with capacity left; bounced and overflowing requests try again on
+the next pass.  Only reciprocators also request, so only their assignments get
+the self-service fix.  Per-run tables (requests, kind masks, forgiveness
+probabilities, each client reputation's pool, in sorted willing-column order)
+are built once, so the draws and their order are schema 1's.  A finished run
+checks that outcomes partition `emitted` in every period, that histograms sum
+to 1 and that altruists stay pinned, and raises RuntimeError naming the first
+bad period otherwise.
 """
 
 from __future__ import annotations
@@ -46,6 +49,8 @@ _K_RECIP, _K_ALT, _K_MAL = 0, 1, 2
 
 SOCIAL_NORM = "SocialNorm"
 TFT = "TFT"
+COUNT_NAMES = ("emitted", "served", "errored", "corrupted", "unserved", "refusals",
+               "served_by_recip")
 
 
 @dataclass(frozen=True)
@@ -59,17 +64,10 @@ class DeviantPolicy:
     """
 
     peer_id: int
-    rule: str = "refuse_all"
     window: Optional[tuple] = None  # (start, stop) in periods, None = always
 
-    def __post_init__(self):
-        if self.rule != "refuse_all":
-            raise ValueError(f"unsupported deviant rule {self.rule!r}")
-
     def active(self, period: int) -> bool:
-        if self.window is None:
-            return True
-        return self.window[0] <= period < self.window[1]
+        return self.window is None or self.window[0] <= period < self.window[1]
 
 
 @dataclass(frozen=True)
@@ -148,7 +146,6 @@ class SimConfig:
             "env": self.env.to_dict(),
             "deviant_policy": None if self.deviant_policy is None else {
                 "peer_id": self.deviant_policy.peer_id,
-                "rule": self.deviant_policy.rule,
                 "window": list(self.deviant_policy.window) if self.deviant_policy.window else None,
             },
             "init_reputations": list(self.init_reputations) if self.init_reputations else None,
@@ -185,9 +182,9 @@ class SimTrace:
             last = max(1, self.config.n_periods // 4)
         return self.eta[-last:].mean(axis=0)
 
-    def window_mu(self, h_o: int = None, last: int = None) -> float:
-        if h_o is None:
-            h_o = self.config.params.h_o if self.config.protocol_flavor == SOCIAL_NORM else 1
+    def window_mu(self, last: int = None) -> float:
+        """Share at or above the activity threshold, averaged like window_eta."""
+        h_o = self.config.params.h_o if self.config.protocol_flavor == SOCIAL_NORM else 1
         return float(self.window_eta(last)[h_o:].sum())
 
     def strategic_kind(self) -> str:
@@ -293,15 +290,11 @@ def _fix_self_service(rng, clients, servers):
     keep = np.ones(len(clients), dtype=bool)
     bad = np.flatnonzero(clients == servers)
     for i in bad:
-        done = False
         for j in rng.permutation(len(clients)):
-            if j == i or not keep[j]:
-                continue
-            if servers[j] != clients[i] and servers[i] != clients[j]:
+            if j != i and keep[j] and servers[j] != clients[i] and servers[i] != clients[j]:
                 servers[i], servers[j] = servers[j], servers[i]
-                done = True
                 break
-        if not done:
+        else:
             keep[i] = False
     return keep
 
@@ -362,9 +355,7 @@ def _run(config: SimConfig) -> SimTrace:
     refuse_base = recip_mask if collapsed else np.zeros(n, dtype=bool)
 
     eta_series = np.zeros((T, top + 1))
-    count_names = ("emitted", "served", "errored", "corrupted", "unserved",
-                   "refusals", "served_by_recip")
-    count_series = {name: np.zeros(T, dtype=np.int64) for name in count_names}
+    count_series = {name: np.zeros(T, dtype=np.int64) for name in COUNT_NAMES}
     labels = [kind.value for kind in KIND_ORDER]
     if config.protocol_flavor == TFT:
         labels[_K_RECIP] = PeerKind.TFT_AGENT.value
@@ -376,13 +367,9 @@ def _run(config: SimConfig) -> SimTrace:
 
     # requests: every reciprocative peer wants k chunks each period
     clients = np.repeat(np.flatnonzero(recip_mask), k)
-    count_series["emitted"][:] = len(clients)
     # client reputations with the same willing column share one server pool,
-    # so even loads stay even; classes run in the byte order of that column
-    col_keys = [willing[:, c].tobytes() for c in range(top + 1)]
-    class_keys = sorted(set(col_keys))
-    cls_of_rep = np.array([class_keys.index(key) for key in col_keys])
-    class_cols = [willing[:, col_keys.index(key)] for key in class_keys]
+    # so even loads stay even; pools run in sorted column order
+    class_cols, cls_of_rep = np.unique(willing.T, axis=0, return_inverse=True)
 
     for t in range(T):
         rng = _period_rng(config.seed, t)
@@ -391,6 +378,8 @@ def _run(config: SimConfig) -> SimTrace:
         benefit = np.zeros(n)
         cost = np.zeros(n)
         x = np.zeros(n, dtype=bool)
+        tally = dict.fromkeys(COUNT_NAMES, 0)
+        tally["emitted"] = len(clients)
 
         refuse_all = refuse_base
         if deviant is not None and deviant.active(t):
@@ -399,36 +388,24 @@ def _run(config: SimConfig) -> SimTrace:
         alt_capacity = np.full(len(alt_ids), k, dtype=np.int64)
         client_cls = cls_of_rep[rep[clients]]
 
-        n_served = n_errored = n_corrupted = n_unserved = n_refusals = n_served_recip = 0
-
         for cls, willing_col in enumerate(class_cols):
-            req_clients = clients[client_cls == cls]
-            if len(req_clients) == 0:
-                continue
+            pending = clients[client_cls == cls]
             apparent = recip_mask & willing_col[rep]
             serving = np.flatnonzero(apparent & ~refuse_all)
             refusing = np.flatnonzero(apparent & refuse_all)
-
-            pending = req_clients
-            for bounce in range(3):  # refusals then altruist overflow can redirect
-                groups = []  # (tag, member_ids)
-                if bounce == 0 and len(refusing) > 0:
-                    groups.append(("refuse", refusing))
-                if len(serving) > 0:
-                    groups.append(("recip", serving))
-                if len(mal_ids) > 0:
-                    groups.append(("malicious", mal_ids))
-                open_alts = alt_ids[alt_capacity > 0]
-                if len(open_alts) > 0:
-                    groups.append(("altruist", open_alts))
+            # Refusers only see pass 1 and altruists overflow only once every
+            # altruist is full, so pass 3 meets only reciprocative and
+            # malicious servers, which redirect nothing: the loop ends there.
+            while len(pending):
+                groups = [(tag, ids) for tag, ids in (
+                    ("refuse", refusing), ("recip", serving), ("malicious", mal_ids),
+                    ("altruist", alt_ids[alt_capacity > 0])) if len(ids)]
                 if not groups:
                     break  # nobody can take them: counted unserved below
-
-                sizes = np.array([len(g[1]) for g in groups], dtype=float)
+                sizes = np.array([len(ids) for _, ids in groups], dtype=float)
                 split = rng.multinomial(len(pending), sizes / sizes.sum())
-                order = rng.permutation(len(pending))
-                shuffled = pending[order]
-                next_pending = []
+                shuffled = pending[rng.permutation(len(pending))]
+                next_pending = [shuffled[:0]]
                 pos = 0
                 for (tag, members), n_g in zip(groups, split):
                     part = shuffled[pos:pos + n_g]
@@ -438,27 +415,25 @@ def _run(config: SimConfig) -> SimTrace:
                     if tag == "refuse":
                         # bounced contacts: deviation observed, client redirects
                         x[_spread(rng, n_g, members)] = True
-                        n_refusals += n_g
+                        tally["refusals"] += n_g
                         next_pending.append(part)
                         continue
                     if tag == "altruist":
-                        slots = rng.permutation(np.repeat(members, alt_capacity[members - alt0]))
-                        take = min(len(slots), n_g)
-                        srv = slots[:take]
-                        overflow = part[take:]
-                        part = part[:take]
-                        if len(overflow) > 0:
-                            next_pending.append(overflow)
+                        slots = np.repeat(members, alt_capacity[members - alt0])
+                        srv = rng.permutation(slots)[:n_g]
+                        next_pending.append(part[len(srv):])  # overflow redirects
+                        part = part[:len(srv)]
                         np.add.at(alt_capacity, srv - alt0, -1)
                     else:
                         srv = _spread(rng, n_g, members)
-                    keep = _fix_self_service(rng, part, srv)
-                    if not keep.all():
-                        n_unserved += int((~keep).sum())
-                        part, srv = part[keep], srv[keep]
+                    if tag == "recip":  # the only servers that also request
+                        keep = _fix_self_service(rng, part, srv)
+                        if not keep.all():
+                            tally["unserved"] += int((~keep).sum())
+                            part, srv = part[keep], srv[keep]
                     if tag == "malicious":
                         # corrupt delivery: slot wasted, compliance judged by prescription
-                        n_corrupted += len(part)
+                        tally["corrupted"] += n_g
                         x[srv[willing_col[rep[srv]]]] = True
                         continue
                     # honest upload attempt: cost now, connectivity lottery
@@ -466,24 +441,19 @@ def _run(config: SimConfig) -> SimTrace:
                     err = rng.random(len(part)) < env.eps
                     ok = ~err
                     np.add.at(benefit, part[ok], env.r)
-                    n_served += int(ok.sum())
-                    n_errored += int(err.sum())
+                    n_ok = int(ok.sum())
+                    tally["served"] += n_ok
+                    tally["errored"] += len(part) - n_ok
                     if tag == "recip":
-                        n_served_recip += int(ok.sum())
+                        tally["served_by_recip"] += n_ok
                         x[srv[err]] = True
                     # altruists are pinned regardless of errors
-                pending = np.concatenate(next_pending) if next_pending else shuffled[:0]
-                if len(pending) == 0:
-                    break
+                pending = np.concatenate(next_pending)
                 refusing = refusing[:0]  # refusers are skipped on redirect
-            n_unserved += len(pending)
+            tally["unserved"] += len(pending)
 
-        count_series["served"][t] = n_served
-        count_series["errored"][t] = n_errored
-        count_series["corrupted"][t] = n_corrupted
-        count_series["unserved"][t] = n_unserved
-        count_series["refusals"][t] = n_refusals
-        count_series["served_by_recip"][t] = n_served_recip
+        for name, value in tally.items():
+            count_series[name][t] = value
 
         util = benefit - cost
         for label, mask in kind_masks:
@@ -546,8 +516,7 @@ def measure_deviation_gain(config: SimConfig, theta: int, n_pairs: int = 30) -> 
     gains = []
     for i in range(n_pairs):
         seed_i = config.seed + i
-        init_rng = np.random.Generator(np.random.Philox(
-            key=np.random.SeedSequence(entropy=(seed_i, 0xD5)).generate_state(2, np.uint64)))
+        init_rng = _period_rng(seed_i, 0xD5)
         reps = init_rng.choice(config.params.L + 1, size=config.n_peers, p=dist.eta)
         reps[0] = theta
         base = config.replace(seed=seed_i, init_reputations=tuple(int(v) for v in reps),

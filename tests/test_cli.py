@@ -3,9 +3,11 @@ import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 
-from normforge import NetworkEnv, ProtocolParams, stationary_for_regime
+from normforge import (NetworkEnv, ProtocolParams, check_equilibrium, stationary_fixed_point,
+                       stationary_for_regime, tft_sustainable)
 from normforge.cli import main
 
 BASE_SCENARIO = {
@@ -76,6 +78,22 @@ class TestAnalyze:
         rows = list(csv.DictReader(io.StringIO(csv_path.read_text())))
         assert len(rows) == 1
         assert float(rows[0]["mu"]) == pytest.approx(0.8403361344537815)
+
+    @pytest.mark.parametrize("flags", [[], ["--p-c", "0.2"], ["--p-d", "0.2"]],
+                             ids=["baseline", "altruists", "malicious"])
+    def test_recip_utility_effective_is_the_reciprocative_mean(self, scenario_file, capsys,
+                                                               flags):
+        # the population profile minus altruists at L and malicious peers
+        # cycling through 0..h_o leaves the reciprocative profile
+        code, out = run_cli(capsys, "analyze", "--config", scenario_file(), *flags)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["is_equilibrium"] is True
+        e = NetworkEnv(r=1.0, c=0.2, eps=0.1, lam=1.0, delta=0.8,
+                       p_c=payload["env"]["p_c"], p_d=payload["env"]["p_d"])
+        want = stationary_fixed_point(ProtocolParams(L=3, h_o=1, b=2), e).eta @ np.array(
+            payload["v_one"])
+        assert abs(payload["recip_utility_effective"] - want) < 1e-12
 
 
 class TestCheck:
@@ -257,6 +275,44 @@ class TestCompare:
         assert {r["flavor"] for r in rows} == {"SocialNorm", "TFT"}
         assert {"delivery_rate", "recip_delivery_rate", "sustained"} <= set(rows[0])
 
+    MIX = {"reciprocative": 0.7, "altruistic": 0.3}
+
+    def test_optimized_social_norm_is_sustained_iff_some_design_is(self, scenario_file,
+                                                                    capsys):
+        # (h_o, b) = (1, 3) fails at c = 0.2 and 0.3; other designs pass there
+        path = scenario_file(params={"L": 3, "h_o": 1, "b": 3},
+                             sim={"n_peers": 50, "n_periods": 10, "seed": 3,
+                                  "population_mix": self.MIX})
+        code, out = run_cli(capsys, "compare", "--config", path, "--flavors", "SocialNorm",
+                            "--optimize-social", "--sweep", "c:0.2:0.4:0.1")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        for row in rows:
+            mix_env = NetworkEnv(r=1.0, c=float(row["axis_value"]), eps=0.1, lam=1.0,
+                                 delta=0.8, p_c=0.3)
+            want = any(check_equilibrium(ProtocolParams(L=3, h_o=h, b=b), mix_env).is_equilibrium
+                       for h in range(1, 4) for b in range(1, 4))
+            assert (row["sustained"] == "True") == want
+        assert [row["sustained"] for row in rows] == ["True", "True", "False"]
+
+    def test_non_strategic_sustained_is_the_analytic_verdict(self, scenario_file, capsys):
+        path = scenario_file(sim={"n_peers": 50, "n_periods": 10, "seed": 3,
+                                  "population_mix": self.MIX, "strategic": False})
+        code, out = run_cli(capsys, "compare", "--config", path, "--sweep", "c:0.2:0.4:0.1")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        for row in rows:
+            env = NetworkEnv(r=1.0, c=float(row["axis_value"]), eps=0.1, lam=1.0, delta=0.8)
+            if row["flavor"] == "SocialNorm":
+                want = check_equilibrium(ProtocolParams(L=3, h_o=1, b=2),
+                                         env.replace(p_c=0.3)).is_equilibrium
+            else:
+                want = tft_sustainable(env, 2, 0.3)
+            assert (row["sustained"] == "True") == want
+        assert [(row["flavor"], row["sustained"]) for row in rows] == [
+            ("SocialNorm", "True"), ("TFT", "True"), ("SocialNorm", "False"), ("TFT", "True"),
+            ("SocialNorm", "False"), ("TFT", "False")]
+
 
 class TestTwoKindMix:
     @pytest.mark.parametrize("argv", [
@@ -296,6 +352,26 @@ class TestUnanalyzablePopulation:
         code, out = run_cli(capsys, argv[0], "--config", path, *argv[1:])
         assert code == 2
         assert json.loads(out)["error"]["field"] == field
+
+
+MALFORMED_CASES = [
+    (["analyze", "--m-o", "1,x,3"], None, "params.m_o"),
+    (["simulate", "--mix", "reciprocative=abc"], None, "sim.population_mix"),
+    (["sweep", "--sweep", "c:a:0.3:0.1"], None, "sweep"),
+    (["sweep"], [{"param": "c", "min": "x", "max": 0.3, "step": 0.1}], "sweep.min"),
+    (["solve", "--problem", "OSNE_VPS", "--L", "7", "--b-cap", "2"], None, "design"),
+]
+
+
+@pytest.mark.parametrize("argv, sweep, field", [
+    pytest.param(argv, sweep, field, id=field) for argv, sweep, field in MALFORMED_CASES])
+def test_malformed_input_is_a_config_error(scenario_file, capsys, argv, sweep, field):
+    sections = {"sim": {"n_peers": 50, "n_periods": 5, "seed": 1}}
+    if sweep is not None:
+        sections["sweep"] = sweep
+    code, out = run_cli(capsys, argv[0], "--config", scenario_file(**sections), *argv[1:])
+    assert code == 2
+    assert json.loads(out)["error"]["field"] == field
 
 
 def test_analyze_point_solves_its_profile_once(scenario_file, count_calls, capsys):

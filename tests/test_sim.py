@@ -257,6 +257,15 @@ class TestTraceShape:
         want = 0.8 ** 40 * (k * 1.0) / (1 - 0.8)
         assert tr.truncation_bound == pytest.approx(want)
 
+    @pytest.mark.parametrize("n, fracs, want", [
+        (10, (0.35, 0.35, 0.3), (4, 3, 3)),   # tied remainders go in kind order
+        (7, (0.5, 0.25, 0.25), (3, 2, 2)),    # larger remainders go first
+    ])
+    def test_kind_counts_split_by_largest_remainder(self, n, fracs, want):
+        mix = dict(zip((PeerKind.RECIPROCATIVE, PeerKind.ALTRUISTIC, PeerKind.MALICIOUS), fracs))
+        counts = config(n_peers=n, population_mix=mix).kind_counts()
+        assert tuple(counts.values()) == want
+
     def test_population_mix_validation(self):
         with pytest.raises(ValueError):
             config(population_mix={PeerKind.RECIPROCATIVE: 0.5})
