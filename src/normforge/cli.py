@@ -96,7 +96,9 @@ def _scenario(args) -> dict:
                 raise CliError("sim.population_mix", f"expected kind=fraction, got {part!r}")
             mix[kind.strip()] = _built("sim.population_mix", lambda: float(frac))
         sim["population_mix"] = mix
-    sweep = list(cfg.get("sweep", []))
+    sweep = cfg.get("sweep", [])
+    if not (isinstance(sweep, list) and all(isinstance(axis, dict) for axis in sweep)):
+        raise CliError("sweep", "expected a list of axis objects")
     for spec in getattr(args, "sweep", None) or []:
         bits = spec.split(":")
         if len(bits) != 4:
@@ -158,6 +160,8 @@ def _build_sim(section: dict, params: ProtocolParams, env: NetworkEnv) -> SimCon
     _check_fields(section, "sim", "simulation", ("n_peers", "n_periods", "seed"),
                   ("n_peers", "n_periods", "seed", "population_mix", "protocol_flavor",
                    "strategic"))
+    if not isinstance(section.get("population_mix", {}), dict):
+        raise CliError("sim.population_mix", "expected an object of kind: fraction pairs")
     return _built("sim", lambda: SimConfig(
         n_peers=int(section["n_peers"]), n_periods=int(section["n_periods"]),
         seed=int(section["seed"]), params=params, env=env,

@@ -16,26 +16,23 @@ per-period punishment probability.  Malicious peers accept any request (the
 corrupt delivery wastes the client's slot; the client re-requests next
 period) but never emit requests of their own.
 
-Randomness comes from one counter-based Philox generator keyed by (seed,
-period); all draws within a period follow a fixed program order, so a config
-replays byte-for-byte.
-
-Each pool's requests pass through one routing loop over one table of server
-groups: refusers (first pass only), serving reciprocators, malicious peers and
-altruists with capacity left; bounced and overflowing requests try again on
-the next pass.  Only reciprocators also request, so only their assignments get
-the self-service fix.  Per-run tables (requests, kind masks, forgiveness
-probabilities, each client reputation's pool, in sorted willing-column order)
-are built once, so the draws and their order are schema 1's.  A finished run
-checks that outcomes partition `emitted` in every period, that histograms sum
-to 1 and that altruists stay pinned, and raises RuntimeError naming the first
-bad period otherwise.
+Each pool pass routes its requests over one table of server groups (refusers
+on the first pass only, serving reciprocators, malicious peers, altruists with
+capacity left); bounced and overflowing requests try the next pass.  Random
+stream version 2 (trace schema 2): one counter-based Philox generator per run,
+keyed by the seed, makes every draw in a fixed order, so a config replays
+byte-for-byte; a pass shuffles its requests once against server slots in
+member order, and self-pairs among reciprocators swap with uniformly drawn
+partners.  A finished run checks that outcomes partition `emitted` in every
+period, that histograms sum to 1 and that altruists stay pinned, and raises
+RuntimeError naming the first bad period otherwise.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -90,16 +87,10 @@ class SimConfig:
             raise ValueError(f"n_periods must be >= 1, got {self.n_periods}")
         if self.protocol_flavor not in (SOCIAL_NORM, TFT):
             raise ValueError(f"unknown protocol flavor {self.protocol_flavor!r}")
-        mix = self.population_mix
-        if mix is None:
-            mix = {PeerKind.RECIPROCATIVE: 1.0}
-        norm = {}
-        for kind, frac in mix.items():
-            if isinstance(kind, str):
-                kind = PeerKind(kind)
-            if kind not in KIND_ORDER:
-                raise ValueError(f"{kind} cannot appear in a population mix")
-            norm[kind] = float(frac)
+        mix = {PeerKind.RECIPROCATIVE: 1.0} if self.population_mix is None else self.population_mix
+        norm = {PeerKind(kind): float(frac) for kind, frac in mix.items()}
+        if PeerKind.TFT_AGENT in norm:  # the one kind outside KIND_ORDER
+            raise ValueError(f"{PeerKind.TFT_AGENT} cannot appear in a population mix")
         if abs(sum(norm.values()) - 1.0) > 1e-9:
             raise ValueError(f"population fractions must sum to 1, got {sum(norm.values())}")
         object.__setattr__(self, "population_mix", norm)
@@ -113,7 +104,7 @@ class SimConfig:
         return int(round(self.env.lam * self.params.b))
 
     def replace(self, **kw) -> "SimConfig":
-        return dc_replace(self, **kw)
+        return dataclasses.replace(self, **kw)
 
     def kind_counts(self) -> dict:
         """Deterministic integer split of n_peers by kind (largest remainder)."""
@@ -121,11 +112,8 @@ class SimConfig:
         raw = {k: self.population_mix.get(k, 0.0) * n for k in KIND_ORDER}
         counts = {k: int(np.floor(v)) for k, v in raw.items()}
         short = n - sum(counts.values())
-        for k in sorted(KIND_ORDER, key=lambda k: raw[k] - counts[k], reverse=True):
-            if short <= 0:
-                break
+        for k in sorted(KIND_ORDER, key=lambda k: raw[k] - counts[k], reverse=True)[:short]:
             counts[k] += 1
-            short -= 1
         return counts
 
     def analytic_env(self) -> NetworkEnv:
@@ -144,10 +132,7 @@ class SimConfig:
             "population_mix": {k.value: v for k, v in self.population_mix.items()},
             "params": self.params.to_dict(),
             "env": self.env.to_dict(),
-            "deviant_policy": None if self.deviant_policy is None else {
-                "peer_id": self.deviant_policy.peer_id,
-                "window": list(self.deviant_policy.window) if self.deviant_policy.window else None,
-            },
+            "deviant_policy": self.deviant_policy and dataclasses.asdict(self.deviant_policy),
             "init_reputations": list(self.init_reputations) if self.init_reputations else None,
         }
 
@@ -188,21 +173,17 @@ class SimTrace:
         return float(self.window_eta(last)[h_o:].sum())
 
     def strategic_kind(self) -> str:
-        """Label under which strategic agents report (tit-for-tat runs tag
-        them as tft_agent)."""
-        return (PeerKind.TFT_AGENT.value if self.config.protocol_flavor == TFT
-                else PeerKind.RECIPROCATIVE.value)
+        """Label under which strategic agents report."""
+        return _kind_labels(self.config.protocol_flavor)[_K_RECIP]
 
     def summary(self) -> dict:
-        eta_w = self.window_eta()
-        per_kind = {}
-        for kind, series in self.mean_utility.items():
-            last = max(1, self.config.n_periods // 4)
-            per_kind[kind] = float(np.mean(series[-last:]))
+        last = max(1, self.config.n_periods // 4)
+        per_kind = {kind: float(np.mean(series[-last:]))
+                    for kind, series in self.mean_utility.items()}
         totals = {name: int(arr.sum()) for name, arr in self.counts.items()}
         emitted = max(1, totals["emitted"])
         return {
-            "final_window_eta": [float(v) for v in eta_w],
+            "final_window_eta": [float(v) for v in self.window_eta()],
             "final_window_mu": self.window_mu(),
             "final_window_mean_utility": per_kind,
             "totals": totals,
@@ -213,7 +194,7 @@ class SimTrace:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": 1,
+            "schema": 2,
             "config": self.config.as_dict(),
             "top_rep": self.top_rep,
             "periods": {
@@ -224,14 +205,19 @@ class SimTrace:
             "per_peer": {
                 "discounted_utility": [float(v) for v in self.discounted_utility],
                 "final_reputation": [int(v) for v in self.final_reputation],
-                "kind": [self.strategic_kind() if k == _K_RECIP else KIND_ORDER[k].value
-                         for k in self.kinds],
+                "kind": [_kind_labels(self.config.protocol_flavor)[k] for k in self.kinds],
             },
             "summary": self.summary(),
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=1)
+
+
+def _kind_labels(flavor: str) -> list:
+    """Trace label of each kind code (tit-for-tat strategic peers: tft_agent)."""
+    return [PeerKind.TFT_AGENT.value if flavor == TFT and kind is PeerKind.RECIPROCATIVE
+            else kind.value for kind in KIND_ORDER]
 
 
 def _protocol_tables(config: SimConfig):
@@ -242,9 +228,7 @@ def _protocol_tables(config: SimConfig):
     clean and never forgives."""
     params = config.params
     if config.protocol_flavor == TFT:
-        willing = np.zeros((2, 2), dtype=bool)
-        willing[:, 1] = True
-        return 1, willing, np.zeros(2)
+        return 1, np.array([[False, True], [False, True]]), np.zeros(2)
     L = params.L
     willing = np.zeros((L + 1, L + 1), dtype=bool)
     for s in range(params.h_o, L + 1):
@@ -279,53 +263,71 @@ def _strategic_collapse(config: SimConfig) -> bool:
     return not check_equilibrium(config.params, env).is_equilibrium
 
 
-def _period_rng(seed: int, period: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.random.SeedSequence(
-        entropy=(int(seed) & (2 ** 64 - 1), period)).generate_state(2, np.uint64)))
+def _run_rng(seed: int, stream: int = 0) -> np.random.Generator:
+    """A run's one Philox generator (stream 0), or one for side draws."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(
+        (int(seed) & (2 ** 64 - 1), stream))))
 
 
 def _fix_self_service(rng, clients, servers):
-    """Swap assignments so no peer serves itself; drops the pair when the
-    pool offers no alternative."""
-    keep = np.ones(len(clients), dtype=bool)
+    """Swap servers in place so no peer serves itself: three vectorised rounds
+    swap each clash with a uniformly drawn non-clash position (each at most
+    once a round), then each clash left picks uniformly among all valid
+    partners.  Returns the mask of pairs kept: a pair is dropped only when the
+    pool has no valid partner."""
+    m = len(clients)
+    keep = np.ones(m, dtype=bool)
     bad = np.flatnonzero(clients == servers)
+    for _ in range(3):
+        if not len(bad):
+            return keep
+        j = rng.integers(0, m, len(bad))
+        once = np.zeros(len(j), dtype=bool)
+        once[np.unique(j, return_index=True)[1]] = True
+        ok = (once & (servers[j] != clients[bad]) & (servers[bad] != clients[j])
+              & (clients[j] != servers[j]))
+        i, j = bad[ok], j[ok]
+        servers[i], servers[j] = servers[j], servers[i]
+        bad = bad[~ok]
     for i in bad:
-        for j in rng.permutation(len(clients)):
-            if j != i and keep[j] and servers[j] != clients[i] and servers[i] != clients[j]:
+        if clients[i] == servers[i]:  # else an earlier clash's swap fixed it
+            cand = np.flatnonzero(keep & (servers != clients[i]) & (clients != servers[i]))
+            if len(cand):
+                j = cand[rng.integers(len(cand))]
                 servers[i], servers[j] = servers[j], servers[i]
-                break
-        else:
-            keep[i] = False
+            else:
+                keep[i] = False
     return keep
 
 
 def _spread(rng, n_items: int, members: np.ndarray) -> np.ndarray:
-    """Even-load server slots: every member gets floor(n/g) requests and a
-    uniformly chosen subset gets one more; slot order is shuffled."""
+    """Even-load server slots in member order: every member gets floor(n/g)
+    requests and a uniformly chosen subset gets one more.  Callers pair them
+    with requests already in uniform random order."""
     g = len(members)
     base, rem = divmod(n_items, g)
     loads = np.full(g, base, dtype=np.int64)
     if rem:
-        loads[rng.permutation(g)[:rem]] += 1
-    return rng.permutation(np.repeat(members, loads))
+        loads[rng.choice(g, rem, replace=False)] += 1
+    return np.repeat(members, loads)
 
 
 def run_sim(config: SimConfig) -> SimTrace:
-    """Execute the configured run; identical configs replay bit-for-bit."""
-    if config.protocol_flavor != SOCIAL_NORM:
-        raise ValueError("run_sim drives the social-norm flavor; use run_tft for TFT")
-    return _run(config)
+    """Execute the configured social-norm run; identical configs replay
+    bit-for-bit."""
+    return _run(config, SOCIAL_NORM)
 
 
 def run_tft(config: SimConfig) -> SimTrace:
     """Binary tit-for-tat baseline on the same engine: two reputations,
     service decided by the client's last-period compliance alone."""
-    if config.protocol_flavor != TFT:
-        raise ValueError("run_tft requires protocol_flavor=TFT")
-    return _run(config)
+    return _run(config, TFT)
 
 
-def _run(config: SimConfig) -> SimTrace:
+def _run(config: SimConfig, flavor: str) -> SimTrace:
+    if config.protocol_flavor != flavor:
+        raise ValueError(f"run_sim drives {SOCIAL_NORM} and run_tft {TFT}, "
+                         f"got protocol_flavor={config.protocol_flavor!r}")
     top, willing, keep_prob = _protocol_tables(config)
     env = config.env
     n = config.n_peers
@@ -340,12 +342,10 @@ def _run(config: SimConfig) -> SimTrace:
     alt0 = counts[PeerKind.RECIPROCATIVE]  # altruists are one contiguous id block
     mal_ids = np.flatnonzero(kinds == _K_MAL)
 
-    if config.init_reputations is not None:
-        rep = np.array(config.init_reputations, dtype=np.int64)
-        if rep.shape != (n,) or rep.min() < 0 or rep.max() > top:
-            raise ValueError("init_reputations must give every peer a reputation in range")
-    else:
-        rep = np.zeros(n, dtype=np.int64)
+    rep = np.array((0,) * n if config.init_reputations is None else config.init_reputations,
+                   dtype=np.int64)
+    if rep.shape != (n,) or rep.min() < 0 or rep.max() > top:
+        raise ValueError("init_reputations must give every peer a reputation in range")
     rep[alt_ids] = top  # altruists are pinned at the top rung
 
     collapsed = _strategic_collapse(config) if config.strategic else False
@@ -356,12 +356,7 @@ def _run(config: SimConfig) -> SimTrace:
 
     eta_series = np.zeros((T, top + 1))
     count_series = {name: np.zeros(T, dtype=np.int64) for name in COUNT_NAMES}
-    labels = [kind.value for kind in KIND_ORDER]
-    if config.protocol_flavor == TFT:
-        labels[_K_RECIP] = PeerKind.TFT_AGENT.value
-    kind_masks = [(labels[code], kinds == code) for code, kind in enumerate(KIND_ORDER)
-                  if counts[kind] > 0]
-    util_series = {label: np.zeros(T) for label, _ in kind_masks}
+    util_sums = np.zeros((T, len(KIND_ORDER)))  # per-period utility summed by kind
     discounted = np.zeros(n)
     disc_weight = 1.0
 
@@ -370,21 +365,20 @@ def _run(config: SimConfig) -> SimTrace:
     # client reputations with the same willing column share one server pool,
     # so even loads stay even; pools run in sorted column order
     class_cols, cls_of_rep = np.unique(willing.T, axis=0, return_inverse=True)
+    rng = _run_rng(config.seed)
+    forgiving = keep_prob.any()
 
     for t in range(T):
-        rng = _period_rng(config.seed, t)
         eta_series[t] = np.bincount(rep, minlength=top + 1) / n
 
-        benefit = np.zeros(n)
-        cost = np.zeros(n)
+        sent, got = [clients[:0]], [clients[:0]]  # honest uploads, deliveries (peer ids)
         x = np.zeros(n, dtype=bool)
         tally = dict.fromkeys(COUNT_NAMES, 0)
         tally["emitted"] = len(clients)
 
         refuse_all = refuse_base
         if deviant is not None and deviant.active(t):
-            refuse_all = refuse_base.copy()
-            refuse_all[deviant.peer_id] = True
+            refuse_all = refuse_base | (np.arange(n) == deviant.peer_id)
         alt_capacity = np.full(len(alt_ids), k, dtype=np.int64)
         client_cls = cls_of_rep[rep[clients]]
 
@@ -404,7 +398,9 @@ def _run(config: SimConfig) -> SimTrace:
                     break  # nobody can take them: counted unserved below
                 sizes = np.array([len(ids) for _, ids in groups], dtype=float)
                 split = rng.multinomial(len(pending), sizes / sizes.sum())
-                shuffled = pending[rng.permutation(len(pending))]
+                # the pass's one shuffle: server slots below come in member
+                # order, so pairing them with shuffled requests is uniform
+                shuffled = rng.permutation(pending)
                 next_pending = [shuffled[:0]]
                 pos = 0
                 for (tag, members), n_g in zip(groups, split):
@@ -420,10 +416,10 @@ def _run(config: SimConfig) -> SimTrace:
                         continue
                     if tag == "altruist":
                         slots = np.repeat(members, alt_capacity[members - alt0])
-                        srv = rng.permutation(slots)[:n_g]
+                        srv = slots if n_g >= len(slots) else rng.choice(slots, n_g, replace=False)
                         next_pending.append(part[len(srv):])  # overflow redirects
                         part = part[:len(srv)]
-                        np.add.at(alt_capacity, srv - alt0, -1)
+                        alt_capacity -= np.bincount(srv - alt0, minlength=len(alt_ids))
                     else:
                         srv = _spread(rng, n_g, members)
                     if tag == "recip":  # the only servers that also request
@@ -436,11 +432,13 @@ def _run(config: SimConfig) -> SimTrace:
                         tally["corrupted"] += n_g
                         x[srv[willing_col[rep[srv]]]] = True
                         continue
-                    # honest upload attempt: cost now, connectivity lottery
-                    np.add.at(cost, srv, env.c)
-                    err = rng.random(len(part)) < env.eps
+                    # honest upload attempt: cost now, then the connectivity lottery,
+                    # iid per upload: Binomial(len, eps) failures at uniform positions
+                    sent.append(srv)
+                    err = np.zeros(len(part), dtype=bool)
+                    err[rng.choice(len(part), rng.binomial(len(part), env.eps), replace=False)] = True
                     ok = ~err
-                    np.add.at(benefit, part[ok], env.r)
+                    got.append(part[ok])
                     n_ok = int(ok.sum())
                     tally["served"] += n_ok
                     tally["errored"] += len(part) - n_ok
@@ -455,32 +453,31 @@ def _run(config: SimConfig) -> SimTrace:
         for name, value in tally.items():
             count_series[name][t] = value
 
-        util = benefit - cost
-        for label, mask in kind_masks:
-            util_series[label][t] = float(util[mask].mean())
+        util = (env.r * np.bincount(np.concatenate(got), minlength=n)
+                - env.c * np.bincount(np.concatenate(sent), minlength=n))
+        util_sums[t] = np.bincount(kinds, weights=util, minlength=len(KIND_ORDER))
         discounted += disc_weight * util
         disc_weight *= env.delta
 
-        # period boundary: climb when clean, else fall to 0 unless forgiven
-        forgiven = rng.random(n) < keep_prob[rep]
-        rep = np.where(x, np.where(forgiven, rep, 0), np.minimum(rep + 1, top))
+        # period boundary: climb when clean, else fall to 0 unless forgiven;
+        # only punished peers on forgiving rungs draw the lottery
+        new_rep = np.where(x, 0, np.minimum(rep + 1, top))
+        if forgiving:
+            lottery = np.flatnonzero(x & (keep_prob[rep] > 0))
+            kept = lottery[rng.random(len(lottery)) < keep_prob[rep[lottery]]]
+            new_rep[kept] = rep[kept]
+        rep = new_rep
         rep[alt_ids] = top
 
     _check_invariants(count_series, eta_series, rep[alt_ids], top)
     u_max = k * max(env.r, env.c)
     tail = 0.0 if env.delta == 0.0 else (env.delta ** T) * u_max / (1.0 - env.delta)
-    return SimTrace(
-        config=config,
-        top_rep=top,
-        eta=eta_series,
-        counts=count_series,
-        mean_utility=util_series,
-        discounted_utility=discounted,
-        final_reputation=rep,
-        kinds=kinds,
-        truncation_bound=tail,
-        collapsed=collapsed,
-    )
+    mean_utility = {label: util_sums[:, code] / counts[kind] for code, (label, kind) in
+                    enumerate(zip(_kind_labels(flavor), KIND_ORDER)) if counts[kind] > 0}
+    return SimTrace(config=config, top_rep=top, eta=eta_series, counts=count_series,
+                    mean_utility=mean_utility, discounted_utility=discounted,
+                    final_reputation=rep, kinds=kinds, truncation_bound=tail,
+                    collapsed=collapsed)
 
 
 def _check_invariants(counts: dict, eta: np.ndarray, alt_reps: np.ndarray, pinned: int) -> None:
@@ -516,11 +513,9 @@ def measure_deviation_gain(config: SimConfig, theta: int, n_pairs: int = 30) -> 
     gains = []
     for i in range(n_pairs):
         seed_i = config.seed + i
-        init_rng = _period_rng(seed_i, 0xD5)
-        reps = init_rng.choice(config.params.L + 1, size=config.n_peers, p=dist.eta)
+        reps = _run_rng(seed_i, 0xD5).choice(config.params.L + 1, size=config.n_peers, p=dist.eta)
         reps[0] = theta
-        base = config.replace(seed=seed_i, init_reputations=tuple(int(v) for v in reps),
-                              deviant_policy=None)
+        base = config.replace(seed=seed_i, init_reputations=reps, deviant_policy=None)
         dev = base.replace(deviant_policy=DeviantPolicy(peer_id=0, window=(0, 1)))
         gains.append(run_sim(dev).discounted_utility[0] - run_sim(base).discounted_utility[0])
     return float(np.mean(gains))

@@ -5,7 +5,8 @@ library: discounted values by value iteration instead of a linear solve,
 stationary profiles by an LU null-space solve on the full kernel instead of
 the product over the reputation ladder, and equilibrium verdicts by
 enumerating every deterministic one-period deviation rule instead of the
-two-constraint reduction.
+two-constraint reduction, and the simulator's self-service fix by trying every
+reassignment of a pool's servers instead of swapping clashes away.
 """
 
 from __future__ import annotations
@@ -115,3 +116,12 @@ def smallest_feasible_h_o(env: NetworkEnv, b: int, check, h_max: int = 200):
         if check(env, b, h_o):
             return h_o
     return None
+
+
+def fewest_self_service_drops(clients, servers) -> int:
+    """Fewest (client, server) pairs a pool must drop so that no peer serves
+    itself, when its servers may be reassigned freely: every distinct
+    ordering of the server multiset is tried."""
+    best = max(sum(c != s for c, s in zip(clients, order))
+               for order in set(itertools.permutations(servers)))
+    return len(clients) - best

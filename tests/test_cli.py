@@ -354,22 +354,26 @@ class TestUnanalyzablePopulation:
         assert json.loads(out)["error"]["field"] == field
 
 
+SIM_SECTION = {"n_peers": 50, "n_periods": 5, "seed": 1}
 MALFORMED_CASES = [
-    (["analyze", "--m-o", "1,x,3"], None, "params.m_o"),
-    (["simulate", "--mix", "reciprocative=abc"], None, "sim.population_mix"),
-    (["sweep", "--sweep", "c:a:0.3:0.1"], None, "sweep"),
-    (["sweep"], [{"param": "c", "min": "x", "max": 0.3, "step": 0.1}], "sweep.min"),
-    (["solve", "--problem", "OSNE_VPS", "--L", "7", "--b-cap", "2"], None, "design"),
+    pytest.param(["analyze", "--m-o", "1,x,3"], {}, "params.m_o", id="params.m_o"),
+    pytest.param(["simulate", "--mix", "reciprocative=abc"], {}, "sim.population_mix",
+                 id="sim.population_mix"),
+    pytest.param(["sweep", "--sweep", "c:a:0.3:0.1"], {}, "sweep", id="sweep"),
+    pytest.param(["sweep"], {"sweep": [{"param": "c", "min": "x", "max": 0.3, "step": 0.1}]},
+                 "sweep.min", id="sweep.min"),
+    pytest.param(["solve", "--problem", "OSNE_VPS", "--L", "7", "--b-cap", "2"], {}, "design",
+                 id="design"),
+    pytest.param(["sweep"], {"sweep": "abc"}, "sweep", id="sweep-not-a-list"),
+    pytest.param(["simulate"], {"sim": dict(SIM_SECTION, population_mix=[1])},
+                 "sim.population_mix", id="sim.population_mix-not-an-object"),
 ]
 
 
-@pytest.mark.parametrize("argv, sweep, field", [
-    pytest.param(argv, sweep, field, id=field) for argv, sweep, field in MALFORMED_CASES])
-def test_malformed_input_is_a_config_error(scenario_file, capsys, argv, sweep, field):
-    sections = {"sim": {"n_peers": 50, "n_periods": 5, "seed": 1}}
-    if sweep is not None:
-        sections["sweep"] = sweep
-    code, out = run_cli(capsys, argv[0], "--config", scenario_file(**sections), *argv[1:])
+@pytest.mark.parametrize("argv, sections, field", MALFORMED_CASES)
+def test_malformed_input_is_a_config_error(scenario_file, capsys, argv, sections, field):
+    path = scenario_file(**{"sim": SIM_SECTION, **sections})
+    code, out = run_cli(capsys, argv[0], "--config", path, *argv[1:])
     assert code == 2
     assert json.loads(out)["error"]["field"] == field
 

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from normforge import (
     DeviantPolicy,
@@ -20,6 +21,7 @@ from normforge import (
     stationary_malicious,
     tft_sustainable,
 )
+from oracles import fewest_self_service_drops
 
 
 def env(**kw):
@@ -276,26 +278,70 @@ class TestTraceShape:
 class TestRuntimeInvariants:
     def test_lost_request_names_its_period(self, monkeypatch):
         # a routing split that silently drops one request in period 3 must
-        # break the outcome partition and fail the run
-        real_rng = sim._period_rng
+        # break the outcome partition and fail the run; with no errors and
+        # every peer on the top rung each period routes one pool in one pass,
+        # so period 3's split is the run's fourth multinomial draw
+        real_rng = sim._run_rng
 
         class DroppingRng:
-            def __init__(self, rng, period):
-                self._rng, self._period, self._dropped = rng, period, False
+            def __init__(self, rng):
+                self._rng, self._splits = rng, 0
 
             def __getattr__(self, name):
                 return getattr(self._rng, name)
 
             def multinomial(self, n, pvals):
                 split = self._rng.multinomial(n, pvals)
-                if self._period == 3 and not self._dropped and split.sum() > 0:
+                if self._splits == 3:
                     split[np.argmax(split)] -= 1
-                    self._dropped = True
+                self._splits += 1
                 return split
 
-        monkeypatch.setattr(sim, "_period_rng", lambda seed, t: DroppingRng(real_rng(seed, t), t))
+        monkeypatch.setattr(sim, "_run_rng", lambda seed: DroppingRng(real_rng(seed)))
         with pytest.raises(RuntimeError, match="partition emitted in period 3$"):
-            run_sim(config(n_periods=6))
+            run_sim(config(n_periods=6, env=env(eps=0.0), init_reputations=(3,) * 200))
+
+
+def pools(max_size: int = 6, n_ids: int = 4):
+    """Small (clients, servers) pools over a few peer ids, so clashes and
+    pools with no valid partner are common."""
+    ids = st.integers(0, n_ids - 1)
+    return st.integers(1, max_size).flatmap(lambda m: st.tuples(
+        st.lists(ids, min_size=m, max_size=m), st.lists(ids, min_size=m, max_size=m)))
+
+
+class TestPoolMatching:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(pool=pools(), seed=st.integers(0, 2 ** 32 - 1))
+    @example(pool=([0, 1, 2, 3], [1, 1, 1, 1]), seed=0)  # one server
+    @example(pool=([2, 2, 2], [0, 1, 2]), seed=0)        # one client
+    @example(pool=([1], [1]), seed=0)                    # nobody else to swap with
+    def test_self_service_fix_matches_brute_force(self, pool, seed):
+        clients, servers = (np.array(v) for v in pool)
+        fixed = servers.copy()
+        keep = sim._fix_self_service(sim._run_rng(seed), clients, fixed)
+        assert sorted(fixed) == sorted(servers)  # server loads unchanged
+        assert not np.any(clients[keep] == fixed[keep])
+        for i in np.flatnonzero(~keep):  # dropped: no kept pair could take the swap
+            assert not np.any(keep & (fixed != clients[i]) & (clients != fixed[i]))
+        assert int((~keep).sum()) == fewest_self_service_drops(pool[0], pool[1])
+
+    @pytest.mark.parametrize("n_items", [3, 7, 23])
+    def test_spread_loads_are_even_and_extras_uniform(self, n_items):
+        rng = sim._run_rng(20261018)
+        members = np.arange(10, 17)
+        base, rem = divmod(n_items, len(members))
+        draws = 3000
+        extras = np.zeros(len(members))
+        for _ in range(draws):
+            slots = sim._spread(rng, n_items, members)
+            assert np.all(np.diff(slots) >= 0)  # member order
+            loads = np.bincount(slots - 10, minlength=len(members))
+            assert loads.sum() == n_items and loads.max() - loads.min() <= 1
+            extras += loads > base
+        # each member is one of the rem extras with probability rem/g
+        p = rem / len(members)
+        assert np.all(np.abs(extras - draws * p) <= 4 * np.sqrt(draws * p * (1 - p)))
 
 
 def _integer_digest(trace) -> str:
@@ -315,8 +361,8 @@ def test_stream_is_pinned():
     tft = config(n_peers=50, n_periods=40, seed=5, protocol_flavor="TFT",
                  population_mix={PeerKind.RECIPROCATIVE: 0.8, PeerKind.ALTRUISTIC: 0.2})
     assert _integer_digest(run_sim(social)) == \
-        "67e241e33a42d9476deb8e1c397d9e0c21c28c641ae01342b795fd6987326c40"
+        "673d8627205859c747c447e45956995a61c84691a722363165cc4bc4ed6a7074"
     assert _integer_digest(run_sim(forgiving)) == \
-        "aa4097eb9f7a3c36e2b454873b6a46a7a220faabd30b97597a0012559b4d839c"
+        "46c086353ccaced9227821afa34e4b26603abbce47ffed11fbf80efb85875506"
     assert _integer_digest(run_tft(tft)) == \
-        "db7ce3b7b759a08c51b98be172baf8300f63cba20dfc7a445b4a53a6338f65de"
+        "b35541cf28050efdb413498a4044ce99f9debf1bfe470bf298ced4380dd44cf1"
