@@ -8,15 +8,11 @@ and cross-validates everything against a seeded agent-based simulator.
 """
 
 from .model import (
-    Action,
     NetworkEnv,
     PeerKind,
     Points,
     ProtocolParams,
     error_punish_prob,
-    phi_compliance,
-    reputation_update,
-    social_strategy,
 )
 from .stationary import (
     ReputationDistribution,

@@ -1,31 +1,20 @@
 """Seeded agent-based Monte-Carlo simulator of the discrete-time sharing game.
 
-One period: every reciprocative peer emits round(lam*b) chunk requests; each
-request is routed among the servers willing to take it (compliant active
-peers for clients above their thresholds, malicious peers posing as willing
-toward anyone, altruists up to their per-period capacity); accepted uploads
-fail with the connectivity error probability; the tracker ORs each server's
-per-transaction compliance bits and, at the period boundary, moves every
-reputation synchronously (climb when clean, fall to 0 unless forgiven).
-
-Matching model: within each pool the period's demand is spread as evenly as
-possible across willing servers with uniformly random pairing.  The analytic
-model treats per-peer upload volume as deterministic, so the even spread is
-the faithful discretization; independent per-request draws would blur the
-per-period punishment probability.  Malicious peers accept any request (the
-corrupt delivery wastes the client's slot; the client re-requests next
-period) but never emit requests of their own.
-
-Each pool pass routes its requests over one table of server groups (refusers
-on the first pass only, serving reciprocators, malicious peers, altruists with
-capacity left); bounced and overflowing requests try the next pass.  Random
-stream version 2 (trace schema 2): one counter-based Philox generator per run,
-keyed by the seed, makes every draw in a fixed order, so a config replays
-byte-for-byte; a pass shuffles its requests once against server slots in
-member order, and self-pairs among reciprocators swap with uniformly drawn
-partners.  A finished run checks that outcomes partition `emitted` in every
-period, that histograms sum to 1 and that altruists stay pinned, and raises
-RuntimeError naming the first bad period otherwise.
+One period: every reciprocative peer emits round(lam*b) chunk requests, each
+spread as evenly as possible, with uniformly random pairing, over the servers
+willing to take it (compliant active peers for clients above their
+thresholds, malicious peers posing as willing toward anyone, altruists up to
+their capacity); uploads fail with the connectivity error probability, and at
+the period boundary every reputation climbs when clean and else falls to 0
+unless forgiven.  `run_replicas` runs replicas that may differ in seed, start
+reputations and deviant through one period loop, each pool pass routing all
+replicas' requests in one vectorised step; `run_sim` and `run_tft` are
+batches of one.  Random stream version 3 (trace schema 3): a batch's
+generator, keyed by its distinct seeds, draws each site's uniforms once per
+distinct seed, so a batch replays byte-for-byte and same-seed replicas draw
+alike while their states agree (common random numbers).  Each run checks
+that outcomes partition `emitted`, that histograms sum to 1 and that
+altruists stay pinned.
 """
 
 from __future__ import annotations
@@ -52,19 +41,12 @@ COUNT_NAMES = ("emitted", "served", "errored", "corrupted", "unserved", "refusal
 
 @dataclass(frozen=True)
 class DeviantPolicy:
-    """Per-peer strategy override for empirical deviation measurement.
-
-    The tagged peer refuses every prescribed upload during the given period
-    window [start, stop) (all periods when window is None) and complies
-    otherwise.  Refusing is the binding deviation; serving extra clients only
-    burns cost.
-    """
+    """Per-peer strategy override for empirical deviation measurement: the
+    tagged peer refuses every prescribed upload in the period window [start,
+    stop) (always when None), the binding deviation, and complies otherwise."""
 
     peer_id: int
     window: Optional[tuple] = None  # (start, stop) in periods, None = always
-
-    def active(self, period: int) -> bool:
-        return self.window is None or self.window[0] <= period < self.window[1]
 
 
 @dataclass(frozen=True)
@@ -124,14 +106,10 @@ class SimConfig:
 
     def as_dict(self) -> dict:
         return {
-            "n_peers": self.n_peers,
-            "n_periods": self.n_periods,
-            "seed": self.seed,
-            "protocol_flavor": self.protocol_flavor,
-            "strategic": self.strategic,
+            "n_peers": self.n_peers, "n_periods": self.n_periods, "seed": self.seed,
+            "protocol_flavor": self.protocol_flavor, "strategic": self.strategic,
             "population_mix": {k.value: v for k, v in self.population_mix.items()},
-            "params": self.params.to_dict(),
-            "env": self.env.to_dict(),
+            "params": self.params.to_dict(), "env": self.env.to_dict(),
             "deviant_policy": self.deviant_policy and dataclasses.asdict(self.deviant_policy),
             "init_reputations": list(self.init_reputations) if self.init_reputations else None,
         }
@@ -145,8 +123,7 @@ class SimTrace:
     Request outcomes partition per period into served / errored / corrupted /
     unserved; refusals count bounced contacts (they redirect, consuming no
     download slot).  discounted_utility accumulates delta**t * (benefit -
-    cost) per peer, truncated after n_periods with tail bound
-    truncation_bound.
+    cost) per peer, truncated after n_periods with tail bound truncation_bound.
     """
 
     config: SimConfig
@@ -163,8 +140,7 @@ class SimTrace:
     def window_eta(self, last: int = None) -> np.ndarray:
         """Mean reputation histogram over the final `last` periods (default:
         final quarter)."""
-        if last is None:
-            last = max(1, self.config.n_periods // 4)
+        last = max(1, self.config.n_periods // 4) if last is None else last
         return self.eta[-last:].mean(axis=0)
 
     def window_mu(self, last: int = None) -> float:
@@ -184,29 +160,21 @@ class SimTrace:
         emitted = max(1, totals["emitted"])
         return {
             "final_window_eta": [float(v) for v in self.window_eta()],
-            "final_window_mu": self.window_mu(),
-            "final_window_mean_utility": per_kind,
-            "totals": totals,
-            "delivery_rate": totals["served"] / emitted,
+            "final_window_mu": self.window_mu(), "final_window_mean_utility": per_kind,
+            "totals": totals, "delivery_rate": totals["served"] / emitted,
             "recip_delivery_rate": int(self.counts["served_by_recip"].sum()) / emitted,
             "truncation_bound": self.truncation_bound,
         }
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": 2,
-            "config": self.config.as_dict(),
-            "top_rep": self.top_rep,
-            "periods": {
-                "eta": [[float(v) for v in row] for row in self.eta],
-                "counts": {k: [int(v) for v in arr] for k, arr in self.counts.items()},
-                "mean_utility": {k: [float(v) for v in arr] for k, arr in self.mean_utility.items()},
-            },
-            "per_peer": {
-                "discounted_utility": [float(v) for v in self.discounted_utility],
-                "final_reputation": [int(v) for v in self.final_reputation],
-                "kind": [_kind_labels(self.config.protocol_flavor)[k] for k in self.kinds],
-            },
+            "schema": 3, "config": self.config.as_dict(), "top_rep": self.top_rep,
+            "periods": {"eta": self.eta.tolist(),
+                        "counts": {k: arr.tolist() for k, arr in self.counts.items()},
+                        "mean_utility": {k: arr.tolist() for k, arr in self.mean_utility.items()}},
+            "per_peer": {"discounted_utility": self.discounted_utility.tolist(),
+                         "final_reputation": self.final_reputation.tolist(),
+                         "kind": [_kind_labels(self.config.protocol_flavor)[k] for k in self.kinds]},
             "summary": self.summary(),
         }
 
@@ -223,9 +191,8 @@ def _kind_labels(flavor: str) -> list:
 def _protocol_tables(config: SimConfig):
     """Flavor adapter: the top reputation, the prescribed willingness
     willing[s, c] (a compliant s-server accepts a c-client) and keep_prob[r],
-    the chance that a punished r-peer keeps r instead of falling to 0.
-    Tit-for-tat is a two-rung ladder that serves anyone whose last period was
-    clean and never forgives."""
+    the chance that a punished r-peer keeps r instead of falling to 0.  Tit-
+    for-tat is a two-rung ladder serving anyone clean last period, unforgiving."""
     params = config.params
     if config.protocol_flavor == TFT:
         return 1, np.array([[False, True], [False, True]]), np.zeros(2)
@@ -237,16 +204,12 @@ def _protocol_tables(config: SimConfig):
 
 
 def tft_sustainable(env: NetworkEnv, b: int, p_c: float = 0.0) -> bool:
-    """One-shot-deviation verdict for the binary tit-for-tat rule.
-
-    Compliant play makes next-period reputation independent of the current
-    one (1 when the period was clean), so the discounted gap between the two
-    reputations equals the one-period service gap: full service minus
-    whatever altruists feed a zero-reputation peer.  A deviator saves up to a
-    full period of upload cost (lam*b*c, the same worst case the activity-
-    threshold check uses) and spends one period at reputation 0, so the rule
-    survives iff lam*b*c <= delta*(1-alpha)*gap with the usual per-period
-    error-punishment probability alpha.
+    """One-shot-deviation verdict for the binary tit-for-tat rule: compliant
+    play makes next-period reputation independent of the current one, so the
+    discounted gap between the two rungs is the one-period service gap (full
+    service minus what altruists feed a zero-reputation peer).  A deviator
+    saves up to lam*b*c and spends one period at 0, so the rule survives iff
+    lam*b*c <= delta*(1-alpha)*gap, alpha the error-punishment probability.
     """
     rate = env.lam * b
     alpha_t = error_punish_prob(env, b)
@@ -255,267 +218,350 @@ def tft_sustainable(env: NetworkEnv, b: int, p_c: float = 0.0) -> bool:
 
 
 def _strategic_collapse(config: SimConfig) -> bool:
-    """True when the configured protocol cannot sustain compliance, in which
-    case strategic reciprocative peers free-ride."""
+    """True when the protocol cannot sustain compliance: strategic peers free-ride."""
     env = config.analytic_env()
     if config.protocol_flavor == TFT:
         return not tft_sustainable(config.env, config.params.b, env.p_c)
     return not check_equilibrium(config.params, env).is_equilibrium
 
 
-def _run_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """A run's one Philox generator (stream 0), or one for side draws."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(
-        (int(seed) & (2 ** 64 - 1), stream))))
+def _run_rng(seeds, stream: int, bits=np.random.Philox) -> np.random.Generator:
+    """A generator keyed by seeds and a stream (PCG64 draws doubles faster)."""
+    return np.random.Generator(bits(np.random.SeedSequence(
+        (*(int(s) & (2 ** 64 - 1) for s in seeds), stream))))
 
 
-def _fix_self_service(rng, clients, servers):
-    """Swap servers in place so no peer serves itself: three vectorised rounds
-    swap each clash with a uniformly drawn non-clash position (each at most
-    once a round), then each clash left picks uniformly among all valid
-    partners.  Returns the mask of pairs kept: a pair is dropped only when the
-    pool has no valid partner."""
-    m = len(clients)
-    keep = np.ones(m, dtype=bool)
-    bad = np.flatnonzero(clients == servers)
+class _Batch:
+    """A batch's layout and random stream.  Replica r owns peer ids r*n ..
+    r*n + n - 1, so sorted ids are sorted by replica (`seg` arrays label them
+    by replica).  A draw site takes one block of uniforms shaped (distinct
+    seeds, longest replica run) from the one PCG64 generator, and each
+    element reads its seed's row at its position in its replica's run."""
+
+    def __init__(self, seeds: list, n: int):
+        distinct = list(dict.fromkeys(seeds))
+        self.R, self.S, self.n = len(seeds), len(distinct), n
+        self.row = np.array([distinct.index(s) for s in seeds])
+        self.rng = _run_rng(distinct, 0, np.random.PCG64)
+
+    def seg(self, ids: np.ndarray) -> np.ndarray:
+        return ids // self.n if self.R > 1 else np.zeros(len(ids), dtype=np.int64)
+
+    def count(self, seg: np.ndarray) -> np.ndarray:
+        return np.bincount(seg, minlength=self.R) if self.R > 1 else np.array([len(seg)])
+
+    def positions(self, seg: np.ndarray, size=None):
+        """Each element's position in its replica's run, and the run sizes."""
+        size = self.count(seg) if size is None else size
+        pos = np.arange(len(seg))
+        return (pos - (size.cumsum() - size)[seg] if self.R > 1 else pos), size
+
+    def uniforms(self, seg: np.ndarray, pos=None, size=None) -> np.ndarray:
+        if self.R == 1:
+            return self.rng.random(len(seg))
+        pos, size = self.positions(seg) if pos is None else (pos, size)
+        return self.rng.random((self.S, int(size.max())))[self.row[seg], pos]
+
+    def pick(self, seg: np.ndarray, quota: np.ndarray, size=None) -> np.ndarray:
+        """Mask of quota[r] uniformly chosen elements of each replica r's run:
+        those whose uniforms rank below it (sorting keeps the sorted runs)."""
+        pos, size = self.positions(seg, size)
+        take = np.empty(len(seg), dtype=bool)
+        u = self.uniforms(seg, pos, size)
+        take[(u if self.R == 1 else 2.0 * seg + u).argsort()] = pos < quota[seg]
+        return take
+
+
+def _route(u: np.ndarray, seg: np.ndarray, sizes: np.ndarray, counts: np.ndarray):
+    """Order a pass's requests by server group, replica and u, and count them
+    per group and replica (like sizes; counts[r] is replica r's total): the
+    group holding slot floor(u * servers) of the replica's column, an iid
+    categorical draw by group size, in uniform order within the group."""
+    G, R = sizes.shape
+    used = sizes.any(axis=1)
+    if np.count_nonzero(used) == 1:  # one group takes every request
+        return (u if R == 1 else 2.0 * seg + u).argsort(), used[:, None] * counts
+    if R == 1:  # groups rise with u, so sorting by u sorts them too
+        order, c = u.argsort(), sizes[:, 0].cumsum()
+        cuts = (u[order] * c[-1]).astype(np.int64).searchsorted(c)
+        return order, (cuts - np.concatenate(([0], cuts[:-1])))[:, None]
+    tot = sizes.sum(axis=0)
+    off = tot.cumsum() - tot
+    bounds = (off + sizes[:-1].cumsum(axis=0)).T.ravel()
+    slot = off[seg] + (u * tot[seg]).astype(np.int64)
+    cell = (bounds.searchsorted(slot, side="right") - (G - 1) * seg) * R + seg
+    return (2.0 * cell + u).argsort(), np.bincount(cell, minlength=G * R).reshape(G, R)
+
+
+def _fix_self_service(batch: _Batch, seg, clients, servers) -> list:
+    """Swap servers in place so no peer serves itself, within each replica
+    (seg).  Three rounds swap each clash with a uniformly drawn position of its
+    replica unless that is a clash, was drawn before or would clash after; a
+    clash left picks uniformly among valid partners, or is dropped (returned)."""
+    bad = (clients == servers).nonzero()[0]
+    size = batch.count(seg)
+    start = size.cumsum() - size
     for _ in range(3):
         if not len(bad):
-            return keep
-        j = rng.integers(0, m, len(bad))
-        once = np.zeros(len(j), dtype=bool)
-        once[np.unique(j, return_index=True)[1]] = True
-        ok = (once & (servers[j] != clients[bad]) & (servers[bad] != clients[j])
-              & (clients[j] != servers[j]))
-        i, j = bad[ok], j[ok]
-        servers[i], servers[j] = servers[j], servers[i]
-        bad = bad[~ok]
-    for i in bad:
-        if clients[i] == servers[i]:  # else an earlier clash's swap fixed it
-            cand = np.flatnonzero(keep & (servers != clients[i]) & (clients != servers[i]))
-            if len(cand):
-                j = cand[rng.integers(len(cand))]
-                servers[i], servers[j] = servers[j], servers[i]
+            return []
+        draws = start[seg[bad]] + (batch.uniforms(seg[bad]) * size[seg[bad]]).astype(np.int64)
+        clash, seen, left = set(bad.tolist()), set(), []
+        for i, j in zip(bad.tolist(), draws.tolist()):
+            if j in seen or j in clash or servers[j] == clients[i] or servers[i] == clients[j]:
+                left.append(i)
             else:
-                keep[i] = False
-    return keep
+                servers[i], servers[j] = servers[j], servers[i]
+            seen.add(j)
+        bad = np.array(left, dtype=np.int64)
+    dropped = []  # a dropped pair is no valid partner for a later clash either
+    for i, u in zip(bad.tolist(), batch.uniforms(seg[bad])):
+        if clients[i] != servers[i]:  # an earlier clash's swap fixed it
+            continue
+        run = slice(start[seg[i]], start[seg[i]] + size[seg[i]])
+        cand = run.start + ((servers[run] != clients[i]) & (clients[run] != servers[i])).nonzero()[0]
+        if len(cand):
+            j = cand[int(u * len(cand))]
+            servers[i], servers[j] = servers[j], servers[i]
+        else:
+            dropped.append(i)
+    return dropped
 
 
-def _spread(rng, n_items: int, members: np.ndarray) -> np.ndarray:
-    """Even-load server slots in member order: every member gets floor(n/g)
-    requests and a uniformly chosen subset gets one more.  Callers pair them
-    with requests already in uniform random order."""
-    g = len(members)
-    base, rem = divmod(n_items, g)
-    loads = np.full(g, base, dtype=np.int64)
-    if rem:
-        loads[rng.choice(g, rem, replace=False)] += 1
-    return np.repeat(members, loads)
+def _loads(batch: _Batch, members: np.ndarray, size: np.ndarray, n_req: np.ndarray):
+    """Even loads: n_req[r] give replica r's members floor(n/g), a uniform few one more."""
+    seg = batch.seg(members)
+    base, rem = np.divmod(n_req, np.maximum(size, 1))
+    return base[seg] + batch.pick(seg, rem, size) if np.count_nonzero(rem) else base[seg]
 
 
 def run_sim(config: SimConfig) -> SimTrace:
-    """Execute the configured social-norm run; identical configs replay
-    bit-for-bit."""
-    return _run(config, SOCIAL_NORM)
+    """Execute the configured social-norm run: a batch of one."""
+    return _run_one(config, SOCIAL_NORM)
 
 
 def run_tft(config: SimConfig) -> SimTrace:
-    """Binary tit-for-tat baseline on the same engine: two reputations,
-    service decided by the client's last-period compliance alone."""
-    return _run(config, TFT)
+    """Binary tit-for-tat baseline: service decided by last-period compliance."""
+    return _run_one(config, TFT)
 
 
-def _run(config: SimConfig, flavor: str) -> SimTrace:
+def _run_one(config: SimConfig, flavor: str) -> SimTrace:
     if config.protocol_flavor != flavor:
         raise ValueError(f"run_sim drives {SOCIAL_NORM} and run_tft {TFT}, "
                          f"got protocol_flavor={config.protocol_flavor!r}")
-    top, willing, keep_prob = _protocol_tables(config)
-    env = config.env
-    n = config.n_peers
-    k = config.requests_per_peer
-    T = config.n_periods
+    return run_replicas([config])[0]
 
-    counts = config.kind_counts()
-    kinds = np.repeat(np.arange(len(KIND_ORDER), dtype=np.int8),
-                      [counts[kind] for kind in KIND_ORDER])
-    recip_mask = kinds == _K_RECIP
-    alt_ids = np.flatnonzero(kinds == _K_ALT)
-    alt0 = counts[PeerKind.RECIPROCATIVE]  # altruists are one contiguous id block
-    mal_ids = np.flatnonzero(kinds == _K_MAL)
 
-    rep = np.array((0,) * n if config.init_reputations is None else config.init_reputations,
-                   dtype=np.int64)
-    if rep.shape != (n,) or rep.min() < 0 or rep.max() > top:
+_REFUSE, _RECIP, _MAL, _ALT = range(4)  # server groups of a pool pass
+_EMITTED, _SERVED, _ERRORED, _CORRUPTED, _UNSERVED, _REFUSALS, _BY_RECIP = range(7)
+
+
+def _reputation_update(rep: np.ndarray, x: np.ndarray, kept: np.ndarray, top: int) -> np.ndarray:
+    """Period boundary: climb when clean, else fall to 0 unless forgiven (in kept)."""
+    new_rep = np.where(x, 0, np.minimum(rep + 1, top))
+    new_rep[kept] = rep[kept]
+    return new_rep
+
+
+def run_replicas(configs: list) -> list:
+    """Run a batch of replicas, which may differ only in seed, init_reputations
+    and deviant_policy, through one period loop; one SimTrace each.  Requests
+    pair only with servers of their own replica."""
+    cfg = configs[0]
+    own = dict(seed=cfg.seed, init_reputations=cfg.init_reputations, deviant_policy=cfg.deviant_policy)
+    if any(c.replace(**own) != cfg for c in configs):
+        raise ValueError("replicas may differ only in seed, init_reputations and deviant_policy")
+    top, willing, keep_prob = _protocol_tables(cfg)
+    env, n, k, T, R = cfg.env, cfg.n_peers, cfg.requests_per_peer, cfg.n_periods, len(configs)
+    batch = _Batch([c.seed for c in configs], n)
+
+    counts = cfg.kind_counts()
+    kinds = np.repeat(np.arange(len(KIND_ORDER), dtype=np.int8), [counts[kd] for kd in KIND_ORDER])
+    replica = np.arange(R * n) // n
+    kind_slot = replica * len(KIND_ORDER) + np.tile(kinds, R)
+    recip_mask = np.tile(kinds == _K_RECIP, R)
+    alt_ids, mal_ids = (np.flatnonzero(np.tile(kinds == code, R)) for code in (_K_ALT, _K_MAL))
+    reps = [np.array(c.init_reputations or (0,) * n, dtype=np.int64) for c in configs]
+    if any(r.shape != (n,) or r.min() < 0 or r.max() > top for r in reps):
         raise ValueError("init_reputations must give every peer a reputation in range")
+    rep = np.concatenate(reps)
     rep[alt_ids] = top  # altruists are pinned at the top rung
 
-    collapsed = _strategic_collapse(config) if config.strategic else False
-    deviant = config.deviant_policy
-    if deviant is not None and not (0 <= deviant.peer_id < n and recip_mask[deviant.peer_id]):
+    collapsed = _strategic_collapse(cfg) if cfg.strategic else False
+    refuse_base = recip_mask if collapsed else np.zeros(R * n, dtype=bool)
+    deviants = [(r, c.deviant_policy) for r, c in enumerate(configs) if c.deviant_policy]
+    if not all(0 <= d.peer_id < n and kinds[d.peer_id] == _K_RECIP for _, d in deviants):
         raise ValueError("deviant peer must be a reciprocative peer id")
-    refuse_base = recip_mask if collapsed else np.zeros(n, dtype=bool)
+    dev_ids = np.array([r * n + d.peer_id for r, d in deviants], dtype=np.int64)
+    dev_window = np.array([d.window or (0, T) for _, d in deviants]).reshape(-1, 2)
 
-    eta_series = np.zeros((T, top + 1))
-    count_series = {name: np.zeros(T, dtype=np.int64) for name in COUNT_NAMES}
-    util_sums = np.zeros((T, len(KIND_ORDER)))  # per-period utility summed by kind
-    discounted = np.zeros(n)
-    disc_weight = 1.0
+    rep_counts = np.zeros((T, R * (top + 1)))
+    count_series = np.zeros((T, len(COUNT_NAMES), R), dtype=np.int64)
+    count_series[:, _EMITTED] = k * counts[PeerKind.RECIPROCATIVE]
+    util_sums = np.zeros((T, R * len(KIND_ORDER)))  # per-period utility summed by kind
+    discounted = np.zeros(R * n)
 
     # requests: every reciprocative peer wants k chunks each period
     clients = np.repeat(np.flatnonzero(recip_mask), k)
-    # client reputations with the same willing column share one server pool,
-    # so even loads stay even; pools run in sorted column order
+    # client rungs with the same willing column share one pool, run in sorted
+    # column order; a pool nobody can ever serve only counts its requests
     class_cols, cls_of_rep = np.unique(willing.T, axis=0, return_inverse=True)
-    rng = _run_rng(config.seed)
+    live = class_cols.any(axis=1) | bool(len(mal_ids) or len(alt_ids))
+    dead_rung = None if live.all() else ~live[cls_of_rep]  # every peer is reciprocative then
+    sizes = np.zeros((4, R), dtype=np.int64)  # server counts, group x replica
+    sizes[_MAL] = batch.count(batch.seg(mal_ids))
     forgiving = keep_prob.any()
 
     for t in range(T):
-        eta_series[t] = np.bincount(rep, minlength=top + 1) / n
-
+        rep_counts[t] = hist = np.bincount(replica * (top + 1) + rep, minlength=R * (top + 1))
         sent, got = [clients[:0]], [clients[:0]]  # honest uploads, deliveries (peer ids)
-        x = np.zeros(n, dtype=bool)
-        tally = dict.fromkeys(COUNT_NAMES, 0)
-        tally["emitted"] = len(clients)
-
-        refuse_all = refuse_base
-        if deviant is not None and deviant.active(t):
-            refuse_all = refuse_base | (np.arange(n) == deviant.peer_id)
+        x = np.zeros(R * n, dtype=bool)
+        tally = count_series[t]
+        if dead_rung is not None:
+            tally[_UNSERVED] = k * (hist.reshape(R, -1) @ dead_rung)
+        on = dev_ids[(dev_window[:, 0] <= t) & (t < dev_window[:, 1])] if len(dev_ids) else dev_ids
+        refuse_all = refuse_base.copy() if len(on) else refuse_base
+        refuse_all[on] = True
+        any_refuse = collapsed or len(on)
         alt_capacity = np.full(len(alt_ids), k, dtype=np.int64)
+        sizes[_ALT] = len(alt_ids) // R
         client_cls = cls_of_rep[rep[clients]]
 
-        for cls, willing_col in enumerate(class_cols):
+        for cls in np.flatnonzero(live):
             pending = clients[client_cls == cls]
+            willing_col = class_cols[cls]
             apparent = recip_mask & willing_col[rep]
-            serving = np.flatnonzero(apparent & ~refuse_all)
-            refusing = np.flatnonzero(apparent & refuse_all)
+            serving = (apparent & ~refuse_all).nonzero()[0] if any_refuse else apparent.nonzero()[0]
+            refusing = (apparent & refuse_all).nonzero()[0] if any_refuse else serving[:0]
+            sizes[_REFUSE] = batch.count(batch.seg(refusing))
+            sizes[_RECIP] = batch.count(batch.seg(serving))
             # Refusers only see pass 1 and altruists overflow only once every
             # altruist is full, so pass 3 meets only reciprocative and
             # malicious servers, which redirect nothing: the loop ends there.
             while len(pending):
-                groups = [(tag, ids) for tag, ids in (
-                    ("refuse", refusing), ("recip", serving), ("malicious", mal_ids),
-                    ("altruist", alt_ids[alt_capacity > 0])) if len(ids)]
-                if not groups:
-                    break  # nobody can take them: counted unserved below
-                sizes = np.array([len(ids) for _, ids in groups], dtype=float)
-                split = rng.multinomial(len(pending), sizes / sizes.sum())
-                # the pass's one shuffle: server slots below come in member
-                # order, so pairing them with shuffled requests is uniform
-                shuffled = rng.permutation(pending)
-                next_pending = [shuffled[:0]]
-                pos = 0
-                for (tag, members), n_g in zip(groups, split):
-                    part = shuffled[pos:pos + n_g]
-                    pos += n_g
-                    if n_g == 0:
+                seg = batch.seg(pending)
+                tot = sizes.sum(axis=0).tolist()
+                if 0 in tot:  # nobody can take them: unserved
+                    stuck = np.array(tot)[seg] == 0
+                    tally[_UNSERVED] += batch.count(seg[stuck])
+                    pending, seg = pending[~stuck], seg[~stuck]
+                    if not any(tot):
+                        break
+                # one draw per request picks its group and its place in the group
+                order, n_req = _route(batch.uniforms(seg), seg, sizes, batch.count(seg))
+                pending, seg = pending[order], seg[order]
+                next_pending, hi = [], 0
+                for g, (members, n_g) in enumerate(zip(
+                        (refusing, serving, mal_ids, alt_ids), n_req.sum(axis=1).tolist())):
+                    lo, hi, nr = hi, hi + n_g, n_req[g]
+                    if not n_g:
                         continue
-                    if tag == "refuse":
-                        # bounced contacts: deviation observed, client redirects
-                        x[_spread(rng, n_g, members)] = True
-                        tally["refusals"] += n_g
+                    part, part_seg = pending[lo:hi], seg[lo:hi]
+                    if g in (_REFUSE, _MAL):  # contacted: all, or those a spread reaches
+                        hit = members if not np.count_nonzero(nr < sizes[g]) else \
+                            members[_loads(batch, members, sizes[g], nr) > 0]
+                    if g == _REFUSE:  # bounced contacts: deviation seen, client redirects
+                        x[hit] = True
+                        tally[_REFUSALS] += nr
                         next_pending.append(part)
-                        continue
-                    if tag == "altruist":
-                        slots = np.repeat(members, alt_capacity[members - alt0])
-                        srv = slots if n_g >= len(slots) else rng.choice(slots, n_g, replace=False)
-                        next_pending.append(part[len(srv):])  # overflow redirects
-                        part = part[:len(srv)]
-                        alt_capacity -= np.bincount(srv - alt0, minlength=len(alt_ids))
+                    elif g == _MAL:  # corrupt delivery wastes the slot; x by prescription
+                        x[hit[willing_col[rep[hit]]]] = True
+                        tally[_CORRUPTED] += nr
                     else:
-                        srv = _spread(rng, n_g, members)
-                    if tag == "recip":  # the only servers that also request
-                        keep = _fix_self_service(rng, part, srv)
-                        if not keep.all():
-                            tally["unserved"] += int((~keep).sum())
-                            part, srv = part[keep], srv[keep]
-                    if tag == "malicious":
-                        # corrupt delivery: slot wasted, compliance judged by prescription
-                        tally["corrupted"] += n_g
-                        x[srv[willing_col[rep[srv]]]] = True
-                        continue
-                    # honest upload attempt: cost now, then the connectivity lottery,
-                    # iid per upload: Binomial(len, eps) failures at uniform positions
-                    sent.append(srv)
-                    err = np.zeros(len(part), dtype=bool)
-                    err[rng.choice(len(part), rng.binomial(len(part), env.eps), replace=False)] = True
-                    ok = ~err
-                    got.append(part[ok])
-                    n_ok = int(ok.sum())
-                    tally["served"] += n_ok
-                    tally["errored"] += len(part) - n_ok
-                    if tag == "recip":
-                        tally["served_by_recip"] += n_ok
-                        x[srv[err]] = True
-                    # altruists are pinned regardless of errors
-                pending = np.concatenate(next_pending)
-                refusing = refusing[:0]  # refusers are skipped on redirect
-            tally["unserved"] += len(pending)
+                        if g == _RECIP:  # servers in member order, requests shuffled
+                            srv = members.repeat(_loads(batch, members, sizes[g], nr))
+                            drop = _fix_self_service(batch, part_seg, part, srv)
+                            if drop:  # the only servers that also request
+                                nr = nr - batch.count(part_seg[drop])
+                                tally[_UNSERVED] += n_req[g] - nr
+                                part, part_seg, srv = (np.delete(a, drop) for a in (part, part_seg, srv))
+                        else:  # altruists: distinct slots, uniformly chosen if fewer than slots
+                            slots = np.arange(len(alt_ids)).repeat(alt_capacity)
+                            room = alt_capacity.reshape(R, -1).sum(axis=1)
+                            if np.count_nonzero(nr < room):
+                                slots = slots[batch.pick(batch.seg(alt_ids[slots]), nr, room)]
+                            alt_capacity -= np.bincount(slots, minlength=len(alt_ids))
+                            sizes[_ALT] = (alt_capacity.reshape(R, -1) > 0).sum(axis=1)
+                            srv = alt_ids[slots]
+                            if np.count_nonzero(nr > room):  # overflow redirects
+                                nr = np.minimum(nr, room)
+                                over = batch.positions(part_seg, n_req[g])[0] >= nr[part_seg]
+                                next_pending.append(part[over])
+                                part, part_seg = part[~over], part_seg[~over]
+                        # honest upload attempt: cost now, then the connectivity
+                        # lottery, iid Bernoulli(eps) per upload
+                        sent.append(srv)
+                        err = batch.uniforms(part_seg) < env.eps
+                        got.append(part[~err])
+                        n_err = batch.count(part_seg[err])
+                        tally[_SERVED] += nr - n_err
+                        tally[_ERRORED] += n_err
+                        if g == _RECIP:  # altruists are pinned regardless of errors
+                            tally[_BY_RECIP] += nr - n_err
+                            x[srv[err]] = True
+                pending = np.concatenate(next_pending) if next_pending else pending[:0]
+                if len(next_pending) > 1 and R > 1:  # keep replica runs together
+                    pending = pending[batch.seg(pending).argsort(kind="stable")]
+                refusing, sizes[_REFUSE] = refusing[:0], 0  # refusers are skipped on redirect
 
-        for name, value in tally.items():
-            count_series[name][t] = value
-
-        util = (env.r * np.bincount(np.concatenate(got), minlength=n)
-                - env.c * np.bincount(np.concatenate(sent), minlength=n))
-        util_sums[t] = np.bincount(kinds, weights=util, minlength=len(KIND_ORDER))
-        discounted += disc_weight * util
-        disc_weight *= env.delta
-
-        # period boundary: climb when clean, else fall to 0 unless forgiven;
-        # only punished peers on forgiving rungs draw the lottery
-        new_rep = np.where(x, 0, np.minimum(rep + 1, top))
-        if forgiving:
-            lottery = np.flatnonzero(x & (keep_prob[rep] > 0))
-            kept = lottery[rng.random(len(lottery)) < keep_prob[rep[lottery]]]
-            new_rep[kept] = rep[kept]
-        rep = new_rep
+        util = (env.r * np.bincount(np.concatenate(got), minlength=R * n)
+                - env.c * np.bincount(np.concatenate(sent), minlength=R * n))
+        util_sums[t] = np.bincount(kind_slot, weights=util, minlength=R * len(KIND_ORDER))
+        discounted += env.delta ** t * util
+        kept = clients[:0]
+        if forgiving:  # only punished peers on forgiving rungs draw the lottery
+            lottery = (x & (keep_prob[rep] > 0)).nonzero()[0]
+            kept = lottery[batch.uniforms(batch.seg(lottery)) < keep_prob[rep[lottery]]]
+        rep = _reputation_update(rep, x, kept, top)
         rep[alt_ids] = top
 
-    _check_invariants(count_series, eta_series, rep[alt_ids], top)
-    u_max = k * max(env.r, env.c)
-    tail = 0.0 if env.delta == 0.0 else (env.delta ** T) * u_max / (1.0 - env.delta)
-    mean_utility = {label: util_sums[:, code] / counts[kind] for code, (label, kind) in
-                    enumerate(zip(_kind_labels(flavor), KIND_ORDER)) if counts[kind] > 0}
-    return SimTrace(config=config, top_rep=top, eta=eta_series, counts=count_series,
-                    mean_utility=mean_utility, discounted_utility=discounted,
-                    final_reputation=rep, kinds=kinds, truncation_bound=tail,
-                    collapsed=collapsed)
-
-
-def _check_invariants(counts: dict, eta: np.ndarray, alt_reps: np.ndarray, pinned: int) -> None:
-    """Run-time accounting checks: request outcomes partition `emitted` in
-    every period, every reputation histogram sums to 1, altruists end pinned."""
-    parts = counts["served"] + counts["errored"] + counts["corrupted"] + counts["unserved"]
-    for bad, what in ((parts != counts["emitted"], "request outcomes do not partition emitted"),
-                      (np.abs(eta.sum(axis=1) - 1.0) > 1e-9, "the eta row does not sum to 1")):
+    tail = 0.0 if env.delta == 0.0 else env.delta ** T * k * max(env.r, env.c) / (1.0 - env.delta)
+    eta = rep_counts.reshape(T, R, top + 1) / n
+    util_sums = util_sums.reshape(T, R, len(KIND_ORDER))
+    labels = _kind_labels(cfg.protocol_flavor)
+    # run-time accounting checks: request outcomes partition `emitted` in
+    # every period, every reputation histogram sums to 1, altruists end pinned
+    for bad, what in ((count_series[:, _SERVED:_UNSERVED + 1].sum(axis=1) != count_series[:, _EMITTED],
+                       "request outcomes do not partition emitted"),
+                      (np.abs(eta.sum(axis=2) - 1.0) > 1e-9, "the eta row does not sum to 1")):
         if bad.any():
-            raise RuntimeError(f"{what} in period {np.argmax(bad)}")
-    if np.any(alt_reps != pinned):
-        raise RuntimeError(f"an altruist left reputation {pinned} by period {len(eta) - 1}")
+            raise RuntimeError(f"{what} in period {np.argmax(bad.any(axis=1))}")
+    if np.any(rep[alt_ids] != top):
+        raise RuntimeError(f"an altruist left reputation {top} by period {T - 1}")
+    traces = []
+    for r, config in enumerate(configs):
+        peers = slice(r * n, (r + 1) * n)
+        series = dict(zip(COUNT_NAMES, count_series[:, :, r].T.copy()))
+        mean_utility = {labels[code]: util_sums[:, r, code] / counts[kind]
+                        for code, kind in enumerate(KIND_ORDER) if counts[kind] > 0}
+        traces.append(SimTrace(config, top, eta[:, r].copy(), series, mean_utility,
+                               discounted[peers].copy(), rep[peers].copy(), kinds, tail, collapsed))
+    return traces
 
 
 def measure_deviation_gain(config: SimConfig, theta: int, n_pairs: int = 30) -> float:
     """Empirical one-shot-deviation payoff: discounted utility of a tagged
     peer that refuses all uploads in period 0 and then complies, minus its
-    utility when complying throughout, averaged over paired seeds.
-
-    The population starts from the analytic stationary profile (shared by
-    both runs of a pair) with the tagged peer pinned at reputation theta, so
-    the measurement mirrors the analytic deviation algebra.  Expected to be
-    non-positive, up to noise, exactly when the protocol passes the check.
-    """
+    utility when complying throughout, averaged over n_pairs seeds.  Pair i
+    starts from a draw of the analytic stationary profile (from seed + i) with
+    the tagged peer at reputation theta, mirroring the deviation algebra.  All
+    2 * n_pairs runs form one `run_replicas` batch in which a pair's two runs
+    share seed + i, so they draw alike until the deviation changes their
+    states (a deviant never asked to serve gains exactly 0).  Non-positive up
+    to noise exactly when the protocol passes the check."""
     if config.protocol_flavor != SOCIAL_NORM:
         raise ValueError("deviation measurement drives the social-norm flavor")
     if not 0 <= theta <= config.params.L:
         raise ValueError(f"theta out of range 0..{config.params.L}")
-    counts = config.kind_counts()
-    if counts[PeerKind.RECIPROCATIVE] < 1:
+    if config.kind_counts()[PeerKind.RECIPROCATIVE] < 1:
         raise ValueError("need at least one reciprocative peer to tag")
     dist = stationary_for_regime(config.params, config.analytic_env())
-    gains = []
+    configs = []
     for i in range(n_pairs):
         seed_i = config.seed + i
-        reps = _run_rng(seed_i, 0xD5).choice(config.params.L + 1, size=config.n_peers, p=dist.eta)
+        reps = _run_rng((seed_i,), 0xD5).choice(config.params.L + 1, size=config.n_peers, p=dist.eta)
         reps[0] = theta
         base = config.replace(seed=seed_i, init_reputations=reps, deviant_policy=None)
-        dev = base.replace(deviant_policy=DeviantPolicy(peer_id=0, window=(0, 1)))
-        gains.append(run_sim(dev).discounted_utility[0] - run_sim(base).discounted_utility[0])
-    return float(np.mean(gains))
+        configs += [base, base.replace(deviant_policy=DeviantPolicy(peer_id=0, window=(0, 1)))]
+    traces = run_replicas(configs)
+    return float(np.mean([dev.discounted_utility[0] - base.discounted_utility[0]
+                          for base, dev in zip(traces[::2], traces[1::2])]))

@@ -6,11 +6,15 @@ stationary profiles by an LU null-space solve on the full kernel instead of
 the product over the reputation ladder, and equilibrium verdicts by
 enumerating every deterministic one-period deviation rule instead of the
 two-constraint reduction, and the simulator's self-service fix by trying every
-reassignment of a pool's servers instead of swapping clashes away.
+reassignment of a pool's servers instead of swapping clashes away.  The
+scalar decision rules at the end (one server, one client, one peer at a time)
+are the reference for the simulator's vectorised service table and
+reputation update.
 """
 
 from __future__ import annotations
 
+import enum
 import itertools
 
 import numpy as np
@@ -125,3 +129,45 @@ def fewest_self_service_drops(clients, servers) -> int:
     best = max(sum(c != s for c, s in zip(clients, order))
                for order in set(itertools.permutations(servers)))
     return len(clients) - best
+
+
+class Action(enum.Enum):
+    """What a server can do with an incoming chunk request."""
+
+    SERVE = "serve"
+    NOT_SERVE = "not_serve"
+
+
+def social_strategy(params: ProtocolParams, server_rep: int, client_rep: int) -> Action:
+    """Prescribed action of a server toward a client, by reputations alone.
+
+    Serve iff the server is active (server_rep >= h_o) and the client clears
+    the server's client threshold (client_rep >= m_o(server_rep)).
+    """
+    if server_rep >= params.h_o and client_rep >= params.m_o_at(server_rep):
+        return Action.SERVE
+    return Action.NOT_SERVE
+
+
+def phi_compliance(params: ProtocolParams, server_rep: int, client_rep: int,
+                   action_taken: Action) -> int:
+    """Per-transaction compliance bit: 0 if the action matches the prescribed
+    rule, 1 otherwise.  The tracker ORs these bits over a period."""
+    return 0 if action_taken == social_strategy(params, server_rep, client_rep) else 1
+
+
+def reputation_update(params: ProtocolParams, rep: int, x: int, forgiven: int = 0) -> int:
+    """End-of-period reputation transition.
+
+    x = 0 (clean period): climb one step, capped at L.
+    x = 1 (at least one non-compliant transaction): drop to 0, unless the
+    forgiveness lottery came up (forgiven = 1), in which case the reputation
+    is unchanged.  The caller draws `forgiven` with probability
+    forgiveness_prob(params, rep); the analytic modules integrate over that
+    lottery and the simulator samples it.
+    """
+    if x == 0:
+        return min(params.L, rep + 1)
+    if forgiven:
+        return rep
+    return 0

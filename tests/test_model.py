@@ -3,14 +3,11 @@ import itertools
 import pytest
 
 from normforge import (
-    Action,
     NetworkEnv,
     ProtocolParams,
     error_punish_prob,
-    phi_compliance,
-    reputation_update,
-    social_strategy,
 )
+from oracles import Action, phi_compliance, reputation_update, social_strategy
 
 
 def env(**kw):

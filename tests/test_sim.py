@@ -21,7 +21,7 @@ from normforge import (
     stationary_malicious,
     tft_sustainable,
 )
-from oracles import fewest_self_service_drops
+from oracles import Action, fewest_self_service_drops, reputation_update, social_strategy
 
 
 def env(**kw):
@@ -280,26 +280,98 @@ class TestRuntimeInvariants:
         # a routing split that silently drops one request in period 3 must
         # break the outcome partition and fail the run; with no errors and
         # every peer on the top rung each period routes one pool in one pass,
-        # so period 3's split is the run's fourth multinomial draw
-        real_rng = sim._run_rng
+        # so period 3's split is the run's fourth call to the router
+        real_route, calls = sim._route, []
 
-        class DroppingRng:
-            def __init__(self, rng):
-                self._rng, self._splits = rng, 0
+        def dropping_route(*args):
+            order, n_req = real_route(*args)
+            if len(calls) == 3:
+                n_req = n_req.copy()
+                n_req[np.unravel_index(np.argmax(n_req), n_req.shape)] -= 1
+            calls.append(1)
+            return order, n_req
 
-            def __getattr__(self, name):
-                return getattr(self._rng, name)
-
-            def multinomial(self, n, pvals):
-                split = self._rng.multinomial(n, pvals)
-                if self._splits == 3:
-                    split[np.argmax(split)] -= 1
-                self._splits += 1
-                return split
-
-        monkeypatch.setattr(sim, "_run_rng", lambda seed: DroppingRng(real_rng(seed)))
+        monkeypatch.setattr(sim, "_route", dropping_route)
         with pytest.raises(RuntimeError, match="partition emitted in period 3$"):
             run_sim(config(n_periods=6, env=env(eps=0.0), init_reputations=(3,) * 200))
+
+
+def _outcomes(trace) -> tuple:
+    """Everything a trace records except its config."""
+    return (trace.eta.tolist(), {k: v.tolist() for k, v in trace.counts.items()},
+            {k: v.tolist() for k, v in trace.mean_utility.items()},
+            trace.discounted_utility.tolist(), trace.final_reputation.tolist())
+
+
+class TestReplicas:
+    @pytest.mark.parametrize("params, low", [
+        (ProtocolParams(L=3, h_o=1, b=2), 0),              # nobody serves rung 0
+        (ProtocolParams(L=3, h_o=2, b=2, m_o=(1, 1)), 1),  # only replica B can serve rung 1
+    ])
+    def test_requests_stay_in_their_replica(self, params, low):
+        a = config(n_peers=50, n_periods=3, params=params, init_reputations=(low,) * 50)
+        b = a.replace(seed=12, init_reputations=(3,) * 50)
+        tr_a, tr_b = sim.run_replicas([a, b])
+        assert tr_a.counts["served"][0] == 0
+        assert tr_a.counts["unserved"][0] == tr_a.counts["emitted"][0]
+        assert tr_b.counts["served"][0] > 0
+
+    def test_same_seed_replicas_draw_alike(self):
+        cfg = config(n_peers=60, n_periods=40, env=env(eps=0.2), init_reputations=(0, 3) * 30,
+                     params=ProtocolParams(L=3, h_o=1, b=2, beta=0.5),
+                     population_mix={PeerKind.RECIPROCATIVE: 0.8, PeerKind.ALTRUISTIC: 0.1,
+                                     PeerKind.MALICIOUS: 0.1})
+        # peer 0 starts at rung 0, so it is never asked to serve in period 0
+        idle = cfg.replace(deviant_policy=DeviantPolicy(peer_id=0, window=(0, 1)))
+        traces = sim.run_replicas([cfg, cfg.replace(seed=99), idle, cfg])
+        assert _outcomes(traces[0]) == _outcomes(traces[2]) == _outcomes(traces[3])
+        assert _outcomes(traces[1]) != _outcomes(traces[0])
+        # the stream is keyed by the batch's distinct seeds: copies of one
+        # config replay the batch of one
+        assert [_outcomes(t) for t in sim.run_replicas([cfg, cfg])] == [_outcomes(run_sim(cfg))] * 2
+
+    def test_unasked_deviant_gains_exactly_nothing(self):
+        cfg = config(n_peers=200, n_periods=50, seed=7, env=env(c=0.0))
+        assert measure_deviation_gain(cfg, theta=0, n_pairs=10) == 0.0
+
+    def test_batch_replays_byte_for_byte(self):
+        cfgs = [config(n_peers=40, n_periods=30, seed=s, protocol_flavor="TFT",
+                       population_mix={PeerKind.RECIPROCATIVE: 0.8, PeerKind.ALTRUISTIC: 0.2})
+                for s in (1, 2, 1)]
+        first, again = sim.run_replicas(cfgs), sim.run_replicas(cfgs)
+        assert [t.to_json() for t in first] == [t.to_json() for t in again]
+
+    @pytest.mark.parametrize("change", [dict(env=env(eps=0.2)),
+                                        dict(params=ProtocolParams(L=3, h_o=2, b=2)),
+                                        dict(n_periods=20)])
+    def test_only_seed_start_and_deviant_may_differ(self, change):
+        base = config(n_peers=20, n_periods=10)
+        sim.run_replicas([base, base.replace(seed=3, init_reputations=(1,) * 20,
+                                             deviant_policy=DeviantPolicy(peer_id=2))])
+        with pytest.raises(ValueError):
+            sim.run_replicas([base, base.replace(**change)])
+
+
+class TestScalarOracles:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), L=st.integers(1, 6), beta=st.sampled_from([0.0, 0.3, 1.0]))
+    def test_vectorised_rules_match_the_scalar_rules(self, data, L, beta):
+        h_o = data.draw(st.integers(1, L))
+        m_o = sorted(data.draw(st.lists(st.integers(1, L), min_size=L - h_o + 1,
+                                        max_size=L - h_o + 1)))
+        params = ProtocolParams(L=L, h_o=h_o, b=1, beta=beta, m_o=m_o)
+        top, willing, keep_prob = sim._protocol_tables(config(params=params))
+        assert top == L
+        for s, c in np.ndindex(willing.shape):
+            assert willing[s, c] == (social_strategy(params, s, c) is Action.SERVE)
+        assert np.allclose(keep_prob, [beta ** (L - r + 1) for r in range(L + 1)])
+        n = data.draw(st.integers(1, 12))
+        rep = np.array(data.draw(st.lists(st.integers(0, L), min_size=n, max_size=n)))
+        x, forgiven = (np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+                       for _ in range(2))
+        got = sim._reputation_update(rep, x, np.flatnonzero(x & forgiven), L)
+        assert got.tolist() == [reputation_update(params, int(r), int(xi), int(f))
+                                for r, xi, f in zip(rep, x, forgiven)]
 
 
 def pools(max_size: int = 6, n_ids: int = 4):
@@ -312,35 +384,45 @@ def pools(max_size: int = 6, n_ids: int = 4):
 
 class TestPoolMatching:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(pool=pools(), seed=st.integers(0, 2 ** 32 - 1))
-    @example(pool=([0, 1, 2, 3], [1, 1, 1, 1]), seed=0)  # one server
-    @example(pool=([2, 2, 2], [0, 1, 2]), seed=0)        # one client
-    @example(pool=([1], [1]), seed=0)                    # nobody else to swap with
-    def test_self_service_fix_matches_brute_force(self, pool, seed):
-        clients, servers = (np.array(v) for v in pool)
+    @given(replicas=st.lists(pools(), min_size=1, max_size=2), seed=st.integers(0, 2 ** 32 - 1))
+    @example(replicas=[([0, 1, 2, 3], [1, 1, 1, 1])], seed=0)  # one server
+    @example(replicas=[([2, 2, 2], [0, 1, 2])], seed=0)        # one client
+    @example(replicas=[([1], [1])], seed=0)                    # nobody else to swap with
+    @example(replicas=[([1], [1]), ([0, 2], [2, 0])], seed=0)  # partners only across replicas
+    def test_self_service_fix_matches_brute_force(self, replicas, seed):
+        # replica r's peer ids are offset by r * 4, as in a batch of 4 peers
+        seg = np.concatenate([[r] * len(c) for r, (c, _) in enumerate(replicas)])
+        clients, servers = (np.concatenate([np.array(pool[side]) + 4 * r
+                                            for r, pool in enumerate(replicas)])
+                            for side in (0, 1))
         fixed = servers.copy()
-        keep = sim._fix_self_service(sim._run_rng(seed), clients, fixed)
-        assert sorted(fixed) == sorted(servers)  # server loads unchanged
+        batch = sim._Batch([seed + r for r in range(len(replicas))], 4)
+        keep = np.ones(len(clients), dtype=bool)
+        keep[sim._fix_self_service(batch, seg, clients, fixed)] = False
         assert not np.any(clients[keep] == fixed[keep])
-        for i in np.flatnonzero(~keep):  # dropped: no kept pair could take the swap
-            assert not np.any(keep & (fixed != clients[i]) & (clients != fixed[i]))
-        assert int((~keep).sum()) == fewest_self_service_drops(pool[0], pool[1])
+        for r, (pool_clients, pool_servers) in enumerate(replicas):
+            own = seg == r
+            assert sorted(fixed[own]) == sorted(servers[own])  # loads kept, no swap across replicas
+            for i in np.flatnonzero(own & ~keep):  # dropped: no kept pair could take the swap
+                assert not np.any(own & keep & (fixed != clients[i]) & (clients != fixed[i]))
+            assert int((own & ~keep).sum()) == fewest_self_service_drops(pool_clients, pool_servers)
 
     @pytest.mark.parametrize("n_items", [3, 7, 23])
-    def test_spread_loads_are_even_and_extras_uniform(self, n_items):
-        rng = sim._run_rng(20261018)
-        members = np.arange(10, 17)
-        base, rem = divmod(n_items, len(members))
+    def test_loads_are_even_and_extras_uniform(self, n_items):
+        # two replicas of seven members each, the second with no requests
+        batch = sim._Batch([20261018, 7], 20)
+        members = np.concatenate([np.arange(10, 17), np.arange(30, 37)])
+        size, n_req = np.array([7, 7]), np.array([n_items, 0])
+        base, rem = divmod(n_items, 7)
         draws = 3000
-        extras = np.zeros(len(members))
+        extras = np.zeros(7)
         for _ in range(draws):
-            slots = sim._spread(rng, n_items, members)
-            assert np.all(np.diff(slots) >= 0)  # member order
-            loads = np.bincount(slots - 10, minlength=len(members))
-            assert loads.sum() == n_items and loads.max() - loads.min() <= 1
-            extras += loads > base
+            loads = sim._loads(batch, members, size, n_req)
+            assert loads[:7].sum() == n_items and loads[:7].max() - loads[:7].min() <= 1
+            assert not loads[7:].any()
+            extras += loads[:7] > base
         # each member is one of the rem extras with probability rem/g
-        p = rem / len(members)
+        p = rem / 7
         assert np.all(np.abs(extras - draws * p) <= 4 * np.sqrt(draws * p * (1 - p)))
 
 
@@ -361,8 +443,12 @@ def test_stream_is_pinned():
     tft = config(n_peers=50, n_periods=40, seed=5, protocol_flavor="TFT",
                  population_mix={PeerKind.RECIPROCATIVE: 0.8, PeerKind.ALTRUISTIC: 0.2})
     assert _integer_digest(run_sim(social)) == \
-        "673d8627205859c747c447e45956995a61c84691a722363165cc4bc4ed6a7074"
+        "9d9ec118d80da9e75f5133e4e698adc4daf2691f40889e0222d5313335ae260c"
     assert _integer_digest(run_sim(forgiving)) == \
-        "46c086353ccaced9227821afa34e4b26603abbce47ffed11fbf80efb85875506"
+        "b9544a4e23661084bf763e36db6746685bfca21107730deb802ad07b5a45b8e9"
     assert _integer_digest(run_tft(tft)) == \
-        "b35541cf28050efdb413498a4044ce99f9debf1bfe470bf298ced4380dd44cf1"
+        "49de317d3cf1559f5c8fb401d12f343412c8cb3f06a5a474f0dc730e9104f52b"
+    batch = sim.run_replicas([social, social.replace(seed=4, deviant_policy=None), social])
+    pinned = "48ec836650f75d0db3bf48d8fc11ac38b2c2644bdf7107bf1a6bc16e04aa8bdc"
+    assert [_integer_digest(t) for t in batch] == [
+        pinned, "d8fdc1f526af4ff924195ce958a0d0f3aa5e39879ff2e3d2dc73cd9d995f0815", pinned]
