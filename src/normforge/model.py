@@ -1,4 +1,4 @@
-"""Domain types and pure decision rules for threshold-based sharing protocols.
+"""Domain types and pure rules for threshold-based sharing protocols.
 
 A protocol pins down who serves whom (a reputation-indexed service rule) and
 how reputations move at the end of each period (a punishment scheme with

@@ -1,20 +1,36 @@
 """Seeded agent-based Monte-Carlo simulator of the discrete-time sharing game.
 
-One period: every reciprocative peer emits round(lam*b) chunk requests, each
-spread as evenly as possible, with uniformly random pairing, over the servers
-willing to take it (compliant active peers for clients above their
-thresholds, malicious peers posing as willing toward anyone, altruists up to
-their capacity); uploads fail with the connectivity error probability, and at
-the period boundary every reputation climbs when clean and else falls to 0
-unless forgiven.  `run_replicas` runs replicas that may differ in seed, start
-reputations and deviant through one period loop, each pool pass routing all
-replicas' requests in one vectorised step; `run_sim` and `run_tft` are
-batches of one.  Random stream version 3 (trace schema 3): a batch's
-generator, keyed by its distinct seeds, draws each site's uniforms once per
-distinct seed, so a batch replays byte-for-byte and same-seed replicas draw
-alike while their states agree (common random numbers).  Each run checks
-that outcomes partition `emitted`, that histograms sum to 1 and that
-altruists stay pinned.
+One period: every reciprocative peer emits round(lam*b) chunk requests; each
+request is routed among the servers willing to take it (compliant active
+peers for clients above their thresholds, malicious peers posing as willing
+toward anyone, altruists up to their per-period capacity); accepted uploads
+fail with the connectivity error probability; the tracker ORs each server's
+per-transaction compliance bits and, at the period boundary, moves every
+reputation synchronously (climb when clean, fall to 0 unless forgiven).
+
+Matching model: within each pool the period's demand is spread as evenly as
+possible across willing servers with uniformly random pairing.  The analytic
+model treats per-peer upload volume as deterministic, so the even spread is
+the faithful discretization; independent per-request draws would blur the
+per-period punishment probability.  Malicious peers accept any request (the
+corrupt delivery wastes the client's slot; the client re-requests next
+period) but never emit requests of their own.
+
+`run_replicas` runs a batch of replicas, which may differ only in seed, start
+reputations and deviant, through one period loop; `run_sim` and `run_tft`
+are batches of one.  Peer ids are offset by replica.  Each pool pass routes
+every replica's requests in one vectorised step over one table of server
+groups (refusers on the first pass only, serving reciprocators, malicious
+peers, altruists with capacity left), and a request only meets servers of its
+own replica; bounced and overflowing requests try the next pass.  Random
+stream version 3 (trace schema 3): one generator per batch, keyed by the
+batch's distinct seeds, makes every draw in a fixed order, so a batch replays
+byte-for-byte.  Each draw site takes one block of uniforms per distinct seed
+and every replica reads its seed's row from position 0, so replicas with the
+same seed make the same draws while their states agree (common random
+numbers).  A finished run checks that outcomes partition `emitted` in every
+period, that histograms sum to 1 and that altruists stay pinned, and raises
+RuntimeError naming the first bad period otherwise.
 """
 
 from __future__ import annotations
@@ -41,9 +57,13 @@ COUNT_NAMES = ("emitted", "served", "errored", "corrupted", "unserved", "refusal
 
 @dataclass(frozen=True)
 class DeviantPolicy:
-    """Per-peer strategy override for empirical deviation measurement: the
-    tagged peer refuses every prescribed upload in the period window [start,
-    stop) (always when None), the binding deviation, and complies otherwise."""
+    """Per-peer strategy override for empirical deviation measurement.
+
+    The tagged peer refuses every prescribed upload during the given period
+    window [start, stop) (all periods when window is None) and complies
+    otherwise.  Refusing is the binding deviation; serving extra clients only
+    burns cost.
+    """
 
     peer_id: int
     window: Optional[tuple] = None  # (start, stop) in periods, None = always
@@ -106,10 +126,14 @@ class SimConfig:
 
     def as_dict(self) -> dict:
         return {
-            "n_peers": self.n_peers, "n_periods": self.n_periods, "seed": self.seed,
-            "protocol_flavor": self.protocol_flavor, "strategic": self.strategic,
+            "n_peers": self.n_peers,
+            "n_periods": self.n_periods,
+            "seed": self.seed,
+            "protocol_flavor": self.protocol_flavor,
+            "strategic": self.strategic,
             "population_mix": {k.value: v for k, v in self.population_mix.items()},
-            "params": self.params.to_dict(), "env": self.env.to_dict(),
+            "params": self.params.to_dict(),
+            "env": self.env.to_dict(),
             "deviant_policy": self.deviant_policy and dataclasses.asdict(self.deviant_policy),
             "init_reputations": list(self.init_reputations) if self.init_reputations else None,
         }
@@ -123,7 +147,8 @@ class SimTrace:
     Request outcomes partition per period into served / errored / corrupted /
     unserved; refusals count bounced contacts (they redirect, consuming no
     download slot).  discounted_utility accumulates delta**t * (benefit -
-    cost) per peer, truncated after n_periods with tail bound truncation_bound.
+    cost) per peer, truncated after n_periods with tail bound
+    truncation_bound.
     """
 
     config: SimConfig
@@ -140,7 +165,8 @@ class SimTrace:
     def window_eta(self, last: int = None) -> np.ndarray:
         """Mean reputation histogram over the final `last` periods (default:
         final quarter)."""
-        last = max(1, self.config.n_periods // 4) if last is None else last
+        if last is None:
+            last = max(1, self.config.n_periods // 4)
         return self.eta[-last:].mean(axis=0)
 
     def window_mu(self, last: int = None) -> float:
@@ -160,21 +186,29 @@ class SimTrace:
         emitted = max(1, totals["emitted"])
         return {
             "final_window_eta": [float(v) for v in self.window_eta()],
-            "final_window_mu": self.window_mu(), "final_window_mean_utility": per_kind,
-            "totals": totals, "delivery_rate": totals["served"] / emitted,
+            "final_window_mu": self.window_mu(),
+            "final_window_mean_utility": per_kind,
+            "totals": totals,
+            "delivery_rate": totals["served"] / emitted,
             "recip_delivery_rate": int(self.counts["served_by_recip"].sum()) / emitted,
             "truncation_bound": self.truncation_bound,
         }
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": 3, "config": self.config.as_dict(), "top_rep": self.top_rep,
-            "periods": {"eta": self.eta.tolist(),
-                        "counts": {k: arr.tolist() for k, arr in self.counts.items()},
-                        "mean_utility": {k: arr.tolist() for k, arr in self.mean_utility.items()}},
-            "per_peer": {"discounted_utility": self.discounted_utility.tolist(),
-                         "final_reputation": self.final_reputation.tolist(),
-                         "kind": [_kind_labels(self.config.protocol_flavor)[k] for k in self.kinds]},
+            "schema": 3,
+            "config": self.config.as_dict(),
+            "top_rep": self.top_rep,
+            "periods": {
+                "eta": [[float(v) for v in row] for row in self.eta],
+                "counts": {k: [int(v) for v in arr] for k, arr in self.counts.items()},
+                "mean_utility": {k: [float(v) for v in arr] for k, arr in self.mean_utility.items()},
+            },
+            "per_peer": {
+                "discounted_utility": [float(v) for v in self.discounted_utility],
+                "final_reputation": [int(v) for v in self.final_reputation],
+                "kind": [_kind_labels(self.config.protocol_flavor)[k] for k in self.kinds],
+            },
             "summary": self.summary(),
         }
 
@@ -191,8 +225,9 @@ def _kind_labels(flavor: str) -> list:
 def _protocol_tables(config: SimConfig):
     """Flavor adapter: the top reputation, the prescribed willingness
     willing[s, c] (a compliant s-server accepts a c-client) and keep_prob[r],
-    the chance that a punished r-peer keeps r instead of falling to 0.  Tit-
-    for-tat is a two-rung ladder serving anyone clean last period, unforgiving."""
+    the chance that a punished r-peer keeps r instead of falling to 0.
+    Tit-for-tat is a two-rung ladder that serves anyone whose last period was
+    clean and never forgives."""
     params = config.params
     if config.protocol_flavor == TFT:
         return 1, np.array([[False, True], [False, True]]), np.zeros(2)
@@ -204,12 +239,16 @@ def _protocol_tables(config: SimConfig):
 
 
 def tft_sustainable(env: NetworkEnv, b: int, p_c: float = 0.0) -> bool:
-    """One-shot-deviation verdict for the binary tit-for-tat rule: compliant
-    play makes next-period reputation independent of the current one, so the
-    discounted gap between the two rungs is the one-period service gap (full
-    service minus what altruists feed a zero-reputation peer).  A deviator
-    saves up to lam*b*c and spends one period at 0, so the rule survives iff
-    lam*b*c <= delta*(1-alpha)*gap, alpha the error-punishment probability.
+    """One-shot-deviation verdict for the binary tit-for-tat rule.
+
+    Compliant play makes next-period reputation independent of the current
+    one (1 when the period was clean), so the discounted gap between the two
+    reputations equals the one-period service gap: full service minus
+    whatever altruists feed a zero-reputation peer.  A deviator saves up to a
+    full period of upload cost (lam*b*c, the same worst case the activity-
+    threshold check uses) and spends one period at reputation 0, so the rule
+    survives iff lam*b*c <= delta*(1-alpha)*gap with the usual per-period
+    error-punishment probability alpha.
     """
     rate = env.lam * b
     alpha_t = error_punish_prob(env, b)
@@ -218,7 +257,8 @@ def tft_sustainable(env: NetworkEnv, b: int, p_c: float = 0.0) -> bool:
 
 
 def _strategic_collapse(config: SimConfig) -> bool:
-    """True when the protocol cannot sustain compliance: strategic peers free-ride."""
+    """True when the configured protocol cannot sustain compliance, in which
+    case strategic reciprocative peers free-ride."""
     env = config.analytic_env()
     if config.protocol_flavor == TFT:
         return not tft_sustainable(config.env, config.params.b, env.p_c)
@@ -226,17 +266,23 @@ def _strategic_collapse(config: SimConfig) -> bool:
 
 
 def _run_rng(seeds, stream: int, bits=np.random.Philox) -> np.random.Generator:
-    """A generator keyed by seeds and a stream (PCG64 draws doubles faster)."""
+    """A generator keyed by seeds and a stream: Philox for side draws, PCG64
+    for a batch's run, which draws about one double per request per site and
+    where PCG64 makes doubles about twice as fast."""
     return np.random.Generator(bits(np.random.SeedSequence(
         (*(int(s) & (2 ** 64 - 1) for s in seeds), stream))))
 
 
 class _Batch:
-    """A batch's layout and random stream.  Replica r owns peer ids r*n ..
-    r*n + n - 1, so sorted ids are sorted by replica (`seg` arrays label them
-    by replica).  A draw site takes one block of uniforms shaped (distinct
-    seeds, longest replica run) from the one PCG64 generator, and each
-    element reads its seed's row at its position in its replica's run."""
+    """A replica batch's layout and its one random stream.
+
+    Replica r owns peer ids r*n .. r*n + n - 1, so peer ids sorted ascending
+    are sorted by replica too; a `seg` array labels the elements of such an
+    array with their replica.  A draw site takes one block of uniforms shaped
+    (distinct seeds, longest replica run) and each element reads its
+    replica's seed row at its position in its replica's run, so replicas
+    with the same seed draw alike while their states agree.  The R == 1
+    branches compute the same values without replica offsets."""
 
     def __init__(self, seeds: list, n: int):
         distinct = list(dict.fromkeys(seeds))
@@ -250,11 +296,22 @@ class _Batch:
     def count(self, seg: np.ndarray) -> np.ndarray:
         return np.bincount(seg, minlength=self.R) if self.R > 1 else np.array([len(seg)])
 
+    def count_ids(self, ids: np.ndarray) -> np.ndarray:
+        return self.count(ids // self.n) if self.R > 1 else np.array([len(ids)])
+
     def positions(self, seg: np.ndarray, size=None):
         """Each element's position in its replica's run, and the run sizes."""
         size = self.count(seg) if size is None else size
         pos = np.arange(len(seg))
         return (pos - (size.cumsum() - size)[seg] if self.R > 1 else pos), size
+
+    def split(self, seg: np.ndarray, quota: np.ndarray, size: np.ndarray):
+        """Indexes of the first quota[r] elements of each replica r's run and
+        of the rest."""
+        if self.R == 1:
+            return slice(0, quota[0]), slice(quota[0], None)
+        head = self.positions(seg, size)[0] < quota[seg]
+        return head, ~head
 
     def uniforms(self, seg: np.ndarray, pos=None, size=None) -> np.ndarray:
         if self.R == 1:
@@ -264,19 +321,23 @@ class _Batch:
 
     def pick(self, seg: np.ndarray, quota: np.ndarray, size=None) -> np.ndarray:
         """Mask of quota[r] uniformly chosen elements of each replica r's run:
-        those whose uniforms rank below it (sorting keeps the sorted runs)."""
+        those whose uniforms rank below the quota (seg is sorted, so sorting
+        by replica plus uniform keeps the runs in place and pos is a rank)."""
+        take = np.zeros(len(seg), dtype=bool)
+        if self.R == 1:  # the same set by selection instead of a full sort
+            take[self.rng.random(len(seg)).argpartition(quota[0] - 1)[:quota[0]]] = True
+            return take
         pos, size = self.positions(seg, size)
-        take = np.empty(len(seg), dtype=bool)
-        u = self.uniforms(seg, pos, size)
-        take[(u if self.R == 1 else 2.0 * seg + u).argsort()] = pos < quota[seg]
+        take[(2.0 * seg + self.uniforms(seg, pos, size)).argsort()] = pos < quota[seg]
         return take
 
 
 def _route(u: np.ndarray, seg: np.ndarray, sizes: np.ndarray, counts: np.ndarray):
     """Order a pass's requests by server group, replica and u, and count them
-    per group and replica (like sizes; counts[r] is replica r's total): the
-    group holding slot floor(u * servers) of the replica's column, an iid
-    categorical draw by group size, in uniform order within the group."""
+    per group and replica (groups x replicas, like sizes; counts[r] is
+    replica r's number of requests).  A request joins the group holding slot
+    floor(u * servers) of its replica's column of sizes: an iid categorical
+    draw weighted by group size, in uniformly random order within the group."""
     G, R = sizes.shape
     used = sizes.any(axis=1)
     if np.count_nonzero(used) == 1:  # one group takes every request
@@ -294,10 +355,13 @@ def _route(u: np.ndarray, seg: np.ndarray, sizes: np.ndarray, counts: np.ndarray
 
 
 def _fix_self_service(batch: _Batch, seg, clients, servers) -> list:
-    """Swap servers in place so no peer serves itself, within each replica
-    (seg).  Three rounds swap each clash with a uniformly drawn position of its
-    replica unless that is a clash, was drawn before or would clash after; a
-    clash left picks uniformly among valid partners, or is dropped (returned)."""
+    """Swap servers in place so no peer serves itself, never across replicas
+    (seg labels each pair's replica, sorted).  Three rounds swap each clash
+    with a uniformly drawn position of its replica, unless that position is a
+    clash, was drawn before in the round or would clash after the swap; then
+    each clash left picks uniformly among all valid partners in its replica.
+    Returns the positions of the pairs dropped: a pair is dropped only when
+    its replica has no valid partner."""
     bad = (clients == servers).nonzero()[0]
     size = batch.count(seg)
     start = size.cumsum() - size
@@ -328,7 +392,8 @@ def _fix_self_service(batch: _Batch, seg, clients, servers) -> list:
 
 
 def _loads(batch: _Batch, members: np.ndarray, size: np.ndarray, n_req: np.ndarray):
-    """Even loads: n_req[r] give replica r's members floor(n/g), a uniform few one more."""
+    """Even loads: replica r's n_req[r] requests give each of its size[r]
+    members floor(n/g) and a uniformly chosen subset of them one more."""
     seg = batch.seg(members)
     base, rem = np.divmod(n_req, np.maximum(size, 1))
     return base[seg] + batch.pick(seg, rem, size) if np.count_nonzero(rem) else base[seg]
@@ -340,7 +405,8 @@ def run_sim(config: SimConfig) -> SimTrace:
 
 
 def run_tft(config: SimConfig) -> SimTrace:
-    """Binary tit-for-tat baseline: service decided by last-period compliance."""
+    """Binary tit-for-tat baseline on the same engine: two reputations,
+    service decided by the client's last-period compliance alone."""
     return _run_one(config, TFT)
 
 
@@ -356,16 +422,22 @@ _EMITTED, _SERVED, _ERRORED, _CORRUPTED, _UNSERVED, _REFUSALS, _BY_RECIP = range
 
 
 def _reputation_update(rep: np.ndarray, x: np.ndarray, kept: np.ndarray, top: int) -> np.ndarray:
-    """Period boundary: climb when clean, else fall to 0 unless forgiven (in kept)."""
+    """Period boundary: climb when clean (x false), else fall to 0 unless
+    forgiven (the peers listed in kept keep their rung)."""
     new_rep = np.where(x, 0, np.minimum(rep + 1, top))
     new_rep[kept] = rep[kept]
     return new_rep
 
 
 def run_replicas(configs: list) -> list:
-    """Run a batch of replicas, which may differ only in seed, init_reputations
-    and deviant_policy, through one period loop; one SimTrace each.  Requests
-    pair only with servers of their own replica."""
+    """Run a batch of replicas through one period loop; one SimTrace each.
+
+    Replicas may differ only in seed, init_reputations and deviant_policy
+    (ValueError otherwise).  Requests pair only with servers of their own
+    replica; altruist capacity, the deviant, the run-time checks and the
+    traces are per replica.  The Python work per period depends on pools and
+    passes, not on the number of replicas.
+    """
     cfg = configs[0]
     own = dict(seed=cfg.seed, init_reputations=cfg.init_reputations, deviant_policy=cfg.deviant_policy)
     if any(c.replace(**own) != cfg for c in configs):
@@ -377,7 +449,7 @@ def run_replicas(configs: list) -> list:
     counts = cfg.kind_counts()
     kinds = np.repeat(np.arange(len(KIND_ORDER), dtype=np.int8), [counts[kd] for kd in KIND_ORDER])
     replica = np.arange(R * n) // n
-    kind_slot = replica * len(KIND_ORDER) + np.tile(kinds, R)
+    rep_slot, kind_slot = replica * (top + 1), replica * len(KIND_ORDER) + np.tile(kinds, R)
     recip_mask = np.tile(kinds == _K_RECIP, R)
     alt_ids, mal_ids = (np.flatnonzero(np.tile(kinds == code, R)) for code in (_K_ALT, _K_MAL))
     reps = [np.array(c.init_reputations or (0,) * n, dtype=np.int64) for c in configs]
@@ -399,20 +471,23 @@ def run_replicas(configs: list) -> list:
     count_series[:, _EMITTED] = k * counts[PeerKind.RECIPROCATIVE]
     util_sums = np.zeros((T, R * len(KIND_ORDER)))  # per-period utility summed by kind
     discounted = np.zeros(R * n)
+    disc_weight = 1.0
 
     # requests: every reciprocative peer wants k chunks each period
     clients = np.repeat(np.flatnonzero(recip_mask), k)
-    # client rungs with the same willing column share one pool, run in sorted
-    # column order; a pool nobody can ever serve only counts its requests
+    # client reputations with the same willing column share one server pool,
+    # so even loads stay even; pools run in sorted column order.  A pool no
+    # reciprocator is prescribed to serve, in a run without malicious peers
+    # or altruists, can never be served: its requests are counted unserved.
     class_cols, cls_of_rep = np.unique(willing.T, axis=0, return_inverse=True)
     live = class_cols.any(axis=1) | bool(len(mal_ids) or len(alt_ids))
     dead_rung = None if live.all() else ~live[cls_of_rep]  # every peer is reciprocative then
     sizes = np.zeros((4, R), dtype=np.int64)  # server counts, group x replica
-    sizes[_MAL] = batch.count(batch.seg(mal_ids))
+    sizes[_MAL] = batch.count_ids(mal_ids)
     forgiving = keep_prob.any()
 
     for t in range(T):
-        rep_counts[t] = hist = np.bincount(replica * (top + 1) + rep, minlength=R * (top + 1))
+        rep_counts[t] = hist = np.bincount(rep_slot + rep, minlength=R * (top + 1))
         sent, got = [clients[:0]], [clients[:0]]  # honest uploads, deliveries (peer ids)
         x = np.zeros(R * n, dtype=bool)
         tally = count_series[t]
@@ -421,7 +496,6 @@ def run_replicas(configs: list) -> list:
         on = dev_ids[(dev_window[:, 0] <= t) & (t < dev_window[:, 1])] if len(dev_ids) else dev_ids
         refuse_all = refuse_base.copy() if len(on) else refuse_base
         refuse_all[on] = True
-        any_refuse = collapsed or len(on)
         alt_capacity = np.full(len(alt_ids), k, dtype=np.int64)
         sizes[_ALT] = len(alt_ids) // R
         client_cls = cls_of_rep[rep[clients]]
@@ -430,25 +504,25 @@ def run_replicas(configs: list) -> list:
             pending = clients[client_cls == cls]
             willing_col = class_cols[cls]
             apparent = recip_mask & willing_col[rep]
-            serving = (apparent & ~refuse_all).nonzero()[0] if any_refuse else apparent.nonzero()[0]
-            refusing = (apparent & refuse_all).nonzero()[0] if any_refuse else serving[:0]
-            sizes[_REFUSE] = batch.count(batch.seg(refusing))
-            sizes[_RECIP] = batch.count(batch.seg(serving))
+            serving = (apparent & ~refuse_all).nonzero()[0]
+            refusing = (apparent & refuse_all).nonzero()[0]
+            sizes[_REFUSE], sizes[_RECIP] = batch.count_ids(refusing), batch.count_ids(serving)
             # Refusers only see pass 1 and altruists overflow only once every
             # altruist is full, so pass 3 meets only reciprocative and
             # malicious servers, which redirect nothing: the loop ends there.
             while len(pending):
                 seg = batch.seg(pending)
                 tot = sizes.sum(axis=0).tolist()
-                if 0 in tot:  # nobody can take them: unserved
+                if not any(tot):  # nobody can take them: unserved
+                    tally[_UNSERVED] += batch.count(seg)
+                    break
+                if 0 in tot:  # the same, in the replicas left without servers
                     stuck = np.array(tot)[seg] == 0
                     tally[_UNSERVED] += batch.count(seg[stuck])
                     pending, seg = pending[~stuck], seg[~stuck]
-                    if not any(tot):
-                        break
                 # one draw per request picks its group and its place in the group
                 order, n_req = _route(batch.uniforms(seg), seg, sizes, batch.count(seg))
-                pending, seg = pending[order], seg[order]
+                pending, seg = pending[order], seg[order] if R > 1 else seg
                 next_pending, hi = [], 0
                 for g, (members, n_g) in enumerate(zip(
                         (refusing, serving, mal_ids, alt_ids), n_req.sum(axis=1).tolist())):
@@ -484,9 +558,9 @@ def run_replicas(configs: list) -> list:
                             srv = alt_ids[slots]
                             if np.count_nonzero(nr > room):  # overflow redirects
                                 nr = np.minimum(nr, room)
-                                over = batch.positions(part_seg, n_req[g])[0] >= nr[part_seg]
-                                next_pending.append(part[over])
-                                part, part_seg = part[~over], part_seg[~over]
+                                head, tail = batch.split(part_seg, nr, n_req[g])
+                                next_pending.append(part[tail])
+                                part, part_seg = part[head], part_seg[head]
                         # honest upload attempt: cost now, then the connectivity
                         # lottery, iid Bernoulli(eps) per upload
                         sent.append(srv)
@@ -506,7 +580,8 @@ def run_replicas(configs: list) -> list:
         util = (env.r * np.bincount(np.concatenate(got), minlength=R * n)
                 - env.c * np.bincount(np.concatenate(sent), minlength=R * n))
         util_sums[t] = np.bincount(kind_slot, weights=util, minlength=R * len(KIND_ORDER))
-        discounted += env.delta ** t * util
+        discounted += disc_weight * util
+        disc_weight *= env.delta
         kept = clients[:0]
         if forgiving:  # only punished peers on forgiving rungs draw the lottery
             lottery = (x & (keep_prob[rep] > 0)).nonzero()[0]
@@ -514,23 +589,16 @@ def run_replicas(configs: list) -> list:
         rep = _reputation_update(rep, x, kept, top)
         rep[alt_ids] = top
 
-    tail = 0.0 if env.delta == 0.0 else env.delta ** T * k * max(env.r, env.c) / (1.0 - env.delta)
+    u_max = k * max(env.r, env.c)
+    tail = 0.0 if env.delta == 0.0 else (env.delta ** T) * u_max / (1.0 - env.delta)
     eta = rep_counts.reshape(T, R, top + 1) / n
     util_sums = util_sums.reshape(T, R, len(KIND_ORDER))
     labels = _kind_labels(cfg.protocol_flavor)
-    # run-time accounting checks: request outcomes partition `emitted` in
-    # every period, every reputation histogram sums to 1, altruists end pinned
-    for bad, what in ((count_series[:, _SERVED:_UNSERVED + 1].sum(axis=1) != count_series[:, _EMITTED],
-                       "request outcomes do not partition emitted"),
-                      (np.abs(eta.sum(axis=2) - 1.0) > 1e-9, "the eta row does not sum to 1")):
-        if bad.any():
-            raise RuntimeError(f"{what} in period {np.argmax(bad.any(axis=1))}")
-    if np.any(rep[alt_ids] != top):
-        raise RuntimeError(f"an altruist left reputation {top} by period {T - 1}")
     traces = []
     for r, config in enumerate(configs):
         peers = slice(r * n, (r + 1) * n)
         series = dict(zip(COUNT_NAMES, count_series[:, :, r].T.copy()))
+        _check_invariants(series, eta[:, r], rep[peers][kinds == _K_ALT], top)
         mean_utility = {labels[code]: util_sums[:, r, code] / counts[kind]
                         for code, kind in enumerate(KIND_ORDER) if counts[kind] > 0}
         traces.append(SimTrace(config, top, eta[:, r].copy(), series, mean_utility,
@@ -538,16 +606,32 @@ def run_replicas(configs: list) -> list:
     return traces
 
 
+def _check_invariants(counts: dict, eta: np.ndarray, alt_reps: np.ndarray, pinned: int) -> None:
+    """Run-time accounting checks: request outcomes partition `emitted` in
+    every period, every reputation histogram sums to 1, altruists end pinned."""
+    parts = counts["served"] + counts["errored"] + counts["corrupted"] + counts["unserved"]
+    for bad, what in ((parts != counts["emitted"], "request outcomes do not partition emitted"),
+                      (np.abs(eta.sum(axis=1) - 1.0) > 1e-9, "the eta row does not sum to 1")):
+        if bad.any():
+            raise RuntimeError(f"{what} in period {np.argmax(bad)}")
+    if np.any(alt_reps != pinned):
+        raise RuntimeError(f"an altruist left reputation {pinned} by period {len(eta) - 1}")
+
+
 def measure_deviation_gain(config: SimConfig, theta: int, n_pairs: int = 30) -> float:
     """Empirical one-shot-deviation payoff: discounted utility of a tagged
     peer that refuses all uploads in period 0 and then complies, minus its
-    utility when complying throughout, averaged over n_pairs seeds.  Pair i
-    starts from a draw of the analytic stationary profile (from seed + i) with
-    the tagged peer at reputation theta, mirroring the deviation algebra.  All
-    2 * n_pairs runs form one `run_replicas` batch in which a pair's two runs
-    share seed + i, so they draw alike until the deviation changes their
-    states (a deviant never asked to serve gains exactly 0).  Non-positive up
-    to noise exactly when the protocol passes the check."""
+    utility when complying throughout, averaged over paired seeds.
+
+    The population starts from the analytic stationary profile (pair i's
+    draw from seed + i, shared by both runs of the pair) with the tagged peer
+    pinned at reputation theta, so the measurement mirrors the analytic
+    deviation algebra.  All 2 * n_pairs runs form one `run_replicas` batch
+    in which a pair's two runs share seed + i: they make the same draws until
+    the deviation changes their states, so a deviant never asked to serve
+    gains exactly 0.  Expected to be non-positive, up to noise, exactly when
+    the protocol passes the check.
+    """
     if config.protocol_flavor != SOCIAL_NORM:
         raise ValueError("deviation measurement drives the social-norm flavor")
     if not 0 <= theta <= config.params.L:
