@@ -265,11 +265,12 @@ def _strategic_collapse(config: SimConfig) -> bool:
     return not check_equilibrium(config.params, env).is_equilibrium
 
 
-def _run_rng(seeds, stream: int, bits=np.random.Philox) -> np.random.Generator:
+def _run_rng(seeds, stream: int, bits: str = "Philox") -> np.random.Generator:
     """A generator keyed by seeds and a stream: Philox for side draws, PCG64
     for a batch's run, which draws about one double per request per site and
-    where PCG64 makes doubles about twice as fast."""
-    return np.random.Generator(bits(np.random.SeedSequence(
+    where PCG64 makes doubles about twice as fast.  (`numpy.random` is only
+    touched here, at call time, so importing the package does not load it.)"""
+    return np.random.Generator(getattr(np.random, bits)(np.random.SeedSequence(
         (*(int(s) & (2 ** 64 - 1) for s in seeds), stream))))
 
 
@@ -288,7 +289,7 @@ class _Batch:
         distinct = list(dict.fromkeys(seeds))
         self.R, self.S, self.n = len(seeds), len(distinct), n
         self.row = np.array([distinct.index(s) for s in seeds])
-        self.rng = _run_rng(distinct, 0, np.random.PCG64)
+        self.rng = _run_rng(distinct, 0, "PCG64")
 
     def seg(self, ids: np.ndarray) -> np.ndarray:
         return ids // self.n if self.R > 1 else np.zeros(len(ids), dtype=np.int64)
