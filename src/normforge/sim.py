@@ -482,7 +482,9 @@ def run_replicas(configs: list) -> list:
     # or altruists, can never be served: its requests are counted unserved.
     class_cols, cls_of_rep = np.unique(willing.T, axis=0, return_inverse=True)
     live = class_cols.any(axis=1) | bool(len(mal_ids) or len(alt_ids))
-    dead_rung = None if live.all() else ~live[cls_of_rep]  # every peer is reciprocative then
+    # dead pools exist only when every peer is reciprocative, so each rung's
+    # histogram count times k is its requests
+    dead_rung = None if live.all() else ~live[cls_of_rep]
     sizes = np.zeros((4, R), dtype=np.int64)  # server counts, group x replica
     sizes[_MAL] = batch.count_ids(mal_ids)
     forgiving = keep_prob.any()
@@ -542,10 +544,11 @@ def run_replicas(configs: list) -> list:
                         x[hit[willing_col[rep[hit]]]] = True
                         tally[_CORRUPTED] += nr
                     else:
-                        if g == _RECIP:  # servers in member order, requests shuffled
+                        if g == _RECIP:  # the only servers that also request; their
+                            # slots come in member order against shuffled requests
                             srv = members.repeat(_loads(batch, members, sizes[g], nr))
                             drop = _fix_self_service(batch, part_seg, part, srv)
-                            if drop:  # the only servers that also request
+                            if drop:
                                 nr = nr - batch.count(part_seg[drop])
                                 tally[_UNSERVED] += n_req[g] - nr
                                 part, part_seg, srv = (np.delete(a, drop) for a in (part, part_seg, srv))
