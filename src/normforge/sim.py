@@ -439,6 +439,8 @@ def run_replicas(configs: list) -> list:
     traces are per replica.  The Python work per period depends on pools and
     passes, not on the number of replicas.
     """
+    if not configs:
+        return []
     cfg = configs[0]
     own = dict(seed=cfg.seed, init_reputations=cfg.init_reputations, deviant_policy=cfg.deviant_policy)
     if any(c.replace(**own) != cfg for c in configs):
