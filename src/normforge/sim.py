@@ -135,7 +135,7 @@ class SimConfig:
             "params": self.params.to_dict(),
             "env": self.env.to_dict(),
             "deviant_policy": self.deviant_policy and dataclasses.asdict(self.deviant_policy),
-            "init_reputations": list(self.init_reputations) if self.init_reputations else None,
+            "init_reputations": None if self.init_reputations is None else list(self.init_reputations),
         }
 
 
@@ -200,13 +200,13 @@ class SimTrace:
             "config": self.config.as_dict(),
             "top_rep": self.top_rep,
             "periods": {
-                "eta": [[float(v) for v in row] for row in self.eta],
-                "counts": {k: [int(v) for v in arr] for k, arr in self.counts.items()},
-                "mean_utility": {k: [float(v) for v in arr] for k, arr in self.mean_utility.items()},
+                "eta": self.eta.tolist(),
+                "counts": {k: arr.tolist() for k, arr in self.counts.items()},
+                "mean_utility": {k: arr.tolist() for k, arr in self.mean_utility.items()},
             },
             "per_peer": {
-                "discounted_utility": [float(v) for v in self.discounted_utility],
-                "final_reputation": [int(v) for v in self.final_reputation],
+                "discounted_utility": self.discounted_utility.tolist(),
+                "final_reputation": self.final_reputation.tolist(),
                 "kind": [_kind_labels(self.config.protocol_flavor)[k] for k in self.kinds],
             },
             "summary": self.summary(),
@@ -265,12 +265,11 @@ def _strategic_collapse(config: SimConfig) -> bool:
     return not check_equilibrium(config.params, env).is_equilibrium
 
 
-def _run_rng(seeds, stream: int, bits: str = "Philox") -> np.random.Generator:
-    """A generator keyed by seeds and a stream: Philox for side draws, PCG64
-    for a batch's run, which draws about one double per request per site and
-    where PCG64 makes doubles about twice as fast.  (`numpy.random` is only
-    touched here, at call time, so importing the package does not load it.)"""
-    return np.random.Generator(getattr(np.random, bits)(np.random.SeedSequence(
+def _run_rng(seeds, stream: int) -> np.random.Generator:
+    """A Philox generator keyed by seeds and a stream, for side draws.
+    (`numpy.random` is only touched at call time, so importing the package
+    does not load it.)"""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(
         (*(int(s) & (2 ** 64 - 1) for s in seeds), stream))))
 
 
@@ -282,41 +281,28 @@ class _Batch:
     array with their replica.  A draw site takes one block of uniforms shaped
     (distinct seeds, longest replica run) and each element reads its
     replica's seed row at its position in its replica's run, so replicas
-    with the same seed draw alike while their states agree.  The R == 1
-    branches compute the same values without replica offsets."""
+    with the same seed draw alike while their states agree.  The run's
+    stream is PCG64, which makes doubles faster than Philox."""
 
     def __init__(self, seeds: list, n: int):
         distinct = list(dict.fromkeys(seeds))
         self.R, self.S, self.n = len(seeds), len(distinct), n
         self.row = np.array([distinct.index(s) for s in seeds])
-        self.rng = _run_rng(distinct, 0, "PCG64")
+        self.rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+            (*(int(s) & (2 ** 64 - 1) for s in distinct), 0))))
 
     def seg(self, ids: np.ndarray) -> np.ndarray:
-        return ids // self.n if self.R > 1 else np.zeros(len(ids), dtype=np.int64)
+        return ids // self.n
 
     def count(self, seg: np.ndarray) -> np.ndarray:
-        return np.bincount(seg, minlength=self.R) if self.R > 1 else np.array([len(seg)])
-
-    def count_ids(self, ids: np.ndarray) -> np.ndarray:
-        return self.count(ids // self.n) if self.R > 1 else np.array([len(ids)])
+        return np.bincount(seg, minlength=self.R)
 
     def positions(self, seg: np.ndarray, size=None):
         """Each element's position in its replica's run, and the run sizes."""
         size = self.count(seg) if size is None else size
-        pos = np.arange(len(seg))
-        return (pos - (size.cumsum() - size)[seg] if self.R > 1 else pos), size
-
-    def split(self, seg: np.ndarray, quota: np.ndarray, size: np.ndarray):
-        """Indexes of the first quota[r] elements of each replica r's run and
-        of the rest."""
-        if self.R == 1:
-            return slice(0, quota[0]), slice(quota[0], None)
-        head = self.positions(seg, size)[0] < quota[seg]
-        return head, ~head
+        return np.arange(len(seg)) - (size.cumsum() - size)[seg], size
 
     def uniforms(self, seg: np.ndarray, pos=None, size=None) -> np.ndarray:
-        if self.R == 1:
-            return self.rng.random(len(seg))
         pos, size = self.positions(seg) if pos is None else (pos, size)
         return self.rng.random((self.S, int(size.max())))[self.row[seg], pos]
 
@@ -325,9 +311,6 @@ class _Batch:
         those whose uniforms rank below the quota (seg is sorted, so sorting
         by replica plus uniform keeps the runs in place and pos is a rank)."""
         take = np.zeros(len(seg), dtype=bool)
-        if self.R == 1:  # the same set by selection instead of a full sort
-            take[self.rng.random(len(seg)).argpartition(quota[0] - 1)[:quota[0]]] = True
-            return take
         pos, size = self.positions(seg, size)
         take[(2.0 * seg + self.uniforms(seg, pos, size)).argsort()] = pos < quota[seg]
         return take
@@ -342,11 +325,7 @@ def _route(u: np.ndarray, seg: np.ndarray, sizes: np.ndarray, counts: np.ndarray
     G, R = sizes.shape
     used = sizes.any(axis=1)
     if np.count_nonzero(used) == 1:  # one group takes every request
-        return (u if R == 1 else 2.0 * seg + u).argsort(), used[:, None] * counts
-    if R == 1:  # groups rise with u, so sorting by u sorts them too
-        order, c = u.argsort(), sizes[:, 0].cumsum()
-        cuts = (u[order] * c[-1]).astype(np.int64).searchsorted(c)
-        return order, (cuts - np.concatenate(([0], cuts[:-1])))[:, None]
+        return (2.0 * seg + u).argsort(), used[:, None] * counts
     tot = sizes.sum(axis=0)
     off = tot.cumsum() - tot
     bounds = (off + sizes[:-1].cumsum(axis=0)).T.ravel()
@@ -455,7 +434,8 @@ def run_replicas(configs: list) -> list:
     rep_slot, kind_slot = replica * (top + 1), replica * len(KIND_ORDER) + np.tile(kinds, R)
     recip_mask = np.tile(kinds == _K_RECIP, R)
     alt_ids, mal_ids = (np.flatnonzero(np.tile(kinds == code, R)) for code in (_K_ALT, _K_MAL))
-    reps = [np.array(c.init_reputations or (0,) * n, dtype=np.int64) for c in configs]
+    reps = [np.array((0,) * n if c.init_reputations is None else c.init_reputations, dtype=np.int64)
+            for c in configs]
     if any(r.shape != (n,) or r.min() < 0 or r.max() > top for r in reps):
         raise ValueError("init_reputations must give every peer a reputation in range")
     rep = np.concatenate(reps)
@@ -488,7 +468,7 @@ def run_replicas(configs: list) -> list:
     # histogram count times k is its requests
     dead_rung = None if live.all() else ~live[cls_of_rep]
     sizes = np.zeros((4, R), dtype=np.int64)  # server counts, group x replica
-    sizes[_MAL] = batch.count_ids(mal_ids)
+    sizes[_MAL] = batch.count(batch.seg(mal_ids))
     forgiving = keep_prob.any()
 
     for t in range(T):
@@ -511,23 +491,21 @@ def run_replicas(configs: list) -> list:
             apparent = recip_mask & willing_col[rep]
             serving = (apparent & ~refuse_all).nonzero()[0]
             refusing = (apparent & refuse_all).nonzero()[0]
-            sizes[_REFUSE], sizes[_RECIP] = batch.count_ids(refusing), batch.count_ids(serving)
+            sizes[_REFUSE], sizes[_RECIP] = (batch.count(batch.seg(m)) for m in (refusing, serving))
             # Refusers only see pass 1 and altruists overflow only once every
             # altruist is full, so pass 3 meets only reciprocative and
             # malicious servers, which redirect nothing: the loop ends there.
             while len(pending):
-                seg = batch.seg(pending)
-                tot = sizes.sum(axis=0).tolist()
-                if not any(tot):  # nobody can take them: unserved
-                    tally[_UNSERVED] += batch.count(seg)
-                    break
-                if 0 in tot:  # the same, in the replicas left without servers
-                    stuck = np.array(tot)[seg] == 0
+                seg, tot = batch.seg(pending), sizes.sum(axis=0)
+                if not tot.all():  # replicas where nobody can take them: unserved
+                    stuck = tot[seg] == 0
                     tally[_UNSERVED] += batch.count(seg[stuck])
                     pending, seg = pending[~stuck], seg[~stuck]
+                    if not len(pending):
+                        break
                 # one draw per request picks its group and its place in the group
                 order, n_req = _route(batch.uniforms(seg), seg, sizes, batch.count(seg))
-                pending, seg = pending[order], seg[order] if R > 1 else seg
+                pending, seg = pending[order], seg[order]
                 next_pending, hi = [], 0
                 for g, (members, n_g) in enumerate(zip(
                         (refusing, serving, mal_ids, alt_ids), n_req.sum(axis=1).tolist())):
@@ -564,8 +542,8 @@ def run_replicas(configs: list) -> list:
                             srv = alt_ids[slots]
                             if np.count_nonzero(nr > room):  # overflow redirects
                                 nr = np.minimum(nr, room)
-                                head, tail = batch.split(part_seg, nr, n_req[g])
-                                next_pending.append(part[tail])
+                                head = batch.positions(part_seg, n_req[g])[0] < nr[part_seg]
+                                next_pending.append(part[~head])
                                 part, part_seg = part[head], part_seg[head]
                         # honest upload attempt: cost now, then the connectivity
                         # lottery, iid Bernoulli(eps) per upload
@@ -579,7 +557,7 @@ def run_replicas(configs: list) -> list:
                             tally[_BY_RECIP] += nr - n_err
                             x[srv[err]] = True
                 pending = np.concatenate(next_pending) if next_pending else pending[:0]
-                if len(next_pending) > 1 and R > 1:  # keep replica runs together
+                if len(next_pending) > 1:  # keep replica runs together
                     pending = pending[batch.seg(pending).argsort(kind="stable")]
                 refusing, sizes[_REFUSE] = refusing[:0], 0  # refusers are skipped on redirect
 

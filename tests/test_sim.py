@@ -274,6 +274,11 @@ class TestTraceShape:
         with pytest.raises(ValueError):
             config(population_mix={PeerKind.TFT_AGENT: 1.0})
 
+    @pytest.mark.parametrize("reps", [(), (0,) * 199, (0,) * 199 + (9,), (-1,) * 200])
+    def test_init_reputations_validation(self, reps):
+        with pytest.raises(ValueError, match="init_reputations"):
+            run_sim(config(n_periods=2, init_reputations=reps))
+
 
 class TestRuntimeInvariants:
     def test_lost_request_names_its_period(self, monkeypatch):
