@@ -276,44 +276,59 @@ def _run_rng(seeds, stream: int) -> np.random.Generator:
 class _Batch:
     """A replica batch's layout and its one random stream.
 
-    Replica r owns peer ids r*n .. r*n + n - 1, so peer ids sorted ascending
-    are sorted by replica too; a `seg` array labels the elements of such an
-    array with their replica.  A draw site takes one block of uniforms shaped
-    (distinct seeds, longest replica run) and each element reads its
-    replica's seed row at its position in its replica's run, so replicas
-    with the same seed draw alike while their states agree.  The run's
-    stream is PCG64, which makes doubles faster than Philox."""
+    Replica r owns peer ids r*n .. r*n + n - 1, so an ascending array of
+    peer ids is one run per replica laid end to end; a `seg` array labels
+    its elements with their replica.  A draw site takes one block of
+    uniforms shaped (distinct seeds, longest run) and replica r's run reads
+    its seed's row from position 0, so replicas with the same seed draw
+    alike while their states agree.  With one replica, `uniforms`, `pick`
+    and `_route` make the same draws and choices without the table, which
+    costs a single run about a fifth more.  The stream is PCG64, which makes
+    doubles faster than Philox."""
 
     def __init__(self, seeds: list, n: int):
         distinct = list(dict.fromkeys(seeds))
         self.R, self.S, self.n = len(seeds), len(distinct), n
         self.row = np.array([distinct.index(s) for s in seeds])
+        self.edges = np.arange(self.R + 1)
         self.rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
             (*(int(s) & (2 ** 64 - 1) for s in distinct), 0))))
 
     def seg(self, ids: np.ndarray) -> np.ndarray:
         return ids // self.n
 
-    def count(self, seg: np.ndarray) -> np.ndarray:
-        return np.bincount(seg, minlength=self.R)
+    def count(self, seg: np.ndarray, unit: int = 1) -> np.ndarray:
+        """Run sizes of a sorted array of replica labels, or of peer ids
+        with unit n."""
+        cuts = seg.searchsorted(self.edges * unit)
+        return cuts[1:] - cuts[:-1]
 
-    def positions(self, seg: np.ndarray, size=None):
-        """Each element's position in its replica's run, and the run sizes."""
-        size = self.count(seg) if size is None else size
-        return np.arange(len(seg)) - (size.cumsum() - size)[seg], size
+    def block(self, size: np.ndarray):
+        """A draw shaped (replicas, longest run), replica r's row being its
+        seed's row, and the mask of the cells that hold run elements."""
+        u = self.rng.random((self.S, int(size.max())))[self.row]
+        return u, np.arange(u.shape[1]) < size[:, None]
 
-    def uniforms(self, seg: np.ndarray, pos=None, size=None) -> np.ndarray:
-        pos, size = self.positions(seg) if pos is None else (pos, size)
-        return self.rng.random((self.S, int(size.max())))[self.row[seg], pos]
+    def uniforms(self, size: np.ndarray) -> np.ndarray:
+        """One uniform per element of runs of the given sizes."""
+        if self.R == 1:  # the same draws without the table
+            return self.rng.random(int(size[0]))
+        u, cells = self.block(size)
+        return u[cells]
 
-    def pick(self, seg: np.ndarray, quota: np.ndarray, size=None) -> np.ndarray:
-        """Mask of quota[r] uniformly chosen elements of each replica r's run:
-        those whose uniforms rank below the quota (seg is sorted, so sorting
-        by replica plus uniform keeps the runs in place and pos is a rank)."""
-        take = np.zeros(len(seg), dtype=bool)
-        pos, size = self.positions(seg, size)
-        take[(2.0 * seg + self.uniforms(seg, pos, size)).argsort()] = pos < quota[seg]
-        return take
+    def pick(self, quota: np.ndarray, size: np.ndarray) -> np.ndarray:
+        """Mask of min(quota[r], size[r]) uniformly chosen elements of each
+        replica r's run: those whose uniforms are at most the quota-th
+        smallest of the run."""
+        if self.R == 1:  # the same draws and set, by selection without the table
+            take = np.zeros(int(size[0]), dtype=bool)
+            take[self.rng.random(len(take)).argpartition(quota[0] - 1)[:quota[0]]] = True
+            return take
+        u, cells = self.block(size)
+        u[~cells] = 2.0  # above every uniform: padding is never picked
+        q = np.maximum(np.minimum(quota, size), 1) - 1
+        cut = np.partition(u, np.unique(q), axis=1)[np.arange(self.R), q]
+        return (u <= np.where(quota > 0, cut, -1.0)[:, None])[cells]
 
 
 def _route(u: np.ndarray, seg: np.ndarray, sizes: np.ndarray, counts: np.ndarray):
@@ -326,6 +341,10 @@ def _route(u: np.ndarray, seg: np.ndarray, sizes: np.ndarray, counts: np.ndarray
     used = sizes.any(axis=1)
     if np.count_nonzero(used) == 1:  # one group takes every request
         return (2.0 * seg + u).argsort(), used[:, None] * counts
+    if R == 1:  # groups rise with u, so sorting by u sorts them too
+        order, c = u.argsort(), sizes[:, 0].cumsum()
+        cuts = (u[order] * c[-1]).astype(np.int64).searchsorted(c)
+        return order, (cuts - np.concatenate(([0], cuts[:-1])))[:, None]
     tot = sizes.sum(axis=0)
     off = tot.cumsum() - tot
     bounds = (off + sizes[:-1].cumsum(axis=0)).T.ravel()
@@ -348,7 +367,7 @@ def _fix_self_service(batch: _Batch, seg, clients, servers) -> list:
     for _ in range(3):
         if not len(bad):
             return []
-        draws = start[seg[bad]] + (batch.uniforms(seg[bad]) * size[seg[bad]]).astype(np.int64)
+        draws = start[seg[bad]] + (batch.uniforms(batch.count(seg[bad])) * size[seg[bad]]).astype(np.int64)
         clash, seen, left = set(bad.tolist()), set(), []
         for i, j in zip(bad.tolist(), draws.tolist()):
             if j in seen or j in clash or servers[j] == clients[i] or servers[i] == clients[j]:
@@ -358,7 +377,7 @@ def _fix_self_service(batch: _Batch, seg, clients, servers) -> list:
             seen.add(j)
         bad = np.array(left, dtype=np.int64)
     dropped = []  # a dropped pair is no valid partner for a later clash either
-    for i, u in zip(bad.tolist(), batch.uniforms(seg[bad])):
+    for i, u in zip(bad.tolist(), batch.uniforms(batch.count(seg[bad]))):
         if clients[i] != servers[i]:  # an earlier clash's swap fixed it
             continue
         run = slice(start[seg[i]], start[seg[i]] + size[seg[i]])
@@ -376,7 +395,7 @@ def _loads(batch: _Batch, members: np.ndarray, size: np.ndarray, n_req: np.ndarr
     members floor(n/g) and a uniformly chosen subset of them one more."""
     seg = batch.seg(members)
     base, rem = np.divmod(n_req, np.maximum(size, 1))
-    return base[seg] + batch.pick(seg, rem, size) if np.count_nonzero(rem) else base[seg]
+    return base[seg] + batch.pick(rem, size) if np.count_nonzero(rem) else base[seg]
 
 
 def run_sim(config: SimConfig) -> SimTrace:
@@ -468,7 +487,7 @@ def run_replicas(configs: list) -> list:
     # histogram count times k is its requests
     dead_rung = None if live.all() else ~live[cls_of_rep]
     sizes = np.zeros((4, R), dtype=np.int64)  # server counts, group x replica
-    sizes[_MAL] = batch.count(batch.seg(mal_ids))
+    sizes[_MAL] = batch.count(mal_ids, n)
     forgiving = keep_prob.any()
 
     for t in range(T):
@@ -491,7 +510,7 @@ def run_replicas(configs: list) -> list:
             apparent = recip_mask & willing_col[rep]
             serving = (apparent & ~refuse_all).nonzero()[0]
             refusing = (apparent & refuse_all).nonzero()[0]
-            sizes[_REFUSE], sizes[_RECIP] = (batch.count(batch.seg(m)) for m in (refusing, serving))
+            sizes[_REFUSE], sizes[_RECIP] = batch.count(refusing, n), batch.count(serving, n)
             # Refusers only see pass 1 and altruists overflow only once every
             # altruist is full, so pass 3 meets only reciprocative and
             # malicious servers, which redirect nothing: the loop ends there.
@@ -504,7 +523,8 @@ def run_replicas(configs: list) -> list:
                     if not len(pending):
                         break
                 # one draw per request picks its group and its place in the group
-                order, n_req = _route(batch.uniforms(seg), seg, sizes, batch.count(seg))
+                n_pend = batch.count(seg)
+                order, n_req = _route(batch.uniforms(n_pend), seg, sizes, n_pend)
                 pending, seg = pending[order], seg[order]
                 next_pending, hi = [], 0
                 for g, (members, n_g) in enumerate(zip(
@@ -536,19 +556,20 @@ def run_replicas(configs: list) -> list:
                             slots = np.arange(len(alt_ids)).repeat(alt_capacity)
                             room = alt_capacity.reshape(R, -1).sum(axis=1)
                             if np.count_nonzero(nr < room):
-                                slots = slots[batch.pick(batch.seg(alt_ids[slots]), nr, room)]
+                                slots = slots[batch.pick(nr, room)]
                             alt_capacity -= np.bincount(slots, minlength=len(alt_ids))
                             sizes[_ALT] = (alt_capacity.reshape(R, -1) > 0).sum(axis=1)
                             srv = alt_ids[slots]
                             if np.count_nonzero(nr > room):  # overflow redirects
                                 nr = np.minimum(nr, room)
-                                head = batch.positions(part_seg, n_req[g])[0] < nr[part_seg]
+                                cols = np.arange(n_req[g].max())  # the first nr[r] of replica r
+                                head = (cols < nr[:, None])[cols < n_req[g][:, None]]
                                 next_pending.append(part[~head])
                                 part, part_seg = part[head], part_seg[head]
                         # honest upload attempt: cost now, then the connectivity
                         # lottery, iid Bernoulli(eps) per upload
                         sent.append(srv)
-                        err = batch.uniforms(part_seg) < env.eps
+                        err = batch.uniforms(nr) < env.eps
                         got.append(part[~err])
                         n_err = batch.count(part_seg[err])
                         tally[_SERVED] += nr - n_err
@@ -569,7 +590,7 @@ def run_replicas(configs: list) -> list:
         kept = clients[:0]
         if forgiving:  # only punished peers on forgiving rungs draw the lottery
             lottery = (x & (keep_prob[rep] > 0)).nonzero()[0]
-            kept = lottery[batch.uniforms(batch.seg(lottery)) < keep_prob[rep[lottery]]]
+            kept = lottery[batch.uniforms(batch.count(batch.seg(lottery))) < keep_prob[rep[lottery]]]
         rep = _reputation_update(rep, x, kept, top)
         rep[alt_ids] = top
 
