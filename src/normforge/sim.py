@@ -135,7 +135,8 @@ class SimConfig:
             "params": self.params.to_dict(),
             "env": self.env.to_dict(),
             "deviant_policy": self.deviant_policy and dataclasses.asdict(self.deviant_policy),
-            "init_reputations": None if self.init_reputations is None else list(self.init_reputations),
+            "init_reputations": (None if self.init_reputations is None
+                                 else list(self.init_reputations)),
         }
 
 
@@ -283,8 +284,8 @@ class _Batch:
     its seed's row from position 0, so replicas with the same seed draw
     alike while their states agree.  With one replica, `uniforms`, `pick`
     and `_route` make the same draws and choices without the table, which
-    costs a single run about a fifth more.  The stream is PCG64, which makes
-    doubles faster than Philox."""
+    would cost a single run up to a third more.  The stream is PCG64, which
+    makes doubles faster than Philox."""
 
     def __init__(self, seeds: list, n: int):
         distinct = list(dict.fromkeys(seeds))
@@ -367,7 +368,8 @@ def _fix_self_service(batch: _Batch, seg, clients, servers) -> list:
     for _ in range(3):
         if not len(bad):
             return []
-        draws = start[seg[bad]] + (batch.uniforms(batch.count(seg[bad])) * size[seg[bad]]).astype(np.int64)
+        u = batch.uniforms(batch.count(seg[bad]))
+        draws = start[seg[bad]] + (u * size[seg[bad]]).astype(np.int64)
         clash, seen, left = set(bad.tolist()), set(), []
         for i, j in zip(bad.tolist(), draws.tolist()):
             if j in seen or j in clash or servers[j] == clients[i] or servers[i] == clients[j]:
@@ -453,8 +455,8 @@ def run_replicas(configs: list) -> list:
     rep_slot, kind_slot = replica * (top + 1), replica * len(KIND_ORDER) + np.tile(kinds, R)
     recip_mask = np.tile(kinds == _K_RECIP, R)
     alt_ids, mal_ids = (np.flatnonzero(np.tile(kinds == code, R)) for code in (_K_ALT, _K_MAL))
-    reps = [np.array((0,) * n if c.init_reputations is None else c.init_reputations, dtype=np.int64)
-            for c in configs]
+    reps = [np.array((0,) * n if c.init_reputations is None else c.init_reputations,
+                     dtype=np.int64) for c in configs]
     if any(r.shape != (n,) or r.min() < 0 or r.max() > top for r in reps):
         raise ValueError("init_reputations must give every peer a reputation in range")
     rep = np.concatenate(reps)
