@@ -282,10 +282,11 @@ class _Batch:
     its elements with their replica.  A draw site takes one block of
     uniforms shaped (distinct seeds, longest run) and replica r's run reads
     its seed's row from position 0, so replicas with the same seed draw
-    alike while their states agree.  With one replica, `uniforms`, `pick`
-    and `_route` make the same draws and choices without the table, which
-    would cost a single run up to a third more.  The stream is PCG64, which
-    makes doubles faster than Philox."""
+    alike while their states agree.  With one replica, `count`, `uniforms`,
+    `split`, `pick` and `_route` give the same values and draws without the
+    table and the per-element replica labels, which would cost a single run
+    up to a third more.  The stream is PCG64, which makes doubles faster
+    than Philox."""
 
     def __init__(self, seeds: list, n: int):
         distinct = list(dict.fromkeys(seeds))
@@ -301,6 +302,8 @@ class _Batch:
     def count(self, seg: np.ndarray, unit: int = 1) -> np.ndarray:
         """Run sizes of a sorted array of replica labels, or of peer ids
         with unit n."""
+        if self.R == 1:
+            return np.array([len(seg)])
         cuts = seg.searchsorted(self.edges * unit)
         return cuts[1:] - cuts[:-1]
 
@@ -316,6 +319,15 @@ class _Batch:
             return self.rng.random(int(size[0]))
         u, cells = self.block(size)
         return u[cells]
+
+    def split(self, quota: np.ndarray, size: np.ndarray):
+        """Indexes of the first quota[r] elements of each replica r's run and
+        of the rest."""
+        if self.R == 1:
+            return slice(0, quota[0]), slice(quota[0], None)
+        cols = np.arange(size.max())
+        head = (cols < quota[:, None])[cols < size[:, None]]
+        return head, ~head
 
     def pick(self, quota: np.ndarray, size: np.ndarray) -> np.ndarray:
         """Mask of min(quota[r], size[r]) uniformly chosen elements of each
@@ -341,7 +353,7 @@ def _route(u: np.ndarray, seg: np.ndarray, sizes: np.ndarray, counts: np.ndarray
     G, R = sizes.shape
     used = sizes.any(axis=1)
     if np.count_nonzero(used) == 1:  # one group takes every request
-        return (2.0 * seg + u).argsort(), used[:, None] * counts
+        return (u if R == 1 else 2.0 * seg + u).argsort(), used[:, None] * counts
     if R == 1:  # groups rise with u, so sorting by u sorts them too
         order, c = u.argsort(), sizes[:, 0].cumsum()
         cuts = (u[order] * c[-1]).astype(np.int64).searchsorted(c)
@@ -517,17 +529,18 @@ def run_replicas(configs: list) -> list:
             # altruist is full, so pass 3 meets only reciprocative and
             # malicious servers, which redirect nothing: the loop ends there.
             while len(pending):
-                seg, tot = batch.seg(pending), sizes.sum(axis=0)
-                if not tot.all():  # replicas where nobody can take them: unserved
-                    stuck = tot[seg] == 0
+                seg, tot = batch.seg(pending), sizes.sum(axis=0).tolist()
+                if not any(tot):  # nobody can take them: unserved
+                    tally[_UNSERVED] += batch.count(seg)
+                    break
+                if 0 in tot:  # the same, in the replicas left without servers
+                    stuck = np.array(tot)[seg] == 0
                     tally[_UNSERVED] += batch.count(seg[stuck])
                     pending, seg = pending[~stuck], seg[~stuck]
-                    if not len(pending):
-                        break
                 # one draw per request picks its group and its place in the group
                 n_pend = batch.count(seg)
                 order, n_req = _route(batch.uniforms(n_pend), seg, sizes, n_pend)
-                pending, seg = pending[order], seg[order]
+                pending, seg = pending[order], seg[order] if R > 1 else seg
                 next_pending, hi = [], 0
                 for g, (members, n_g) in enumerate(zip(
                         (refusing, serving, mal_ids, alt_ids), n_req.sum(axis=1).tolist())):
@@ -564,9 +577,8 @@ def run_replicas(configs: list) -> list:
                             srv = alt_ids[slots]
                             if np.count_nonzero(nr > room):  # overflow redirects
                                 nr = np.minimum(nr, room)
-                                cols = np.arange(n_req[g].max())  # the first nr[r] of replica r
-                                head = (cols < nr[:, None])[cols < n_req[g][:, None]]
-                                next_pending.append(part[~head])
+                                head, tail = batch.split(nr, n_req[g])
+                                next_pending.append(part[tail])
                                 part, part_seg = part[head], part_seg[head]
                         # honest upload attempt: cost now, then the connectivity
                         # lottery, iid Bernoulli(eps) per upload
