@@ -340,7 +340,7 @@ class _Batch:
         u, cells = self.block(size)
         u[~cells] = 2.0  # above every uniform: padding is never picked
         q = np.maximum(np.minimum(quota, size), 1) - 1
-        cut = np.partition(u, np.unique(q), axis=1)[np.arange(self.R), q]
+        cut = np.partition(u, q, axis=1)[np.arange(self.R), q]
         return (u <= np.where(quota > 0, cut, -1.0)[:, None])[cells]
 
 
