@@ -604,7 +604,7 @@ def run_replicas(configs: list) -> list:
         kept = clients[:0]
         if forgiving:  # only punished peers on forgiving rungs draw the lottery
             lottery = (x & (keep_prob[rep] > 0)).nonzero()[0]
-            kept = lottery[batch.uniforms(batch.count(batch.seg(lottery))) < keep_prob[rep[lottery]]]
+            kept = lottery[batch.uniforms(batch.count(lottery, n)) < keep_prob[rep[lottery]]]
         rep = _reputation_update(rep, x, kept, top)
         rep[alt_ids] = top
 
