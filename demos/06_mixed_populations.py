@@ -21,7 +21,6 @@ from normforge import (
     run_sim,
     social_utility,
     stationary_for_regime,
-    stationary_malicious,
 )
 
 params = ProtocolParams(L=3, h_o=1, b=2)
@@ -33,7 +32,7 @@ print("=" * 72)
 print("  p_d    active utility   slack     sustainable")
 for p_d in (0.0, 0.1, 0.2, 0.3, 0.45):
     env = NetworkEnv(p_d=p_d, **base)
-    dist = stationary_malicious(params, env)
+    dist = stationary_for_regime(params, env)
     v = one_period_utilities(params, env, dist)
     rep = check_equilibrium(params, env)
     print(f"  {p_d:.2f}      {v[params.h_o]:.4f}       {rep.serve_slack:+.4f}   "
@@ -46,7 +45,7 @@ env0 = NetworkEnv(p_d=0.3, **{**base, "eps": 0.0})
 cfg = SimConfig(n_peers=1200, n_periods=400, seed=5, params=params, env=env0,
                 population_mix={PeerKind.RECIPROCATIVE: 0.7, PeerKind.MALICIOUS: 0.3})
 tr = run_sim(cfg)
-v = one_period_utilities(params, env0, stationary_malicious(params, env0))
+v = one_period_utilities(params, env0, stationary_for_regime(params, env0))
 print(f"    simulated reciprocator mean {np.mean(tr.mean_utility['reciprocative'][-100:]):.4f}"
       f"  vs analytic active rate {v[1]:.4f}")
 print(f"    corrupted deliveries in the final window: "

@@ -16,11 +16,9 @@ from .model import (
 )
 from .stationary import (
     ReputationDistribution,
-    stationary_altruistic,
     stationary_closed_form,
     stationary_fixed_point,
     stationary_for_regime,
-    stationary_malicious,
     transition_matrix,
 )
 from .incentives import (

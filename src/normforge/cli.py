@@ -358,13 +358,14 @@ def cmd_sweep(args) -> int:
         rows = [list(values) + _analyze_csv_row(payload)
                 for values, payload in zip(grid, payloads)]
     else:
+        searched = [name for name in names if name in ("h_o", "b", "beta")]
+        if searched:
+            raise CliError("sweep.param", f"a design sweep searches {searched[0]!r} itself; "
+                           "sweep env fields or L")
+
         def eval_point(values):
             env_sec, par_sec = _apply_point(sc["env"], dict(), names, values)
-            design_sec = dict(sc["design"])
-            for name, value in zip(names, values):
-                if name == "L":
-                    design_sec["L"] = int(value)
-            spec = _build_design(design_sec, _build_env(env_sec))
+            spec = _build_design(dict(sc["design"], **par_sec), _build_env(env_sec))
             return list(values) + _solve_csv_row(spec, _solve_payload(spec, solve(spec)))
 
         header = [f"axis_{n}" for n in names] + SOLVE_COLUMNS

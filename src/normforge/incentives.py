@@ -23,19 +23,15 @@ from typing import Optional
 import numpy as np
 
 from .model import NetworkEnv, Points, ProtocolParams, batched, error_punish_prob, point_of
-from .stationary import (
-    ReputationDistribution,
-    check_regime,
-    stationary_for_regime,
-    transition_matrix,
-)
+from .stationary import ReputationDistribution, check_regime, stationary_for_regime
 
 SLACK_TOL = 1e-12          # float guard when classifying slack signs
 BISECT_TOL_BETA = 1e-8
 BISECT_TOL_DELTA = 1e-10
 BISECT_TOL_PC = 1e-6
 SCAN_STEP_PC = 0.01
-# kernel entries per evaluator call: a wider grid costs calls, not memory
+# willing-table entries, (L + 1)**2 a point, per evaluator call: a wider grid
+# costs calls, not memory
 BLOCK_ENTRIES = 1 << 15
 
 
@@ -74,14 +70,12 @@ def upload_cost_profile(points: Points, dist: ReputationDistribution) -> np.ndar
 
     Matching model: every service-eligible client (reputation >= m_o(h_o))
     emits lam*b requests per period; a request from a t-client is routed
-    uniformly among the servers willing to take it (reputation s >= h_o with
-    m_o(s) <= t), so each willing server carries an equal share of that
-    client class's demand.  With uniform thresholds this reduces to lam*b*c
-    for every active server.
+    uniformly among the servers willing to take it (`Points.willing`), so
+    each willing server carries an equal share of that client class's
+    demand.  With uniform thresholds this reduces to lam*b*c for every
+    active server.
     """
-    eta = dist.eta
-    # willing[i, s, t]: at point i a server at rung s takes clients at rung t
-    willing = (points.m_o[:, :, None] <= points.rung).astype(float)
+    eta, willing = dist.eta, points.willing.astype(float)
     mass = np.einsum("is,ist->it", eta, willing)
     share = np.divide(eta, mass, out=np.zeros_like(eta), where=mass > 0.0)
     return points.c * (points.lam * points.b) * np.einsum("ist,it->is", willing, share)
@@ -119,17 +113,26 @@ def one_period_utilities(points: Points, dist: ReputationDistribution) -> np.nda
 
 @batched
 def overall_utilities(points: Points, dist: ReputationDistribution = None) -> UtilityProfile:
-    """Discounted overall utilities by solving the compliance recursion.
+    """Discounted overall utilities v_inf = v_one + delta * P @ v_inf, with P
+    the compliant ladder, by back-substitution.
 
-    v_inf = v_one + delta * P @ v_inf with P the compliant reputation kernel;
-    delta < 1 keeps (I - delta * P) nonsingular, so one dense solve suffices.
+    A peer at rung t climbs to t+1, stays or falls to 0 (`Points.moves`), so
+    from L down to 0 each rung solves as v[t] = a[t] + z[t] * v[0], and then
+    v[0] = a[0] / (1 - z[0]).  delta < 1 keeps every divisor positive:
+    1 - delta * stay >= 1 - delta, and z[0] <= delta.  O(L) a point: no
+    kernel and no linear solve.
     """
     if dist is None:
         dist = stationary_for_regime(points)
     v_one = one_period_utilities(points, dist)
-    A = np.eye(points.L + 1) - points.delta[:, :, None] * transition_matrix(points)
-    v_inf = np.linalg.solve(A, v_one[:, :, None])[:, :, 0]
-    return UtilityProfile(v_one=v_one, v_inf=v_inf)
+    climb, stay, fall = points.moves
+    held = 1.0 - points.delta * stay
+    up = points.delta * climb / held
+    az = np.stack([v_one, points.delta * fall]) / held
+    for t in range(points.L - 1, -1, -1):
+        az[:, :, t] += up[:, t] * az[:, :, t + 1]
+    a, z = az
+    return UtilityProfile(v_one=v_one, v_inf=a + z * (a[:, :1] / (1.0 - z[:, :1])))
 
 
 @batched

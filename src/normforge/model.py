@@ -2,9 +2,10 @@
 
 A protocol pins down who serves whom (a reputation-indexed service rule) and
 how reputations move at the end of each period (a punishment scheme with
-optional probabilistic forgiveness).  Everything in this module is a pure
-function of its inputs; the analytic solvers and the simulator both build on
-these primitives.
+optional probabilistic forgiveness).  `Points` carries both rules as tables:
+`willing`, the social strategy, and `moves`, the ladder law of compliant
+play.  The analytic layers and the simulator read those tables and restate
+neither rule.  Everything in this module is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -194,7 +195,27 @@ class Points:
 
     @functools.cached_property
     def keep(self) -> np.ndarray:
-        return forgiveness_prob(self, self.rung)
+        """keep[i, t]: chance beta**(L - t + 1) that a punished peer keeps t."""
+        return self.beta ** (self.L - self.rung + 1)
+
+    @functools.cached_property
+    def willing(self) -> np.ndarray:
+        """The service rule: willing[i, s, t] when a server at rung s serves
+        a client at rung t, that is s >= h_o and t >= m_o(s)."""
+        return self.m_o[:, :, None] <= self.rung
+
+    @functools.cached_property
+    def moves(self) -> tuple:
+        """The ladder law: (climb, stay, fall)[i, t], the chances that a
+        compliant peer at rung t moves up one rung, keeps t or falls to 0.
+        An inactive peer climbs; an active one climbs unless an error gets it
+        punished (alpha), and is then kept (keep) or falls.  A climb from L
+        stays at L, so it counts in stay there."""
+        punished = np.where(self.active, self.alpha, 0.0)
+        climb, stay, fall = 1.0 - punished, punished * self.keep, punished * (1.0 - self.keep)
+        stay[:, -1] += climb[:, -1]
+        climb[:, -1] = 0.0
+        return climb, stay, fall
 
     @functools.cached_property
     def eligibility(self) -> np.ndarray:
@@ -226,13 +247,6 @@ def point_of(result, i: int):
         return type(result)(**{name: point_of(v, i) for name, v in vars(result).items()})
     row = None if result is None else result[i]
     return row.item() if isinstance(row, np.generic) else row
-
-
-def forgiveness_prob(params, rep):
-    """Chance beta**(L - rep + 1) that a punished peer keeps reputation `rep`.
-    `params` is a ProtocolParams or a Points batch (whose beta column makes
-    the answer one row per point); `rep` is an int or an array of rungs."""
-    return params.beta ** (params.L - rep + 1)
 
 
 def error_punish_prob(env: NetworkEnv, b: int) -> float:

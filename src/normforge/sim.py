@@ -43,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from .incentives import check_equilibrium, fed_while_punished
-from .model import NetworkEnv, PeerKind, ProtocolParams, error_punish_prob, forgiveness_prob
+from .model import NetworkEnv, PeerKind, Points, ProtocolParams, error_punish_prob
 from .stationary import stationary_for_regime
 
 KIND_ORDER = (PeerKind.RECIPROCATIVE, PeerKind.ALTRUISTIC, PeerKind.MALICIOUS)
@@ -226,17 +226,14 @@ def _kind_labels(flavor: str) -> list:
 def _protocol_tables(config: SimConfig):
     """Flavor adapter: the top reputation, the prescribed willingness
     willing[s, c] (a compliant s-server accepts a c-client) and keep_prob[r],
-    the chance that a punished r-peer keeps r instead of falling to 0.
-    Tit-for-tat is a two-rung ladder that serves anyone whose last period was
-    clean and never forgives."""
-    params = config.params
+    the chance that a punished r-peer keeps r instead of falling to 0; for
+    the social norm, rows of `Points.willing` and `Points.keep`.  Tit-for-tat
+    is a two-rung ladder that serves anyone whose last period was clean and
+    never forgives."""
     if config.protocol_flavor == TFT:
         return 1, np.array([[False, True], [False, True]]), np.zeros(2)
-    L = params.L
-    willing = np.zeros((L + 1, L + 1), dtype=bool)
-    for s in range(params.h_o, L + 1):
-        willing[s, params.m_o_at(s):] = True
-    return L, willing, forgiveness_prob(params, np.arange(L + 1))
+    points = Points.of([config.params], config.env)
+    return config.params.L, points.willing[0], points.keep[0]
 
 
 def tft_sustainable(env: NetworkEnv, b: int, p_c: float = 0.0) -> bool:

@@ -9,7 +9,9 @@ of per-rung ratios (the harsh-punishment closed form is its beta = 0 case).
 This module computes that product directly (never by iteration), plus the
 mixtures induced by malicious and altruistic sub-populations, for one point
 (params, env) or a `Points` batch (answers then gain a leading batch axis).
-`check_regime` alone decides which populations the analysis can model.
+The ladder law is `Points.moves`; the kernel and the product both read it.
+`check_regime` alone decides which populations the analysis can model, and
+mixtures come through `stationary_for_regime` only.
 """
 
 from __future__ import annotations
@@ -37,18 +39,15 @@ class ReputationDistribution:
 
 @batched
 def transition_matrix(points: Points) -> np.ndarray:
-    """Row-stochastic one-period reputation kernel for a compliant peer.
-
-    Row t is the distribution of next-period reputation given reputation t:
-      t <  h_o : climb to t+1 with probability 1 (no uploads, no errors)
-      t >= h_o : climb to min(L, t+1) w.p. 1 - alpha; on an error event
-                 (prob alpha) stay put w.p. beta**(L - t + 1), else drop to 0.
-    """
-    t, act, alpha, keep = points.rung, points.active, points.alpha, points.keep
+    """Row-stochastic one-period reputation kernel for a compliant peer: row
+    t puts the ladder moves of `Points.moves` on t+1 (climb), t (stay) and
+    0 (fall)."""
+    climb, stay, fall = points.moves
+    t = points.rung
     P = np.zeros((len(points), points.L + 1, points.L + 1))
-    P[:, t, np.minimum(points.L, t + 1)] = np.where(act, 1.0 - alpha, 1.0)
-    P[:, t, t] += np.where(act, alpha * keep, 0.0)
-    P[:, t, 0] += np.where(act, alpha * (1.0 - keep), 0.0)
+    P[:, t[:-1], t[1:]] = climb[:, :-1]
+    P[:, t, t] += stay
+    P[:, t, 0] += fall
     return P
 
 
@@ -94,18 +93,16 @@ def stationary_fixed_point(points: Points) -> ReputationDistribution:
 
     Rung t >= 1 is entered only by a climb from t-1: no move skips a rung and
     every fall lands on 0.  Balance at t is then
-    eta[t] * outflow(t) = eta[t-1] * climb(t-1), where outflow(t) is climb
-    plus reset below the top and reset alone at L (a climb from L stays put).
+    eta[t] * (climb(t) + fall(t)) = eta[t-1] * climb(t-1), with the moves of
+    `Points.moves` (no peer climbs out of L).
     A running product of these non-negative ratios along the ladder gives
     the profile accurate to rounding, with no matrix, no tolerance and no
     iteration.  A rung with zero outflow keeps every peer that reaches it
     (L when alpha = 0 or beta = 1, h_o when alpha = 1 and beta = 1), so the
     first one on the way up takes all the mass.
     """
-    act, alpha = points.active, points.alpha
-    climb = np.where(act, 1.0 - alpha, 1.0)  # climb[:, t] leaves rung t
-    climb[:, -1] = 0.0
-    out = climb[:, 1:] + np.where(act, alpha * (1.0 - points.keep), 0.0)[:, 1:]
+    climb, _, fall = points.moves
+    out = climb[:, 1:] + fall[:, 1:]
     eta = np.ones_like(climb)
     np.divide(climb[:, :-1], out, out=eta[:, 1:], where=out > 0.0)
     eta = np.cumprod(eta, axis=1)
@@ -114,7 +111,8 @@ def stationary_fixed_point(points: Points) -> ReputationDistribution:
         sink = np.where(dead.any(axis=1), dead.argmax(axis=1) + 1, -1)[:, None]
         eta = np.where(sink < 0, eta, points.rung == sink)
     eta /= eta.sum(axis=1, keepdims=True)
-    return ReputationDistribution(eta=eta, mu=(eta * act).sum(axis=1), alpha=alpha[:, 0])
+    return ReputationDistribution(eta=eta, mu=(eta * points.active).sum(axis=1),
+                                  alpha=points.alpha[:, 0])
 
 
 @batched
@@ -131,19 +129,3 @@ def stationary_for_regime(points: Points) -> ReputationDistribution:
            + points.p_c * (points.rung == points.L))
     return ReputationDistribution(eta=eta, mu=(eta * points.active).sum(axis=1),
                                   alpha=recip.alpha)
-
-
-@batched
-def stationary_malicious(points: Points) -> ReputationDistribution:
-    """Population profile with a malicious fraction p_d mixed in."""
-    if np.any(points.p_c != 0.0):
-        raise ValueError("malicious mixture assumes p_c = 0 (no altruists)")
-    return stationary_for_regime(points)
-
-
-@batched
-def stationary_altruistic(points: Points) -> ReputationDistribution:
-    """Population profile with an altruistic fraction p_c pinned at L."""
-    if np.any(points.p_d != 0.0):
-        raise ValueError("altruistic mixture assumes p_d = 0 (no malicious peers)")
-    return stationary_for_regime(points)

@@ -1,8 +1,9 @@
 """Independent oracles used to cross-check the library's fast paths.
 
 Everything here recomputes quantities through a different route than the
-library: discounted values by value iteration instead of a linear solve,
-stationary profiles by an LU null-space solve on the full kernel instead of
+library: discounted values by value iteration and by a dense linear solve on
+the full kernel instead of back-substitution down the ladder, stationary
+profiles by an LU null-space solve on the full kernel instead of
 the product over the reputation ladder, and equilibrium verdicts by
 enumerating every deterministic one-period deviation rule instead of the
 two-constraint reduction, and the simulator's self-service fix by trying every
@@ -43,6 +44,14 @@ def value_iterate_v_inf(params: ProtocolParams, env: NetworkEnv,
             return nxt
         v = nxt
     raise AssertionError("value iteration did not converge")
+
+
+def utilities_dense(params: ProtocolParams, env: NetworkEnv) -> np.ndarray:
+    """Discounted values by one dense solve of (I - delta P) v = v_one on the
+    full kernel; delta < 1 keeps the system nonsingular."""
+    v_one = one_period_utilities(params, env, stationary_for_regime(params, env))
+    A = np.eye(params.L + 1) - env.delta * transition_matrix(params, env)
+    return np.linalg.solve(A, v_one)
 
 
 def stationary_nullspace(params: ProtocolParams, env: NetworkEnv) -> np.ndarray:

@@ -367,6 +367,10 @@ MALFORMED_CASES = [
     pytest.param(["sweep"], {"sweep": "abc"}, "sweep", id="sweep-not-a-list"),
     pytest.param(["simulate"], {"sim": dict(SIM_SECTION, population_mix=[1])},
                  "sim.population_mix", id="sim.population_mix-not-an-object"),
+    # a design sweep searches h_o, b and beta itself: an axis over them is refused
+    *[pytest.param(["sweep", "--problem", "OSNE_VP", "--L", "3", "--b-cap", "4",
+                    "--sweep", axis], {}, "sweep.param", id=f"sweep.param-solve-{axis}")
+      for axis in ("h_o:1:3:1", "b:1:3:1", "beta:0:0.5:0.25")],
 ]
 
 

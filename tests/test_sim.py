@@ -9,6 +9,7 @@ from normforge import (
     DeviantPolicy,
     NetworkEnv,
     PeerKind,
+    Points,
     ProtocolParams,
     SimConfig,
     check_equilibrium,
@@ -18,7 +19,7 @@ from normforge import (
     run_tft,
     sim,
     stationary_closed_form,
-    stationary_malicious,
+    stationary_for_regime,
     tft_sustainable,
 )
 from oracles import Action, fewest_self_service_drops, reputation_update, social_strategy
@@ -113,7 +114,7 @@ class TestMalicious:
         cfg = config(n_peers=1500, n_periods=400, seed=21, params=p, env=e,
                      population_mix={PeerKind.RECIPROCATIVE: 0.7, PeerKind.MALICIOUS: 0.3})
         tr = run_sim(cfg)
-        dist = stationary_malicious(p, e)
+        dist = stationary_for_regime(p, e)
         v = one_period_utilities(p, e, dist)
         # all reciprocative peers are active once warmed up (no errors)
         got = float(np.mean(tr.mean_utility["reciprocative"][-100:]))
@@ -361,14 +362,22 @@ class TestScalarOracles:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), L=st.integers(1, 6), beta=st.sampled_from([0.0, 0.3, 1.0]))
     def test_vectorised_rules_match_the_scalar_rules(self, data, L, beta):
-        h_o = data.draw(st.integers(1, L))
-        m_o = sorted(data.draw(st.lists(st.integers(1, L), min_size=L - h_o + 1,
-                                        max_size=L - h_o + 1)))
-        params = ProtocolParams(L=L, h_o=h_o, b=1, beta=beta, m_o=m_o)
+        def thresholds():
+            h_o = data.draw(st.integers(1, L))
+            m_o = sorted(data.draw(st.lists(st.integers(1, L), min_size=L - h_o + 1,
+                                            max_size=L - h_o + 1)))
+            return ProtocolParams(L=L, h_o=h_o, b=1, beta=beta, m_o=m_o)
+
+        # a mixed batch: each row's willing table is its own scalar rule
+        batch = [thresholds() for _ in range(data.draw(st.integers(1, 4)))]
+        table = Points.of(batch, env()).willing
+        for row, params in zip(table, batch):
+            for s, c in np.ndindex(row.shape):
+                assert row[s, c] == (social_strategy(params, s, c) is Action.SERVE)
+        params = batch[0]
         top, willing, keep_prob = sim._protocol_tables(config(params=params))
         assert top == L
-        for s, c in np.ndindex(willing.shape):
-            assert willing[s, c] == (social_strategy(params, s, c) is Action.SERVE)
+        assert willing.tolist() == table[0].tolist()
         assert np.allclose(keep_prob, [beta ** (L - r + 1) for r in range(L + 1)])
         n = data.draw(st.integers(1, 12))
         rep = np.array(data.draw(st.lists(st.integers(0, L), min_size=n, max_size=n)))

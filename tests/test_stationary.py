@@ -5,10 +5,9 @@ from hypothesis import example, given, settings, strategies as st
 from normforge import (
     NetworkEnv,
     ProtocolParams,
-    stationary_altruistic,
     stationary_closed_form,
     stationary_fixed_point,
-    stationary_malicious,
+    stationary_for_regime,
     transition_matrix,
 )
 
@@ -168,46 +167,46 @@ def test_fixed_point_matches_nullspace_oracle(chain):
 class TestMalicious:
     def test_no_malicious_mass_reduces_to_baseline(self):
         p = ProtocolParams(L=3, h_o=1, b=2)
-        a = stationary_malicious(p, env(p_d=0.0))
+        a = stationary_for_regime(p, env(p_d=0.0))
         b = stationary_closed_form(p, env())
         assert np.allclose(a.eta, b.eta)
 
     def test_all_malicious_cycle(self):
         p = ProtocolParams(L=3, h_o=1, b=2)
-        d = stationary_malicious(p, env(p_d=1.0))
+        d = stationary_for_regime(p, env(p_d=1.0))
         assert np.allclose(d.eta, [0.5, 0.5, 0.0, 0.0])
         assert d.mu == pytest.approx(0.5)
 
     def test_mixture_componentwise(self):
         p = ProtocolParams(L=3, h_o=1, b=2)
-        d = stationary_malicious(p, env(p_d=0.5))
+        d = stationary_for_regime(p, env(p_d=0.5))
         recip = stationary_closed_form(p, env())
         cycle = np.array([0.5, 0.5, 0.0, 0.0])
         assert np.allclose(d.eta, 0.5 * recip.eta + 0.5 * cycle)
 
     def test_rejects_out_of_regime(self):
         p = ProtocolParams(L=3, h_o=1, b=2, beta=0.5)
-        with pytest.raises(ValueError):
-            stationary_malicious(p, env(p_d=0.3))
+        with pytest.raises(ValueError, match="harsh punishment"):
+            stationary_for_regime(p, env(p_d=0.3))
 
 
 class TestAltruistic:
     def test_no_altruists_reduces_to_baseline(self):
         p = ProtocolParams(L=3, h_o=1, b=2)
-        a = stationary_altruistic(p, env(p_c=0.0))
+        a = stationary_for_regime(p, env(p_c=0.0))
         b = stationary_closed_form(p, env())
         assert np.allclose(a.eta, b.eta)
 
     def test_all_altruists_point_mass_at_top(self):
         p = ProtocolParams(L=3, h_o=1, b=2)
-        d = stationary_altruistic(p, env(p_c=1.0))
+        d = stationary_for_regime(p, env(p_c=1.0))
         assert np.allclose(d.eta, [0, 0, 0, 1])
 
     def test_top_mass_mixture_value(self):
         p = ProtocolParams(L=3, h_o=1, b=2)
-        d = stationary_altruistic(p, env(p_c=0.3))
+        d = stationary_for_regime(p, env(p_c=0.3))
         assert d.eta[3] == pytest.approx(0.7 * 0.551344537815126 + 0.3, abs=1e-10)
 
     def test_rejects_malicious_mix(self):
-        with pytest.raises(ValueError):
-            stationary_altruistic(ProtocolParams(L=3, h_o=1, b=2), env(p_c=0.3, p_d=0.1))
+        with pytest.raises(ValueError, match="one non-reciprocative kind"):
+            stationary_for_regime(ProtocolParams(L=3, h_o=1, b=2), env(p_c=0.3, p_d=0.1))
