@@ -18,39 +18,44 @@ from normforge import (
     PeerKind,
     ProtocolParams,
     SimConfig,
-    run_sim,
-    run_tft,
+    run_replicas,
     solve_osne,
     tft_sustainable,
 )
 
 BASE = dict(r=1.0, eps=0.1, lam=1.0, delta=0.8)
 MIX = {PeerKind.RECIPROCATIVE: 0.7, PeerKind.ALTRUISTIC: 0.3}
+COSTS = np.arange(0.05, 0.65, 0.05)
 
 
-print("=" * 76)
-print(" c/r   ladder (h_o, b)  recip-delivery   TFT sustained  recip-delivery")
-print("=" * 76)
-for c in np.arange(0.05, 0.65, 0.05):
+def recip_delivery(trace):
+    """Share of the last 100 periods' requests that reciprocators served."""
+    return trace.counts["served_by_recip"][-100:].sum() / trace.counts["emitted"][-100:].sum()
+
+
+# Every (cost, protocol) cell is one replica of a single simulator batch:
+# the ladder cells share seed 77 and the tit-for-tat cells seed 78.
+ladders, configs = [], []
+for c in COSTS:
     env = NetworkEnv(c=float(c), **BASE)
     # re-optimize (h_o, b) for the ladder protocol at this cost point
     best = solve_osne(DesignSpec("OSNE", 3, b_cap=5, env=env.replace(p_c=0.3)))
     params = best.params if best.feasible else ProtocolParams(L=3, h_o=3, b=5)
-    cfg = SimConfig(n_peers=200, n_periods=300, seed=77, params=params, env=env,
-                    population_mix=MIX, strategic=True)
-    tr = run_sim(cfg)
-    served = tr.counts["served_by_recip"][-100:].sum() / tr.counts["emitted"][-100:].sum()
+    ladders.append(f"({params.h_o}, {params.b})" if best.feasible else "collapsed")
+    configs += [SimConfig(n_peers=200, n_periods=300, seed=77, params=params, env=env,
+                          population_mix=MIX, strategic=True),
+                SimConfig(n_peers=200, n_periods=300, seed=78,
+                          params=ProtocolParams(L=3, h_o=1, b=5), env=env,
+                          population_mix=MIX, protocol_flavor="TFT", strategic=True)]
+traces = run_replicas(configs)
 
-    cfg_t = SimConfig(n_peers=200, n_periods=300, seed=78,
-                      params=ProtocolParams(L=3, h_o=1, b=5), env=env,
-                      population_mix=MIX, protocol_flavor="TFT", strategic=True)
-    tr_t = run_tft(cfg_t)
-    served_t = tr_t.counts["served_by_recip"][-100:].sum() / tr_t.counts["emitted"][-100:].sum()
-
-    ladder = f"({params.h_o}, {params.b})" if best.feasible else "collapsed"
-    ok_t = tft_sustainable(env, 5, p_c=0.3)
-    print(f" {c:.2f}   {ladder:<14}  {served:.3f}           "
-          f"{str(ok_t):<5}          {served_t:.3f}")
+print("=" * 76)
+print(" c/r   ladder (h_o, b)  recip-delivery   TFT sustained  recip-delivery")
+print("=" * 76)
+for c, ladder, tr, tr_t in zip(COSTS, ladders, traces[::2], traces[1::2]):
+    ok_t = tft_sustainable(NetworkEnv(c=float(c), **BASE), 5, p_c=0.3)
+    print(f" {c:.2f}   {ladder:<14}  {recip_delivery(tr):.3f}           "
+          f"{str(ok_t):<5}          {recip_delivery(tr_t):.3f}")
 
 print()
 print("Reading the table: once peers stop complying, only the altruist seeds")

@@ -52,6 +52,7 @@ from .sim import (
     SimConfig,
     SimTrace,
     measure_deviation_gain,
+    run_replicas,
     run_sim,
     run_tft,
     tft_sustainable,

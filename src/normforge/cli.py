@@ -6,7 +6,8 @@ Subcommands
     solve      one of the four design problems
     sweep      Cartesian parameter grid of analyze or solve rows (CSV)
     simulate   one seeded agent-based run, trace JSON plus summary CSV row
-    compare    protocol shoot-out (social norm vs tit-for-tat) along a sweep
+    compare    protocol shoot-out (social norm vs tit-for-tat) along a sweep,
+               every cell a replica of one simulator batch
 
 Scenarios are JSON objects with sections env / params / design / sweep / sim /
 output; every field can also be set or overridden by a flag named after the
@@ -28,7 +29,7 @@ from .designer import PROBLEMS, DesignResult, DesignSpec, solve, solve_osne
 from .incentives import (IncentiveReport, blocks, check_equilibria, check_equilibrium,
                          collapsed_social_utility, fed_while_punished)
 from .model import NetworkEnv, PeerKind, Points, ProtocolParams, point_of
-from .sim import SOCIAL_NORM, TFT, SimConfig, run_sim, run_tft, tft_sustainable
+from .sim import SOCIAL_NORM, TFT, SimConfig, run_replicas, run_sim, run_tft, tft_sustainable
 from .stationary import check_regime, stationary_for_regime
 
 ENV_FIELDS = ("r", "c", "eps", "lambda", "delta", "p_c", "p_d")
@@ -454,7 +455,7 @@ def cmd_compare(args) -> int:
     if not sc["sim"]:
         raise CliError("sim", "compare needs a sim section")
 
-    def eval_cell(value, flavor):
+    def cell_config(value, flavor):
         env_sec, par_sec = _apply_point(sc["env"], sc["params"], [axis["param"]], [value])
         env = _build_env(env_sec)
         params = _build_params(par_sec)
@@ -462,33 +463,39 @@ def cmd_compare(args) -> int:
         sim_sec["protocol_flavor"] = flavor
         sim_sec.setdefault("strategic", True)
         config = _build_sim(sim_sec, params, env)
-        weights = config.kind_counts()
-        total = sum(weights.values())
-        mix_env = config.analytic_env()
         if flavor == SOCIAL_NORM:
+            mix_env = config.analytic_env()
             _built("sim.population_mix", lambda: check_regime(params, mix_env), ValueError)
             if args.optimize_social:
                 best = solve_osne(DesignSpec("OSNE", params.L, b_cap=params.b, env=mix_env))
                 if best.feasible:  # the winner passed its check at mix_env
                     config = config.replace(params=best.params)
-        trace = run_tft(config) if flavor == TFT else run_sim(config)
+        return config
+
+    def row(value, trace):
+        config = trace.config
+        mix_env = config.analytic_env()
         if config.strategic:  # the run checked the protocol it simulated
             sustained = not trace.collapsed
-        elif flavor == TFT:
-            sustained = tft_sustainable(env, params.b, mix_env.p_c)
+        elif config.protocol_flavor == TFT:
+            sustained = tft_sustainable(config.env, config.params.b, mix_env.p_c)
         else:
             sustained = check_equilibrium(config.params, mix_env).is_equilibrium
         s = trace.summary()
         per_kind = s["final_window_mean_utility"]
+        weights = config.kind_counts()
         strategic = trace.strategic_kind()
         label = {PeerKind.RECIPROCATIVE: strategic, PeerKind.ALTRUISTIC: "altruistic",
                  PeerKind.MALICIOUS: "malicious"}
-        social = sum(per_kind.get(label[k], 0.0) * weights[k] for k in weights) / total
-        return [axis["param"], value, flavor, sustained,
+        social = sum(per_kind.get(label[k], 0.0) * w for k, w in weights.items()) / config.n_peers
+        return [axis["param"], value, config.protocol_flavor, sustained,
                 s["delivery_rate"], s["recip_delivery_rate"],
                 per_kind.get(strategic), social]
 
-    rows = [eval_cell(v, fl) for v in values for fl in flavors]
+    # the cells share the scenario seed: one batch of common-random-number runs
+    cells = [(v, fl) for v in values for fl in flavors]
+    traces = run_replicas([cell_config(v, fl) for v, fl in cells])
+    rows = [row(v, trace) for (v, _), trace in zip(cells, traces)]
     _emit_text(_csv_text(COMPARE_COLUMNS, rows), args.out or sc["output"].get("path"))
     return 0
 

@@ -16,10 +16,12 @@ per-period punishment probability.  Malicious peers accept any request (the
 corrupt delivery wastes the client's slot; the client re-requests next
 period) but never emit requests of their own.
 
-`run_replicas` runs a batch of replicas, which may differ only in seed, start
-reputations and deviant, through one period loop; `run_sim` and `run_tft`
-are batches of one.  Peer ids are offset by replica.  Each pool pass routes
-every replica's requests in one vectorised step over one table of server
+`run_replicas` runs a batch of replicas, which share size, length and
+population mix and may differ in everything else (seed, start reputations,
+deviant, params, env, flavor, strategic), through one period loop; `run_sim`
+and `run_tft` are batches of one.  Peer ids are offset by replica, and each
+replica's ladder is padded to the batch's largest top.  Pool pass i routes
+each replica's i-th pool in one vectorised step over one table of server
 groups (refusers on the first pass only, serving reciprocators, malicious
 peers, altruists with capacity left), and a request only meets servers of its
 own replica; bounced and overflowing requests try the next pass.  Random
@@ -439,46 +441,101 @@ def _reputation_update(rep: np.ndarray, x: np.ndarray, kept: np.ndarray, top: in
     return new_rep
 
 
+def _spread(values: list, index: np.ndarray):
+    """The replicas' one shared value, or else values[index] for an array of
+    replica numbers: a shared value keeps the scalar arithmetic of one run."""
+    return values[0] if values.count(values[0]) == len(values) else np.array(values)[index]
+
+
+def _pools(config: SimConfig, others: bool):
+    """A protocol's tables and pools: the top, keep_prob, each client rung's
+    pool and the live pools' willing columns.  Client rungs with the same
+    willing column share one server pool, so even loads stay even; live pools
+    are numbered in sorted column order.  A pool no reciprocator is
+    prescribed to serve is live only when malicious peers or altruists
+    (others) may take it; a dead pool (-1) can never be served."""
+    top, willing, keep_prob = _protocol_tables(config)
+    cols, cls_of_rep = np.unique(willing.T, axis=0, return_inverse=True)
+    live = np.flatnonzero(cols.any(axis=1) | others)
+    pool = np.full(len(cols), -1)
+    pool[live] = np.arange(len(live))
+    return top, keep_prob, pool[cls_of_rep.ravel()], cols[live]
+
+
 def run_replicas(configs: list) -> list:
     """Run a batch of replicas through one period loop; one SimTrace each.
 
-    Replicas may differ only in seed, init_reputations and deviant_policy
-    (ValueError otherwise).  Requests pair only with servers of their own
-    replica; altruist capacity, the deviant, the run-time checks and the
-    traces are per replica.  The Python work per period depends on pools and
-    passes, not on the number of replicas.
+    Replicas must share n_peers, n_periods and population_mix, which fix the
+    layout of peer kinds (ValueError otherwise); they may differ in seed,
+    init_reputations, deviant_policy, params, env, protocol_flavor and
+    strategic.  Each replica's ladder is padded to the batch's largest top,
+    and request count, error rate, utility, discount and strategic verdict
+    are its own (one analytic check per strategic replica).
+    Pool pass i routes each replica's i-th live pool, in its own sorted
+    column order.  Requests pair only with servers of their own replica;
+    altruist capacity, the deviant, the run-time checks and the traces are
+    per replica.  The Python work per period depends on pools and passes,
+    not on the number of replicas.
     """
     if not configs:
         return []
     cfg = configs[0]
-    own = dict(seed=cfg.seed, init_reputations=cfg.init_reputations, deviant_policy=cfg.deviant_policy)
-    if any(c.replace(**own) != cfg for c in configs):
-        raise ValueError("replicas may differ only in seed, init_reputations and deviant_policy")
-    top, willing, keep_prob = _protocol_tables(cfg)
-    env, n, k, T, R = cfg.env, cfg.n_peers, cfg.requests_per_peer, cfg.n_periods, len(configs)
+    n, T, R = cfg.n_peers, cfg.n_periods, len(configs)
+    if any((c.n_peers, c.n_periods, c.population_mix) != (n, T, cfg.population_mix)
+           for c in configs):
+        raise ValueError("replicas must share n_peers, n_periods and population_mix")
     batch = _Batch([c.seed for c in configs], n)
 
     counts = cfg.kind_counts()
     kinds = np.repeat(np.arange(len(KIND_ORDER), dtype=np.int8), [counts[kd] for kd in KIND_ORDER])
     replica = np.arange(R * n) // n
-    rep_slot, kind_slot = replica * (top + 1), replica * len(KIND_ORDER) + np.tile(kinds, R)
     recip_mask = np.tile(kinds == _K_RECIP, R)
     alt_ids, mal_ids = (np.flatnonzero(np.tile(kinds == code, R)) for code in (_K_ALT, _K_MAL))
+
+    # each protocol's tables and pools, padded to the batch's largest top:
+    # nobody stands above a replica's own top, so padding is never read
+    distinct = {(c.protocol_flavor, c.params): c for c in configs}
+    others = bool(len(mal_ids) or len(alt_ids))
+    protocols = {key: _pools(c, others) for key, c in distinct.items()}
+    tables = [protocols[c.protocol_flavor, c.params] for c in configs]
+    tops = [tab[0] for tab in tables]
+    top = max(tops)
+    keep_prob, pool_of = np.zeros((R, top + 1)), np.zeros((R, top + 1), dtype=np.int64)
+    pass_cols = np.zeros((max(len(tab[3]) for tab in tables), R, top + 1), dtype=bool)
+    for r, (top_r, keep_r, pool_r, cols_r) in enumerate(tables):
+        keep_prob[r, :top_r + 1], pool_of[r, :top_r + 1] = keep_r, pool_r
+        pass_cols[:len(cols_r), r, :top_r + 1] = cols_r
+    ks = [c.requests_per_peer for c in configs]
+    k = np.array(ks)
+    # dead pools exist only when every peer is reciprocative, so each rung's
+    # histogram count times k is its requests; hist @ dead sums them by replica
+    dead = ((pool_of < 0) * k[:, None]).reshape(-1, 1)
+    dead = np.repeat(np.eye(R, dtype=np.int64), top + 1, axis=0) * dead if dead.any() else None
+    keep_prob, pool_of = keep_prob.ravel(), pool_of.ravel()
+    pass_cols = pass_cols.reshape(len(pass_cols), -1)
+    forgiving = keep_prob.any()
+    top_of, top_alt = _spread(tops, replica), _spread(tops, alt_ids // n)
+
+    rep_slot, kind_slot = replica * (top + 1), replica * len(KIND_ORDER) + np.tile(kinds, R)
     reps = [np.array((0,) * n if c.init_reputations is None else c.init_reputations,
                      dtype=np.int64) for c in configs]
-    if any(r.shape != (n,) or r.min() < 0 or r.max() > top for r in reps):
+    if any(r.shape != (n,) or r.min() < 0 or r.max() > t for r, t in zip(reps, tops)):
         raise ValueError("init_reputations must give every peer a reputation in range")
     rep = np.concatenate(reps)
-    rep[alt_ids] = top  # altruists are pinned at the top rung
+    rep[alt_ids] = top_alt  # altruists are pinned at the top rung
 
-    collapsed = _strategic_collapse(cfg) if cfg.strategic else False
-    refuse_base = recip_mask if collapsed else np.zeros(R * n, dtype=bool)
+    # strategic reciprocators free-ride where their protocol fails its check
+    collapsed = [c.strategic and _strategic_collapse(c) for c in configs]
+    refuse_base = recip_mask & np.array(collapsed)[replica]
     deviants = [(r, c.deviant_policy) for r, c in enumerate(configs) if c.deviant_policy]
     if not all(0 <= d.peer_id < n and kinds[d.peer_id] == _K_RECIP for _, d in deviants):
         raise ValueError("deviant peer must be a reciprocative peer id")
     dev_ids = np.array([r * n + d.peer_id for r, d in deviants], dtype=np.int64)
     dev_window = np.array([d.window or (0, T) for _, d in deviants]).reshape(-1, 2)
 
+    eps = [c.env.eps for c in configs]
+    gain, cost, delta = (_spread([getattr(c.env, f) for c in configs], replica)
+                         for f in ("r", "c", "delta"))
     rep_counts = np.zeros((T, R * (top + 1)))
     count_series = np.zeros((T, len(COUNT_NAMES), R), dtype=np.int64)
     count_series[:, _EMITTED] = k * counts[PeerKind.RECIPROCATIVE]
@@ -487,38 +544,29 @@ def run_replicas(configs: list) -> list:
     disc_weight = 1.0
 
     # requests: every reciprocative peer wants k chunks each period
-    clients = np.repeat(np.flatnonzero(recip_mask), k)
-    # client reputations with the same willing column share one server pool,
-    # so even loads stay even; pools run in sorted column order.  A pool no
-    # reciprocator is prescribed to serve, in a run without malicious peers
-    # or altruists, can never be served: its requests are counted unserved.
-    class_cols, cls_of_rep = np.unique(willing.T, axis=0, return_inverse=True)
-    live = class_cols.any(axis=1) | bool(len(mal_ids) or len(alt_ids))
-    # dead pools exist only when every peer is reciprocative, so each rung's
-    # histogram count times k is its requests
-    dead_rung = None if live.all() else ~live[cls_of_rep]
+    clients = np.flatnonzero(recip_mask)
+    clients = np.repeat(clients, _spread(ks, clients // n))
     sizes = np.zeros((4, R), dtype=np.int64)  # server counts, group x replica
     sizes[_MAL] = batch.count(mal_ids, n)
-    forgiving = keep_prob.any()
 
     for t in range(T):
-        rep_counts[t] = hist = np.bincount(rep_slot + rep, minlength=R * (top + 1))
+        slot = rep_slot + rep
+        rep_counts[t] = hist = np.bincount(slot, minlength=R * (top + 1))
         sent, got = [clients[:0]], [clients[:0]]  # honest uploads, deliveries (peer ids)
         x = np.zeros(R * n, dtype=bool)
         tally = count_series[t]
-        if dead_rung is not None:
-            tally[_UNSERVED] = k * (hist.reshape(R, -1) @ dead_rung)
+        if dead is not None:
+            tally[_UNSERVED] = hist @ dead
         on = dev_ids[(dev_window[:, 0] <= t) & (t < dev_window[:, 1])] if len(dev_ids) else dev_ids
         refuse_all = refuse_base.copy() if len(on) else refuse_base
         refuse_all[on] = True
-        alt_capacity = np.full(len(alt_ids), k, dtype=np.int64)
+        alt_capacity = np.repeat(k, counts[PeerKind.ALTRUISTIC])
         sizes[_ALT] = len(alt_ids) // R
-        client_cls = cls_of_rep[rep[clients]]
+        client_pool = pool_of[slot[clients]]
 
-        for cls in np.flatnonzero(live):
-            pending = clients[client_cls == cls]
-            willing_col = class_cols[cls]
-            apparent = recip_mask & willing_col[rep]
+        for i, willing_col in enumerate(pass_cols):  # pass i: every replica's i-th pool
+            pending = clients[client_pool == i]
+            apparent = recip_mask & willing_col[slot]
             serving = (apparent & ~refuse_all).nonzero()[0]
             refusing = (apparent & refuse_all).nonzero()[0]
             sizes[_REFUSE], sizes[_RECIP] = batch.count(refusing, n), batch.count(serving, n)
@@ -553,7 +601,7 @@ def run_replicas(configs: list) -> list:
                         tally[_REFUSALS] += nr
                         next_pending.append(part)
                     elif g == _MAL:  # corrupt delivery wastes the slot; x by prescription
-                        x[hit[willing_col[rep[hit]]]] = True
+                        x[hit[willing_col[slot[hit]]]] = True
                         tally[_CORRUPTED] += nr
                     else:
                         if g == _RECIP:  # the only servers that also request; their
@@ -580,7 +628,7 @@ def run_replicas(configs: list) -> list:
                         # honest upload attempt: cost now, then the connectivity
                         # lottery, iid Bernoulli(eps) per upload
                         sent.append(srv)
-                        err = batch.uniforms(nr) < env.eps
+                        err = batch.uniforms(nr) < _spread(eps, part_seg)
                         got.append(part[~err])
                         n_err = batch.count(part_seg[err])
                         tally[_SERVED] += nr - n_err
@@ -593,32 +641,34 @@ def run_replicas(configs: list) -> list:
                     pending = pending[batch.seg(pending).argsort(kind="stable")]
                 refusing, sizes[_REFUSE] = refusing[:0], 0  # refusers are skipped on redirect
 
-        util = (env.r * np.bincount(np.concatenate(got), minlength=R * n)
-                - env.c * np.bincount(np.concatenate(sent), minlength=R * n))
+        util = (gain * np.bincount(np.concatenate(got), minlength=R * n)
+                - cost * np.bincount(np.concatenate(sent), minlength=R * n))
         util_sums[t] = np.bincount(kind_slot, weights=util, minlength=R * len(KIND_ORDER))
         discounted += disc_weight * util
-        disc_weight *= env.delta
+        disc_weight *= delta
         kept = clients[:0]
         if forgiving:  # only punished peers on forgiving rungs draw the lottery
-            lottery = (x & (keep_prob[rep] > 0)).nonzero()[0]
-            kept = lottery[batch.uniforms(batch.count(lottery, n)) < keep_prob[rep[lottery]]]
-        rep = _reputation_update(rep, x, kept, top)
-        rep[alt_ids] = top
+            lottery = (x & (keep_prob[slot] > 0)).nonzero()[0]
+            kept = lottery[batch.uniforms(batch.count(lottery, n)) < keep_prob[slot[lottery]]]
+        rep = _reputation_update(rep, x, kept, top_of)
+        rep[alt_ids] = top_alt
 
-    u_max = k * max(env.r, env.c)
-    tail = 0.0 if env.delta == 0.0 else (env.delta ** T) * u_max / (1.0 - env.delta)
     eta = rep_counts.reshape(T, R, top + 1) / n
     util_sums = util_sums.reshape(T, R, len(KIND_ORDER))
-    labels = _kind_labels(cfg.protocol_flavor)
     traces = []
     for r, config in enumerate(configs):
-        peers = slice(r * n, (r + 1) * n)
+        env, top_r, peers = config.env, tops[r], slice(r * n, (r + 1) * n)
+        u_max = ks[r] * max(env.r, env.c)
+        tail = 0.0 if env.delta == 0.0 else (env.delta ** T) * u_max / (1.0 - env.delta)
         series = dict(zip(COUNT_NAMES, count_series[:, :, r].T.copy()))
-        _check_invariants(series, eta[:, r], rep[peers][kinds == _K_ALT], top)
+        eta_r = eta[:, r, :top_r + 1]
+        _check_invariants(series, eta_r, rep[peers][kinds == _K_ALT], top_r)
+        labels = _kind_labels(config.protocol_flavor)
         mean_utility = {labels[code]: util_sums[:, r, code] / counts[kind]
                         for code, kind in enumerate(KIND_ORDER) if counts[kind] > 0}
-        traces.append(SimTrace(config, top, eta[:, r].copy(), series, mean_utility,
-                               discounted[peers].copy(), rep[peers].copy(), kinds, tail, collapsed))
+        traces.append(SimTrace(config, top_r, eta_r.copy(), series, mean_utility,
+                               discounted[peers].copy(), rep[peers].copy(), kinds, tail,
+                               collapsed[r]))
     return traces
 
 

@@ -314,6 +314,23 @@ class TestCompare:
             ("SocialNorm", "False"), ("TFT", "False")]
 
 
+    def test_one_cell_is_the_simulate_run(self, scenario_file, capsys, tmp_path):
+        # compare runs its grid as one batch; a batch of one is `simulate`
+        path = scenario_file(sim={"n_peers": 60, "n_periods": 30, "seed": 4,
+                                  "population_mix": self.MIX})
+        code, out = run_cli(capsys, "compare", "--config", path, "--flavors", "SocialNorm",
+                            "--sweep", "c:0.2:0.2:0.1")
+        assert code == 0
+        [cell] = list(csv.DictReader(io.StringIO(out)))
+        csv_path = tmp_path / "sim.csv"
+        code, _ = run_cli(capsys, "simulate", "--config", path, "--strategic", "--c", "0.2",
+                          "--csv-out", str(csv_path))
+        assert code == 0
+        [run] = list(csv.DictReader(csv_path.open()))
+        for column in ("delivery_rate", "recip_delivery_rate", "recip_mean_utility"):
+            assert cell[column] == run[column]
+
+
 class TestTwoKindMix:
     @pytest.mark.parametrize("argv", [
         ["simulate", "--strategic"],
@@ -398,14 +415,14 @@ def test_strategic_simulate_checks_once(scenario_file, count_calls, capsys):
 
 
 def test_compare_checks_each_social_norm_cell_once(scenario_file, count_calls, capsys):
-    # the strategic run checks the protocol it simulates; compare reads its
+    # the strategic batch checks each protocol it simulates; compare reads its
     # sustained column off that run instead of checking again
     calls = count_calls("check_equilibrium")
     path = scenario_file(sim={"n_peers": 50, "n_periods": 5, "seed": 1})
     code, _ = run_cli(capsys, "compare", "--config", path, "--flavors", "SocialNorm",
-                      "--sweep", "c:0.2:0.2:0.1")
+                      "--sweep", "c:0.2:0.4:0.1")
     assert code == 0
-    assert calls == {"check_equilibrium": 1}
+    assert calls == {"check_equilibrium": 3}
 
 
 class TestScenarioRoundTrip:

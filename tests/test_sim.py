@@ -347,15 +347,67 @@ class TestReplicas:
         first, again = sim.run_replicas(cfgs), sim.run_replicas(cfgs)
         assert [t.to_json() for t in first] == [t.to_json() for t in again]
 
-    @pytest.mark.parametrize("change", [dict(env=env(eps=0.2)),
-                                        dict(params=ProtocolParams(L=3, h_o=2, b=2)),
-                                        dict(n_periods=20)])
-    def test_only_seed_start_and_deviant_may_differ(self, change):
+    @pytest.mark.parametrize("change", [dict(n_peers=30), dict(n_periods=20),
+                                        dict(population_mix={PeerKind.RECIPROCATIVE: 0.9,
+                                                             PeerKind.ALTRUISTIC: 0.1})])
+    def test_replicas_share_size_length_and_mix(self, change):
         base = config(n_peers=20, n_periods=10)
         sim.run_replicas([base, base.replace(seed=3, init_reputations=(1,) * 20,
-                                             deviant_policy=DeviantPolicy(peer_id=2))])
-        with pytest.raises(ValueError):
+                                             deviant_policy=DeviantPolicy(peer_id=2),
+                                             env=env(eps=0.2), protocol_flavor="TFT",
+                                             params=ProtocolParams(L=4, h_o=2, b=2))])
+        with pytest.raises(ValueError, match="share n_peers, n_periods and population_mix"):
             sim.run_replicas([base, base.replace(**change)])
+
+    # without altruists or malicious peers, pools nobody is prescribed to
+    # serve are dead, and the replicas' pool counts differ
+    MIXES = [{PeerKind.RECIPROCATIVE: 0.8, PeerKind.ALTRUISTIC: 0.2},
+             {PeerKind.RECIPROCATIVE: 0.8, PeerKind.MALICIOUS: 0.2}, None]
+
+    @staticmethod
+    def mixed_batch(mix):
+        """Same-seed replicas that differ in flavor, ladder, forgiveness,
+        strategic verdict, eps, lam, r, c and delta."""
+        base = config(n_peers=80, n_periods=40, seed=5, population_mix=mix)
+        return [
+            base.replace(protocol_flavor="TFT", env=env(eps=0.3)),
+            base.replace(env=env(eps=0.0)),
+            base.replace(params=ProtocolParams(L=4, h_o=2, b=3, beta=0.5, m_o=(1, 2, 3)),
+                         env=env(r=1.2, c=0.1, lam=1.3, delta=0.9)),  # round(lam * b) = 4
+            base.replace(strategic=True, params=ProtocolParams(L=3, h_o=2, b=2),
+                         env=env(c=0.9)),  # fails its check: collapses
+            base.replace(strategic=True, env=env(eps=0.3, c=0.1)),
+        ]
+
+    @pytest.mark.parametrize("mix", MIXES)
+    def test_mixed_batch_keeps_each_replica_its_own(self, mix):
+        cfgs = self.mixed_batch(mix)
+        traces = sim.run_replicas(cfgs)  # raises if a replica fails its run-time checks
+        for cfg, tr in zip(cfgs, traces):
+            recips = cfg.kind_counts()[PeerKind.RECIPROCATIVE]
+            assert np.all(tr.counts["emitted"] == round(cfg.env.lam * cfg.params.b) * recips)
+            assert tr.eta.shape == (cfg.n_periods, tr.top_rep + 1)
+            assert np.allclose(tr.eta.sum(axis=1), 1.0)
+        tft, calm, forgiving, collapsed, sustained = traces
+        assert tft.top_rep == 1 and tft.eta.shape[1] == 2
+        assert forgiving.top_rep == 4 and tft.strategic_kind() == "tft_agent"
+        assert collapsed.collapsed and not sustained.collapsed
+        assert collapsed.counts["served_by_recip"].sum() == 0
+        assert sustained.counts["served_by_recip"].sum() > 0
+        assert calm.counts["errored"].sum() == 0 and sustained.counts["errored"].sum() > 0
+        # replicas that differ in params or env draw from one row per seed but
+        # end in different states
+        assert _outcomes(calm) != _outcomes(sustained)
+
+    @pytest.mark.parametrize("mix", MIXES)
+    def test_reordering_a_batch_reorders_its_traces(self, mix):
+        # no table, scalar or draw leaks across replicas: a permuted batch
+        # gives the permuted traces and nothing else changes
+        cfgs = self.mixed_batch(mix)
+        perm = [2, 4, 0, 3, 1]  # the forgiving, four-request replica moves first
+        traces = sim.run_replicas(cfgs)
+        shuffled = sim.run_replicas([cfgs[i] for i in perm])
+        assert [t.to_json() for t in shuffled] == [traces[i].to_json() for i in perm]
 
 
 class TestScalarOracles:
