@@ -282,10 +282,10 @@ class _Batch:
     uniforms shaped (distinct seeds, longest run) and replica r's run reads
     its seed's row from position 0, so replicas with the same seed draw
     alike while their states agree.  With one replica, `count`, `uniforms`,
-    `split`, `pick` and `_route` give the same values and draws without the
-    table and the per-element replica labels, which would cost a single run
-    up to a third more.  The stream is PCG64, which makes doubles faster
-    than Philox."""
+    `below`, `split`, `pick` and `_route` give the same values and draws
+    without the table and the per-element replica labels, which would cost a
+    single run up to a third more.  The stream is PCG64, which makes doubles
+    faster than Philox."""
 
     def __init__(self, seeds: list, n: int):
         distinct = list(dict.fromkeys(seeds))
@@ -318,6 +318,14 @@ class _Batch:
             return self.rng.random(int(size[0]))
         u, cells = self.block(size)
         return u[cells]
+
+    def below(self, size: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """One Bernoulli(p[r]) outcome per element of replica r's run: its
+        uniform (drawn as by `uniforms`) is below p[r]."""
+        if self.R == 1:
+            return self.rng.random(int(size[0])) < p[0]
+        u, cells = self.block(size)
+        return (u < p[:, None])[cells]
 
     def split(self, quota: np.ndarray, size: np.ndarray):
         """Indexes of the first quota[r] elements of each replica r's run and
@@ -441,12 +449,6 @@ def _reputation_update(rep: np.ndarray, x: np.ndarray, kept: np.ndarray, top: in
     return new_rep
 
 
-def _spread(values: list, index: np.ndarray):
-    """The replicas' one shared value, or else values[index] for an array of
-    replica numbers: a shared value keeps the scalar arithmetic of one run."""
-    return values[0] if values.count(values[0]) == len(values) else np.array(values)[index]
-
-
 def _pools(config: SimConfig, others: bool):
     """A protocol's tables and pools: the top, keep_prob, each client rung's
     pool and the live pools' willing columns.  Client rungs with the same
@@ -470,12 +472,12 @@ def run_replicas(configs: list) -> list:
     init_reputations, deviant_policy, params, env, protocol_flavor and
     strategic.  Each replica's ladder is padded to the batch's largest top,
     and request count, error rate, utility, discount and strategic verdict
-    are its own (one analytic check per strategic replica).
+    are its own (one analytic check per distinct strategic protocol and env).
     Pool pass i routes each replica's i-th live pool, in its own sorted
     column order.  Requests pair only with servers of their own replica;
     altruist capacity, the deviant, the run-time checks and the traces are
-    per replica.  The Python work per period depends on pools and passes,
-    not on the number of replicas.
+    per replica; a trace's arrays are views of the batch's.  The Python work
+    per period depends on pools and passes, not on the number of replicas.
     """
     if not configs:
         return []
@@ -505,16 +507,15 @@ def run_replicas(configs: list) -> list:
     for r, (top_r, keep_r, pool_r, cols_r) in enumerate(tables):
         keep_prob[r, :top_r + 1], pool_of[r, :top_r + 1] = keep_r, pool_r
         pass_cols[:len(cols_r), r, :top_r + 1] = cols_r
-    ks = [c.requests_per_peer for c in configs]
-    k = np.array(ks)
+    k = np.array([c.requests_per_peer for c in configs])
     # dead pools exist only when every peer is reciprocative, so each rung's
-    # histogram count times k is its requests; hist @ dead sums them by replica
-    dead = ((pool_of < 0) * k[:, None]).reshape(-1, 1)
-    dead = np.repeat(np.eye(R, dtype=np.int64), top + 1, axis=0) * dead if dead.any() else None
+    # histogram count times k is its requests
+    dead = (pool_of < 0) * k[:, None] if (pool_of < 0).any() else None
     keep_prob, pool_of = keep_prob.ravel(), pool_of.ravel()
     pass_cols = pass_cols.reshape(len(pass_cols), -1)
     forgiving = keep_prob.any()
-    top_of, top_alt = _spread(tops, replica), _spread(tops, alt_ids // n)
+    top_of = np.array(tops)[replica]
+    top_alt = top_of[alt_ids]
 
     rep_slot, kind_slot = replica * (top + 1), replica * len(KIND_ORDER) + np.tile(kinds, R)
     reps = [np.array((0,) * n if c.init_reputations is None else c.init_reputations,
@@ -524,8 +525,11 @@ def run_replicas(configs: list) -> list:
     rep = np.concatenate(reps)
     rep[alt_ids] = top_alt  # altruists are pinned at the top rung
 
-    # strategic reciprocators free-ride where their protocol fails its check
-    collapsed = [c.strategic and _strategic_collapse(c) for c in configs]
+    # strategic reciprocators free-ride where their protocol fails its check,
+    # made once per distinct protocol and env
+    cells = {(c.protocol_flavor, c.params, c.env): c for c in configs if c.strategic}
+    verdict = {cell: _strategic_collapse(c) for cell, c in cells.items()}
+    collapsed = [c.strategic and verdict[c.protocol_flavor, c.params, c.env] for c in configs]
     refuse_base = recip_mask & np.array(collapsed)[replica]
     deviants = [(r, c.deviant_policy) for r, c in enumerate(configs) if c.deviant_policy]
     if not all(0 <= d.peer_id < n and kinds[d.peer_id] == _K_RECIP for _, d in deviants):
@@ -533,19 +537,19 @@ def run_replicas(configs: list) -> list:
     dev_ids = np.array([r * n + d.peer_id for r, d in deviants], dtype=np.int64)
     dev_window = np.array([d.window or (0, T) for _, d in deviants]).reshape(-1, 2)
 
-    eps = [c.env.eps for c in configs]
-    gain, cost, delta = (_spread([getattr(c.env, f) for c in configs], replica)
+    eps = np.array([c.env.eps for c in configs])
+    # per-replica columns against (replica, peer) arrays
+    gain, cost, delta = (np.array([[getattr(c.env, f)] for c in configs])
                          for f in ("r", "c", "delta"))
     rep_counts = np.zeros((T, R * (top + 1)))
     count_series = np.zeros((T, len(COUNT_NAMES), R), dtype=np.int64)
     count_series[:, _EMITTED] = k * counts[PeerKind.RECIPROCATIVE]
     util_sums = np.zeros((T, R * len(KIND_ORDER)))  # per-period utility summed by kind
-    discounted = np.zeros(R * n)
-    disc_weight = 1.0
+    discounted = np.zeros((R, n))
+    disc_weight = np.ones((R, 1))
 
     # requests: every reciprocative peer wants k chunks each period
-    clients = np.flatnonzero(recip_mask)
-    clients = np.repeat(clients, _spread(ks, clients // n))
+    clients = np.repeat(np.flatnonzero(recip_mask), k[replica[recip_mask]])
     sizes = np.zeros((4, R), dtype=np.int64)  # server counts, group x replica
     sizes[_MAL] = batch.count(mal_ids, n)
 
@@ -556,7 +560,7 @@ def run_replicas(configs: list) -> list:
         x = np.zeros(R * n, dtype=bool)
         tally = count_series[t]
         if dead is not None:
-            tally[_UNSERVED] = hist @ dead
+            tally[_UNSERVED] = (hist.reshape(R, -1) * dead).sum(axis=1)
         on = dev_ids[(dev_window[:, 0] <= t) & (t < dev_window[:, 1])] if len(dev_ids) else dev_ids
         refuse_all = refuse_base.copy() if len(on) else refuse_base
         refuse_all[on] = True
@@ -628,7 +632,7 @@ def run_replicas(configs: list) -> list:
                         # honest upload attempt: cost now, then the connectivity
                         # lottery, iid Bernoulli(eps) per upload
                         sent.append(srv)
-                        err = batch.uniforms(nr) < _spread(eps, part_seg)
+                        err = batch.below(nr, eps)
                         got.append(part[~err])
                         n_err = batch.count(part_seg[err])
                         tally[_SERVED] += nr - n_err
@@ -641,9 +645,9 @@ def run_replicas(configs: list) -> list:
                     pending = pending[batch.seg(pending).argsort(kind="stable")]
                 refusing, sizes[_REFUSE] = refusing[:0], 0  # refusers are skipped on redirect
 
-        util = (gain * np.bincount(np.concatenate(got), minlength=R * n)
-                - cost * np.bincount(np.concatenate(sent), minlength=R * n))
-        util_sums[t] = np.bincount(kind_slot, weights=util, minlength=R * len(KIND_ORDER))
+        util = (gain * np.bincount(np.concatenate(got), minlength=R * n).reshape(R, n)
+                - cost * np.bincount(np.concatenate(sent), minlength=R * n).reshape(R, n))
+        util_sums[t] = np.bincount(kind_slot, weights=util.ravel(), minlength=R * len(KIND_ORDER))
         discounted += disc_weight * util
         disc_weight *= delta
         kept = clients[:0]
@@ -653,22 +657,25 @@ def run_replicas(configs: list) -> list:
         rep = _reputation_update(rep, x, kept, top_of)
         rep[alt_ids] = top_alt
 
-    eta = rep_counts.reshape(T, R, top + 1) / n
+    # the traces hold disjoint views of the batch's arrays: copying them would
+    # hold every series twice while the traces are built
+    rep_counts /= n
+    eta = rep_counts.reshape(T, R, top + 1)
     util_sums = util_sums.reshape(T, R, len(KIND_ORDER))
+    rep = rep.reshape(R, n)
     traces = []
     for r, config in enumerate(configs):
-        env, top_r, peers = config.env, tops[r], slice(r * n, (r + 1) * n)
-        u_max = ks[r] * max(env.r, env.c)
+        env, top_r = config.env, tops[r]
+        u_max = config.requests_per_peer * max(env.r, env.c)
         tail = 0.0 if env.delta == 0.0 else (env.delta ** T) * u_max / (1.0 - env.delta)
-        series = dict(zip(COUNT_NAMES, count_series[:, :, r].T.copy()))
+        series = dict(zip(COUNT_NAMES, count_series[:, :, r].T))
         eta_r = eta[:, r, :top_r + 1]
-        _check_invariants(series, eta_r, rep[peers][kinds == _K_ALT], top_r)
+        _check_invariants(series, eta_r, rep[r][kinds == _K_ALT], top_r)
         labels = _kind_labels(config.protocol_flavor)
         mean_utility = {labels[code]: util_sums[:, r, code] / counts[kind]
                         for code, kind in enumerate(KIND_ORDER) if counts[kind] > 0}
-        traces.append(SimTrace(config, top_r, eta_r.copy(), series, mean_utility,
-                               discounted[peers].copy(), rep[peers].copy(), kinds, tail,
-                               collapsed[r]))
+        traces.append(SimTrace(config, top_r, eta_r, series, mean_utility, discounted[r],
+                               rep[r], kinds, tail, collapsed[r]))
     return traces
 
 

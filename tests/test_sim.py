@@ -359,6 +359,16 @@ class TestReplicas:
         with pytest.raises(ValueError, match="share n_peers, n_periods and population_mix"):
             sim.run_replicas([base, base.replace(**change)])
 
+    def test_strategic_verdict_is_checked_once_per_protocol_and_env(self, count_calls):
+        calls = count_calls("check_equilibrium", "tft_sustainable")
+        base = config(n_peers=20, n_periods=5, strategic=True)
+        tft = base.replace(protocol_flavor="TFT")
+        traces = sim.run_replicas([base, base.replace(seed=2, init_reputations=(1,) * 20),
+                                   base.replace(env=env(c=0.9)), tft, tft.replace(seed=4),
+                                   base.replace(strategic=False, env=env(c=0.5))])
+        assert calls == {"check_equilibrium": 2, "tft_sustainable": 1}
+        assert [t.collapsed for t in traces] == [False, False, True, False, False, False]
+
     # without altruists or malicious peers, pools nobody is prescribed to
     # serve are dead, and the replicas' pool counts differ
     MIXES = [{PeerKind.RECIPROCATIVE: 0.8, PeerKind.ALTRUISTIC: 0.2},
