@@ -55,6 +55,7 @@ from .sim import (
     run_replicas,
     run_sim,
     run_tft,
+    sustained,
     tft_sustainable,
 )
 

@@ -11,9 +11,15 @@ Subcommands
 
 Scenarios are JSON objects with sections env / params / design / sweep / sim /
 output; every field can also be set or overridden by a flag named after the
-parameter (--eps, --delta, --h-o, ...).  Exit codes: 0 success, 2 config
+parameter (--eps, --delta, --h-o, ...); its --help metavar names that field
+(ENV.EPS, SIM.POPULATION_MIX, ...).  Exit codes: 0 success, 2 config
 error (a machine-readable error object is printed; this includes an env or
 population mix the analysis cannot model), 3 infeasible design.
+
+tft_sustainable, compare's sustained column and a strategic run's free-riding
+are one verdict, `sim.sustained`, taken at the simulated shares (kind counts
+over n_peers), not at the --mix fractions.  recip_utility_effective is v_one
+averaged over the reciprocative profile when the norm holds, else v_one[0].
 """
 
 from __future__ import annotations
@@ -27,13 +33,14 @@ import sys
 
 from .designer import PROBLEMS, DesignResult, DesignSpec, solve, solve_osne
 from .incentives import (IncentiveReport, blocks, check_equilibria, check_equilibrium,
-                         collapsed_social_utility, fed_while_punished)
+                         collapsed_social_utility)
 from .model import NetworkEnv, PeerKind, Points, ProtocolParams, point_of
-from .sim import SOCIAL_NORM, TFT, SimConfig, run_replicas, run_sim, run_tft, tft_sustainable
-from .stationary import check_regime, stationary_for_regime
+from .sim import SOCIAL_NORM, TFT, SimConfig, run_replicas, sustained
+from .stationary import check_regime, stationary_fixed_point, stationary_for_regime
 
+SECTIONS = ("env", "params", "design", "sweep", "sim", "output")
 ENV_FIELDS = ("r", "c", "eps", "lambda", "delta", "p_c", "p_d")
-PARAM_FIELDS = ("L", "h_o", "b", "beta", "m_o")
+PARAM_TYPES = {"L": int, "h_o": int, "b": int, "beta": float}  # the numeric params fields
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 
@@ -57,46 +64,40 @@ def _load_config_file(path: str) -> dict:
         raise CliError("config", f"malformed JSON in {path}: {exc}")
     if not isinstance(raw, dict):
         raise CliError("config", "top-level config must be a JSON object")
-    known = {"env", "params", "design", "sweep", "sim", "output"}
     for key in raw:
-        if key not in known:
-            raise CliError(key, f"unknown config section {key!r} (expected one of {sorted(known)})")
+        if key not in SECTIONS:
+            raise CliError(key, f"unknown config section {key!r} "
+                                f"(expected one of {sorted(SECTIONS)})")
     return raw
 
 
+def _parse_mix(text: str) -> dict:
+    mix = {}
+    for part in text.split(","):
+        kind, _, frac = part.partition("=")
+        if not frac:
+            raise ValueError(f"expected kind=fraction, got {part!r}")
+        mix[kind.strip()] = float(frac)
+    return mix
+
+
+# the flags that carry text, parsed into their field's value
+TEXT_FIELDS = {"params.m_o": lambda text: [int(v) for v in text.split(",")],
+               "sim.population_mix": _parse_mix}
+
+
 def _scenario(args) -> dict:
+    """The config file's sections, with each flag's value set on the field
+    its dest names ("env.eps", "sim.population_mix", ...)."""
     cfg = _load_config_file(args.config) if args.config else {}
-    env = dict(cfg.get("env", {}))
-    params = dict(cfg.get("params", {}))
-    design = dict(cfg.get("design", {}))
-    sim = dict(cfg.get("sim", {}))
-
-    def override(section, name, value):
-        if value is not None:
-            section[name] = value
-
-    for name in ENV_FIELDS:
-        override(env, name, getattr(args, _attr(name), None))
-    for name in ("L", "h_o", "b", "beta"):
-        override(params, name, getattr(args, _attr(name), None))
-    if getattr(args, "m_o", None) is not None:
-        params["m_o"] = _built("params.m_o", lambda: [int(v) for v in args.m_o.split(",")])
-    for name in ("problem", "b_cap", "beta_grid", "p_c_grid"):
-        override(design, name, getattr(args, _attr(name), None))
-    if "L" in params and "L" not in design:
-        design.setdefault("L", params["L"])
-    for name in ("n_peers", "n_periods", "seed", "strategic"):
-        override(sim, name, getattr(args, _attr(name), None))
-    if getattr(args, "flavor", None) is not None:
-        sim["protocol_flavor"] = args.flavor
-    if getattr(args, "mix", None) is not None:
-        mix = {}
-        for part in args.mix.split(","):
-            kind, _, frac = part.partition("=")
-            if not frac:
-                raise CliError("sim.population_mix", f"expected kind=fraction, got {part!r}")
-            mix[kind.strip()] = _built("sim.population_mix", lambda: float(frac))
-        sim["population_mix"] = mix
+    sc = {name: dict(cfg.get(name, {})) for name in SECTIONS if name != "sweep"}
+    for dest, value in vars(args).items():
+        section, _, field = dest.partition(".")
+        if field and value is not None:
+            parse = TEXT_FIELDS.get(dest)
+            sc[section][field] = value if parse is None else _built(dest, lambda: parse(value))
+    if "L" in sc["params"]:
+        sc["design"].setdefault("L", sc["params"]["L"])
     sweep = cfg.get("sweep", [])
     if not (isinstance(sweep, list) and all(isinstance(axis, dict) for axis in sweep)):
         raise CliError("sweep", "expected a list of axis objects")
@@ -106,12 +107,7 @@ def _scenario(args) -> dict:
             raise CliError("sweep", f"expected param:min:max:step, got {spec!r}")
         sweep.append(_built("sweep", lambda: {"param": bits[0], "min": float(bits[1]),
                                               "max": float(bits[2]), "step": float(bits[3])}))
-    return {"env": env, "params": params, "design": design, "sweep": sweep,
-            "sim": sim, "output": dict(cfg.get("output", {}))}
-
-
-def _attr(flag_name: str) -> str:
-    return {"lambda": "lam"}.get(flag_name, flag_name)
+    return dict(sc, sweep=sweep)
 
 
 def _check_fields(section: dict, name: str, noun: str, required, known) -> None:
@@ -135,17 +131,15 @@ def _built(field: str, make, errors=(TypeError, ValueError)):
 
 def _build_env(section: dict) -> NetworkEnv:
     _check_fields(section, "env", "environment", ("r", "c", "eps", "lambda", "delta"), ENV_FIELDS)
-    return _built("env", lambda: NetworkEnv(
-        r=float(section["r"]), c=float(section["c"]), eps=float(section["eps"]),
-        lam=float(section["lambda"]), delta=float(section["delta"]),
-        p_c=float(section.get("p_c", 0.0)), p_d=float(section.get("p_d", 0.0))))
+    return _built("env", lambda: NetworkEnv(**{"lam" if name == "lambda" else name: float(value)
+                                               for name, value in section.items()}))
 
 
 def _build_params(section: dict) -> ProtocolParams:
-    _check_fields(section, "params", "protocol", ("L", "h_o", "b"), PARAM_FIELDS)
+    _check_fields(section, "params", "protocol", ("L", "h_o", "b"), (*PARAM_TYPES, "m_o"))
     return _built("params", lambda: ProtocolParams(
-        L=int(section["L"]), h_o=int(section["h_o"]), b=int(section["b"]),
-        beta=float(section.get("beta", 0.0)), m_o=section.get("m_o")))
+        **{name: kind(section[name]) for name, kind in PARAM_TYPES.items() if name in section},
+        m_o=section.get("m_o")))
 
 
 def _build_design(section: dict, env: NetworkEnv) -> DesignSpec:
@@ -205,28 +199,26 @@ def _report_payload(report) -> dict:
 
 # ------------------------------------------------------------------ commands
 
-def _analyze_payloads(points):
+def _analyze_payloads(pairs):
     """Yield each (params, env) point's analyze payload, checked in blocks."""
-    for L, run in itertools.groupby(points, key=lambda point: point[0].L):
+    for L, run in itertools.groupby(pairs, key=lambda pair: pair[0].L):
         for block in blocks(list(run), L):
-            batch = _built("env", lambda: check_equilibria(Points.of(
-                [p for p, _ in block], [e for _, e in block])), ValueError)
+            points = Points.of([p for p, _ in block], [e for _, e in block])
+            batch = _built("env", lambda: check_equilibria(points), ValueError)
+            recip = stationary_fixed_point(points)  # the reciprocative peers' own profile
             for j, (params, env) in enumerate(block):
-                yield _analyze_payload(params, env, point_of(batch, j))
+                yield _analyze_payload(params, env, point_of(batch, j), recip.eta[j])
 
 
-def _analyze_payload(params: ProtocolParams, env: NetworkEnv, report: IncentiveReport) -> dict:
+def _analyze_payload(params: ProtocolParams, env: NetworkEnv, report: IncentiveReport,
+                     recip_eta) -> dict:
     dist, profile = report.dist, report.utilities
     u = report.social_utility
-    if report.is_equilibrium:  # reciprocative peers' mean (see stationary_for_regime)
-        u_eff = u
-        recip_eta = dist.eta.copy()
-        recip_eta[params.L] -= env.p_c
-        recip_eta[:params.h_o + 1] -= env.p_d / (params.h_o + 1)
-        recip_eff = float(recip_eta @ profile.v_one) / (1.0 - env.p_c - env.p_d)
-    else:  # altruists alone serve, rationing reciprocative peers by their supply
+    if report.is_equilibrium:
+        u_eff, recip_eff = u, float(recip_eta @ profile.v_one)
+    else:  # altruists alone serve; a free-rider sits at rung 0
         u_eff = collapsed_social_utility(env, params.b, env.p_c)
-        recip_eff = env.lam * params.b * (1.0 - env.eps) * env.r * fed_while_punished(env.p_c)
+        recip_eff = float(profile.v_one[0])
     return {
         "env": env.to_dict(),
         "params": params.to_dict(),
@@ -315,7 +307,7 @@ def _axis_values(axis: dict) -> list:
     for name in ("param", "min", "max", "step"):
         if name not in axis:
             raise CliError(f"sweep.{name}", "sweep axis field is missing")
-    if axis["param"] not in ENV_FIELDS + ("L", "h_o", "b", "beta"):
+    if axis["param"] not in (*ENV_FIELDS, *PARAM_TYPES):
         raise CliError("sweep.param", f"unknown sweep parameter {axis['param']!r}")
     lo, hi, step = (_built(f"sweep.{name}", lambda: float(axis[name]))
                     for name in ("min", "max", "step"))
@@ -331,11 +323,8 @@ def _axis_values(axis: dict) -> list:
 
 def _apply_point(env_sec: dict, par_sec: dict, names, values):
     env_sec, par_sec = dict(env_sec), dict(par_sec)
-    for name, value in zip(names, values):
-        if name in ENV_FIELDS:
-            env_sec[name] = value
-        else:
-            par_sec[name] = int(value) if name in ("L", "h_o", "b") else value
+    for name, value in zip(names, values):  # the builders cast each field
+        (env_sec if name in ENV_FIELDS else par_sec)[name] = value
     return env_sec, par_sec
 
 
@@ -359,7 +348,7 @@ def cmd_sweep(args) -> int:
         rows = [list(values) + _analyze_csv_row(payload)
                 for values, payload in zip(grid, payloads)]
     else:
-        searched = [name for name in names if name in ("h_o", "b", "beta")]
+        searched = [name for name in names if name in PARAM_TYPES and name != "L"]
         if searched:
             raise CliError("sweep.param", f"a design sweep searches {searched[0]!r} itself; "
                            "sweep env fields or L")
@@ -403,14 +392,15 @@ def cmd_simulate(args) -> int:
     env = _build_env(sc["env"])
     params = _build_params(sc["params"])
     config = _build_sim(sc["sim"], params, env)
-    if args.compare_analytic and config.protocol_flavor == TFT:
+    tft = config.protocol_flavor == TFT
+    if args.compare_analytic and tft:
         raise CliError("sim.protocol_flavor", "analytic comparison covers the social-norm flavor")
-    if config.protocol_flavor == SOCIAL_NORM and (config.strategic or args.compare_analytic):
+    if not tft and (config.strategic or args.compare_analytic):
         # a strategic run checks the protocol itself; here the mix is admitted
         fn = stationary_for_regime if args.compare_analytic else check_regime
         dist = _built("sim.population_mix", lambda: fn(params, config.analytic_env()),
                       ValueError)
-    trace = run_tft(config) if config.protocol_flavor == TFT else run_sim(config)
+    [trace] = run_replicas([config])
     payload = trace.to_json_dict()
     header = list(SIM_SUMMARY_COLUMNS)
     row = _sim_summary_row(config, trace)
@@ -423,10 +413,9 @@ def cmd_simulate(args) -> int:
         }
         header += ["eta_linf", "mu_analytic"]
         row += [linf, dist.mu]
-    if config.protocol_flavor == TFT:
+    if tft:
         header += ["tft_sustainable"]
-        row += [tft_sustainable(env, params.b,
-                                config.population_mix.get(PeerKind.ALTRUISTIC, 0.0))]
+        row += [sustained(config)]
     _emit_text(json.dumps(payload, sort_keys=True, indent=1),
                args.out or sc["output"].get("path"))
     if args.csv_out:
@@ -474,13 +463,8 @@ def cmd_compare(args) -> int:
 
     def row(value, trace):
         config = trace.config
-        mix_env = config.analytic_env()
-        if config.strategic:  # the run checked the protocol it simulated
-            sustained = not trace.collapsed
-        elif config.protocol_flavor == TFT:
-            sustained = tft_sustainable(config.env, config.params.b, mix_env.p_c)
-        else:
-            sustained = check_equilibrium(config.params, mix_env).is_equilibrium
+        # a strategic run checked the protocol it simulated
+        verdict = not trace.collapsed if config.strategic else sustained(config)
         s = trace.summary()
         per_kind = s["final_window_mean_utility"]
         weights = config.kind_counts()
@@ -488,7 +472,7 @@ def cmd_compare(args) -> int:
         label = {PeerKind.RECIPROCATIVE: strategic, PeerKind.ALTRUISTIC: "altruistic",
                  PeerKind.MALICIOUS: "malicious"}
         social = sum(per_kind.get(label[k], 0.0) * w for k, w in weights.items()) / config.n_peers
-        return [axis["param"], value, config.protocol_flavor, sustained,
+        return [axis["param"], value, config.protocol_flavor, verdict,
                 s["delivery_rate"], s["recip_delivery_rate"],
                 per_kind.get(strategic), social]
 
@@ -507,12 +491,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--csv-out", help="also write a flat CSV to this path")
     for name in ENV_FIELDS:
-        p.add_argument(f"--{name.replace('_', '-')}", dest=_attr(name), type=float)
-    p.add_argument("--L", dest="L", type=int)
-    p.add_argument("--h-o", dest="h_o", type=int)
-    p.add_argument("--b", dest="b", type=int)
-    p.add_argument("--beta", dest="beta", type=float)
-    p.add_argument("--m-o", dest="m_o", help="comma-separated client thresholds for h_o..L")
+        p.add_argument(f"--{name.replace('_', '-')}", dest=f"env.{name}", type=float)
+    for name, kind in PARAM_TYPES.items():
+        p.add_argument(f"--{name.replace('_', '-')}", dest=f"params.{name}", type=kind)
+    p.add_argument("--m-o", dest="params.m_o", help="comma-separated client thresholds for h_o..L")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -525,16 +507,17 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
         if design:
-            p.add_argument("--problem", choices=PROBLEMS)
-            p.add_argument("--b-cap", dest="b_cap", type=int)
-            p.add_argument("--beta-grid", dest="beta_grid", type=float)
-            p.add_argument("--p-c-grid", dest="p_c_grid", type=float)
+            p.add_argument("--problem", dest="design.problem", choices=PROBLEMS)
+            p.add_argument("--b-cap", dest="design.b_cap", type=int)
+            p.add_argument("--beta-grid", dest="design.beta_grid", type=float)
+            p.add_argument("--p-c-grid", dest="design.p_c_grid", type=float)
         if run_mix:
-            p.add_argument("--n-peers", dest="n_peers", type=int)
-            p.add_argument("--n-periods", dest="n_periods", type=int)
-            p.add_argument("--seed", dest="seed", type=int)
-            p.add_argument("--mix", help=f"population mix, e.g. {run_mix}")
-            p.add_argument("--strategic", dest="strategic", action="store_true", default=None)
+            p.add_argument("--n-peers", dest="sim.n_peers", type=int)
+            p.add_argument("--n-periods", dest="sim.n_periods", type=int)
+            p.add_argument("--seed", dest="sim.seed", type=int)
+            p.add_argument("--mix", dest="sim.population_mix",
+                           help=f"population mix, e.g. {run_mix}")
+            p.add_argument("--strategic", dest="sim.strategic", action="store_true", default=None)
         if sweep:
             p.add_argument("--sweep", action="append", help="axis as param:min:max:step")
         p.set_defaults(fn=fn)
@@ -546,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("sweep", cmd_sweep, "grid of analyze or solve rows as CSV", design=True, sweep=True)
     p = command("simulate", cmd_simulate, "run one seeded agent-based simulation",
                 run_mix="reciprocative=0.9,altruistic=0.1")
-    p.add_argument("--flavor", choices=(SOCIAL_NORM, TFT))
+    p.add_argument("--flavor", dest="sim.protocol_flavor", choices=(SOCIAL_NORM, TFT))
     p.add_argument("--compare-analytic", action="store_true",
                    help="append the sup-norm gap to the simulated population's analytic profile")
     p = command("compare", cmd_compare, "social norm vs tit-for-tat along one axis",

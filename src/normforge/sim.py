@@ -256,13 +256,14 @@ def tft_sustainable(env: NetworkEnv, b: int, p_c: float = 0.0) -> bool:
     return env.c * rate <= env.delta * (1.0 - alpha_t) * gap + 1e-12
 
 
-def _strategic_collapse(config: SimConfig) -> bool:
-    """True when the configured protocol cannot sustain compliance, in which
-    case strategic reciprocative peers free-ride."""
+def sustained(config: SimConfig) -> bool:
+    """Whether the configured protocol sustains compliance at the simulated
+    population's shares (kind counts over n_peers); where it does not,
+    strategic reciprocative peers free-ride."""
     env = config.analytic_env()
     if config.protocol_flavor == TFT:
-        return not tft_sustainable(config.env, config.params.b, env.p_c)
-    return not check_equilibrium(config.params, env).is_equilibrium
+        return tft_sustainable(config.env, config.params.b, env.p_c)
+    return check_equilibrium(config.params, env).is_equilibrium
 
 
 def _run_rng(seeds, stream: int) -> np.random.Generator:
@@ -528,7 +529,7 @@ def run_replicas(configs: list) -> list:
     # strategic reciprocators free-ride where their protocol fails its check,
     # made once per distinct protocol and env
     cells = {(c.protocol_flavor, c.params, c.env): c for c in configs if c.strategic}
-    verdict = {cell: _strategic_collapse(c) for cell, c in cells.items()}
+    verdict = {cell: not sustained(c) for cell, c in cells.items()}
     collapsed = [c.strategic and verdict[c.protocol_flavor, c.params, c.env] for c in configs]
     refuse_base = recip_mask & np.array(collapsed)[replica]
     deviants = [(r, c.deviant_policy) for r, c in enumerate(configs) if c.deviant_policy]

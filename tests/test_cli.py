@@ -6,8 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from normforge import (NetworkEnv, ProtocolParams, check_equilibrium, stationary_fixed_point,
-                       stationary_for_regime, tft_sustainable)
+from normforge import (NetworkEnv, ProtocolParams, SimConfig, check_equilibrium, run_tft, sim,
+                       stationary_fixed_point, stationary_for_regime, tft_sustainable)
 from normforge.cli import main
 
 BASE_SCENARIO = {
@@ -146,17 +146,23 @@ class TestSolve:
 
 
 class TestSweep:
-    def test_single_point_matches_analyze(self, scenario_file, capsys):
+    # an h_o axis reaches the params fields' integer cast
+    @pytest.mark.parametrize("axis, points", [
+        ("c:0.2:0.2:0.1", [[]]),
+        ("h_o:1:3:1", [["--h-o", "1"], ["--h-o", "2"], ["--h-o", "3"]]),
+    ], ids=["c", "h_o"])
+    def test_single_point_matches_analyze(self, scenario_file, capsys, tmp_path, axis, points):
         path = scenario_file()
-        code, out = run_cli(capsys, "sweep", "--config", path,
-                            "--sweep", "c:0.2:0.2:0.1")
+        code, out = run_cli(capsys, "sweep", "--config", path, "--sweep", axis)
         assert code == 0
-        rows = list(csv.DictReader(io.StringIO(out)))
-        assert len(rows) == 1
-        code2, out2 = run_cli(capsys, "analyze", "--config", path)
-        want = json.loads(out2)
-        assert float(rows[0]["mu"]) == pytest.approx(want["mu"])
-        assert float(rows[0]["social_utility"]) == pytest.approx(want["social_utility"])
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert len(rows) == len(points)
+        csv_path = tmp_path / "row.csv"
+        for row, flags in zip(rows, points):
+            code, _ = run_cli(capsys, "analyze", "--config", path, *flags,
+                              "--csv-out", str(csv_path))
+            assert code == 0
+            assert row[1:] == list(csv.reader(csv_path.open()))[1]
 
     def test_grid_is_cartesian_and_ordered(self, scenario_file, capsys):
         code, out = run_cli(capsys, "sweep", "--config", scenario_file(),
@@ -196,12 +202,18 @@ class TestSimulate:
         sec.update(kw)
         return sec
 
-    def test_seed_replay_identical_output(self, scenario_file, capsys, tmp_path):
-        path = scenario_file(sim=self.sim_section())
+    # a rerun, or the flavor set by its flag instead of in the file, writes
+    # the same bytes
+    @pytest.mark.parametrize("in_file, flags", [({}, []),
+                                                ({"protocol_flavor": "TFT"}, ["--flavor", "TFT"])],
+                             ids=["rerun", "flavor-flag"])
+    def test_seed_replay_identical_output(self, scenario_file, capsys, tmp_path, in_file, flags):
         out_a = tmp_path / "a.json"
         out_b = tmp_path / "b.json"
+        path = scenario_file(sim=self.sim_section(**in_file))
         assert main(["simulate", "--config", path, "--out", str(out_a)]) == 0
-        assert main(["simulate", "--config", path, "--out", str(out_b)]) == 0
+        path = scenario_file(sim=self.sim_section())
+        assert main(["simulate", "--config", path, *flags, "--out", str(out_b)]) == 0
         ha = hashlib.sha256(out_a.read_bytes()).hexdigest()
         hb = hashlib.sha256(out_b.read_bytes()).hexdigest()
         assert ha == hb
@@ -253,6 +265,34 @@ class TestSimulate:
         assert payload["top_rep"] == 1
         rows = list(csv.DictReader(io.StringIO(csv_path.read_text())))
         assert "tft_sustainable" in rows[0]
+
+    # 101 peers at altruistic=0.3 simulate 30 altruists: the verdict is taken
+    # at 30/101, where tit-for-tat holds, and not at 0.3, where it fails
+    TFT_EDGE = ["--r", "1", "--c", "0.335", "--eps", "0.1", "--lambda", "1", "--delta", "0.8",
+                "--L", "3", "--h-o", "1", "--b", "2", "--n-peers", "101", "--n-periods", "20",
+                "--seed", "1", "--mix", "reciprocative=0.7,altruistic=0.3"]
+
+    def test_tft_sustainable_is_the_run_verdict(self, capsys, tmp_path):
+        csv_path = tmp_path / "sim.csv"
+        code, _ = run_cli(capsys, "simulate", *self.TFT_EDGE, "--flavor", "TFT", "--strategic",
+                          "--csv-out", str(csv_path))
+        assert code == 0
+        [row] = list(csv.DictReader(csv_path.open()))
+        config = SimConfig(n_peers=101, n_periods=20, seed=1,
+                           params=ProtocolParams(L=3, h_o=1, b=2),
+                           env=NetworkEnv(r=1.0, c=0.335, eps=0.1, lam=1.0, delta=0.8),
+                           population_mix={"reciprocative": 0.7, "altruistic": 0.3},
+                           protocol_flavor="TFT", strategic=True)
+        run = run_tft(config)
+        assert not run.collapsed and run.counts["served_by_recip"].sum() > 0
+        assert row["tft_sustainable"] == str(not run.collapsed)
+        assert row["tft_sustainable"] == str(sim.sustained(config))
+        code, out = run_cli(capsys, "compare", *self.TFT_EDGE, "--flavors", "TFT",
+                            "--sweep", "c:0.335:0.335:0.1")
+        assert code == 0
+        [cell] = list(csv.DictReader(io.StringIO(out)))
+        assert cell["sustained"] == row["tft_sustainable"]
+        assert not tft_sustainable(config.env, 2, 0.3)  # the mix fraction's verdict differs
 
     def test_missing_sim_section(self, scenario_file, capsys):
         code, out = run_cli(capsys, "simulate", "--config", scenario_file())
@@ -388,13 +428,37 @@ MALFORMED_CASES = [
     *[pytest.param(["sweep", "--problem", "OSNE_VP", "--L", "3", "--b-cap", "4",
                     "--sweep", axis], {}, "sweep.param", id=f"sweep.param-solve-{axis}")
       for axis in ("h_o:1:3:1", "b:1:3:1", "beta:0:0.5:0.25")],
+    pytest.param(["analyze", "--config", "no-such-scenario.json"], {}, "config",
+                 id="config-missing"),
+    pytest.param(["analyze"], [BASE_SCENARIO], "config", id="config-not-an-object"),
+    pytest.param(["analyze"], {"env": dict(BASE_SCENARIO["env"], gamma=1.0)}, "env.gamma",
+                 id="env.unknown"),
+    pytest.param(["simulate", "--mix", "reciprocative"], {}, "sim.population_mix",
+                 id="sim.population_mix-no-fraction"),
+    pytest.param(["sweep", "--sweep", "c:0.1:0.3"], {}, "sweep", id="sweep-three-parts"),
+    pytest.param(["sweep", "--sweep", "c:0.1:0.3:0"], {}, "sweep.step", id="sweep.step"),
+    pytest.param(["sweep"], {"sweep": [{"param": "c", "min": 0.1, "step": 0.1}]}, "sweep.max",
+                 id="sweep.max"),
+    pytest.param(["sweep"], {}, "sweep", id="sweep-no-axis"),
+    pytest.param(["compare", "--sweep", "c:0.1:0.2:0.1", "--sweep", "delta:0.7:0.8:0.1"], {},
+                 "sweep", id="compare-two-axes"),
+    pytest.param(["compare", "--sweep", "c:0.1:0.1:0.1", "--flavors", "bogus"], {}, "flavors",
+                 id="flavors"),
+    pytest.param(["compare", "--sweep", "c:0.1:0.1:0.1"], {"sim": {}}, "sim", id="compare-no-sim"),
+    pytest.param(["simulate", "--compare-analytic", "--flavor", "TFT"], {},
+                 "sim.protocol_flavor", id="sim.protocol_flavor"),
 ]
 
 
 @pytest.mark.parametrize("argv, sections, field", MALFORMED_CASES)
-def test_malformed_input_is_a_config_error(scenario_file, capsys, argv, sections, field):
-    path = scenario_file(**{"sim": SIM_SECTION, **sections})
-    code, out = run_cli(capsys, argv[0], "--config", path, *argv[1:])
+def test_malformed_input_is_a_config_error(scenario_file, capsys, tmp_path, argv, sections,
+                                           field):
+    if isinstance(sections, dict):
+        path = scenario_file(**{"sim": SIM_SECTION, **sections})
+    else:  # a config that is not a JSON object
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(sections))
+    code, out = run_cli(capsys, argv[0], "--config", str(path), *argv[1:])
     assert code == 2
     assert json.loads(out)["error"]["field"] == field
 
