@@ -64,10 +64,12 @@ def _load_config_file(path: str) -> dict:
         raise CliError("config", f"malformed JSON in {path}: {exc}")
     if not isinstance(raw, dict):
         raise CliError("config", "top-level config must be a JSON object")
-    for key in raw:
+    for key, section in raw.items():
         if key not in SECTIONS:
             raise CliError(key, f"unknown config section {key!r} "
                                 f"(expected one of {sorted(SECTIONS)})")
+        if key != "sweep" and not isinstance(section, dict):
+            raise CliError(key, f"config section {key!r} must be a JSON object")
     return raw
 
 
@@ -177,6 +179,13 @@ def _emit_text(text: str, path: str | None) -> None:
             sys.stdout.write("\n")
 
 
+def _json_text(payload: dict) -> str:
+    """payload as JSON, one line per top-level key (sorted); each value is
+    compact, which keeps json on its C encoder (any indent selects Python's)."""
+    return "{\n" + ",\n".join(f" {json.dumps(key)}: {json.dumps(value, sort_keys=True)}"
+                              for key, value in sorted(payload.items())) + "\n}"
+
+
 def _csv_text(header: list, rows: list) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -253,8 +262,7 @@ def cmd_analyze(args) -> int:
     env = _build_env(sc["env"])
     params = _build_params(sc["params"])
     payload = next(_analyze_payloads([(params, env)]))
-    _emit_text(json.dumps(payload, sort_keys=True, indent=1),
-               args.out or sc["output"].get("path"))
+    _emit_text(_json_text(payload), args.out or sc["output"].get("path"))
     if args.csv_out:
         _emit_text(_csv_text(ANALYZE_COLUMNS, [_analyze_csv_row(payload)]), args.csv_out)
     return 0
@@ -265,8 +273,7 @@ def cmd_check(args) -> int:
     env = _build_env(sc["env"])
     params = _build_params(sc["params"])
     payload = _report_payload(_built("env", lambda: check_equilibrium(params, env), ValueError))
-    _emit_text(json.dumps(payload, sort_keys=True, indent=1),
-               args.out or sc["output"].get("path"))
+    _emit_text(_json_text(payload), args.out or sc["output"].get("path"))
     return 0
 
 
@@ -296,8 +303,7 @@ def cmd_solve(args) -> int:
     payload = _solve_payload(spec, result)
     log = [{"candidate": list(cand) if isinstance(cand, tuple) else cand,
             "slack": slack, "utility": util} for cand, slack, util in result.search_log]
-    _emit_text(json.dumps(dict(payload, search_log=log), sort_keys=True, indent=1),
-               args.out or sc["output"].get("path"))
+    _emit_text(_json_text(dict(payload, search_log=log)), args.out or sc["output"].get("path"))
     if args.csv_out:
         _emit_text(_csv_text(SOLVE_COLUMNS, [_solve_csv_row(spec, payload)]), args.csv_out)
     return 0 if result.feasible else EXIT_INFEASIBLE
@@ -416,8 +422,7 @@ def cmd_simulate(args) -> int:
     if tft:
         header += ["tft_sustainable"]
         row += [sustained(config)]
-    _emit_text(json.dumps(payload, sort_keys=True, indent=1),
-               args.out or sc["output"].get("path"))
+    _emit_text(_json_text(payload), args.out or sc["output"].get("path"))
     if args.csv_out:
         _emit_text(_csv_text(header, [row]), args.csv_out)
     return 0

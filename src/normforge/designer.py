@@ -2,11 +2,11 @@
 
 Each of the four nested problems only generates candidates; one search loop
 keeps the best sustainable one.  `check_equilibria` scores a block of
-candidates per call: all (h_o, b) cells for OSNE and for each altruist
-fraction of OSNE_AH, and a threshold vector's beta column for every b in
-the forgiveness search, which OSNE_VPS runs over every client-threshold
-vector and OSNE_VP over the uniform ones.  The discrete axes stay
-exhaustive, so every problem matches brute force.
+candidates per call: OSNE's (h_o, b) cells, one block stream over every
+(p_c, h_o, b) cell of OSNE_AH, and a threshold vector's beta column for
+every b in the forgiveness search, which OSNE_VPS runs over every
+client-threshold vector and OSNE_VP over the uniform ones.  The discrete
+axes stay exhaustive, so every problem matches brute force.
 
 Ties in utility break deterministically: smallest activity threshold, then
 most connections, then most forgiveness, then the lexicographically smallest
@@ -125,16 +125,21 @@ def solve(spec: DesignSpec) -> DesignResult:
             "OSNE_AH": solve_osne_ah}[spec.problem](spec)
 
 
-def _osne_grid(spec: DesignSpec) -> list:
-    return [ProtocolParams(L=spec.L, h_o=h_o, b=b)
+def _osne_cells(spec: DesignSpec, fractions=(None,)):
+    """Every (h_o, b) cell once per deployed altruist fraction (fractions
+    outermost; None keeps the env's own population): the p_c axis is laid
+    over one set of points, so a block can span fractions."""
+    grid = [ProtocolParams(L=spec.L, h_o=h_o, b=b)
             for h_o in range(1, spec.L + 1) for b in range(1, spec.b_cap + 1)]
-
-
-def _osne_cells(grid: list, env: NetworkEnv, p_c=None):
-    for block in blocks(grid, grid[0].L):
-        rep = check_equilibria(Points.of(block, env))
-        scored = zip(rep.serve_slack.tolist(), rep.social_utility.tolist(), rep.is_equilibrium)
-        for params, (slack, u, ok) in zip(block, scored):
+    points = Points.of(grid, spec.env)
+    for rows in blocks(np.arange(len(fractions) * len(grid)), spec.L):
+        block = points.take(rows % len(grid))
+        if fractions[0] is not None:
+            block = block.replace(p_c=np.array(fractions)[rows // len(grid), None])
+        rep = check_equilibria(block)
+        for i, slack, u, ok in zip(rows.tolist(), rep.serve_slack.tolist(),
+                                   rep.social_utility.tolist(), rep.is_equilibrium):
+            params, p_c = grid[i % len(grid)], fractions[i // len(grid)]
             yield ((params.h_o, params.b) if p_c is None else (params.h_o, params.b, p_c),
                    params, slack, u if ok else None, p_c)
 
@@ -142,7 +147,7 @@ def _osne_cells(grid: list, env: NetworkEnv, p_c=None):
 def solve_osne(spec: DesignSpec) -> DesignResult:
     """Best (h_o, b) under harsh punishment and uniform thresholds, by
     checking every pair in the env's population regime."""
-    return _search(_osne_cells(_osne_grid(spec), spec.env))
+    return _search(_osne_cells(spec))
 
 
 def _forgiveness_search(spec: DesignSpec, vectors) -> DesignResult:
@@ -226,18 +231,8 @@ def solve_osne_ah(spec: DesignSpec) -> DesignResult:
     two regimes compete on utility, which is why the optimum can sit above
     the compliance boundary.
     """
-    env = spec.env
-    n_steps = int(round(1.0 / spec.pC_grid))
-    grid = _osne_grid(spec)
-
-    def cells():
-        for i in range(n_steps + 1):
-            p_c = min(1.0, i * spec.pC_grid)
-            if p_c <= 0.5:
-                yield from _osne_cells(grid, env.replace(p_c=p_c), p_c)
-            else:
-                params = ProtocolParams(L=spec.L, h_o=1, b=spec.b_cap)
-                yield ((1, spec.b_cap, p_c), params, None,
-                       collapsed_social_utility(env, spec.b_cap, p_c), p_c)
-
-    return _search(cells())
+    p_cs = [min(1.0, i * spec.pC_grid) for i in range(int(round(1.0 / spec.pC_grid)) + 1)]
+    return _search(itertools.chain(
+        _osne_cells(spec, [p_c for p_c in p_cs if p_c <= 0.5]),
+        (((1, spec.b_cap, p_c), ProtocolParams(L=spec.L, h_o=1, b=spec.b_cap), None,
+          collapsed_social_utility(spec.env, spec.b_cap, p_c), p_c) for p_c in p_cs if p_c > 0.5)))

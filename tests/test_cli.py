@@ -36,11 +36,22 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+def json_payload(out):
+    """A command's JSON output, after checking its layout: a "{" line, one
+    line per top-level key in sorted order, and a "}" line."""
+    payload = json.loads(out)
+    lines = out.splitlines()
+    assert lines[0] == "{" and lines[-1] == "}"
+    entries = [json.loads("{" + line.rstrip(",") + "}") for line in lines[1:-1]]
+    assert [list(entry) for entry in entries] == [[key] for key in sorted(payload)]
+    return payload
+
+
 class TestAnalyze:
     def test_baseline_row_contains_mu(self, scenario_file, capsys):
         code, out = run_cli(capsys, "analyze", "--config", scenario_file())
         assert code == 0
-        payload = json.loads(out)
+        payload = json_payload(out)
         assert payload["mu"] == pytest.approx(0.8403361344537815, abs=1e-9)
         assert payload["is_equilibrium"] is True
 
@@ -100,7 +111,7 @@ class TestCheck:
     def test_reports_slacks_and_verdict(self, scenario_file, capsys):
         code, out = run_cli(capsys, "check", "--config", scenario_file())
         assert code == 0
-        payload = json.loads(out)
+        payload = json_payload(out)
         assert {"serve_slack", "refuse_slack", "per_theta_slacks", "is_equilibrium"} <= set(payload)
 
 
@@ -142,7 +153,7 @@ class TestSolve:
                                      "p_c_grid": 0.25})
         code, out = run_cli(capsys, "solve", "--config", path)
         assert code == 0
-        assert "p_c_star" in json.loads(out)
+        assert "p_c_star" in json_payload(out)
 
 
 class TestSweep:
@@ -222,7 +233,7 @@ class TestSimulate:
         path = scenario_file(sim=self.sim_section(seed=1234))
         code, out = run_cli(capsys, "simulate", "--config", path)
         assert code == 0
-        assert json.loads(out)["config"]["seed"] == 1234
+        assert json_payload(out)["config"]["seed"] == 1234
 
     def test_compare_analytic_appends_gap_column(self, scenario_file, capsys, tmp_path):
         path = scenario_file(sim=self.sim_section(n_peers=400, n_periods=300))
@@ -447,6 +458,10 @@ MALFORMED_CASES = [
     pytest.param(["compare", "--sweep", "c:0.1:0.1:0.1"], {"sim": {}}, "sim", id="compare-no-sim"),
     pytest.param(["simulate", "--compare-analytic", "--flavor", "TFT"], {},
                  "sim.protocol_flavor", id="sim.protocol_flavor"),
+    # every section but sweep must be an object
+    *[pytest.param(["analyze"], {section: value}, section, id=f"{section}-{kind}")
+      for section in ("env", "params", "design", "sim", "output")
+      for kind, value in (("list", [1]), ("number", 1), ("string", "abc"))],
 ]
 
 

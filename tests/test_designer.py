@@ -318,8 +318,13 @@ def test_one_evaluator_call_per_block(count_calls):
     # time; check_equilibrium (a block of one) is left to refinement steps
     calls = count_calls("check_equilibria", "check_equilibrium")
     solve_osne_ah(DesignSpec(problem="OSNE_AH", L=3, b_cap=4, env=env(), pC_grid=0.25))
-    # one block per altruist fraction up to one half: 0, 0.25 and 0.5
-    assert calls == {"check_equilibria": 3, "check_equilibrium": 0}
+    # the 12 cells of each altruist fraction up to one half (0, 0.25 and 0.5)
+    # go to the evaluator as one block
+    assert calls == {"check_equilibria": 1, "check_equilibrium": 0}
+    calls.update(check_equilibria=0, check_equilibrium=0)
+    solve_osne_ah(DesignSpec(problem="OSNE_AH", L=6, b_cap=10, env=env(), pC_grid=0.01))
+    # 51 fractions x 60 cells in blocks of BLOCK_ENTRIES // 7**2 = 668 points
+    assert calls == {"check_equilibria": 5, "check_equilibrium": 0}
     calls.update(check_equilibria=0, check_equilibrium=0)
     solve_osne_vps(DesignSpec(problem="OSNE_VPS", L=3, b_cap=4, env=env(), beta_grid=0.25))
     # one block per (h_o, m_o) column holding every b and beta: C(6, 3) - 1
@@ -330,3 +335,42 @@ def test_one_evaluator_call_per_block(count_calls):
     # the same search over the L uniform vectors: one block per h_o, never
     # one evaluator call per bisection halving of every cell
     assert calls["check_equilibria"] == 3 + calls["check_equilibrium"]
+
+
+def _osne_ah_reference(spec):
+    """OSNE_AH as one OSNE solve per altruist fraction up to one half, p_c
+    appended to each candidate, then the collapsed cells above one half."""
+    log, best = [], None
+    for i in range(int(round(1.0 / spec.pC_grid)) + 1):
+        p_c = min(1.0, i * spec.pC_grid)
+        if p_c <= 0.5:
+            res = solve_osne(DesignSpec("OSNE", spec.L, spec.b_cap, spec.env.replace(p_c=p_c)))
+            log += [((*cand, p_c), slack, u) for cand, slack, u in res.search_log]
+            if not res.feasible:
+                continue
+            params, u = res.params, res.utility
+        else:
+            params = ProtocolParams(L=spec.L, h_o=1, b=spec.b_cap)
+            u = collapsed_social_utility(spec.env, spec.b_cap, p_c)
+            log.append(((1, spec.b_cap, p_c), None, u))
+        key = (-u, params.h_o, -params.b, p_c)
+        if best is None or key < best[0]:
+            best = (key, params, u, p_c)
+    return log, best
+
+
+@pytest.mark.parametrize("L, b_cap, pC_grid, e", [
+    (3, 4, 0.25, env()),
+    (6, 10, 0.01, env()),
+    (3, 4, 0.1, env(delta=0.0)),
+    (4, 5, 0.05, env(eps=0.0)),
+    (2, 3, 0.3, env(c=0.4, p_c=0.2)),
+], ids=["zero-and-half", "across-blocks", "delta-0", "eps-0", "grid-not-dividing-1"])
+def test_osne_ah_equals_per_fraction_osne(L, b_cap, pC_grid, e):
+    # laying the p_c axis over one set of points changes no number: the log,
+    # winner, utility and fraction equal one OSNE solve per fraction
+    spec = DesignSpec("OSNE_AH", L=L, b_cap=b_cap, env=e, pC_grid=pC_grid)
+    got = solve_osne_ah(spec)
+    log, best = _osne_ah_reference(spec)
+    assert got.search_log == log
+    assert (got.params, got.utility, got.pC_star) == (best[1], best[2], best[3])
