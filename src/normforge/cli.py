@@ -34,13 +34,15 @@ import sys
 from .designer import PROBLEMS, DesignResult, DesignSpec, solve, solve_osne
 from .incentives import (IncentiveReport, blocks, check_equilibria, check_equilibrium,
                          collapsed_social_utility)
-from .model import NetworkEnv, PeerKind, Points, ProtocolParams, point_of
-from .sim import SOCIAL_NORM, TFT, SimConfig, run_replicas, sustained
+from .model import NetworkEnv, Points, ProtocolParams, point_of
+from .sim import KIND_ORDER, SOCIAL_NORM, TFT, SimConfig, _kind_labels, run_replicas, sustained
 from .stationary import check_regime, stationary_fixed_point, stationary_for_regime
 
 SECTIONS = ("env", "params", "design", "sweep", "sim", "output")
 ENV_FIELDS = ("r", "c", "eps", "lambda", "delta", "p_c", "p_d")
 PARAM_TYPES = {"L": int, "h_o": int, "b": int, "beta": float}  # the numeric params fields
+INTEGERS = (*(f"params.{name}" for name, kind in PARAM_TYPES.items() if kind is int),
+            "design.L", "design.b_cap", "sim.n_peers", "sim.n_periods", "sim.seed")
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 
@@ -113,13 +115,16 @@ def _scenario(args) -> dict:
 
 
 def _check_fields(section: dict, name: str, noun: str, required, known) -> None:
-    """A section must carry every required field and no unknown one."""
+    """A section must carry every required field and no unknown one, and
+    integer fields ints or integral floats (sweep axes give 3.0)."""
     for key in required:
         if key not in section:
             raise CliError(f"{name}.{key}", f"required {noun} field is missing")
-    for key in section:
+    for key, value in section.items():
         if key not in known:
             raise CliError(f"{name}.{key}", f"unknown {noun} field {key!r}")
+        if f"{name}.{key}" in INTEGERS and (type(value) not in (int, float) or value % 1):
+            raise CliError(f"{name}.{key}", f"expected an integer, got {json.dumps(value)}")
 
 
 def _built(field: str, make, errors=(TypeError, ValueError)):
@@ -159,12 +164,14 @@ def _build_sim(section: dict, params: ProtocolParams, env: NetworkEnv) -> SimCon
                    "strategic"))
     if not isinstance(section.get("population_mix", {}), dict):
         raise CliError("sim.population_mix", "expected an object of kind: fraction pairs")
+    if not isinstance(section.get("strategic", False), bool):
+        raise CliError("sim.strategic", "expected true or false")
     return _built("sim", lambda: SimConfig(
         n_peers=int(section["n_peers"]), n_periods=int(section["n_periods"]),
         seed=int(section["seed"]), params=params, env=env,
         population_mix=section.get("population_mix"),
         protocol_flavor=section.get("protocol_flavor", SOCIAL_NORM),
-        strategic=bool(section.get("strategic", False))))
+        strategic=section.get("strategic", False)))
 
 
 # ------------------------------------------------------------------- outputs
@@ -188,10 +195,7 @@ def _json_text(payload: dict) -> str:
 
 def _csv_text(header: list, rows: list) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
     return buf.getvalue()
 
 
@@ -381,12 +385,11 @@ SIM_SUMMARY_COLUMNS = [
 
 def _sim_summary_row(config: SimConfig, trace) -> list:
     s = trace.summary()
-    mix = {k.value: v for k, v in config.population_mix.items()}
     return [config.protocol_flavor, config.n_peers, config.n_periods, config.seed,
             config.strategic, config.env.r, config.env.c, config.env.eps,
             config.env.lam, config.env.delta, config.params.L, config.params.h_o,
             config.params.b, config.params.beta,
-            mix.get("reciprocative", 0.0), mix.get("altruistic", 0.0), mix.get("malicious", 0.0),
+            *(config.population_mix.get(kind, 0.0) for kind in KIND_ORDER),
             s["final_window_mu"], _csv_cell(s["final_window_eta"]),
             s["delivery_rate"], s["recip_delivery_rate"],
             s["final_window_mean_utility"].get(trace.strategic_kind()),
@@ -453,10 +456,8 @@ def cmd_compare(args) -> int:
         env_sec, par_sec = _apply_point(sc["env"], sc["params"], [axis["param"]], [value])
         env = _build_env(env_sec)
         params = _build_params(par_sec)
-        sim_sec = dict(sc["sim"])
-        sim_sec["protocol_flavor"] = flavor
-        sim_sec.setdefault("strategic", True)
-        config = _build_sim(sim_sec, params, env)
+        config = _build_sim({"strategic": True, **sc["sim"], "protocol_flavor": flavor},
+                            params, env)
         if flavor == SOCIAL_NORM:
             mix_env = config.analytic_env()
             _built("sim.population_mix", lambda: check_regime(params, mix_env), ValueError)
@@ -472,14 +473,12 @@ def cmd_compare(args) -> int:
         verdict = not trace.collapsed if config.strategic else sustained(config)
         s = trace.summary()
         per_kind = s["final_window_mean_utility"]
-        weights = config.kind_counts()
-        strategic = trace.strategic_kind()
-        label = {PeerKind.RECIPROCATIVE: strategic, PeerKind.ALTRUISTIC: "altruistic",
-                 PeerKind.MALICIOUS: "malicious"}
-        social = sum(per_kind.get(label[k], 0.0) * w for k, w in weights.items()) / config.n_peers
+        counts = config.kind_counts().values()  # in KIND_ORDER, as the labels
+        social = sum(per_kind.get(label, 0.0) * w for label, w in
+                     zip(_kind_labels(config.protocol_flavor), counts)) / config.n_peers
         return [axis["param"], value, config.protocol_flavor, verdict,
                 s["delivery_rate"], s["recip_delivery_rate"],
-                per_kind.get(strategic), social]
+                per_kind.get(trace.strategic_kind()), social]
 
     # the cells share the scenario seed: one batch of common-random-number runs
     cells = [(v, fl) for v in values for fl in flavors]

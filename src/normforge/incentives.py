@@ -91,7 +91,10 @@ def one_period_utilities(points: Points, dist: ReputationDistribution) -> np.nda
     wasted on corrupt deliveries.  Altruistic mix: altruists absorb part of
     the upload burden and feed inactive peers.  Variable thresholds: benefit
     requires service eligibility and the upload cost follows the matching
-    model in upload_cost_profile.
+    model in upload_cost_profile; a rung below eligibility gets what altruists
+    feed a punished peer.  On tit-for-tat's row (h_o = 0) that cost counts
+    altruists as requesters: its verdict reads only the rung gap, and no
+    output reports its levels.
     """
     check_regime(points)
     act, h_o, p_c, p_d = points.active, points.h_o, points.p_c, points.p_d
@@ -100,13 +103,14 @@ def one_period_utilities(points: Points, dist: ReputationDistribution) -> np.nda
     if (p_d > 0.0).any():
         share = (mu - p_d / (h_o + 1)) / (mu + h_o * p_d / (h_o + 1))
         v = np.where(p_d > 0.0, np.where(act, rate * share * (gross - points.c), 0.0), v)
+    punished = 0.0
     if (p_c > 0.0).any():
         punished = np.where(p_c <= 0.5, rate * (1.0 - points.eps) * fed_while_punished(p_c)
                             * points.r, rate * gross)
         v = np.where(p_c > 0.0, np.where(act, rate * gross - rate * ((mu - p_c) / mu)
                                          * points.c, punished), v)
     if not points.uniform.all():
-        benefit = np.where(points.rung >= points.eligibility, rate * gross, 0.0)
+        benefit = np.where(points.rung >= points.eligibility, rate * gross, punished)
         v = np.where(points.uniform, v, benefit - upload_cost_profile(points, dist))
     return v
 

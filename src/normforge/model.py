@@ -22,7 +22,7 @@ class PeerKind(enum.Enum):
     RECIPROCATIVE = "reciprocative"
     ALTRUISTIC = "altruistic"
     MALICIOUS = "malicious"
-    TFT_AGENT = "tft_agent"  # only used by the simulator's tit-for-tat baseline
+    TFT_AGENT = "tft_agent"  # trace label of reciprocative peers on tit-for-tat's row
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,8 @@ and every replica reads its seed's row from position 0, so replicas with the
 same seed make the same draws while their states agree (common random
 numbers).  A finished run checks that outcomes partition `emitted` in every
 period, that histograms sum to 1 and that altruists stay pinned, and raises
-RuntimeError naming the first bad period otherwise.
+RuntimeError naming the first bad period otherwise.  Tit-for-tat is
+the social-norm `Points` row L = 1, h_o = 0, m_o = (1, 1), beta = 0.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from typing import Optional
 
 import numpy as np
 
-from .incentives import check_equilibrium, fed_while_punished
-from .model import NetworkEnv, PeerKind, Points, ProtocolParams, error_punish_prob
+from .incentives import check_equilibria, check_equilibrium
+from .model import NetworkEnv, PeerKind, Points, ProtocolParams
 from .stationary import stationary_for_regime
 
 KIND_ORDER = (PeerKind.RECIPROCATIVE, PeerKind.ALTRUISTIC, PeerKind.MALICIOUS)
@@ -225,35 +226,16 @@ def _kind_labels(flavor: str) -> list:
             else kind.value for kind in KIND_ORDER]
 
 
-def _protocol_tables(config: SimConfig):
-    """Flavor adapter: the top reputation, the prescribed willingness
-    willing[s, c] (a compliant s-server accepts a c-client) and keep_prob[r],
-    the chance that a punished r-peer keeps r instead of falling to 0; for
-    the social norm, rows of `Points.willing` and `Points.keep`.  Tit-for-tat
-    is a two-rung ladder that serves anyone whose last period was clean and
-    never forgives."""
-    if config.protocol_flavor == TFT:
-        return 1, np.array([[False, True], [False, True]]), np.zeros(2)
-    points = Points.of([config.params], config.env)
-    return config.params.L, points.willing[0], points.keep[0]
+def _tft_point(env: NetworkEnv, b: int) -> Points:
+    """Tit-for-tat's row: two rungs, both serving any client with a clean last period."""
+    return Points.of([ProtocolParams(L=1, h_o=1, b=b)], env).replace(
+        h_o=np.zeros((1, 1)), m_o=np.ones((1, 2), dtype=np.int64))
 
 
 def tft_sustainable(env: NetworkEnv, b: int, p_c: float = 0.0) -> bool:
-    """One-shot-deviation verdict for the binary tit-for-tat rule.
-
-    Compliant play makes next-period reputation independent of the current
-    one (1 when the period was clean), so the discounted gap between the two
-    reputations equals the one-period service gap: full service minus
-    whatever altruists feed a zero-reputation peer.  A deviator saves up to a
-    full period of upload cost (lam*b*c, the same worst case the activity-
-    threshold check uses) and spends one period at reputation 0, so the rule
-    survives iff lam*b*c <= delta*(1-alpha)*gap with the usual per-period
-    error-punishment probability alpha.
-    """
-    rate = env.lam * b
-    alpha_t = error_punish_prob(env, b)
-    gap = rate * (1.0 - env.eps) * env.r * (1.0 - fed_while_punished(p_c))
-    return env.c * rate <= env.delta * (1.0 - alpha_t) * gap + 1e-12
+    """The one-shot-deviation check of tit-for-tat's row with altruists at
+    p_c; malicious peers are left out of this verdict (p_d = 0)."""
+    return bool(check_equilibria(_tft_point(env.replace(p_c=p_c, p_d=0.0), b)).is_equilibrium[0])
 
 
 def sustained(config: SimConfig) -> bool:
@@ -426,8 +408,7 @@ def run_sim(config: SimConfig) -> SimTrace:
 
 
 def run_tft(config: SimConfig) -> SimTrace:
-    """Binary tit-for-tat baseline on the same engine: two reputations,
-    service decided by the client's last-period compliance alone."""
+    """Execute the configured tit-for-tat run (its `Points` row): a batch of one."""
     return _run_one(config, TFT)
 
 
@@ -451,18 +432,19 @@ def _reputation_update(rep: np.ndarray, x: np.ndarray, kept: np.ndarray, top: in
 
 
 def _pools(config: SimConfig, others: bool):
-    """A protocol's tables and pools: the top, keep_prob, each client rung's
-    pool and the live pools' willing columns.  Client rungs with the same
-    willing column share one server pool, so even loads stay even; live pools
-    are numbered in sorted column order.  A pool no reciprocator is
-    prescribed to serve is live only when malicious peers or altruists
-    (others) may take it; a dead pool (-1) can never be served."""
-    top, willing, keep_prob = _protocol_tables(config)
-    cols, cls_of_rep = np.unique(willing.T, axis=0, return_inverse=True)
+    """A protocol's tables, off its `Points` row, and pools: the top,
+    keep_prob, each client rung's pool and the live pools' willing columns.
+    Client rungs with the same willing column share one server pool, so even
+    loads stay even; live pools are numbered in sorted column order.  A pool
+    no reciprocator is prescribed to serve is live only when malicious peers
+    or altruists (others) may take it; a dead pool (-1) can never be served."""
+    row = (_tft_point(config.env, config.params.b) if config.protocol_flavor == TFT
+           else Points.of([config.params], config.env))
+    cols, cls_of_rep = np.unique(row.willing[0].T, axis=0, return_inverse=True)
     live = np.flatnonzero(cols.any(axis=1) | others)
     pool = np.full(len(cols), -1)
     pool[live] = np.arange(len(live))
-    return top, keep_prob, pool[cls_of_rep.ravel()], cols[live]
+    return row.L, row.keep[0], pool[cls_of_rep.ravel()], cols[live]
 
 
 def run_replicas(configs: list) -> list:
@@ -708,6 +690,8 @@ def measure_deviation_gain(config: SimConfig, theta: int, n_pairs: int = 30) -> 
     """
     if config.protocol_flavor != SOCIAL_NORM:
         raise ValueError("deviation measurement drives the social-norm flavor")
+    if n_pairs < 1:
+        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     if not 0 <= theta <= config.params.L:
         raise ValueError(f"theta out of range 0..{config.params.L}")
     if config.kind_counts()[PeerKind.RECIPROCATIVE] < 1:

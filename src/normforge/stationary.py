@@ -55,11 +55,12 @@ def transition_matrix(points: Points) -> np.ndarray:
 def check_regime(points: Points) -> None:
     """Raise ValueError unless the analysis can model every point: one
     non-reciprocative kind at a time, uniform client thresholds with either
-    kind present, and harsh punishment (beta = 0) with malicious peers."""
+    kind present (altruists also on a row where every rung uploads, h_o = 0,
+    as tit-for-tat's), and harsh punishment (beta = 0) with malicious peers."""
     altruists, malicious = points.p_c > 0.0, points.p_d > 0.0
     if (altruists & malicious).any():
         raise ValueError("analytic profiles handle one non-reciprocative kind at a time")
-    if ((altruists | malicious) & ~points.uniform).any():
+    if (((altruists & (points.h_o > 0)) | malicious) & ~points.uniform).any():
         raise ValueError("mixed populations are analyzed under uniform client thresholds")
     if (malicious & (points.beta != 0.0)).any():
         raise ValueError("the malicious mixture is analyzed under harsh punishment (beta = 0)")

@@ -6,8 +6,10 @@ the full kernel instead of back-substitution down the ladder, stationary
 profiles by an LU null-space solve on the full kernel instead of
 the product over the reputation ladder, and equilibrium verdicts by
 enumerating every deterministic one-period deviation rule instead of the
-two-constraint reduction, and the simulator's self-service fix by trying every
-reassignment of a pool's servers instead of swapping clashes away.  The
+two-constraint reduction, tit-for-tat's verdict by its hand-derived two-state
+closed form instead of the check on its ladder row, and the simulator's
+self-service fix by trying every reassignment of a pool's servers instead of
+swapping clashes away.  The
 scalar decision rules at the end (one server, one client, one peer at a time)
 are the reference for the simulator's vectorised service table and
 reputation update.
@@ -121,6 +123,25 @@ def brute_force_equilibrium(params: ProtocolParams, env: NetworkEnv,
             if gain > tol:
                 return False
     return True
+
+
+def tft_closed_form(env: NetworkEnv, b: int, p_c: float = 0.0) -> bool:
+    """Tit-for-tat's one-shot-deviation verdict in closed form.
+
+    Compliant play makes next-period reputation independent of the current
+    one (1 when the period was clean), so the discounted gap between the two
+    reputations equals the one-period service gap: full service minus
+    whatever altruists feed a zero-reputation peer (their supply p_c over the
+    reciprocative demand 1 - p_c, capped at 1).  A deviator saves up to a
+    full period of upload cost (lam*b*c) and spends one period at reputation
+    0, so the rule survives iff lam*b*c <= delta*(1-alpha)*gap, alpha being
+    the per-period error-punishment probability.  Malicious peers are left
+    out (env.p_d is ignored).
+    """
+    rate = env.lam * b
+    fed = min(1.0, p_c / max(1.0 - p_c, p_c)) if p_c > 0.0 else 0.0
+    gap = rate * (1.0 - env.eps) * env.r * (1.0 - fed)
+    return env.c * rate <= env.delta * (1.0 - error_punish_prob(env, b)) * gap + 1e-12
 
 
 def smallest_feasible_h_o(env: NetworkEnv, b: int, check, h_max: int = 200):

@@ -462,6 +462,26 @@ MALFORMED_CASES = [
     *[pytest.param(["analyze"], {section: value}, section, id=f"{section}-{kind}")
       for section in ("env", "params", "design", "sim", "output")
       for kind, value in (("list", [1]), ("number", 1), ("string", "abc"))],
+    # integer fields take ints or integral floats, never truncated; a boolean
+    # field takes a JSON boolean
+    *[pytest.param([command], {section: dict(base, **{name: value})}, f"{section}.{name}",
+                   id=f"{section}.{name}={json.dumps(value)}")
+      for command, section, base in (
+          ("check", "params", BASE_SCENARIO["params"]),
+          ("solve", "design", {"problem": "OSNE", "L": 3, "b_cap": 3}),
+          ("simulate", "sim", SIM_SECTION))
+      for name in {"params": ("L", "h_o", "b"), "design": ("L", "b_cap"),
+                   "sim": ("n_peers", "n_periods", "seed")}[section]
+      for value in (2.5, True, "3")],
+    pytest.param(["check"], {"params": dict(BASE_SCENARIO["params"], L=3.7, b=2.9)}, "params.L",
+                 id="params.L-and-b"),
+    pytest.param(["simulate"], {"sim": dict(SIM_SECTION, n_peers=50.8)}, "sim.n_peers",
+                 id="sim.n_peers=50.8"),
+    *[pytest.param(["simulate"], {"sim": dict(SIM_SECTION, strategic=value)}, "sim.strategic",
+                   id=f"sim.strategic={json.dumps(value)}") for value in ("false", 1, None)],
+    pytest.param(["sweep", "--sweep", "L:2:3:0.5"], {}, "params.L", id="sweep-L-analyze"),
+    pytest.param(["sweep", "--problem", "OSNE", "--b-cap", "3", "--sweep", "L:2:3:0.5"], {},
+                 "design.L", id="sweep-L-solve"),
 ]
 
 
@@ -476,6 +496,16 @@ def test_malformed_input_is_a_config_error(scenario_file, capsys, tmp_path, argv
     code, out = run_cli(capsys, argv[0], "--config", str(path), *argv[1:])
     assert code == 2
     assert json.loads(out)["error"]["field"] == field
+
+
+def test_integral_floats_are_integers(scenario_file, capsys):
+    # a sweep axis gives 3.0: integral floats run exactly as their ints
+    outs = []
+    for kind in (int, float):
+        path = scenario_file(params={"L": kind(3), "h_o": kind(1), "b": kind(2)},
+                             sim={name: kind(v) for name, v in SIM_SECTION.items()})
+        outs += [run_cli(capsys, command, "--config", path) for command in ("check", "simulate")]
+    assert outs[:2] == outs[2:] and all(code == 0 for code, _ in outs)
 
 
 def test_analyze_point_solves_its_profile_once(scenario_file, count_calls, capsys):

@@ -22,7 +22,8 @@ from normforge import (
     stationary_for_regime,
     tft_sustainable,
 )
-from oracles import Action, fewest_self_service_drops, reputation_update, social_strategy
+from oracles import (Action, fewest_self_service_drops, reputation_update, social_strategy,
+                     tft_closed_form)
 
 
 def env(**kw):
@@ -177,6 +178,10 @@ class TestDeviationMeasurement:
         gain = measure_deviation_gain(cfg, theta=3, n_pairs=40)
         assert gain > 0
 
+    def test_no_pairs_is_an_error(self):
+        with pytest.raises(ValueError, match="n_pairs"):
+            measure_deviation_gain(config(n_peers=20, n_periods=5), theta=1, n_pairs=0)
+
     def test_free_serving_leaves_no_gain(self):
         cfg = config(n_peers=200, n_periods=50, seed=7, env=env(c=0.0))
         for theta in (0, 2, 3):
@@ -204,6 +209,25 @@ class TestTft:
         boundary = 0.8 * (1 - 0.1) * (1 - 0.1) * 1.0
         assert tft_sustainable(e.replace(c=boundary - 0.01), 1)
         assert not tft_sustainable(e.replace(c=boundary + 0.01), 1)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(r=st.floats(0.5, 3.0), cost=st.floats(0.0, 0.99),
+           eps=st.one_of(st.just(0.0), st.floats(0.0, 0.9)),
+           delta=st.one_of(st.just(0.0), st.floats(0.0, 0.999)), lam=st.floats(0.2, 3.0),
+           b=st.integers(1, 9), p_d=st.sampled_from([0.0, 0.2]),
+           p_c=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)))
+    @example(r=1.0, cost=0.3, eps=0.1, delta=0.8, lam=1.0, b=2, p_d=0.0, p_c=0.0)
+    @example(r=1.0, cost=0.3, eps=0.1, delta=0.8, lam=1.0, b=2, p_d=0.0, p_c=0.2)
+    @example(r=1.0, cost=0.3, eps=0.1, delta=0.8, lam=1.0, b=2, p_d=0.0, p_c=0.5)
+    @example(r=1.0, cost=0.3, eps=0.1, delta=0.8, lam=1.0, b=2, p_d=0.2, p_c=0.7)
+    @example(r=1.0, cost=0.3, eps=0.0, delta=0.8, lam=1.0, b=2, p_d=0.0, p_c=0.3)
+    @example(r=1.0, cost=0.3, eps=0.1, delta=0.0, lam=1.0, b=2, p_d=0.0, p_c=0.3)
+    @example(r=1.0, cost=0.0, eps=0.1, delta=0.0, lam=1.0, b=2, p_d=0.0, p_c=0.0)
+    def test_verdict_is_the_closed_form(self, r, cost, eps, delta, lam, b, p_d, p_c):
+        # the check on tit-for-tat's row against the hand-derived two-state
+        # verdict; malicious peers are left out of both
+        e = NetworkEnv(r=r, c=cost * r, eps=eps, lam=lam, delta=delta, p_d=p_d)
+        assert tft_sustainable(e, b, p_c) == tft_closed_form(e, b, p_c)
 
     def test_collapse_happens_at_lower_cost_than_social_norm(self):
         # matched setting: both protocols, identical environment sweep
@@ -437,10 +461,18 @@ class TestScalarOracles:
             for s, c in np.ndindex(row.shape):
                 assert row[s, c] == (social_strategy(params, s, c) is Action.SERVE)
         params = batch[0]
-        top, willing, keep_prob = sim._protocol_tables(config(params=params))
-        assert top == L
-        assert willing.tolist() == table[0].tolist()
-        assert np.allclose(keep_prob, [beta ** (L - r + 1) for r in range(L + 1)])
+        # the simulator's tables are the protocol's row: with altruists or
+        # malicious peers every pool is live, and each client rung's pool
+        # column is its willing column; tit-for-tat's row is the two-rung one
+        tft = [[False, True], [False, True]]
+        assert sim._tft_point(env(), 1).willing[0].tolist() == tft
+        for cfg, top, willing, keep in (
+                (config(params=params), L, table[0].tolist(),
+                 [beta ** (L - r + 1) for r in range(L + 1)]),
+                (config(protocol_flavor="TFT"), 1, tft, [0.0, 0.0])):
+            got_top, keep_prob, pool, cols = sim._pools(cfg, True)
+            assert got_top == top and cols[pool].T.tolist() == willing
+            assert np.allclose(keep_prob, keep)
         n = data.draw(st.integers(1, 12))
         rep = np.array(data.draw(st.lists(st.integers(0, L), min_size=n, max_size=n)))
         x, forgiven = (np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))

@@ -5,11 +5,13 @@ from hypothesis import example, given, settings, strategies as st
 from normforge import (
     NetworkEnv,
     ProtocolParams,
+    sim,
     stationary_closed_form,
     stationary_fixed_point,
     stationary_for_regime,
     transition_matrix,
 )
+from normforge.stationary import check_regime
 
 from oracles import stationary_nullspace
 
@@ -210,3 +212,22 @@ class TestAltruistic:
     def test_rejects_malicious_mix(self):
         with pytest.raises(ValueError, match="one non-reciprocative kind"):
             stationary_for_regime(ProtocolParams(L=3, h_o=1, b=2), env(p_c=0.3, p_d=0.1))
+
+    def test_non_uniform_thresholds_are_refused(self):
+        p = ProtocolParams(L=3, h_o=1, b=2, m_o=(1, 2, 3))
+        with pytest.raises(ValueError, match="under uniform client thresholds"):
+            check_regime(p, env(p_c=0.3))
+
+
+class TestTftRow:
+    """Tit-for-tat's row (every rung active, h_o = 0) admits altruists under
+    its non-uniform thresholds, and still refuses malicious peers."""
+
+    def test_admits_altruists(self):
+        d = stationary_for_regime(sim._tft_point(env(p_c=0.3), 2))
+        assert np.allclose(d.eta, [[0.7 * 0.19, 0.7 * 0.81 + 0.3]])
+        assert np.allclose(d.mu, 1.0)  # both rungs upload
+
+    def test_refuses_malicious_peers(self):
+        with pytest.raises(ValueError, match="under uniform client thresholds"):
+            check_regime(sim._tft_point(env(p_d=0.2), 2))
