@@ -43,6 +43,9 @@ ENV_FIELDS = ("r", "c", "eps", "lambda", "delta", "p_c", "p_d")
 PARAM_TYPES = {"L": int, "h_o": int, "b": int, "beta": float}  # the numeric params fields
 INTEGERS = (*(f"params.{name}" for name, kind in PARAM_TYPES.items() if kind is int),
             "design.L", "design.b_cap", "sim.n_peers", "sim.n_periods", "sim.seed")
+NUMBERS = (*(f"env.{name}" for name in ENV_FIELDS),
+           *(f"params.{name}" for name, kind in PARAM_TYPES.items() if kind is float),
+           "design.beta_grid", "design.p_c_grid")
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 
@@ -114,17 +117,28 @@ def _scenario(args) -> dict:
     return dict(sc, sweep=sweep)
 
 
+def _integral(value) -> bool:
+    return type(value) in (int, float) and not value % 1
+
+
 def _check_fields(section: dict, name: str, noun: str, required, known) -> None:
-    """A section must carry every required field and no unknown one, and
-    integer fields ints or integral floats (sweep axes give 3.0)."""
+    """A section must carry every required field and no unknown one; number
+    fields take JSON numbers, integer fields ints or integral floats (sweep
+    axes give 3.0) and m_o a list of those."""
     for key in required:
         if key not in section:
             raise CliError(f"{name}.{key}", f"required {noun} field is missing")
     for key, value in section.items():
+        field = f"{name}.{key}"
         if key not in known:
-            raise CliError(f"{name}.{key}", f"unknown {noun} field {key!r}")
-        if f"{name}.{key}" in INTEGERS and (type(value) not in (int, float) or value % 1):
-            raise CliError(f"{name}.{key}", f"expected an integer, got {json.dumps(value)}")
+            raise CliError(field, f"unknown {noun} field {key!r}")
+        if field in NUMBERS and type(value) not in (int, float):
+            raise CliError(field, f"expected a number, got {json.dumps(value)}")
+        if field in INTEGERS and not _integral(value):
+            raise CliError(field, f"expected an integer, got {json.dumps(value)}")
+        if field == "params.m_o" and not (value is None or isinstance(value, list)
+                                          and all(map(_integral, value))):
+            raise CliError(field, f"expected a list of integers, got {json.dumps(value)}")
 
 
 def _built(field: str, make, errors=(TypeError, ValueError)):

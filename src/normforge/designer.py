@@ -21,8 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .incentives import (BISECT_TOL_BETA, _bisect, blocks, check_equilibria, check_equilibrium,
-                         collapsed_social_utility)
+from .incentives import (BISECT_TOL_BETA, _along, _edge, blocks, check_equilibria,
+                         check_equilibrium, collapsed_social_utility)
 from .model import NetworkEnv, Points, ProtocolParams
 from .stationary import check_regime
 
@@ -181,13 +181,10 @@ def _forgiveness_search(spec: DesignSpec, vectors) -> DesignResult:
                            float(rep.serve_slack[i]), float(rep.social_utility[i]), None)
 
     def refine(params):
-        # the scan saw every grid beta above the winner fail; above the top of
-        # a grid that does not divide 1, beta = 1 is still unchecked
-        def ok(beta):
-            return check_equilibrium(params.replace(beta=beta), env).is_equilibrium
-
+        # the cell up to the next grid beta, or to 1.0 above the top of a grid
+        # that does not divide 1 (the one end the scan left unchecked)
         hi = float(betas[betas > params.beta].min(initial=1.0))
-        beta = hi if hi > betas[0] and ok(hi) else _bisect(ok, params.beta, hi, BISECT_TOL_BETA)[0]
+        beta = _edge(lambda bs: _along(params, env, "beta", bs), [params.beta, hi], BISECT_TOL_BETA)
         refined = params.replace(beta=beta)
         return refined, check_equilibrium(refined, env).social_utility
 

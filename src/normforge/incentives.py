@@ -6,13 +6,13 @@ active peer is refusing every prescribed upload in one period, which saves
 lam*b*c now and triggers the punishment lottery next period; an inactive peer
 can only deviate by serving someone it should refuse, a pure instant loss of
 c.  This module computes one-period and discounted utilities in every
-population regime, evaluates the two constraint families, and solves the
-existence thresholds (minimum activity threshold, maximum connections,
-cost-ratio and discount boundaries, maximum forgiveness, maximum altruist
-fraction) by closed form or bisection on proved monotonicities.  Like the
+population regime and evaluates the two constraint families.  Like the
 stationary layer, it answers one point (params, env) or a `Points` batch.
 `check_equilibria` is the one analytic evaluation: it checks a batch in one
-pass, and `check_equilibrium` is its batch of one.
+pass, and `check_equilibrium` is its batch of one.  Every design boundary
+but the closed-form cost ratio is read off that check along one axis: one
+call checks a grid, `_edge` finds where it stops passing and `_bisect`
+refines a continuous axis.  No slack is walked or binary-searched.
 """
 
 from __future__ import annotations
@@ -254,24 +254,28 @@ def _bisect(ok, lo: float, hi: float, tol: float):
     return lo, hi
 
 
-def _uniform_service_slack(env: NetworkEnv, b: int, h_o: int) -> float:
-    """Per-request service-constraint slack in the harsh-punishment uniform
-    regime.  The discounted value has the closed form
-    v(h_o) = lam*b*[(1-eps)*r - c] / (1 - delta*(1-alpha) - alpha*delta**(h_o+1))
-    and the binding constraint delta*(1-alpha)*(1 - delta**h_o)*v(h_o) >=
-    lam*b*c divides through by lam*b:
+def _along(params: ProtocolParams, env: NetworkEnv, field: str, values) -> np.ndarray:
+    """The check's verdicts on (params, env) with the `field` column (beta, b,
+    p_c or delta) set to each of values, in one check_equilibria call."""
+    values = np.asarray(values, dtype=float)[:, None]
+    return check_equilibria(Points.of([params] * len(values), env).replace(**{field: values})
+                            ).is_equilibrium
 
-        delta*(1-alpha)*(1 - delta**h_o)*net/denominator - c.
 
-    The per-request form is monotone non-increasing in b (the raw difference
-    is not: both sides scale with lam*b); the sign is shared, which is what
-    the feasibility searches use.  Independent of L.
-    """
-    alpha = error_punish_prob(env, b)
-    delta = env.delta
-    net = (1.0 - env.eps) * env.r - env.c
-    denom = 1.0 - delta * (1.0 - alpha) - alpha * delta ** (h_o + 1)
-    return delta * (1.0 - alpha) * (1.0 - delta ** h_o) * net / denom - env.c
+def _edge(passes, grid: list, tol: Optional[float] = None):
+    """Edge of the passing set along an ascending grid, with passes(values)
+    checking the whole grid in one call: None if grid[0] fails, grid[-1] if
+    nothing fails, else the last passing value, or with tol the boundary
+    bisected inside the first failing cell."""
+    ok = passes(grid)
+    if not ok[0]:
+        return None
+    k = int(np.argmin(ok))  # the first failing value
+    if ok[k]:
+        return grid[-1]
+    if tol is None:
+        return grid[k - 1]
+    return _bisect(lambda x: passes([x])[0], grid[k - 1], grid[k], tol)[0]
 
 
 def min_service_threshold(env: NetworkEnv, b: int) -> Optional[int]:
@@ -281,7 +285,9 @@ def min_service_threshold(env: NetworkEnv, b: int) -> Optional[int]:
     delta**h_o <= 1 - (1-delta)*c / (delta*[(1-alpha)*((1-eps)*r - c) - alpha*c]),
     so the minimum integer threshold is the ceiling of the log ratio.  As
     h_o grows the slack rises toward a finite limit; when even that limit
-    falls short no threshold exists and None is returned.
+    falls short no threshold exists and None is returned.  One check of the
+    thresholds within two of the ceiling (at one L: the slack does not depend
+    on L) gives the answer; a boundary outside that window is an error.
     """
     _require_baseline(env, "min_service_threshold")
     alpha = error_punish_prob(env, b)
@@ -296,19 +302,12 @@ def min_service_threshold(env: NetworkEnv, b: int) -> Optional[int]:
         return None
     arg = 1.0 - (1.0 - delta) * env.c / (delta * ((1.0 - alpha) * net - alpha * env.c))
     h = max(1, int(np.ceil(np.log(arg) / np.log(delta) - 1e-12)))
-    # float-boundary polish: the closed form and the slack must agree exactly
-    walked = 0
-    while _uniform_service_slack(env, b, h) < 0.0:
-        h += 1
-        walked += 1
-        if walked > 2:
-            raise AssertionError("closed-form threshold drifted from the slack sweep")
-    while h > 1 and _uniform_service_slack(env, b, h - 1) >= 0.0:
-        h -= 1
-        walked += 1
-        if walked > 2:
-            raise AssertionError("closed-form threshold drifted from the slack sweep")
-    return h
+    window = range(max(1, h - 2), h + 3)
+    ok = check_equilibria(Points.of([ProtocolParams(L=window[-1], h_o=k, b=b) for k in window],
+                                    env)).is_equilibrium
+    if not ok[-1] or (ok[0] and window[0] > 1):
+        raise AssertionError("closed-form threshold drifted from the check")
+    return window[int(np.argmax(ok))]
 
 
 def max_connections(env: NetworkEnv, h_o: int, b_cap: int) -> Optional[int]:
@@ -316,22 +315,15 @@ def max_connections(env: NetworkEnv, h_o: int, b_cap: int) -> Optional[int]:
     sustainable at the given activity threshold, or None if even b = 1 fails.
 
     The service slack is non-increasing in b (more transactions raise the
-    false-punishment rate faster than they raise the stake), so an integer
-    binary search is exact.
+    false-punishment rate faster than they raise the stake), so the edge of
+    the passing set along b = 1..b_cap, checked in one call at L = h_o (the
+    slack does not depend on L), is the answer.
     """
     _require_baseline(env, "max_connections")
     if b_cap < 1:
         raise ValueError(f"b_cap must be >= 1, got {b_cap}")
-    if _uniform_service_slack(env, 1, h_o) < 0.0:
-        return None
-    lo, hi = 1, b_cap
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if _uniform_service_slack(env, mid, h_o) >= 0.0:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    base = ProtocolParams(L=h_o, h_o=h_o, b=1)
+    return _edge(lambda bs: _along(base, env, "b", bs), list(range(1, b_cap + 1)))
 
 
 def existence_cost_threshold(env: NetworkEnv, L: int) -> float:
@@ -352,11 +344,12 @@ def existence_cost_threshold(env: NetworkEnv, L: int) -> float:
 def existence_discount_threshold(env: NetworkEnv, L: int) -> Optional[float]:
     """Smallest discount factor sustaining any protocol, by bisection.
 
-    Solves g(delta) = 0 where g is the service slack at the incentive-maximal
-    design point (threshold L, one connection, unit utilization); g increases
-    in delta.  Returns 0.0 when the constraint holds for every delta (c = 0)
-    and None when it holds for none (cost too high even for fully patient
-    peers).  Requires c/r < 1 - eps so that serving has positive net value.
+    Bisects delta on the check's verdict at the incentive-maximal design
+    point (threshold L, one connection, unit utilization), whose service
+    slack increases in delta.  Returns 0.0 when the constraint holds for
+    every delta (c = 0) and None when it holds for none (cost too high even
+    for fully patient peers).  Requires c/r < 1 - eps so that serving has
+    positive net value.
     """
     _require_baseline(env, "existence_discount_threshold")
     if L < 1:
@@ -370,8 +363,9 @@ def existence_discount_threshold(env: NetworkEnv, L: int) -> Optional[float]:
     # limit as delta -> 1: (1-eps)*L*net / (1 + eps*L)
     if (1.0 - eps) * L * net / (1.0 + eps * L) <= c:
         return None
+    design = ProtocolParams(L=L, h_o=L, b=1)
     unit = env.replace(lam=1.0)  # unit utilization: lam*b = 1 at b = 1
-    lo, hi = _bisect(lambda d: _uniform_service_slack(unit.replace(delta=d), 1, L) < 0.0,
+    lo, hi = _bisect(lambda d: not _along(design, unit, "delta", [d])[0],
                      0.0, 1.0 - 1e-15, BISECT_TOL_DELTA)
     return float(0.5 * (lo + hi))
 
@@ -384,14 +378,7 @@ def max_forgiveness(params: ProtocolParams, env: NetworkEnv) -> Optional[float]:
     Returns None when even beta = 0 fails and 1.0 when beta = 1 still passes;
     otherwise bisects the boundary to BISECT_TOL_BETA.
     """
-    def passes(beta: float) -> bool:
-        return check_equilibrium(params.replace(beta=beta), env).is_equilibrium
-
-    if not passes(0.0):
-        return None
-    if passes(1.0):
-        return 1.0
-    return _bisect(passes, 0.0, 1.0, BISECT_TOL_BETA)[0]
+    return _edge(lambda betas: _along(params, env, "beta", betas), [0.0, 1.0], BISECT_TOL_BETA)
 
 
 def max_altruist_fraction(params: ProtocolParams, env: NetworkEnv) -> float:
@@ -405,19 +392,8 @@ def max_altruist_fraction(params: ProtocolParams, env: NetworkEnv) -> float:
     """
     if env.p_d != 0.0:
         raise ValueError("altruist threshold assumes p_d = 0")
-
-    def passes(p_c: float) -> bool:
-        return check_equilibrium(params, env.replace(p_c=p_c)).is_equilibrium
-
     scan = [0.0]
     while scan[-1] + SCAN_STEP_PC < 0.5:
         scan.append(scan[-1] + SCAN_STEP_PC)
     scan.append(0.5)
-    ok = check_equilibria(Points.of([params] * len(scan),
-                                    [env.replace(p_c=p_c) for p_c in scan])).is_equilibrium
-    if not ok[0]:
-        return 0.0
-    if ok[-1]:
-        return 0.5
-    k = int(np.argmin(ok))  # the first failing point
-    return float(_bisect(passes, scan[k - 1], scan[k], BISECT_TOL_PC)[0])
+    return _edge(lambda p_cs: _along(params, env, "p_c", p_cs), scan, BISECT_TOL_PC) or 0.0

@@ -112,6 +112,8 @@ class ProtocolParams:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
         if self.m_o is None:
             object.__setattr__(self, "m_o", tuple([self.h_o] * (self.L - self.h_o + 1)))
+        elif any(v != int(v) for v in self.m_o):
+            raise ValueError(f"m_o entries must be integers, got {self.m_o}")
         else:
             object.__setattr__(self, "m_o", tuple(int(v) for v in self.m_o))
         m = self.m_o

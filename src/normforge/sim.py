@@ -99,6 +99,11 @@ class SimConfig:
         if abs(sum(norm.values()) - 1.0) > 1e-9:
             raise ValueError(f"population fractions must sum to 1, got {sum(norm.values())}")
         object.__setattr__(self, "population_mix", norm)
+        for name, share, kind in (("p_c", self.env.p_c, PeerKind.ALTRUISTIC),
+                                  ("p_d", self.env.p_d, PeerKind.MALICIOUS)):
+            if share and share != norm.get(kind, 0.0):
+                raise ValueError(f"env {name}={share} is not the mix's {kind.value} fraction "
+                                 f"{norm.get(kind, 0.0)}: the mix sets the population")
         if self.requests_per_peer < 1:
             raise ValueError("round(lam * b) must be >= 1")
         if self.init_reputations is not None:

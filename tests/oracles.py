@@ -7,7 +7,8 @@ profiles by an LU null-space solve on the full kernel instead of
 the product over the reputation ladder, and equilibrium verdicts by
 enumerating every deterministic one-period deviation rule instead of the
 two-constraint reduction, tit-for-tat's verdict by its hand-derived two-state
-closed form instead of the check on its ladder row, and the simulator's
+closed form instead of the check on its ladder row, the harsh-punishment
+service slack by its closed form instead of the check, and the simulator's
 self-service fix by trying every reassignment of a pool's servers instead of
 swapping clashes away.  The
 scalar decision rules at the end (one server, one client, one peer at a time)
@@ -142,6 +143,24 @@ def tft_closed_form(env: NetworkEnv, b: int, p_c: float = 0.0) -> bool:
     fed = min(1.0, p_c / max(1.0 - p_c, p_c)) if p_c > 0.0 else 0.0
     gap = rate * (1.0 - env.eps) * env.r * (1.0 - fed)
     return env.c * rate <= env.delta * (1.0 - error_punish_prob(env, b)) * gap + 1e-12
+
+
+def uniform_service_slack(env: NetworkEnv, b: int, h_o: int) -> float:
+    """Per-request service-constraint slack in the harsh-punishment uniform
+    regime, in closed form.  Every active rung has the same discounted value
+    v(h_o) = lam*b*[(1-eps)*r - c] / (1 - delta*(1-alpha) - alpha*delta**(h_o+1)),
+    and the binding constraint delta*(1-alpha)*(1 - delta**h_o)*v(h_o) >=
+    lam*b*c divides through by lam*b:
+
+        delta*(1-alpha)*(1 - delta**h_o)*net/denominator - c.
+
+    Independent of L; the check's serve_slack is lam*b times it.
+    """
+    alpha = error_punish_prob(env, b)
+    delta = env.delta
+    net = (1.0 - env.eps) * env.r - env.c
+    denom = 1.0 - delta * (1.0 - alpha) - alpha * delta ** (h_o + 1)
+    return delta * (1.0 - alpha) * (1.0 - delta ** h_o) * net / denom - env.c
 
 
 def smallest_feasible_h_o(env: NetworkEnv, b: int, check, h_max: int = 200):

@@ -480,6 +480,24 @@ MALFORMED_CASES = [
     *[pytest.param(["simulate"], {"sim": dict(SIM_SECTION, strategic=value)}, "sim.strategic",
                    id=f"sim.strategic={json.dumps(value)}") for value in ("false", 1, None)],
     pytest.param(["sweep", "--sweep", "L:2:3:0.5"], {}, "params.L", id="sweep-L-analyze"),
+    # threshold vectors are lists of integers, never truncated
+    *[pytest.param(["check"], {"params": dict(BASE_SCENARIO["params"], m_o=value)},
+                   "params.m_o", id=f"params.m_o={json.dumps(value)}")
+      for value in ([1.7, 2.9, 3], [1, "2", 3], 3)],
+    # number fields take JSON numbers: no booleans, no strings
+    *[pytest.param([command], {section: dict(base, **{name: value})}, f"{section}.{name}",
+                   id=f"{section}.{name}={json.dumps(value)}")
+      for command, section, base, name, value in (
+          ("analyze", "env", BASE_SCENARIO["env"], "delta", False),
+          ("analyze", "env", BASE_SCENARIO["env"], "c", "0.2"),
+          ("analyze", "env", BASE_SCENARIO["env"], "p_c", None),
+          ("check", "params", BASE_SCENARIO["params"], "beta", True),
+          ("solve", "design", {"problem": "OSNE_AH", "L": 3, "b_cap": 3}, "p_c_grid", True),
+          ("solve", "design", {"problem": "OSNE_VP", "L": 3, "b_cap": 3}, "beta_grid", "0.1"))],
+    # the mix sets the simulated population: an env share it contradicts is refused
+    pytest.param(["simulate", "--p-c", "0.3"], {}, "sim", id="sim-env-p_c-without-mix"),
+    pytest.param(["simulate", "--p-d", "0.1", "--mix", "reciprocative=0.8,malicious=0.2"], {},
+                 "sim", id="sim-env-p_d-off-mix"),
     pytest.param(["sweep", "--problem", "OSNE", "--b-cap", "3", "--sweep", "L:2:3:0.5"], {},
                  "design.L", id="sweep-L-solve"),
 ]

@@ -1,5 +1,5 @@
 import itertools
-from math import comb
+from math import ceil, comb, log2
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +21,7 @@ from normforge import (
     stationary_for_regime,
 )
 
+from normforge.incentives import BISECT_TOL_BETA
 from oracles import brute_force_equilibrium
 from test_acceptance import _enumerate_beta_grid, _enumerate_osne
 
@@ -328,13 +329,18 @@ def test_one_evaluator_call_per_block(count_calls):
     calls.update(check_equilibria=0, check_equilibrium=0)
     solve_osne_vps(DesignSpec(problem="OSNE_VPS", L=3, b_cap=4, env=env(), beta_grid=0.25))
     # one block per (h_o, m_o) column holding every b and beta: C(6, 3) - 1
-    # vectors, plus one block of one per refinement check
-    assert calls["check_equilibria"] == comb(6, 3) - 1 + calls["check_equilibrium"]
+    # vectors; the winner's refinement checks both ends of its grid cell in
+    # one call, one beta per halving of the cell, then its utility (a block
+    # of one)
+    refinement = 2 + ceil(log2(0.25 / BISECT_TOL_BETA))
+    assert calls["check_equilibrium"] == 1
+    assert comb(6, 3) - 1 + 2 <= calls["check_equilibria"] <= comb(6, 3) - 1 + refinement
     calls.update(check_equilibria=0, check_equilibrium=0)
     solve_osne_vp(DesignSpec(problem="OSNE_VP", L=3, b_cap=4, env=env(), beta_grid=0.25))
     # the same search over the L uniform vectors: one block per h_o, never
     # one evaluator call per bisection halving of every cell
-    assert calls["check_equilibria"] == 3 + calls["check_equilibrium"]
+    assert calls["check_equilibrium"] == 1
+    assert 3 + 2 <= calls["check_equilibria"] <= 3 + refinement
 
 
 def _osne_ah_reference(spec):

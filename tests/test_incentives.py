@@ -27,7 +27,8 @@ from normforge import (
 )
 
 from normforge.model import point_of
-from oracles import brute_force_equilibrium, utilities_dense, value_iterate_v_inf
+from oracles import (brute_force_equilibrium, uniform_service_slack, utilities_dense,
+                     value_iterate_v_inf)
 
 
 def env(**kw):
@@ -294,6 +295,25 @@ class TestSlackMonotonicity:
         slacks = [check_equilibrium(p, env(delta=0.9, p_d=pd)).serve_slack
                   for pd in (0.0, 0.1, 0.2, 0.4, 0.6)]
         assert all(a >= b - 1e-12 for a, b in zip(slacks, slacks[1:]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(r=st.floats(0.5, 3.0), cost=st.floats(0.0, 0.99),
+       eps=st.one_of(st.just(0.0), st.floats(0.0, 0.9)),
+       delta=st.one_of(st.just(0.0), st.floats(0.0, 0.999)), lam=st.floats(0.2, 3.0),
+       b=st.integers(1, 9), h_o=st.integers(1, 6), above=st.sampled_from([0, 2]))
+@example(r=1.0, cost=0.2, eps=0.0, delta=0.8, lam=1.0, b=2, h_o=2, above=0)
+@example(r=1.0, cost=0.2, eps=0.1, delta=0.0, lam=1.0, b=2, h_o=2, above=2)
+@example(r=1.0, cost=0.0, eps=0.1, delta=0.0, lam=1.0, b=1, h_o=1, above=0)
+def test_serve_slack_is_the_uniform_closed_form(r, cost, eps, delta, lam, b, h_o, above):
+    # the boundaries read the check; at harsh punishment and uniform
+    # thresholds its binding service slack, per request, is the closed form
+    # at any L >= h_o.  Relative to the larger of the slack and c, so the
+    # signs agree wherever the slack clears that tolerance
+    e = NetworkEnv(r=r, c=cost * r, eps=eps, lam=lam, delta=delta)
+    got = check_equilibrium(ProtocolParams(L=h_o + above, h_o=h_o, b=b), e).serve_slack
+    want = uniform_service_slack(e, b, h_o)
+    assert abs(got / (lam * b) - want) <= 1e-12 * max(abs(want), e.c)
 
 
 class TestMinServiceThreshold:

@@ -34,6 +34,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             ProtocolParams(L=3, h_o=1, b=1, m_o=(2, 1, 1))
 
+    def test_rejects_non_integral_thresholds(self):
+        # never truncated: (1.7, 2.9, 3) is not the vector (1, 2, 3)
+        with pytest.raises(ValueError, match="integers"):
+            ProtocolParams(L=3, h_o=1, b=1, m_o=(1.7, 2.9, 3))
+        assert ProtocolParams(L=3, h_o=1, b=1, m_o=(1.0, 2, 3)).m_o == (1, 2, 3)
+
     def test_rejects_threshold_query_below_h_o(self):
         p = ProtocolParams(L=3, h_o=2, b=1)
         with pytest.raises(ValueError):

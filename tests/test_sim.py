@@ -299,6 +299,17 @@ class TestTraceShape:
         with pytest.raises(ValueError):
             config(population_mix={PeerKind.TFT_AGENT: 1.0})
 
+    def test_env_shares_must_be_the_mix(self):
+        # the mix sets the simulated population; an env share it contradicts
+        # would be echoed in the trace without being simulated
+        with pytest.raises(ValueError, match="p_c"):
+            config(env=env(p_c=0.3))
+        with pytest.raises(ValueError, match="p_d"):
+            config(env=env(p_d=0.1),
+                   population_mix={PeerKind.RECIPROCATIVE: 0.8, PeerKind.MALICIOUS: 0.2})
+        config(env=env(p_c=0.3),
+               population_mix={PeerKind.RECIPROCATIVE: 0.7, PeerKind.ALTRUISTIC: 0.3})
+
     @pytest.mark.parametrize("reps", [(), (0,) * 199, (0,) * 199 + (9,), (-1,) * 200])
     def test_init_reputations_validation(self, reps):
         with pytest.raises(ValueError, match="init_reputations"):
