@@ -31,10 +31,11 @@ import itertools
 import json
 import sys
 
+import numpy as np
+
 from .designer import PROBLEMS, DesignResult, DesignSpec, solve, solve_osne
-from .incentives import (IncentiveReport, blocks, check_equilibria, check_equilibrium,
-                         collapsed_social_utility)
-from .model import NetworkEnv, Points, ProtocolParams, point_of
+from .incentives import blocks, check_equilibria, collapsed_social_utility
+from .model import NetworkEnv, Points, ProtocolParams
 from .sim import KIND_ORDER, SOCIAL_NORM, TFT, SimConfig, _kind_labels, run_replicas, sustained
 from .stationary import check_regime, stationary_fixed_point, stationary_for_regime
 
@@ -218,47 +219,32 @@ def _csv_cell(value):
     return ";".join(str(v) for v in value) if isinstance(value, list) else value
 
 
-def _report_payload(report) -> dict:
-    return {"serve_slack": report.serve_slack, "refuse_slack": report.refuse_slack,
-            "per_theta_slacks": report.per_theta_slacks.tolist(),
-            "is_equilibrium": report.is_equilibrium}
-
-
 # ------------------------------------------------------------------ commands
 
+REPORT_FIELDS = ("serve_slack", "refuse_slack", "per_theta_slacks", "is_equilibrium")
+
+
 def _analyze_payloads(pairs):
-    """Yield each (params, env) point's analyze payload, checked in blocks."""
+    """Yield each (params, env) point's analyze payload, checked in blocks
+    whose fields are read as columns, each row converted on its own."""
     for L, run in itertools.groupby(pairs, key=lambda pair: pair[0].L):
         for block in blocks(list(run), L):
             points = Points.of([p for p, _ in block], [e for _, e in block])
-            batch = _built("env", lambda: check_equilibria(points), ValueError)
-            recip = stationary_fixed_point(points)  # the reciprocative peers' own profile
+            rep = _built("env", lambda: check_equilibria(points), ValueError)
+            holds, v_one = rep.is_equilibrium, rep.utilities.v_one
+            recip = stationary_fixed_point(points).eta  # the reciprocative peers' own profile
+            # where the norm fails, altruists alone serve and a free-rider sits at rung 0
+            collapsed = collapsed_social_utility(points, points.b, points.p_c)[:, 0]
+            columns = {"alpha": rep.dist.alpha, "mu": rep.dist.mu, "eta": rep.dist.eta,
+                       "v_one": v_one, "v_inf": rep.utilities.v_inf,
+                       "social_utility": rep.social_utility,
+                       "social_utility_effective": np.where(holds, rep.social_utility, collapsed),
+                       "recip_utility_effective": np.where(
+                           holds, [eta @ v for eta, v in zip(recip, v_one)], v_one[:, 0]),
+                       **{name: getattr(rep, name) for name in REPORT_FIELDS}}
             for j, (params, env) in enumerate(block):
-                yield _analyze_payload(params, env, point_of(batch, j), recip.eta[j])
-
-
-def _analyze_payload(params: ProtocolParams, env: NetworkEnv, report: IncentiveReport,
-                     recip_eta) -> dict:
-    dist, profile = report.dist, report.utilities
-    u = report.social_utility
-    if report.is_equilibrium:
-        u_eff, recip_eff = u, float(recip_eta @ profile.v_one)
-    else:  # altruists alone serve; a free-rider sits at rung 0
-        u_eff = collapsed_social_utility(env, params.b, env.p_c)
-        recip_eff = float(profile.v_one[0])
-    return {
-        "env": env.to_dict(),
-        "params": params.to_dict(),
-        "alpha": dist.alpha,
-        "mu": dist.mu,
-        "eta": dist.eta.tolist(),
-        "v_one": profile.v_one.tolist(),
-        "v_inf": profile.v_inf.tolist(),
-        "social_utility": u,
-        "social_utility_effective": u_eff,
-        "recip_utility_effective": recip_eff,
-        **_report_payload(report),
-    }
+                yield {"env": env.to_dict(), "params": params.to_dict(),
+                       **{name: col[j].tolist() for name, col in columns.items()}}
 
 
 ANALYZE_COLUMNS = [
@@ -290,8 +276,9 @@ def cmd_check(args) -> int:
     sc = _scenario(args)
     env = _build_env(sc["env"])
     params = _build_params(sc["params"])
-    payload = _report_payload(_built("env", lambda: check_equilibrium(params, env), ValueError))
-    _emit_text(_json_text(payload), args.out or sc["output"].get("path"))
+    payload = next(_analyze_payloads([(params, env)]))
+    _emit_text(_json_text({name: payload[name] for name in REPORT_FIELDS}),
+               args.out or sc["output"].get("path"))
     return 0
 
 

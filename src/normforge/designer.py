@@ -3,10 +3,10 @@
 Each of the four nested problems only generates candidates; one search loop
 keeps the best sustainable one.  `check_equilibria` scores a block of
 candidates per call: OSNE's (h_o, b) cells, one block stream over every
-(p_c, h_o, b) cell of OSNE_AH, and a threshold vector's beta column for
-every b in the forgiveness search, which OSNE_VPS runs over every
-client-threshold vector and OSNE_VP over the uniform ones.  The discrete
-axes stay exhaustive, so every problem matches brute force.
+(p_c, h_o, b) cell of OSNE_AH, and one over the beta columns of every
+threshold vector's b cells in the forgiveness search (all client-threshold
+vectors for OSNE_VPS, the uniform ones for OSNE_VP).  The discrete axes
+stay exhaustive, so every problem matches brute force.
 
 Ties in utility break deterministically: smallest activity threshold, then
 most connections, then most forgiveness, then the lexicographically smallest
@@ -153,32 +153,32 @@ def solve_osne(spec: DesignSpec) -> DesignResult:
 def _forgiveness_search(spec: DesignSpec, vectors) -> DesignResult:
     """Best (h_o, b, beta, m_o) over the given (h_o, m_o) threshold vectors.
 
-    For each vector every b's beta column is checked top-down on the
-    beta_grid, and each cell's candidate is its first passing beta.  The scan
-    does not assume that the forgiveness-feasible set is an interval: under
-    non-uniform thresholds a vector can fail harsh punishment yet pass at
-    interior beta, which a bisection from beta = 0 would miss.  The winner's
-    beta is then bisected toward the boundary inside its grid cell.
+    Every vector's b cells go through one block stream, a block spanning
+    vectors; each cell's beta column is checked top-down on the beta_grid,
+    and the cell's candidate is its first passing beta.  The scan does not
+    assume that the forgiveness-feasible set is an interval: under non-uniform
+    thresholds a vector can fail harsh punishment yet pass at interior beta,
+    which a bisection from beta = 0 would miss.  The winner's beta is then
+    bisected toward the boundary inside its grid cell.
     """
     env = spec.env
     betas = np.minimum(1.0, np.arange(int(round(1.0 / spec.beta_grid)), -1, -1) * spec.beta_grid)
 
     def cells():
-        for h_o, m_o in vectors:
-            bases = [ProtocolParams(L=spec.L, h_o=h_o, b=b, m_o=m_o)
-                     for b in range(1, spec.b_cap + 1)]
-            for block in blocks(bases, spec.L, len(betas)):
-                column = Points.of(block, env).take(np.repeat(np.arange(len(block)), len(betas)))
-                rep = check_equilibria(column.replace(beta=np.tile(betas, len(block))[:, None]))
-                first = rep.is_equilibrium.reshape(len(block), -1).argmax(axis=1)
-                for j, (base, k) in enumerate(zip(block, first)):
-                    i = j * len(betas) + k
-                    if not rep.is_equilibrium[i]:
-                        yield (h_o, base.b, m_o, None), base, None, None, None
-                        continue
-                    params = base.replace(beta=float(betas[k]))
-                    yield ((h_o, base.b, m_o, params.beta), params,
-                           float(rep.serve_slack[i]), float(rep.social_utility[i]), None)
+        grid = [(h_o, m_o, b) for h_o, m_o in vectors for b in range(1, spec.b_cap + 1)]
+        for block in blocks(grid, spec.L, len(betas)):
+            bases = [ProtocolParams(L=spec.L, h_o=h_o, b=b, m_o=m_o) for h_o, m_o, b in block]
+            column = Points.of(bases, env).take(np.repeat(np.arange(len(bases)), len(betas)))
+            rep = check_equilibria(column.replace(beta=np.tile(betas, len(bases))[:, None]))
+            first = rep.is_equilibrium.reshape(len(bases), -1).argmax(axis=1)
+            for j, ((h_o, m_o, b), base, k) in enumerate(zip(block, bases, first)):
+                i = j * len(betas) + k
+                if not rep.is_equilibrium[i]:
+                    yield (h_o, b, m_o, None), base, None, None, None
+                    continue
+                params = base.replace(beta=float(betas[k]))
+                yield ((h_o, b, m_o, params.beta), params,
+                       float(rep.serve_slack[i]), float(rep.social_utility[i]), None)
 
     def refine(params):
         # the cell up to the next grid beta, or to 1.0 above the top of a grid

@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from normforge import (NetworkEnv, ProtocolParams, SimConfig, check_equilibrium, run_tft, sim,
-                       stationary_fixed_point, stationary_for_regime, tft_sustainable)
+from normforge import (NetworkEnv, ProtocolParams, SimConfig, check_equilibrium,
+                       collapsed_social_utility, run_tft, sim, stationary_fixed_point,
+                       stationary_for_regime, tft_sustainable)
 from normforge.cli import main
 
 BASE_SCENARIO = {
@@ -113,6 +114,59 @@ class TestCheck:
         assert code == 0
         payload = json_payload(out)
         assert {"serve_slack", "refuse_slack", "per_theta_slacks", "is_equilibrium"} <= set(payload)
+
+
+def _floats(cell: str) -> list:
+    return [float(v) for v in cell.split(";")]
+
+
+@pytest.mark.parametrize("argv", [
+    # rows in three L blocks, holding and failing, with p_c = 0.6 above one half
+    ["sweep", "--L", "3", "--h-o", "1", "--b", "2", "--sweep", "L:2:4:1",
+     "--sweep", "c:0.2:0.5:0.3", "--sweep", "p_c:0.0:0.6:0.3"],
+    ["analyze", "--p-d", "0.2", "--beta", "0"],
+    ["analyze", "--L", "4", "--h-o", "2", "--b", "3", "--m-o", "1,3,4", "--beta", "0.4"],
+], ids=["sweep", "malicious", "non_uniform"])
+def test_column_path_matches_the_library(scenario_file, capsys, tmp_path, argv):
+    # analyze, check and sweep read the evaluator's block columns; every row
+    # equals the library's answer on its own point
+    path = str(tmp_path / "rows.csv")
+    code, _ = run_cli(capsys, *argv, "--config", scenario_file(),
+                      "--out" if argv[0] == "sweep" else "--csv-out", path)
+    assert code == 0
+    rows = list(csv.DictReader(open(path)))
+    if argv[0] == "sweep":
+        assert len(rows) == 18 and {row["is_equilibrium"] for row in rows} == {"True", "False"}
+        assert any(float(row["p_c"]) > 0.5 for row in rows)
+    for row in rows:
+        env = NetworkEnv(r=float(row["r"]), c=float(row["c"]), eps=float(row["eps"]),
+                         lam=float(row["lambda"]), delta=float(row["delta"]),
+                         p_c=float(row["p_c"]), p_d=float(row["p_d"]))
+        params = ProtocolParams(L=int(row["L"]), h_o=int(row["h_o"]), b=int(row["b"]),
+                                beta=float(row["beta"]), m_o=_floats(row["m_o"]))
+        want = check_equilibrium(params, env)
+        v_one = want.utilities.v_one
+        if want.is_equilibrium:
+            effective = [want.social_utility, stationary_fixed_point(params, env).eta @ v_one]
+        else:
+            effective = [collapsed_social_utility(env, params.b, env.p_c), v_one[0]]
+        assert [float(row[name]) for name in (
+            "serve_slack", "refuse_slack", "alpha", "mu", "social_utility",
+            "social_utility_effective", "recip_utility_effective")] == [
+            want.serve_slack, want.refuse_slack, want.dist.alpha, want.dist.mu,
+            want.social_utility, *effective]
+        assert row["is_equilibrium"] == str(want.is_equilibrium)
+        assert [_floats(row[name]) for name in ("eta", "v_one", "v_inf")] == [
+            want.dist.eta.tolist(), v_one.tolist(), want.utilities.v_inf.tolist()]
+        flags = [f"--{name.replace('_', '-')}={row[name]}" for name in (
+            "r", "c", "eps", "lambda", "delta", "p_c", "p_d", "L", "h_o", "b", "beta")]
+        code, out = run_cli(capsys, "check", "--config", scenario_file(), *flags,
+                            "--m-o", row["m_o"].replace(";", ","))
+        assert code == 0
+        assert json_payload(out) == {"serve_slack": want.serve_slack,
+                                     "refuse_slack": want.refuse_slack,
+                                     "per_theta_slacks": want.per_theta_slacks.tolist(),
+                                     "is_equilibrium": want.is_equilibrium}
 
 
 class TestSolve:

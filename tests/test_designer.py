@@ -1,5 +1,5 @@
 import itertools
-from math import ceil, comb, log2
+from math import ceil, log2
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +21,7 @@ from normforge import (
     stationary_for_regime,
 )
 
+from normforge import designer, incentives
 from normforge.incentives import BISECT_TOL_BETA
 from oracles import brute_force_equilibrium
 from test_acceptance import _enumerate_beta_grid, _enumerate_osne
@@ -314,7 +315,7 @@ def test_solvers_match_brute_force(e):
         spec, lambda h: itertools.combinations_with_replacement((1, 2), 3 - h)), 0.25)
 
 
-def test_one_evaluator_call_per_block(count_calls):
+def test_one_evaluator_call_per_block(count_calls, monkeypatch):
     # the searches hand whole blocks to check_equilibria, never one cell at a
     # time; check_equilibrium (a block of one) is left to refinement steps
     calls = count_calls("check_equilibria", "check_equilibrium")
@@ -326,21 +327,38 @@ def test_one_evaluator_call_per_block(count_calls):
     solve_osne_ah(DesignSpec(problem="OSNE_AH", L=6, b_cap=10, env=env(), pC_grid=0.01))
     # 51 fractions x 60 cells in blocks of BLOCK_ENTRIES // 7**2 = 668 points
     assert calls == {"check_equilibria": 5, "check_equilibrium": 0}
-    calls.update(check_equilibria=0, check_equilibrium=0)
-    solve_osne_vps(DesignSpec(problem="OSNE_VPS", L=3, b_cap=4, env=env(), beta_grid=0.25))
-    # one block per (h_o, m_o) column holding every b and beta: C(6, 3) - 1
-    # vectors; the winner's refinement checks both ends of its grid cell in
-    # one call, one beta per halving of the cell, then its utility (a block
-    # of one)
-    refinement = 2 + ceil(log2(0.25 / BISECT_TOL_BETA))
-    assert calls["check_equilibrium"] == 1
-    assert comb(6, 3) - 1 + 2 <= calls["check_equilibria"] <= comb(6, 3) - 1 + refinement
-    calls.update(check_equilibria=0, check_equilibrium=0)
-    solve_osne_vp(DesignSpec(problem="OSNE_VP", L=3, b_cap=4, env=env(), beta_grid=0.25))
-    # the same search over the L uniform vectors: one block per h_o, never
-    # one evaluator call per bisection halving of every cell
-    assert calls["check_equilibrium"] == 1
-    assert 3 + 2 <= calls["check_equilibria"] <= 3 + refinement
+
+    sizes = []  # points per check_equilibria call
+    for module in (incentives, designer):
+        monkeypatch.setattr(module, "check_equilibria", lambda points, _fn=module.check_equilibria:
+                            sizes.append(len(points)) or _fn(points))
+
+    def scan_and_refinement(spec):
+        """Scan calls of one forgiveness search, after bounding its
+        refinement calls: a scan block holds whole beta columns, more than
+        two points; the winner's refinement checks both ends of its grid cell
+        in one call, one beta per halving of the cell, then its utility (a
+        block of one)."""
+        sizes.clear()
+        calls.update(check_equilibrium=0)
+        solve(spec)
+        assert calls["check_equilibrium"] == 1
+        scan = sum(n > 2 for n in sizes)
+        assert 2 <= len(sizes) - scan <= 2 + ceil(log2(spec.beta_grid / BISECT_TOL_BETA))
+        return scan
+
+    # every vector's (b, beta) cells share one block stream: OSNE_VPS's
+    # C(6, 3) - 1 = 19 vectors x 4 b = 76 cells of 5 betas fit one block of
+    # BLOCK_ENTRIES // (4**2 * 5) = 409 cells, and so do OSNE_VP's 3 x 4
+    assert scan_and_refinement(DesignSpec("OSNE_VPS", L=3, b_cap=4, env=env(),
+                                          beta_grid=0.25)) == 1
+    assert scan_and_refinement(DesignSpec("OSNE_VP", L=3, b_cap=4, env=env(),
+                                          beta_grid=0.25)) == 1
+    # C(8, 4) - 1 = 69 vectors x 3 b = 207 cells of 101 betas, in blocks of
+    # BLOCK_ENTRIES // (5**2 * 101) = 12 cells: blocks span vectors, where a
+    # stream cut per vector would take 69 calls
+    assert scan_and_refinement(DesignSpec("OSNE_VPS", L=4, b_cap=3, env=env(),
+                                          beta_grid=0.01)) == ceil(207 / 12)
 
 
 def _osne_ah_reference(spec):

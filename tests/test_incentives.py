@@ -27,8 +27,8 @@ from normforge import (
 )
 
 from normforge.model import point_of
-from oracles import (brute_force_equilibrium, uniform_service_slack, utilities_dense,
-                     value_iterate_v_inf)
+from oracles import (brute_force_equilibrium, smallest_feasible_h_o, uniform_service_slack,
+                     utilities_dense, value_iterate_v_inf)
 
 
 def env(**kw):
@@ -327,12 +327,8 @@ class TestMinServiceThreshold:
                     for b in (1, 3):
                         e = env(c=c, eps=eps, delta=delta)
                         got = min_service_threshold(e, b)
-                        swept = None
-                        for h in range(1, 400):
-                            pr = ProtocolParams(L=h, h_o=h, b=b)
-                            if check_equilibrium(pr, e).is_equilibrium:
-                                swept = h
-                                break
+                        swept = smallest_feasible_h_o(e, b, lambda e, b, h: check_equilibrium(
+                            ProtocolParams(L=h, h_o=h, b=b), e).is_equilibrium, h_max=400)
                         assert got == swept, (delta, eps, c, b, got, swept)
 
     def test_infeasible_cost_returns_none(self):
