@@ -7,7 +7,8 @@ Subcommands
     sweep      Cartesian parameter grid of analyze or solve rows (CSV)
     simulate   one seeded agent-based run, trace JSON plus summary CSV row
     compare    protocol shoot-out (social norm vs tit-for-tat) along a sweep,
-               every cell a replica of one simulator batch
+               every cell a replica of one simulator batch (cells that differ
+               only in r, c or delta share one simulated run)
 
 Scenarios are JSON objects with sections env / params / design / sweep / sim /
 output; every field can also be set or overridden by a flag named after the
@@ -151,14 +152,16 @@ def _built(field: str, make, errors=(TypeError, ValueError)):
         raise CliError(field, str(exc))
 
 
-def _build_env(section: dict) -> NetworkEnv:
-    _check_fields(section, "env", "environment", ("r", "c", "eps", "lambda", "delta"), ENV_FIELDS)
+def _build_env(section: dict, check: bool = True) -> NetworkEnv:
+    if check:
+        _check_fields(section, "env", "environment", ("r", "c", "eps", "lambda", "delta"), ENV_FIELDS)
     return _built("env", lambda: NetworkEnv(**{"lam" if name == "lambda" else name: float(value)
                                                for name, value in section.items()}))
 
 
-def _build_params(section: dict) -> ProtocolParams:
-    _check_fields(section, "params", "protocol", ("L", "h_o", "b"), (*PARAM_TYPES, "m_o"))
+def _build_params(section: dict, check: bool = True) -> ProtocolParams:
+    if check:
+        _check_fields(section, "params", "protocol", ("L", "h_o", "b"), (*PARAM_TYPES, "m_o"))
     return _built("params", lambda: ProtocolParams(
         **{name: kind(section[name]) for name, kind in PARAM_TYPES.items() if name in section},
         m_o=section.get("m_o")))
@@ -216,7 +219,7 @@ def _csv_text(header: list, rows: list) -> str:
 
 def _csv_cell(value):
     """A list (a profile, a threshold vector) goes in one ';'-joined cell."""
-    return ";".join(str(v) for v in value) if isinstance(value, list) else value
+    return ";".join(map(str, value)) if isinstance(value, list) else value
 
 
 # ------------------------------------------------------------------ commands
@@ -242,9 +245,10 @@ def _analyze_payloads(pairs):
                        "recip_utility_effective": np.where(
                            holds, [eta @ v for eta, v in zip(recip, v_one)], v_one[:, 0]),
                        **{name: getattr(rep, name) for name in REPORT_FIELDS}}
+            columns = {name: col.tolist() for name, col in columns.items()}
             for j, (params, env) in enumerate(block):
                 yield {"env": env.to_dict(), "params": params.to_dict(),
-                       **{name: col[j].tolist() for name, col in columns.items()}}
+                       **{name: col[j] for name, col in columns.items()}}
 
 
 ANALYZE_COLUMNS = [
@@ -352,9 +356,16 @@ def cmd_sweep(args) -> int:
     if mode == "analyze":
         if not sc["params"]:
             raise CliError("params", "sweep in analyze mode needs a params section")
-        sections = (_apply_point(sc["env"], sc["params"], names, values) for values in grid)
-        payloads = _analyze_payloads((_build_params(par_sec), _build_env(env_sec))
-                                     for env_sec, par_sec in sections)
+
+        def points():
+            for i, values in enumerate(grid):
+                env_sec, par_sec = _apply_point(sc["env"], sc["params"], names, values)
+                if i:  # later points differ from the first only in (float) axis values
+                    _check_fields({k: v for k, v in par_sec.items() if k in names},
+                                  "params", "protocol", (), PARAM_TYPES)
+                yield _build_params(par_sec, check=not i), _build_env(env_sec, check=not i)
+
+        payloads = _analyze_payloads(points())
         header = [f"axis_{n}" for n in names] + ANALYZE_COLUMNS
         rows = [list(values) + _analyze_csv_row(payload)
                 for values, payload in zip(grid, payloads)]

@@ -30,6 +30,7 @@ BISECT_TOL_BETA = 1e-8
 BISECT_TOL_DELTA = 1e-10
 BISECT_TOL_PC = 1e-6
 SCAN_STEP_PC = 0.01
+BISECT_DEPTH = 4  # halvings per evaluator call: 2**4 - 1 = 15 midpoints
 # willing-table entries, (L + 1)**2 a point, per evaluator call: a wider grid
 # costs calls, not memory
 BLOCK_ENTRIES = 1 << 15
@@ -243,14 +244,21 @@ def _require_baseline(env: NetworkEnv, what: str) -> None:
         raise ValueError(f"{what} assumes an all-reciprocative population (p_c = p_d = 0)")
 
 
-def _bisect(ok, lo: float, hi: float, tol: float):
-    """Halve [lo, hi] to width tol, keeping ok(lo) and not ok(hi)."""
+def _bisect(passes, lo: float, hi: float, tol: float):
+    """Halve [lo, hi] to width tol, keeping passes at lo and not at hi.  One
+    passes(values) call checks the midpoints of the next BISECT_DEPTH
+    halvings, the floats that halving one at a time computes, and the path
+    is walked through them: the bracket is bit-identical."""
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
+        cells, level = [], [(lo, hi)]
+        for _ in range(BISECT_DEPTH):
+            level = [(a, b) for a, b in level if b - a > tol]
+            cells += level
+            level = [half for a, b in level for half in ((a, 0.5 * (a + b)), (0.5 * (a + b), b))]
+        ok = dict(zip(cells, passes([0.5 * (a + b) for a, b in cells])))
+        while (lo, hi) in ok:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if ok[lo, hi] else (lo, mid)
     return lo, hi
 
 
@@ -273,9 +281,7 @@ def _edge(passes, grid: list, tol: Optional[float] = None):
     k = int(np.argmin(ok))  # the first failing value
     if ok[k]:
         return grid[-1]
-    if tol is None:
-        return grid[k - 1]
-    return _bisect(lambda x: passes([x])[0], grid[k - 1], grid[k], tol)[0]
+    return grid[k - 1] if tol is None else _bisect(passes, grid[k - 1], grid[k], tol)[0]
 
 
 def min_service_threshold(env: NetworkEnv, b: int) -> Optional[int]:
@@ -365,8 +371,8 @@ def existence_discount_threshold(env: NetworkEnv, L: int) -> Optional[float]:
         return None
     design = ProtocolParams(L=L, h_o=L, b=1)
     unit = env.replace(lam=1.0)  # unit utilization: lam*b = 1 at b = 1
-    lo, hi = _bisect(lambda d: not _along(design, unit, "delta", [d])[0],
-                     0.0, 1.0 - 1e-15, BISECT_TOL_DELTA)
+    lo, hi = _bisect(lambda ds: ~_along(design, unit, "delta", ds), 0.0, 1.0 - 1e-15,
+                     BISECT_TOL_DELTA)
     return float(0.5 * (lo + hi))
 
 

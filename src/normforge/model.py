@@ -142,11 +142,6 @@ class ProtocolParams:
             raise ValueError(f"reputation out of range: {server_rep} > L={self.L}")
         return self.m_o[server_rep - self.h_o]
 
-    @property
-    def client_eligibility(self) -> int:
-        """Lowest client reputation that anyone is prescribed to serve."""
-        return self.m_o[0]
-
     def replace(self, **kw) -> "ProtocolParams":
         if "L" in kw or "h_o" in kw:
             # the m_o vector is tied to (L, h_o); drop it unless given explicitly

@@ -19,21 +19,22 @@ period) but never emit requests of their own.
 `run_replicas` runs a batch of replicas, which share size, length and
 population mix and may differ in everything else (seed, start reputations,
 deviant, params, env, flavor, strategic), through one period loop; `run_sim`
-and `run_tft` are batches of one.  Peer ids are offset by replica, and each
-replica's ladder is padded to the batch's largest top.  Pool pass i routes
-each replica's i-th pool in one vectorised step over one table of server
-groups (refusers on the first pass only, serving reciprocators, malicious
-peers, altruists with capacity left), and a request only meets servers of its
-own replica; bounced and overflowing requests try the next pass.  Random
-stream version 3 (trace schema 3): one generator per batch, keyed by the
-batch's distinct seeds, makes every draw in a fixed order, so a batch replays
-byte-for-byte.  Each draw site takes one block of uniforms per distinct seed
-and every replica reads its seed's row from position 0, so replicas with the
-same seed make the same draws while their states agree (common random
-numbers).  A finished run checks that outcomes partition `emitted` in every
-period, that histograms sum to 1 and that altruists stay pinned, and raises
-RuntimeError naming the first bad period otherwise.  Tit-for-tat is
-the social-norm `Points` row L = 1, h_o = 0, m_o = (1, 1), beta = 0.
+and `run_tft` are batches of one.  Replicas that differ only in r, c and
+delta share one run.  Peer ids are offset by run, and each run's ladder is
+padded to the batch's largest top.  Pool pass i routes each run's i-th pool
+in one vectorised step over one table of server groups (refusers on the
+first pass only, serving reciprocators, malicious peers, altruists with
+capacity left), and a request only meets servers of its own run; bounced and
+overflowing requests try the next pass.  Random stream version 3 (trace
+schema 3): one generator per batch, keyed by the batch's distinct seeds,
+makes every draw in a fixed order, so a batch replays byte-for-byte.  Each
+draw site draws a row of uniforms per distinct seed and every run reads its
+own slice of its seed's row from position 0, so runs with the same seed make
+the same draws while their states agree (common random numbers).  A
+finished run checks that outcomes partition `emitted` in every period, that
+histograms sum to 1 and that altruists stay pinned, and raises RuntimeError
+naming the first bad period otherwise.  Tit-for-tat is the social-norm
+`Points` row L = 1, h_o = 0, m_o = (1, 1), beta = 0.
 """
 
 from __future__ import annotations
@@ -204,6 +205,7 @@ class SimTrace:
         }
 
     def to_json_dict(self) -> dict:
+        labels = _kind_labels(self.config.protocol_flavor)
         return {
             "schema": 3,
             "config": self.config.as_dict(),
@@ -216,7 +218,7 @@ class SimTrace:
             "per_peer": {
                 "discounted_utility": self.discounted_utility.tolist(),
                 "final_reputation": self.final_reputation.tolist(),
-                "kind": [_kind_labels(self.config.protocol_flavor)[k] for k in self.kinds],
+                "kind": [labels[k] for k in self.kinds.tolist()],
             },
             "summary": self.summary(),
         }
@@ -266,20 +268,19 @@ class _Batch:
 
     Replica r owns peer ids r*n .. r*n + n - 1, so an ascending array of
     peer ids is one run per replica laid end to end; a `seg` array labels
-    its elements with their replica.  A draw site takes one block of
-    uniforms shaped (distinct seeds, longest run) and replica r's run reads
-    its seed's row from position 0, so replicas with the same seed draw
-    alike while their states agree.  With one replica, `count`, `uniforms`,
-    `below`, `split`, `pick` and `_route` give the same values and draws
-    without the table and the per-element replica labels, which would cost a
-    single run up to a third more.  The stream is PCG64, which makes doubles
-    faster than Philox."""
+    its elements with their replica.  A draw site takes one draw u shaped
+    (distinct seeds, longest run) and replica r's run reads its slice
+    u[row[r], :size[r]], so replicas with the same seed draw alike while
+    their states agree.  With one replica, `count`, `uniforms`, `below`,
+    `split`, `pick` and `_route` give the same values and draws without the
+    slices and the per-element replica labels, which cost a single run a few
+    percent more.  The stream is PCG64, which makes doubles faster than
+    Philox."""
 
     def __init__(self, seeds: list, n: int):
         distinct = list(dict.fromkeys(seeds))
         self.R, self.S, self.n = len(seeds), len(distinct), n
-        self.row = np.array([distinct.index(s) for s in seeds])
-        self.edges = np.arange(self.R + 1)
+        self.row = [distinct.index(s) for s in seeds]
         self.rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
             (*(int(s) & (2 ** 64 - 1) for s in distinct), 0))))
 
@@ -291,52 +292,45 @@ class _Batch:
         with unit n."""
         if self.R == 1:
             return np.array([len(seg)])
-        cuts = seg.searchsorted(self.edges * unit)
+        cuts = seg.searchsorted(np.arange(self.R + 1) * unit)
         return cuts[1:] - cuts[:-1]
 
-    def block(self, size: np.ndarray):
-        """A draw shaped (replicas, longest run), replica r's row being its
-        seed's row, and the mask of the cells that hold run elements."""
-        u = self.rng.random((self.S, int(size.max())))[self.row]
-        return u, np.arange(u.shape[1]) < size[:, None]
+    def runs(self, size: np.ndarray) -> list:
+        """Each replica r's run of size[r] uniforms: its seed's row of one draw."""
+        u = self.rng.random((self.S, int(size.max())))
+        return [u[s, :m] for s, m in zip(self.row, size.tolist())]
 
     def uniforms(self, size: np.ndarray) -> np.ndarray:
         """One uniform per element of runs of the given sizes."""
-        if self.R == 1:  # the same draws without the table
-            return self.rng.random(int(size[0]))
-        u, cells = self.block(size)
-        return u[cells]
-
-    def below(self, size: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """One Bernoulli(p[r]) outcome per element of replica r's run: its
-        uniform (drawn as by `uniforms`) is below p[r]."""
         if self.R == 1:
-            return self.rng.random(int(size[0])) < p[0]
-        u, cells = self.block(size)
-        return (u < p[:, None])[cells]
+            return self.rng.random(int(size[0]))
+        return np.concatenate(self.runs(size))
+
+    def below(self, size: np.ndarray, p: np.ndarray):
+        """One Bernoulli(p[r]) outcome per element of replica r's run (its
+        uniform, as by `uniforms`, is below p[r]) and each run's successes."""
+        hits = [self.rng.random(int(size[0])) < p[0]] if self.R == 1 else \
+            [u < q for u, q in zip(self.runs(size), p.tolist())]
+        return np.concatenate(hits), np.array([np.count_nonzero(h) for h in hits])
 
     def split(self, quota: np.ndarray, size: np.ndarray):
         """Indexes of the first quota[r] elements of each replica r's run and
         of the rest."""
         if self.R == 1:
             return slice(0, quota[0]), slice(quota[0], None)
-        cols = np.arange(size.max())
-        head = (cols < quota[:, None])[cols < size[:, None]]
+        head = np.concatenate([np.arange(m) < q for q, m in zip(quota.tolist(), size.tolist())])
         return head, ~head
 
     def pick(self, quota: np.ndarray, size: np.ndarray) -> np.ndarray:
         """Mask of min(quota[r], size[r]) uniformly chosen elements of each
         replica r's run: those whose uniforms are at most the quota-th
-        smallest of the run."""
-        if self.R == 1:  # the same draws and set, by selection without the table
+        smallest of the run, one partition per run."""
+        if self.R == 1:  # the same draws and set, by selection without the row slices
             take = np.zeros(int(size[0]), dtype=bool)
             take[self.rng.random(len(take)).argpartition(quota[0] - 1)[:quota[0]]] = True
             return take
-        u, cells = self.block(size)
-        u[~cells] = 2.0  # above every uniform: padding is never picked
-        q = np.maximum(np.minimum(quota, size), 1) - 1
-        cut = np.partition(u, q, axis=1)[np.arange(self.R), q]
-        return (u <= np.where(quota > 0, cut, -1.0)[:, None])[cells]
+        return np.concatenate([u <= (np.partition(u, q - 1)[q - 1] if q else -1.0) for u, q in
+                               zip(self.runs(size), np.minimum(quota, size).tolist())])
 
 
 def _route(u: np.ndarray, seg: np.ndarray, sizes: np.ndarray, counts: np.ndarray):
@@ -461,80 +455,90 @@ def run_replicas(configs: list) -> list:
     strategic.  Each replica's ladder is padded to the batch's largest top,
     and request count, error rate, utility, discount and strategic verdict
     are its own (one analytic check per distinct strategic protocol and env).
-    Pool pass i routes each replica's i-th live pool, in its own sorted
-    column order.  Requests pair only with servers of their own replica;
-    altruist capacity, the deviant, the run-time checks and the traces are
-    per replica; a trace's arrays are views of the batch's.  The Python work
-    per period depends on pools and passes, not on the number of replicas.
+    Replicas that differ only in r, c and delta share one simulated run:
+    those price what the peers do and change none of it.  Pool pass i routes
+    each run's i-th live pool, in its own sorted column order.  Requests pair
+    only with servers of their own run; altruist capacity, the deviant, the
+    run-time checks and the traces are per run; a trace's arrays are views of
+    the batch's, and replicas sharing a run share its eta, counts and final
+    reputations.  The Python work per period depends on pools and passes,
+    not on the number of replicas.
     """
     if not configs:
         return []
     cfg = configs[0]
-    n, T, R = cfg.n_peers, cfg.n_periods, len(configs)
+    n, T = cfg.n_peers, cfg.n_periods
     if any((c.n_peers, c.n_periods, c.population_mix) != (n, T, cfg.population_mix)
            for c in configs):
         raise ValueError("replicas must share n_peers, n_periods and population_mix")
-    batch = _Batch([c.seed for c in configs], n)
-
     counts = cfg.kind_counts()
     kinds = np.repeat(np.arange(len(KIND_ORDER), dtype=np.int8), [counts[kd] for kd in KIND_ORDER])
+    protocols = {(c.protocol_flavor, c.params): c for c in configs}
+    protocols = {key: _pools(c, counts[PeerKind.RECIPROCATIVE] < n) for key, c in protocols.items()}
+    tops = [protocols[c.protocol_flavor, c.params][0] for c in configs]
+    reps = [np.array((0,) * n if c.init_reputations is None else c.init_reputations,
+                     dtype=np.int64) for c in configs]
+    if any(r.shape != (n,) or r.min() < 0 or r.max() > t for r, t in zip(reps, tops)):
+        raise ValueError("init_reputations must give every peer a reputation in range")
+    # strategic reciprocators free-ride where their protocol fails its check,
+    # made once per distinct protocol and env
+    cells = {(c.protocol_flavor, c.params, c.env): c for c in configs if c.strategic}
+    verdict = {cell: not sustained(c) for cell, c in cells.items()}
+    collapsed = [c.strategic and verdict[c.protocol_flavor, c.params, c.env] for c in configs]
+
+    # one run per distinct dynamics: everything the period loop reads
+    groups = {}
+    run_of = [groups.setdefault((c.seed, c.init_reputations, c.deviant_policy, c.protocol_flavor,
+                                 c.params, c.env.eps, c.requests_per_peer, down), len(groups))
+              for c, down in zip(configs, collapsed)]
+    first = [run_of.index(g) for g in range(len(groups))]
+    runs, R = [configs[i] for i in first], len(first)
+    spread = slice(None) if R == len(configs) else run_of  # each replica's run row
+    batch = _Batch([c.seed for c in runs], n)
     replica = np.arange(R * n) // n
     recip_mask = np.tile(kinds == _K_RECIP, R)
     alt_ids, mal_ids = (np.flatnonzero(np.tile(kinds == code, R)) for code in (_K_ALT, _K_MAL))
 
     # each protocol's tables and pools, padded to the batch's largest top:
-    # nobody stands above a replica's own top, so padding is never read
-    distinct = {(c.protocol_flavor, c.params): c for c in configs}
-    others = bool(len(mal_ids) or len(alt_ids))
-    protocols = {key: _pools(c, others) for key, c in distinct.items()}
-    tables = [protocols[c.protocol_flavor, c.params] for c in configs]
-    tops = [tab[0] for tab in tables]
+    # nobody stands above a run's own top, so padding is never read
+    tables = [protocols[c.protocol_flavor, c.params] for c in runs]
     top = max(tops)
     keep_prob, pool_of = np.zeros((R, top + 1)), np.zeros((R, top + 1), dtype=np.int64)
     pass_cols = np.zeros((max(len(tab[3]) for tab in tables), R, top + 1), dtype=bool)
     for r, (top_r, keep_r, pool_r, cols_r) in enumerate(tables):
         keep_prob[r, :top_r + 1], pool_of[r, :top_r + 1] = keep_r, pool_r
         pass_cols[:len(cols_r), r, :top_r + 1] = cols_r
-    k = np.array([c.requests_per_peer for c in configs])
+    k = np.array([c.requests_per_peer for c in runs])
     # dead pools exist only when every peer is reciprocative, so each rung's
     # histogram count times k is its requests
     dead = (pool_of < 0) * k[:, None] if (pool_of < 0).any() else None
     keep_prob, pool_of = keep_prob.ravel(), pool_of.ravel()
     pass_cols = pass_cols.reshape(len(pass_cols), -1)
     forgiving = keep_prob.any()
-    top_of = np.array(tops)[replica]
-    top_alt = top_of[alt_ids]
+    top_of = np.array([tab[0] for tab in tables])[replica]
+    top_alt, rep_slot = top_of[alt_ids], replica * (top + 1)
 
-    rep_slot, kind_slot = replica * (top + 1), replica * len(KIND_ORDER) + np.tile(kinds, R)
-    reps = [np.array((0,) * n if c.init_reputations is None else c.init_reputations,
-                     dtype=np.int64) for c in configs]
-    if any(r.shape != (n,) or r.min() < 0 or r.max() > t for r, t in zip(reps, tops)):
-        raise ValueError("init_reputations must give every peer a reputation in range")
-    rep = np.concatenate(reps)
+    rep = np.concatenate([reps[i] for i in first])
     rep[alt_ids] = top_alt  # altruists are pinned at the top rung
-
-    # strategic reciprocators free-ride where their protocol fails its check,
-    # made once per distinct protocol and env
-    cells = {(c.protocol_flavor, c.params, c.env): c for c in configs if c.strategic}
-    verdict = {cell: not sustained(c) for cell, c in cells.items()}
-    collapsed = [c.strategic and verdict[c.protocol_flavor, c.params, c.env] for c in configs]
-    refuse_base = recip_mask & np.array(collapsed)[replica]
-    deviants = [(r, c.deviant_policy) for r, c in enumerate(configs) if c.deviant_policy]
+    refuse_base = recip_mask & np.array([collapsed[i] for i in first])[replica]
+    deviants = [(r, c.deviant_policy) for r, c in enumerate(runs) if c.deviant_policy]
     if not all(0 <= d.peer_id < n and kinds[d.peer_id] == _K_RECIP for _, d in deviants):
         raise ValueError("deviant peer must be a reciprocative peer id")
     dev_ids = np.array([r * n + d.peer_id for r, d in deviants], dtype=np.int64)
     dev_window = np.array([d.window or (0, T) for _, d in deviants]).reshape(-1, 2)
 
-    eps = np.array([c.env.eps for c in configs])
-    # per-replica columns against (replica, peer) arrays
+    eps = np.array([c.env.eps for c in runs])
+    # per-replica columns against (replica, peer) arrays: each replica prices
+    # its run's deliveries and uploads
     gain, cost, delta = (np.array([[getattr(c.env, f)] for c in configs])
                          for f in ("r", "c", "delta"))
+    kind_slot = np.repeat(np.arange(len(configs)) * len(KIND_ORDER), n) + np.tile(kinds, len(configs))
     rep_counts = np.zeros((T, R * (top + 1)))
     count_series = np.zeros((T, len(COUNT_NAMES), R), dtype=np.int64)
     count_series[:, _EMITTED] = k * counts[PeerKind.RECIPROCATIVE]
-    util_sums = np.zeros((T, R * len(KIND_ORDER)))  # per-period utility summed by kind
-    discounted = np.zeros((R, n))
-    disc_weight = np.ones((R, 1))
+    util_sums = np.zeros((T, len(configs) * len(KIND_ORDER)))  # per-period utility summed by kind
+    discounted = np.zeros((len(configs), n))
+    disc_weight = np.ones((len(configs), 1))
 
     # requests: every reciprocative peer wants k chunks each period
     clients = np.repeat(np.flatnonzero(recip_mask), k[replica[recip_mask]])
@@ -603,7 +607,7 @@ def run_replicas(configs: list) -> list:
                             if drop:
                                 nr = nr - batch.count(part_seg[drop])
                                 tally[_UNSERVED] += n_req[g] - nr
-                                part, part_seg, srv = (np.delete(a, drop) for a in (part, part_seg, srv))
+                                part, srv = np.delete(part, drop), np.delete(srv, drop)
                         else:  # altruists: distinct slots, uniformly chosen if fewer than slots
                             slots = np.arange(len(alt_ids)).repeat(alt_capacity)
                             room = alt_capacity.reshape(R, -1).sum(axis=1)
@@ -616,13 +620,12 @@ def run_replicas(configs: list) -> list:
                                 nr = np.minimum(nr, room)
                                 head, tail = batch.split(nr, n_req[g])
                                 next_pending.append(part[tail])
-                                part, part_seg = part[head], part_seg[head]
+                                part = part[head]
                         # honest upload attempt: cost now, then the connectivity
                         # lottery, iid Bernoulli(eps) per upload
                         sent.append(srv)
-                        err = batch.below(nr, eps)
+                        err, n_err = batch.below(nr, eps)
                         got.append(part[~err])
-                        n_err = batch.count(part_seg[err])
                         tally[_SERVED] += nr - n_err
                         tally[_ERRORED] += n_err
                         if g == _RECIP:  # altruists are pinned regardless of errors
@@ -633,9 +636,9 @@ def run_replicas(configs: list) -> list:
                     pending = pending[batch.seg(pending).argsort(kind="stable")]
                 refusing, sizes[_REFUSE] = refusing[:0], 0  # refusers are skipped on redirect
 
-        util = (gain * np.bincount(np.concatenate(got), minlength=R * n).reshape(R, n)
-                - cost * np.bincount(np.concatenate(sent), minlength=R * n).reshape(R, n))
-        util_sums[t] = np.bincount(kind_slot, weights=util.ravel(), minlength=R * len(KIND_ORDER))
+        util = (gain * np.bincount(np.concatenate(got), minlength=R * n).reshape(R, n)[spread]
+                - cost * np.bincount(np.concatenate(sent), minlength=R * n).reshape(R, n)[spread])
+        util_sums[t] = np.bincount(kind_slot, weights=util.ravel(), minlength=util_sums.shape[1])
         discounted += disc_weight * util
         disc_weight *= delta
         kept = clients[:0]
@@ -645,25 +648,25 @@ def run_replicas(configs: list) -> list:
         rep = _reputation_update(rep, x, kept, top_of)
         rep[alt_ids] = top_alt
 
-    # the traces hold disjoint views of the batch's arrays: copying them would
-    # hold every series twice while the traces are built
+    # the traces hold views of the batch's arrays: copying them would hold
+    # every series twice while the traces are built
     rep_counts /= n
     eta = rep_counts.reshape(T, R, top + 1)
-    util_sums = util_sums.reshape(T, R, len(KIND_ORDER))
+    util_sums = util_sums.reshape(T, len(configs), len(KIND_ORDER))
     rep = rep.reshape(R, n)
     traces = []
-    for r, config in enumerate(configs):
-        env, top_r = config.env, tops[r]
+    for i, (config, g, top_r) in enumerate(zip(configs, run_of, tops)):
+        env = config.env
         u_max = config.requests_per_peer * max(env.r, env.c)
         tail = 0.0 if env.delta == 0.0 else (env.delta ** T) * u_max / (1.0 - env.delta)
-        series = dict(zip(COUNT_NAMES, count_series[:, :, r].T))
-        eta_r = eta[:, r, :top_r + 1]
-        _check_invariants(series, eta_r, rep[r][kinds == _K_ALT], top_r)
+        series = dict(zip(COUNT_NAMES, count_series[:, :, g].T))
+        eta_r = eta[:, g, :top_r + 1]
+        _check_invariants(series, eta_r, rep[g][kinds == _K_ALT], top_r)
         labels = _kind_labels(config.protocol_flavor)
-        mean_utility = {labels[code]: util_sums[:, r, code] / counts[kind]
+        mean_utility = {labels[code]: util_sums[:, i, code] / counts[kind]
                         for code, kind in enumerate(KIND_ORDER) if counts[kind] > 0}
-        traces.append(SimTrace(config, top_r, eta_r, series, mean_utility, discounted[r],
-                               rep[r], kinds, tail, collapsed[r]))
+        traces.append(SimTrace(config, top_r, eta_r, series, mean_utility, discounted[i],
+                               rep[g], kinds, tail, collapsed[i]))
     return traces
 
 

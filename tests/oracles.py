@@ -10,7 +10,9 @@ two-constraint reduction, tit-for-tat's verdict by its hand-derived two-state
 closed form instead of the check on its ladder row, the harsh-punishment
 service slack by its closed form instead of the check, and the simulator's
 self-service fix by trying every reassignment of a pool's servers instead of
-swapping clashes away.  The
+swapping clashes away, a bracket search by halving one point at a time
+instead of checking several halvings per call, and a batch's uniform pick by
+ranking each replica's row instead of partitioning it.  The
 scalar decision rules at the end (one server, one client, one peer at a time)
 are the reference for the simulator's vectorised service table and
 reputation update.
@@ -178,6 +180,32 @@ def fewest_self_service_drops(clients, servers) -> int:
     best = max(sum(c != s for c, s in zip(clients, order))
                for order in set(itertools.permutations(servers)))
     return len(clients) - best
+
+
+def serial_bisect(ok, lo: float, hi: float, tol: float):
+    """Halve [lo, hi] to width tol one midpoint at a time, keeping ok(lo) and
+    not ok(hi); returns the bracket and the number of halvings."""
+    halvings = 0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+        halvings += 1
+    return lo, hi, halvings
+
+
+def pick_by_rank(table: np.ndarray, rows, quota, size) -> np.ndarray:
+    """The replicas' picks laid end to end: replica r's run is the first
+    size[r] uniforms of its table row rows[r], and it picks the min(quota[r],
+    size[r]) smallest of them."""
+    masks = []
+    for row, q, m in zip(rows, quota, size):
+        mask = np.zeros(m, dtype=bool)
+        mask[np.argsort(table[row, :m], kind="stable")[:q]] = True
+        masks.append(mask)
+    return np.concatenate(masks)
 
 
 class Action(enum.Enum):

@@ -22,7 +22,7 @@ from normforge import (
 )
 
 from normforge import designer, incentives
-from normforge.incentives import BISECT_TOL_BETA
+from normforge.incentives import BISECT_DEPTH, BISECT_TOL_BETA
 from oracles import brute_force_equilibrium
 from test_acceptance import _enumerate_beta_grid, _enumerate_osne
 
@@ -337,15 +337,21 @@ def test_one_evaluator_call_per_block(count_calls, monkeypatch):
         """Scan calls of one forgiveness search, after bounding its
         refinement calls: a scan block holds whole beta columns, more than
         two points; the winner's refinement checks both ends of its grid cell
-        in one call, one beta per halving of the cell, then its utility (a
-        block of one)."""
+        in one call, then bisects the cell BISECT_DEPTH halvings per call, at
+        most 2**BISECT_DEPTH - 1 betas each, then checks its utility (a block
+        of one)."""
         sizes.clear()
         calls.update(check_equilibrium=0)
         solve(spec)
         assert calls["check_equilibrium"] == 1
-        scan = sum(n > 2 for n in sizes)
-        assert 2 <= len(sizes) - scan <= 2 + ceil(log2(spec.beta_grid / BISECT_TOL_BETA))
-        return scan
+        edge = len(sizes) - 1 - sizes[::-1].index(2)  # the refinement's first call
+        column = round(1.0 / spec.beta_grid) + 1
+        assert all(n > 2 and n % column == 0 for n in sizes[:edge])
+        halvings = ceil(log2(spec.beta_grid / BISECT_TOL_BETA))
+        *bisect, utility = sizes[edge + 1:]
+        assert utility == 1 and 1 <= len(bisect) <= ceil(halvings / BISECT_DEPTH)
+        assert max(bisect) <= 2 ** BISECT_DEPTH - 1
+        return edge
 
     # every vector's (b, beta) cells share one block stream: OSNE_VPS's
     # C(6, 3) - 1 = 19 vectors x 4 b = 76 cells of 5 betas fit one block of

@@ -1,4 +1,5 @@
 import itertools
+from math import ceil
 
 import numpy as np
 import pytest
@@ -26,9 +27,10 @@ from normforge import (
     upload_cost_profile,
 )
 
+from normforge.incentives import BISECT_DEPTH, _bisect
 from normforge.model import point_of
-from oracles import (brute_force_equilibrium, smallest_feasible_h_o, uniform_service_slack,
-                     utilities_dense, value_iterate_v_inf)
+from oracles import (brute_force_equilibrium, serial_bisect, smallest_feasible_h_o,
+                     uniform_service_slack, utilities_dense, value_iterate_v_inf)
 
 
 def env(**kw):
@@ -87,7 +89,7 @@ class TestOnePeriodUtilities:
         q = upload_cost_profile(p, e, dist)
         assert q[1] > q[2] > 0
         # total upload cost matches total served volume
-        eligible = dist.eta[p.client_eligibility:].sum()
+        eligible = dist.eta[p.m_o[0]:].sum()
         assert dist.eta[1:] @ q[1:] == pytest.approx(e.c * e.lam * 2 * eligible)
 
 
@@ -412,6 +414,30 @@ def test_baseline_closed_forms_reject_mixed_populations(threshold, mix):
     # (L=4, h_o=2, b=8) fails check_equilibrium at that env
     with pytest.raises(ValueError, match="all-reciprocative"):
         threshold(env(**mix))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(lo=st.floats(-2.0, 2.0), width=st.floats(1e-6, 4.0), frac=st.floats(1e-9, 1.0),
+       edge=st.floats(0.0, 1.0), mod=st.integers(2, 7), monotone=st.booleans())
+def test_bisect_is_serial_halving_in_fewer_calls(lo, width, frac, edge, mod, monotone):
+    # any predicate, monotone or not (a rule on the float's bits): the
+    # bracket is the one halving one midpoint at a time finds, bit for bit
+    hi, tol = lo + width, width * frac
+
+    def ok(x):
+        return x <= lo + edge * width if monotone else int(np.float64(x).view(np.uint64)) % mod > 0
+
+    calls = []
+
+    def passes(values):
+        calls.append(len(values))
+        return np.array([ok(x) for x in values])
+
+    want_lo, want_hi, halvings = serial_bisect(ok, lo, hi, tol)
+    got = _bisect(passes, lo, hi, tol)
+    assert [x.hex() for x in got] == [want_lo.hex(), want_hi.hex()]
+    assert len(calls) == ceil(halvings / BISECT_DEPTH)
+    assert all(1 <= n <= 2 ** BISECT_DEPTH - 1 for n in calls)
 
 
 class TestMaxForgiveness:

@@ -22,8 +22,8 @@ from normforge import (
     stationary_for_regime,
     tft_sustainable,
 )
-from oracles import (Action, fewest_self_service_drops, reputation_update, social_strategy,
-                     tft_closed_form)
+from oracles import (Action, fewest_self_service_drops, pick_by_rank, reputation_update,
+                     social_strategy, tft_closed_form)
 
 
 def env(**kw):
@@ -453,6 +453,101 @@ class TestReplicas:
         traces = sim.run_replicas(cfgs)
         shuffled = sim.run_replicas([cfgs[i] for i in perm])
         assert [t.to_json() for t in shuffled] == [traces[i].to_json() for i in perm]
+
+
+def _trace_arrays(trace) -> tuple:
+    """Every array and number of a trace, config aside."""
+    return (_outcomes(trace), trace.top_rep, trace.truncation_bound, trace.collapsed,
+            trace.kinds.tolist())
+
+
+def _priced(cfg, *changes):
+    """Variants of cfg that differ only in r, c and delta, each keeping cfg's
+    strategic verdict."""
+    variants = [cfg.replace(env=cfg.env.replace(**kw)) for kw in changes]
+    if cfg.strategic:
+        assert all(sim.sustained(v) == sim.sustained(cfg) for v in variants)
+    return variants
+
+
+@pytest.fixture
+def batch_sizes(monkeypatch):
+    """The number of runs of every _Batch made."""
+    sizes = []
+    monkeypatch.setattr(sim, "_Batch", lambda seeds, n, _make=sim._Batch:
+                        sizes.append(len(seeds)) or _make(seeds, n))
+    return sizes
+
+
+class TestPayoffOnlyReplicas:
+    PRICES = (dict(r=1.3), dict(c=0.12), dict(delta=0.9), dict(r=2.0, c=0.15, delta=0.6))
+
+    @pytest.mark.parametrize("mix", TestReplicas.MIXES)
+    @pytest.mark.parametrize("kind", ["plain", "sustained", "collapsed", "tft"])
+    def test_variants_replay_their_own_runs(self, mix, kind, batch_sizes):
+        # r, c and delta only price what the peers do: variants of one config
+        # share its run, and each one's trace is its batch of one, array for array
+        base = config(n_peers=80, n_periods=40, seed=5, population_mix=mix,
+                      params=ProtocolParams(L=3, h_o=1, b=2, beta=0.0 if mix else 0.4))
+        base = {"plain": base, "sustained": base.replace(strategic=True, env=env(c=0.1)),
+                "collapsed": base.replace(strategic=True, env=env(c=0.9, delta=0.3)),
+                "tft": base.replace(protocol_flavor="TFT", strategic=True)}[kind]
+        prices = self.PRICES if kind != "collapsed" else (dict(r=1.3), dict(c=0.95), dict(delta=0.2))
+        variants = _priced(base, *prices)
+        traces = sim.run_replicas([base, *variants])
+        assert batch_sizes == [1]
+        for variant, trace in zip(variants, traces[1:]):
+            assert _trace_arrays(trace) == _trace_arrays(sim.run_replicas([variant])[0])
+        assert all(t.collapsed == (kind == "collapsed") for t in traces)
+
+    @pytest.mark.parametrize("mix", TestReplicas.MIXES)
+    def test_variants_leave_the_batch_unchanged(self, mix, batch_sizes):
+        # a heterogeneous batch: TFT, social L=3 and L=4 with beta > 0, a
+        # collapsed and a sustained strategic replica
+        cfgs = TestReplicas.mixed_batch(mix)
+        tft, _, forgiving, collapsed, sustained = cfgs
+        variants = [*_priced(tft, dict(r=1.5, c=0.4)), *_priced(forgiving, dict(delta=0.5)),
+                    *_priced(collapsed, dict(c=0.95), dict(r=1.2, delta=0.85)),
+                    *_priced(sustained, dict(c=0.05, delta=0.85))]
+        alone = sim.run_replicas(cfgs)
+        together = sim.run_replicas(cfgs + variants)
+        assert batch_sizes == [len(cfgs)] * 2
+        assert [t.to_json() for t in together[:len(cfgs)]] == [t.to_json() for t in alone]
+
+    def test_a_verdict_flip_or_a_request_count_is_its_own_run(self, batch_sizes):
+        base = config(n_peers=80, n_periods=40, seed=5, strategic=True, env=env(c=0.1))
+        same, flip = base.replace(env=env(c=0.15, r=1.1)), base.replace(env=env(c=0.9))
+        assert sim.sustained(base) and sim.sustained(same) and not sim.sustained(flip)
+        traces = sim.run_replicas([base, same, flip])
+        assert batch_sizes == [2]
+        assert [t.collapsed for t in traces] == [False, False, True]
+        assert traces[2].counts["served_by_recip"].sum() == 0 < traces[0].counts["served_by_recip"].sum()
+        # lam enters the loop only through round(lam * b) = 2, 2 and 3 requests
+        plain = base.replace(strategic=False)
+        traces = sim.run_replicas([plain.replace(env=env(c=0.1, lam=lam)) for lam in (1.0, 1.1, 1.4)])
+        assert batch_sizes[1:] == [2]
+        assert [t.counts["emitted"][0] for t in traces] == [160, 160, 240]
+
+
+class TestBatchDraws:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), R=st.integers(1, 30))
+    def test_pick_is_the_rank_oracle(self, data, R):
+        # repeated seeds share a row; quotas of 0, inside the run and at or
+        # above its size (a single run is only asked for quotas inside it)
+        seeds = data.draw(st.lists(st.integers(0, 3), min_size=R, max_size=R))
+        size = np.array(data.draw(st.lists(st.integers(2 if R == 1 else 0, 12),
+                                           min_size=R, max_size=R)))
+        quota = np.array([data.draw(st.integers(1, m - 1) if R == 1 else st.integers(0, m + 2))
+                          for m in size.tolist()])
+        distinct = list(dict.fromkeys(seeds))
+        rows = [distinct.index(s) for s in seeds]
+        batch, twin = sim._Batch(seeds, 20), sim._Batch(seeds, 20)
+        for _ in range(2):  # the second pick reads the stream where the first left it
+            table = twin.rng.random((len(distinct), int(size.max())))
+            want = pick_by_rank(table, rows, np.minimum(quota, size).tolist(), size.tolist())
+            assert batch.pick(quota, size).tolist() == want.tolist()
+            size = size[::-1].copy() if R > 1 else size
 
 
 class TestScalarOracles:
