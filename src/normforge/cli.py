@@ -152,19 +152,25 @@ def _built(field: str, make, errors=(TypeError, ValueError)):
         raise CliError(field, str(exc))
 
 
-def _build_env(section: dict, check: bool = True) -> NetworkEnv:
-    if check:
-        _check_fields(section, "env", "environment", ("r", "c", "eps", "lambda", "delta"), ENV_FIELDS)
+def _env_of(section: dict) -> NetworkEnv:
     return _built("env", lambda: NetworkEnv(**{"lam" if name == "lambda" else name: float(value)
                                                for name, value in section.items()}))
 
 
-def _build_params(section: dict, check: bool = True) -> ProtocolParams:
-    if check:
-        _check_fields(section, "params", "protocol", ("L", "h_o", "b"), (*PARAM_TYPES, "m_o"))
+def _params_of(section: dict) -> ProtocolParams:
     return _built("params", lambda: ProtocolParams(
         **{name: kind(section[name]) for name, kind in PARAM_TYPES.items() if name in section},
         m_o=section.get("m_o")))
+
+
+def _build_env(section: dict) -> NetworkEnv:
+    _check_fields(section, "env", "environment", ("r", "c", "eps", "lambda", "delta"), ENV_FIELDS)
+    return _env_of(section)
+
+
+def _build_params(section: dict) -> ProtocolParams:
+    _check_fields(section, "params", "protocol", ("L", "h_o", "b"), (*PARAM_TYPES, "m_o"))
+    return _params_of(section)
 
 
 def _build_design(section: dict, env: NetworkEnv) -> DesignSpec:
@@ -245,10 +251,9 @@ def _analyze_payloads(pairs):
                        "recip_utility_effective": np.where(
                            holds, [eta @ v for eta, v in zip(recip, v_one)], v_one[:, 0]),
                        **{name: getattr(rep, name) for name in REPORT_FIELDS}}
-            columns = {name: col.tolist() for name, col in columns.items()}
             for j, (params, env) in enumerate(block):
                 yield {"env": env.to_dict(), "params": params.to_dict(),
-                       **{name: col[j] for name, col in columns.items()}}
+                       **{name: col[j].tolist() for name, col in columns.items()}}
 
 
 ANALYZE_COLUMNS = [
@@ -357,13 +362,15 @@ def cmd_sweep(args) -> int:
         if not sc["params"]:
             raise CliError("params", "sweep in analyze mode needs a params section")
 
-        def points():
+        def points():  # later points differ from the first only in (float) axis values
             for i, values in enumerate(grid):
                 env_sec, par_sec = _apply_point(sc["env"], sc["params"], names, values)
-                if i:  # later points differ from the first only in (float) axis values
-                    _check_fields({k: v for k, v in par_sec.items() if k in names},
-                                  "params", "protocol", (), PARAM_TYPES)
-                yield _build_params(par_sec, check=not i), _build_env(env_sec, check=not i)
+                if not i:
+                    yield _build_params(par_sec), _build_env(env_sec)
+                    continue
+                _check_fields({k: v for k, v in par_sec.items() if k in names},
+                              "params", "protocol", (), PARAM_TYPES)
+                yield _params_of(par_sec), _env_of(env_sec)
 
         payloads = _analyze_payloads(points())
         header = [f"axis_{n}" for n in names] + ANALYZE_COLUMNS

@@ -271,11 +271,11 @@ class _Batch:
     its elements with their replica.  A draw site takes one draw u shaped
     (distinct seeds, longest run) and replica r's run reads its slice
     u[row[r], :size[r]], so replicas with the same seed draw alike while
-    their states agree.  With one replica, `count`, `uniforms`, `below`,
-    `split`, `pick` and `_route` give the same values and draws without the
-    slices and the per-element replica labels, which cost a single run a few
-    percent more.  The stream is PCG64, which makes doubles faster than
-    Philox."""
+    their states agree; the slicing is a Python loop over the replicas.
+    With one replica, `count`, `uniforms`, `below`, `split`, `pick` and
+    `_route` give the same values and draws without the slices and the
+    per-element replica labels, which cost a single run a few percent more.
+    The stream is PCG64, which makes doubles faster than Philox."""
 
     def __init__(self, seeds: list, n: int):
         distinct = list(dict.fromkeys(seeds))
@@ -302,9 +302,7 @@ class _Batch:
 
     def uniforms(self, size: np.ndarray) -> np.ndarray:
         """One uniform per element of runs of the given sizes."""
-        if self.R == 1:
-            return self.rng.random(int(size[0]))
-        return np.concatenate(self.runs(size))
+        return self.rng.random(int(size[0])) if self.R == 1 else np.concatenate(self.runs(size))
 
     def below(self, size: np.ndarray, p: np.ndarray):
         """One Bernoulli(p[r]) outcome per element of replica r's run (its
@@ -325,12 +323,9 @@ class _Batch:
         """Mask of min(quota[r], size[r]) uniformly chosen elements of each
         replica r's run: those whose uniforms are at most the quota-th
         smallest of the run, one partition per run."""
-        if self.R == 1:  # the same draws and set, by selection without the row slices
-            take = np.zeros(int(size[0]), dtype=bool)
-            take[self.rng.random(len(take)).argpartition(quota[0] - 1)[:quota[0]]] = True
-            return take
-        return np.concatenate([u <= (np.partition(u, q - 1)[q - 1] if q else -1.0) for u, q in
-                               zip(self.runs(size), np.minimum(quota, size).tolist())])
+        runs = [self.rng.random(int(size[0]))] if self.R == 1 else self.runs(size)
+        return np.concatenate([u <= (np.partition(u, q - 1)[q - 1] if q else -1.0)
+                               for u, q in zip(runs, np.minimum(quota, size).tolist())])
 
 
 def _route(u: np.ndarray, seg: np.ndarray, sizes: np.ndarray, counts: np.ndarray):
@@ -461,8 +456,8 @@ def run_replicas(configs: list) -> list:
     only with servers of their own run; altruist capacity, the deviant, the
     run-time checks and the traces are per run; a trace's arrays are views of
     the batch's, and replicas sharing a run share its eta, counts and final
-    reputations.  The Python work per period depends on pools and passes,
-    not on the number of replicas.
+    reputations.  The Python work per period grows with pools and passes,
+    and at each draw site with the number of runs.
     """
     if not configs:
         return []
@@ -493,7 +488,6 @@ def run_replicas(configs: list) -> list:
               for c, down in zip(configs, collapsed)]
     first = [run_of.index(g) for g in range(len(groups))]
     runs, R = [configs[i] for i in first], len(first)
-    spread = slice(None) if R == len(configs) else run_of  # each replica's run row
     batch = _Batch([c.seed for c in runs], n)
     replica = np.arange(R * n) // n
     recip_mask = np.tile(kinds == _K_RECIP, R)
@@ -528,8 +522,7 @@ def run_replicas(configs: list) -> list:
     dev_window = np.array([d.window or (0, T) for _, d in deviants]).reshape(-1, 2)
 
     eps = np.array([c.env.eps for c in runs])
-    # per-replica columns against (replica, peer) arrays: each replica prices
-    # its run's deliveries and uploads
+    # per-replica columns against (replica, peer) arrays: each prices its run
     gain, cost, delta = (np.array([[getattr(c.env, f)] for c in configs])
                          for f in ("r", "c", "delta"))
     kind_slot = np.repeat(np.arange(len(configs)) * len(KIND_ORDER), n) + np.tile(kinds, len(configs))
@@ -636,8 +629,8 @@ def run_replicas(configs: list) -> list:
                     pending = pending[batch.seg(pending).argsort(kind="stable")]
                 refusing, sizes[_REFUSE] = refusing[:0], 0  # refusers are skipped on redirect
 
-        util = (gain * np.bincount(np.concatenate(got), minlength=R * n).reshape(R, n)[spread]
-                - cost * np.bincount(np.concatenate(sent), minlength=R * n).reshape(R, n)[spread])
+        util = (gain * np.bincount(np.concatenate(got), minlength=R * n).reshape(R, n)[run_of]
+                - cost * np.bincount(np.concatenate(sent), minlength=R * n).reshape(R, n)[run_of])
         util_sums[t] = np.bincount(kind_slot, weights=util.ravel(), minlength=util_sums.shape[1])
         discounted += disc_weight * util
         disc_weight *= delta

@@ -534,12 +534,10 @@ class TestBatchDraws:
     @given(data=st.data(), R=st.integers(1, 30))
     def test_pick_is_the_rank_oracle(self, data, R):
         # repeated seeds share a row; quotas of 0, inside the run and at or
-        # above its size (a single run is only asked for quotas inside it)
+        # above its size, for one run and for many
         seeds = data.draw(st.lists(st.integers(0, 3), min_size=R, max_size=R))
-        size = np.array(data.draw(st.lists(st.integers(2 if R == 1 else 0, 12),
-                                           min_size=R, max_size=R)))
-        quota = np.array([data.draw(st.integers(1, m - 1) if R == 1 else st.integers(0, m + 2))
-                          for m in size.tolist()])
+        size = np.array(data.draw(st.lists(st.integers(0, 12), min_size=R, max_size=R)))
+        quota = np.array([data.draw(st.integers(0, m + 2)) for m in size.tolist()])
         distinct = list(dict.fromkeys(seeds))
         rows = [distinct.index(s) for s in seeds]
         batch, twin = sim._Batch(seeds, 20), sim._Batch(seeds, 20)
@@ -547,7 +545,7 @@ class TestBatchDraws:
             table = twin.rng.random((len(distinct), int(size.max())))
             want = pick_by_rank(table, rows, np.minimum(quota, size).tolist(), size.tolist())
             assert batch.pick(quota, size).tolist() == want.tolist()
-            size = size[::-1].copy() if R > 1 else size
+            size = size[::-1].copy()
 
 
 class TestScalarOracles:
