@@ -231,11 +231,16 @@ def _csv_cell(value):
 # ------------------------------------------------------------------ commands
 
 REPORT_FIELDS = ("serve_slack", "refuse_slack", "per_theta_slacks", "is_equilibrium")
+POINT_COLUMNS = ["r", "c", "eps", "lambda", "delta", "p_c", "p_d", "L", "h_o", "b", "beta", "m_o"]
+RESULT_COLUMNS = ["alpha", "mu", "eta", "v_one", "v_inf",
+                  "social_utility", "social_utility_effective", "recip_utility_effective",
+                  "serve_slack", "refuse_slack", "is_equilibrium"]
+ANALYZE_COLUMNS = POINT_COLUMNS + RESULT_COLUMNS
 
 
-def _analyze_payloads(pairs):
-    """Yield each (params, env) point's analyze payload, checked in blocks
-    whose fields are read as columns, each row converted on its own."""
+def _checked_blocks(pairs):
+    """Yield each block of (params, env) points that one evaluator call
+    checks, with the block's analyze fields as columns of Python values."""
     for L, run in itertools.groupby(pairs, key=lambda pair: pair[0].L):
         for block in blocks(list(run), L):
             points = Points.of([p for p, _ in block], [e for _, e in block])
@@ -251,33 +256,28 @@ def _analyze_payloads(pairs):
                        "recip_utility_effective": np.where(
                            holds, [eta @ v for eta, v in zip(recip, v_one)], v_one[:, 0]),
                        **{name: getattr(rep, name) for name in REPORT_FIELDS}}
-            for j, (params, env) in enumerate(block):
-                yield {"env": env.to_dict(), "params": params.to_dict(),
-                       **{name: col[j].tolist() for name, col in columns.items()}}
+            yield block, {name: col.tolist() for name, col in columns.items()}
 
 
-ANALYZE_COLUMNS = [
-    "r", "c", "eps", "lambda", "delta", "p_c", "p_d",
-    "L", "h_o", "b", "beta", "m_o",
-    "alpha", "mu", "eta", "v_one", "v_inf",
-    "social_utility", "social_utility_effective", "recip_utility_effective",
-    "serve_slack", "refuse_slack", "is_equilibrium",
-]
-
-
-def _analyze_csv_row(payload: dict) -> list:
-    flat = {**payload, **payload["env"], **payload["params"]}
-    return [_csv_cell(flat[name]) for name in ANALYZE_COLUMNS]
+def _analyze_rows(block, columns):
+    """A checked block's CSV rows (ANALYZE_COLUMNS): each point's fields,
+    then its result columns."""
+    results = zip(*(map(_csv_cell, columns[name]) for name in RESULT_COLUMNS))
+    for (params, env), result in zip(block, results):
+        point = {**env.to_dict(), **params.to_dict()}
+        yield [_csv_cell(point[name]) for name in POINT_COLUMNS] + list(result)
 
 
 def cmd_analyze(args) -> int:
     sc = _scenario(args)
     env = _build_env(sc["env"])
     params = _build_params(sc["params"])
-    payload = next(_analyze_payloads([(params, env)]))
+    [(block, columns)] = _checked_blocks([(params, env)])
+    payload = {"env": env.to_dict(), "params": params.to_dict(),
+               **{name: col[0] for name, col in columns.items()}}
     _emit_text(_json_text(payload), args.out or sc["output"].get("path"))
     if args.csv_out:
-        _emit_text(_csv_text(ANALYZE_COLUMNS, [_analyze_csv_row(payload)]), args.csv_out)
+        _emit_text(_csv_text(ANALYZE_COLUMNS, _analyze_rows(block, columns)), args.csv_out)
     return 0
 
 
@@ -285,8 +285,8 @@ def cmd_check(args) -> int:
     sc = _scenario(args)
     env = _build_env(sc["env"])
     params = _build_params(sc["params"])
-    payload = next(_analyze_payloads([(params, env)]))
-    _emit_text(_json_text({name: payload[name] for name in REPORT_FIELDS}),
+    [(_, columns)] = _checked_blocks([(params, env)])
+    _emit_text(_json_text({name: columns[name][0] for name in REPORT_FIELDS}),
                args.out or sc["output"].get("path"))
     return 0
 
@@ -362,20 +362,32 @@ def cmd_sweep(args) -> int:
         if not sc["params"]:
             raise CliError("params", "sweep in analyze mode needs a params section")
 
-        def points():  # later points differ from the first only in (float) axis values
-            for i, values in enumerate(grid):
-                env_sec, par_sec = _apply_point(sc["env"], sc["params"], names, values)
-                if not i:
-                    yield _build_params(par_sec), _build_env(env_sec)
-                    continue
-                _check_fields({k: v for k, v in par_sec.items() if k in names},
-                              "params", "protocol", (), PARAM_TYPES)
-                yield _params_of(par_sec), _env_of(env_sec)
+        par_axes = [j for j, name in enumerate(names) if name not in ENV_FIELDS]
+        env_axes = [j for j, name in enumerate(names) if name in ENV_FIELDS]
 
-        payloads = _analyze_payloads(points())
+        def points():
+            """Each point's (params, env), each distinct section built once:
+            the first point's by the builders, a later params section with
+            only its integer axes re-checked.  Params come before env at
+            every point, so a bad grid fails with its first bad point's error."""
+            params, envs = {}, {}
+            for i, values in enumerate(grid):
+                p_key = tuple(values[j] for j in par_axes)
+                if p_key not in params:
+                    fields = {names[j]: values[j] for j in par_axes}
+                    if i:
+                        _check_fields(fields, "params", "protocol", (), PARAM_TYPES)
+                    params[p_key] = (_params_of if i else _build_params)({**sc["params"], **fields})
+                e_key = tuple(values[j] for j in env_axes)
+                if e_key not in envs:
+                    fields = {names[j]: values[j] for j in env_axes}
+                    envs[e_key] = (_env_of if i else _build_env)({**sc["env"], **fields})
+                yield params[p_key], envs[e_key]
+
+        analyzed = (row for block, columns in _checked_blocks(points())
+                    for row in _analyze_rows(block, columns))
         header = [f"axis_{n}" for n in names] + ANALYZE_COLUMNS
-        rows = [list(values) + _analyze_csv_row(payload)
-                for values, payload in zip(grid, payloads)]
+        rows = [list(values) + row for values, row in zip(grid, analyzed)]
     else:
         searched = [name for name in names if name in PARAM_TYPES and name != "L"]
         if searched:

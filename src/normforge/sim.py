@@ -133,6 +133,13 @@ class SimConfig:
         return self.env.replace(p_c=counts[PeerKind.ALTRUISTIC] / self.n_peers,
                                 p_d=counts[PeerKind.MALICIOUS] / self.n_peers)
 
+    def utility_bound(self) -> float:
+        """A bound on any peer's |utility| in one period: a reciprocator
+        downloads at most its k = round(lam * b) requests, and a server
+        uploads at most all k * n_recip requests of its run."""
+        recips = self.kind_counts()[PeerKind.RECIPROCATIVE]
+        return self.requests_per_peer * (self.env.r + self.env.c * recips)
+
     def as_dict(self) -> dict:
         return {
             "n_peers": self.n_peers,
@@ -157,8 +164,9 @@ class SimTrace:
     Request outcomes partition per period into served / errored / corrupted /
     unserved; refusals count bounced contacts (they redirect, consuming no
     download slot).  discounted_utility accumulates delta**t * (benefit -
-    cost) per peer, truncated after n_periods with tail bound
-    truncation_bound.
+    cost) per peer, truncated after n_periods; truncation_bound,
+    delta**n_periods * utility_bound / (1 - delta), bounds what the periods
+    after the last would add to any peer's discounted utility.
     """
 
     config: SimConfig
@@ -169,8 +177,14 @@ class SimTrace:
     discounted_utility: np.ndarray   # (n_peers,)
     final_reputation: np.ndarray     # (n_peers,)
     kinds: np.ndarray                # (n_peers,) kind codes
-    truncation_bound: float
     collapsed: bool = False
+
+    @property
+    def truncation_bound(self) -> float:
+        delta = self.config.env.delta
+        if delta == 0.0:
+            return 0.0
+        return delta ** self.config.n_periods * self.config.utility_bound() / (1.0 - delta)
 
     def window_eta(self, last: int = None) -> np.ndarray:
         """Mean reputation histogram over the final `last` periods (default:
@@ -649,9 +663,6 @@ def run_replicas(configs: list) -> list:
     rep = rep.reshape(R, n)
     traces = []
     for i, (config, g, top_r) in enumerate(zip(configs, run_of, tops)):
-        env = config.env
-        u_max = config.requests_per_peer * max(env.r, env.c)
-        tail = 0.0 if env.delta == 0.0 else (env.delta ** T) * u_max / (1.0 - env.delta)
         series = dict(zip(COUNT_NAMES, count_series[:, :, g].T))
         eta_r = eta[:, g, :top_r + 1]
         _check_invariants(series, eta_r, rep[g][kinds == _K_ALT], top_r)
@@ -659,7 +670,7 @@ def run_replicas(configs: list) -> list:
         mean_utility = {labels[code]: util_sums[:, i, code] / counts[kind]
                         for code, kind in enumerate(KIND_ORDER) if counts[kind] > 0}
         traces.append(SimTrace(config, top_r, eta_r, series, mean_utility, discounted[i],
-                               rep[g], kinds, tail, collapsed[i]))
+                               rep[g], kinds, collapsed[i]))
     return traces
 
 
@@ -688,6 +699,15 @@ def measure_deviation_gain(config: SimConfig, theta: int, n_pairs: int = 30) -> 
     the deviation changes their states, so a deviant never asked to serve
     gains exactly 0.  Expected to be non-positive, up to noise, exactly when
     the protocol passes the check.
+
+    The batch runs min(H, n_periods) periods, where H is the first period at
+    which delta**H * utility_bound falls below 2**-64: no period from H on
+    adds more than that to a tagged utility.  The short batch stands only
+    if that is below an eighth of every tagged utility's float spacing, so
+    no later period could change it (a quarter is half the spacing of the
+    binade below; the other factor 2 covers the rounding of the weights);
+    otherwise the batch reruns at full length.  Either way the gain is the
+    full-length batch's, bit for bit.
     """
     if config.protocol_flavor != SOCIAL_NORM:
         raise ValueError("deviation measurement drives the social-norm flavor")
@@ -698,13 +718,19 @@ def measure_deviation_gain(config: SimConfig, theta: int, n_pairs: int = 30) -> 
     if config.kind_counts()[PeerKind.RECIPROCATIVE] < 1:
         raise ValueError("need at least one reciprocative peer to tag")
     dist = stationary_for_regime(config.params, config.analytic_env())
+    T, delta = config.n_periods, config.env.delta
+    H, tail = 1, config.utility_bound() * delta
+    while H < T and tail >= 2.0 ** -64:
+        H, tail = H + 1, tail * delta
     configs = []
     for i in range(n_pairs):
         seed_i = config.seed + i
         reps = _run_rng((seed_i,), 0xD5).choice(config.params.L + 1, size=config.n_peers, p=dist.eta)
         reps[0] = theta
-        base = config.replace(seed=seed_i, init_reputations=reps, deviant_policy=None)
+        base = config.replace(seed=seed_i, init_reputations=reps, deviant_policy=None, n_periods=H)
         configs += [base, base.replace(deviant_policy=DeviantPolicy(peer_id=0, window=(0, 1)))]
     traces = run_replicas(configs)
+    if H < T and any(tail >= np.spacing(abs(tr.discounted_utility[0])) / 8 for tr in traces):
+        traces = run_replicas([c.replace(n_periods=T) for c in configs])  # too small to settle
     return float(np.mean([dev.discounted_utility[0] - base.discounted_utility[0]
                           for base, dev in zip(traces[::2], traces[1::2])]))

@@ -11,8 +11,9 @@ closed form instead of the check on its ladder row, the harsh-punishment
 service slack by its closed form instead of the check, and the simulator's
 self-service fix by trying every reassignment of a pool's servers instead of
 swapping clashes away, a bracket search by halving one point at a time
-instead of checking several halvings per call, and a batch's uniform pick by
-ranking each replica's row instead of partitioning it.  The
+instead of checking several halvings per call, a batch's uniform pick by
+ranking each replica's row instead of partitioning it, and a deviation gain
+by running every period instead of stopping once the discount freezes it.  The
 scalar decision rules at the end (one server, one client, one peer at a time)
 are the reference for the simulator's vectorised service table and
 reputation update.
@@ -26,10 +27,14 @@ import itertools
 import numpy as np
 
 from normforge import (
+    DeviantPolicy,
     NetworkEnv,
     ProtocolParams,
+    SimConfig,
     error_punish_prob,
     one_period_utilities,
+    run_replicas,
+    sim,
     stationary_for_regime,
     transition_matrix,
 )
@@ -206,6 +211,24 @@ def pick_by_rank(table: np.ndarray, rows, quota, size) -> np.ndarray:
         mask[np.argsort(table[row, :m], kind="stable")[:q]] = True
         masks.append(mask)
     return np.concatenate(masks)
+
+
+def deviation_gain_full_horizon(config: SimConfig, theta: int, n_pairs: int) -> float:
+    """`measure_deviation_gain` as one batch of every pair run for all
+    n_periods, with no early stop: the same start reputations, deviant and
+    pairing, so it must give the same gain bit for bit."""
+    dist = stationary_for_regime(config.params, config.analytic_env())
+    configs = []
+    for i in range(n_pairs):
+        seed_i = config.seed + i
+        reps = sim._run_rng((seed_i,), 0xD5).choice(config.params.L + 1, size=config.n_peers,
+                                                     p=dist.eta)
+        reps[0] = theta
+        base = config.replace(seed=seed_i, init_reputations=reps, deviant_policy=None)
+        configs += [base, base.replace(deviant_policy=DeviantPolicy(peer_id=0, window=(0, 1)))]
+    traces = run_replicas(configs)
+    return float(np.mean([dev.discounted_utility[0] - base.discounted_utility[0]
+                          for base, dev in zip(traces[::2], traces[1::2])]))
 
 
 class Action(enum.Enum):

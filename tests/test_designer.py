@@ -233,6 +233,17 @@ class TestOsneAh:
         # the curve recovers after the dip before tailing off
         assert any(i > boundary for i in rises)
 
+    def test_free_service_deploys_no_altruists(self):
+        # at c = 0 altruists, who never request, only dilute the population's
+        # benefit, so the best design deploys none: p_c* = 0 exactly, never a
+        # fraction whose utility rounds up to the winner's
+        for eps, L, b_cap, pC_grid in itertools.product((0.0, 0.1, 0.5), (1, 2, 3), (1, 3),
+                                                        (0.01, 0.05, 0.25)):
+            spec = DesignSpec("OSNE_AH", L=L, b_cap=b_cap, env=env(c=0.0, eps=eps),
+                              pC_grid=pC_grid)
+            res = solve_osne_ah(spec)
+            assert res.feasible and res.pC_star == 0.0, spec
+
     def test_dispatcher_routes_all_problems(self):
         e = env()
         for problem in ("OSNE", "OSNE_VP", "OSNE_VPS", "OSNE_AH"):

@@ -22,8 +22,8 @@ from normforge import (
     stationary_for_regime,
     tft_sustainable,
 )
-from oracles import (Action, fewest_self_service_drops, pick_by_rank, reputation_update,
-                     social_strategy, tft_closed_form)
+from oracles import (Action, deviation_gain_full_horizon, fewest_self_service_drops,
+                     pick_by_rank, reputation_update, social_strategy, tft_closed_form)
 
 
 def env(**kw):
@@ -150,6 +150,15 @@ class TestAltruists:
         assert 0 < served_rate <= supply_bound + 0.02
 
 
+@pytest.fixture
+def batch_lengths(monkeypatch):
+    """The n_periods of every run_replicas batch run."""
+    lengths = []
+    monkeypatch.setattr(sim, "run_replicas", lambda configs, _run=sim.run_replicas:
+                        lengths.append(configs[0].n_periods) or _run(configs))
+    return lengths
+
+
 class TestDeviationMeasurement:
     def test_always_refusing_peer_earns_less(self):
         cfg = config(n_peers=300, n_periods=80, seed=31,
@@ -186,6 +195,32 @@ class TestDeviationMeasurement:
         cfg = config(n_peers=200, n_periods=50, seed=7, env=env(c=0.0))
         for theta in (0, 2, 3):
             assert measure_deviation_gain(cfg, theta=theta, n_pairs=10) <= 0
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(delta=st.sampled_from([0.0, 0.3, 0.5, 0.8]), c=st.sampled_from([0.2, 0.55]),
+           theta=st.integers(0, 3), seed=st.integers(0, 10 ** 6),
+           mix=st.sampled_from([{PeerKind.RECIPROCATIVE: 0.8, PeerKind.ALTRUISTIC: 0.2},
+                                {PeerKind.RECIPROCATIVE: 0.8, PeerKind.MALICIOUS: 0.2}]))
+    def test_gain_is_the_full_horizon_gain(self, delta, c, theta, seed, mix):
+        # of 80 periods, delta 0 runs 1, delta 0.3 about 40, delta 0.5 about
+        # 70, and delta 0.8 all of them
+        cfg = config(n_peers=40, n_periods=80, seed=seed, env=env(c=c, delta=delta),
+                     population_mix=mix)
+        gain = measure_deviation_gain(cfg, theta=theta, n_pairs=3)
+        assert repr(gain) == repr(deviation_gain_full_horizon(cfg, theta, 3))
+
+    def test_benchmark_setting_runs_one_short_batch(self, batch_lengths):
+        cfg = config(n_peers=200, n_periods=200, seed=7, env=env(c=0.55, delta=0.5))
+        measure_deviation_gain(cfg, theta=3, n_pairs=15)
+        assert len(batch_lengths) == 1 and batch_lengths[0] <= 72
+
+    def test_unsettled_utility_reruns_at_full_length(self, batch_lengths):
+        # utilities near 1e-12 have a float spacing far below 2**-64: the
+        # short batch cannot show that the later periods change nothing
+        cfg = config(n_peers=40, n_periods=60, seed=7, env=env(r=1e-12, c=0.0, delta=0.5))
+        gain = measure_deviation_gain(cfg, theta=3, n_pairs=3)
+        assert batch_lengths == [26, 60]
+        assert repr(gain) == repr(deviation_gain_full_horizon(cfg, 3, 3))
 
 
 class TestTft:
@@ -277,12 +312,16 @@ class TestTraceShape:
                           "recip_delivery_rate", "totals", "truncation_bound"}
         assert s["totals"]["emitted"] == 40 * 200 * 2
 
-    def test_truncation_bound_formula(self):
-        cfg = config(n_periods=40)
-        tr = run_sim(cfg)
-        k = cfg.requests_per_peer
-        want = 0.8 ** 40 * (k * 1.0) / (1 - 0.8)
-        assert tr.truncation_bound == pytest.approx(want)
+    def test_truncation_bound_bounds_the_tail(self):
+        # one top-rung server serves every client above rung 0, so a period
+        # can cost it far more than k uploads: a bound of k * max(r, c) is
+        # exceeded here
+        cfg = config(n_peers=300, n_periods=80, seed=3,
+                     params=ProtocolParams(L=3, h_o=3, b=2, m_o=(1,)),
+                     env=env(c=0.6, eps=0.3, delta=0.5))
+        full, prefix = run_sim(cfg), run_sim(cfg.replace(n_periods=10))
+        gap = np.abs(full.discounted_utility - prefix.discounted_utility).max()
+        assert 0 < gap <= prefix.truncation_bound
 
     @pytest.mark.parametrize("n, fracs, want", [
         (10, (0.35, 0.35, 0.3), (4, 3, 3)),   # tied remainders go in kind order
@@ -453,6 +492,27 @@ class TestReplicas:
         traces = sim.run_replicas(cfgs)
         shuffled = sim.run_replicas([cfgs[i] for i in perm])
         assert [t.to_json() for t in shuffled] == [traces[i].to_json() for i in perm]
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(mix=st.sampled_from(MIXES), flavor=st.sampled_from(["SocialNorm", "TFT"]),
+           params=st.sampled_from([ProtocolParams(L=3, h_o=1, b=2),
+                                   ProtocolParams(L=3, h_o=2, b=2, beta=0.6),
+                                   ProtocolParams(L=4, h_o=2, b=3, m_o=(1, 2, 3))]),
+           window=st.sampled_from([None, (0, 1), (3, 9)]), peer=st.booleans(),
+           seed=st.integers(0, 10 ** 6), H=st.integers(1, 30))
+    def test_a_shorter_run_is_the_prefix_of_a_longer_one(self, mix, flavor, params, window,
+                                                          peer, seed, H):
+        # what measure_deviation_gain's early stop rests on: a run's first H
+        # periods do not depend on how many periods follow
+        cfg = config(n_peers=40, n_periods=30, seed=seed, population_mix=mix,
+                     protocol_flavor=flavor, params=params, env=env(eps=0.2),
+                     deviant_policy=DeviantPolicy(peer_id=0, window=window) if peer else None)
+        [full], [short] = sim.run_replicas([cfg]), sim.run_replicas([cfg.replace(n_periods=H)])
+        assert short.eta.tolist() == full.eta[:H].tolist()
+        assert {k: v.tolist() for k, v in short.counts.items()} == \
+            {k: v[:H].tolist() for k, v in full.counts.items()}
+        assert {k: v.tolist() for k, v in short.mean_utility.items()} == \
+            {k: v[:H].tolist() for k, v in full.mean_utility.items()}
 
 
 def _trace_arrays(trace) -> tuple:
