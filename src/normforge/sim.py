@@ -19,22 +19,20 @@ period) but never emit requests of their own.
 `run_replicas` runs a batch of replicas, which share size, length and
 population mix and may differ in everything else (seed, start reputations,
 deviant, params, env, flavor, strategic), through one period loop; `run_sim`
-and `run_tft` are batches of one.  Replicas that differ only in r, c and
-delta share one run.  Peer ids are offset by run, and each run's ladder is
-padded to the batch's largest top.  Pool pass i routes each run's i-th pool
-in one vectorised step over one table of server groups (refusers on the
-first pass only, serving reciprocators, malicious peers, altruists with
-capacity left), and a request only meets servers of its own run; bounced and
-overflowing requests try the next pass.  Random stream version 3 (trace
-schema 3): one generator per batch, keyed by the batch's distinct seeds,
-makes every draw in a fixed order, so a batch replays byte-for-byte.  Each
-draw site draws a row of uniforms per distinct seed and every run reads its
-own slice of its seed's row from position 0, so runs with the same seed make
-the same draws while their states agree (common random numbers).  A
-finished run checks that outcomes partition `emitted` in every period, that
-histograms sum to 1 and that altruists stay pinned, and raises RuntimeError
-naming the first bad period otherwise.  Tit-for-tat is the social-norm
-`Points` row L = 1, h_o = 0, m_o = (1, 1), beta = 0.
+and `run_tft` are batches of one.  Replicas that differ only in r, c and delta
+share one run.  Peer ids are offset by run, and each run's ladder is padded to
+the batch's largest top.  Pool pass i routes each run's i-th pool in one
+vectorised step over one table of server groups (refusers on the first pass
+only, serving reciprocators, malicious peers, altruists with capacity left),
+and a request only meets servers of its own run; bounced and overflowing
+requests try the next pass.  Random stream version 4 (trace schema 4): each run
+draws from its own generator, keyed by its seed, what it would draw alone, so a
+replica's trace is its single run's, a batch replays byte-for-byte, and
+same-seed runs draw alike while their draw counts agree (common random
+numbers).  A finished run checks that outcomes partition `emitted` in every
+period, that histograms sum to 1 and that altruists stay pinned, and raises
+RuntimeError naming the first bad period otherwise.  Tit-for-tat is the
+social-norm `Points` row L = 1, h_o = 0, m_o = (1, 1), beta = 0.
 """
 
 from __future__ import annotations
@@ -221,7 +219,7 @@ class SimTrace:
     def to_json_dict(self) -> dict:
         labels = _kind_labels(self.config.protocol_flavor)
         return {
-            "schema": 3,
+            "schema": 4,
             "config": self.config.as_dict(),
             "top_rep": self.top_rep,
             "periods": {
@@ -278,25 +276,21 @@ def _run_rng(seeds, stream: int) -> np.random.Generator:
 
 
 class _Batch:
-    """A replica batch's layout and its one random stream.
+    """A replica batch's layout and its random streams, one per replica.
 
     Replica r owns peer ids r*n .. r*n + n - 1, so an ascending array of
     peer ids is one run per replica laid end to end; a `seg` array labels
-    its elements with their replica.  A draw site takes one draw u shaped
-    (distinct seeds, longest run) and replica r's run reads its slice
-    u[row[r], :size[r]], so replicas with the same seed draw alike while
-    their states agree; the slicing is a Python loop over the replicas.
-    With one replica, `count`, `uniforms`, `below`, `split`, `pick` and
-    `_route` give the same values and draws without the slices and the
-    per-element replica labels, which cost a single run a few percent more.
-    The stream is PCG64, which makes doubles faster than Philox."""
+    its elements with their replica.  Replica r draws from its own PCG64
+    generator keyed SeedSequence((seed, 0)), a batch of one's key, exactly
+    what it would draw alone, in a Python loop over the replicas.  With one
+    replica, `count`, `uniforms`, `below`, `split`, `pick` and `_route` skip
+    that loop and the per-element labels, which cost a single run a few
+    percent.  PCG64 makes doubles faster than Philox."""
 
     def __init__(self, seeds: list, n: int):
-        distinct = list(dict.fromkeys(seeds))
-        self.R, self.S, self.n = len(seeds), len(distinct), n
-        self.row = [distinct.index(s) for s in seeds]
-        self.rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-            (*(int(s) & (2 ** 64 - 1) for s in distinct), 0))))
+        self.R, self.n = len(seeds), n
+        self.rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+            (int(s) & (2 ** 64 - 1), 0)))) for s in seeds]
 
     def seg(self, ids: np.ndarray) -> np.ndarray:
         return ids // self.n
@@ -309,21 +303,19 @@ class _Batch:
         cuts = seg.searchsorted(np.arange(self.R + 1) * unit)
         return cuts[1:] - cuts[:-1]
 
-    def runs(self, size: np.ndarray) -> list:
-        """Each replica r's run of size[r] uniforms: its seed's row of one draw."""
-        u = self.rng.random((self.S, int(size.max())))
-        return [u[s, :m] for s, m in zip(self.row, size.tolist())]
-
     def uniforms(self, size: np.ndarray) -> np.ndarray:
-        """One uniform per element of runs of the given sizes."""
-        return self.rng.random(int(size[0])) if self.R == 1 else np.concatenate(self.runs(size))
+        """Each replica r's next size[r] uniforms from its stream, end to end."""
+        return self.rngs[0].random(int(size[0])) if self.R == 1 else np.concatenate(
+            [g.random(m) for g, m in zip(self.rngs, size.tolist()) if m] or [np.empty(0)])
 
     def below(self, size: np.ndarray, p: np.ndarray):
         """One Bernoulli(p[r]) outcome per element of replica r's run (its
         uniform, as by `uniforms`, is below p[r]) and each run's successes."""
-        hits = [self.rng.random(int(size[0])) < p[0]] if self.R == 1 else \
-            [u < q for u, q in zip(self.runs(size), p.tolist())]
-        return np.concatenate(hits), np.array([np.count_nonzero(h) for h in hits])
+        if self.R == 1:
+            hit = self.rngs[0].random(int(size[0])) < p[0]
+            return hit, np.array([np.count_nonzero(hit)])
+        hit = self.uniforms(size) < p.repeat(size)
+        return hit, np.bincount(np.arange(self.R).repeat(size)[hit], minlength=self.R)
 
     def split(self, quota: np.ndarray, size: np.ndarray):
         """Indexes of the first quota[r] elements of each replica r's run and
@@ -336,10 +328,16 @@ class _Batch:
     def pick(self, quota: np.ndarray, size: np.ndarray) -> np.ndarray:
         """Mask of min(quota[r], size[r]) uniformly chosen elements of each
         replica r's run: those whose uniforms are at most the quota-th
-        smallest of the run, one partition per run."""
-        runs = [self.rng.random(int(size[0]))] if self.R == 1 else self.runs(size)
-        return np.concatenate([u <= (np.partition(u, q - 1)[q - 1] if q else -1.0)
-                               for u, q in zip(runs, np.minimum(quota, size).tolist())])
+        smallest of the run, one partition per run.  Only runs with
+        0 < quota < size draw: the others take none or all of their run."""
+        if self.R == 1 and 0 < quota[0] < size[0]:
+            u, q = self.rngs[0].random(int(size[0])), quota[0]
+            return u <= np.partition(u, q - 1)[q - 1]
+        masks = [np.full(m, q > 0) for q, m in zip(quota.tolist(), size.tolist())]
+        for r in np.flatnonzero((0 < quota) & (quota < size)).tolist():
+            u, q = self.rngs[r].random(len(masks[r])), quota[r]
+            masks[r] = u <= np.partition(u, q - 1)[q - 1]
+        return np.concatenate(masks)
 
 
 def _route(u: np.ndarray, seg: np.ndarray, sizes: np.ndarray, counts: np.ndarray):
@@ -468,10 +466,11 @@ def run_replicas(configs: list) -> list:
     those price what the peers do and change none of it.  Pool pass i routes
     each run's i-th live pool, in its own sorted column order.  Requests pair
     only with servers of their own run; altruist capacity, the deviant, the
-    run-time checks and the traces are per run; a trace's arrays are views of
-    the batch's, and replicas sharing a run share its eta, counts and final
-    reputations.  The Python work per period grows with pools and passes,
-    and at each draw site with the number of runs.
+    random stream, the run-time checks and the traces are per run, so a
+    replica's trace is its run alone's.  Trace arrays are views of the
+    batch's, and replicas sharing a run share its eta, counts and final
+    reputations.  Python work per period grows with pools and passes, and
+    at each draw site with the number of runs.
     """
     if not configs:
         return []
@@ -597,8 +596,9 @@ def run_replicas(configs: list) -> list:
                         continue
                     part, part_seg = pending[lo:hi], seg[lo:hi]
                     if g in (_REFUSE, _MAL):  # contacted: all, or those a spread reaches
-                        hit = members if not np.count_nonzero(nr < sizes[g]) else \
-                            members[_loads(batch, members, sizes[g], nr) > 0]
+                        reach = np.minimum(nr, sizes[g])  # a run that reaches all draws nothing
+                        hit = members if (reach == sizes[g]).all() else \
+                            members[_loads(batch, members, sizes[g], reach) > 0]
                     if g == _REFUSE:  # bounced contacts: deviation seen, client redirects
                         x[hit] = True
                         tally[_REFUSALS] += nr
@@ -695,19 +695,18 @@ def measure_deviation_gain(config: SimConfig, theta: int, n_pairs: int = 30) -> 
     draw from seed + i, shared by both runs of the pair) with the tagged peer
     pinned at reputation theta, so the measurement mirrors the analytic
     deviation algebra.  All 2 * n_pairs runs form one `run_replicas` batch
-    in which a pair's two runs share seed + i: they make the same draws until
-    the deviation changes their states, so a deviant never asked to serve
-    gains exactly 0.  Expected to be non-positive, up to noise, exactly when
-    the protocol passes the check.
+    in which a pair's two runs share seed + i and draw alike until their draw
+    counts differ: a deviant never asked to serve gains exactly 0.  Expected
+    to be non-positive, up to noise, exactly when the protocol passes.
 
     The batch runs min(H, n_periods) periods, where H is the first period at
-    which delta**H * utility_bound falls below 2**-64: no period from H on
-    adds more than that to a tagged utility.  The short batch stands only
-    if that is below an eighth of every tagged utility's float spacing, so
-    no later period could change it (a quarter is half the spacing of the
-    binade below; the other factor 2 covers the rounding of the weights);
-    otherwise the batch reruns at full length.  Either way the gain is the
-    full-length batch's, bit for bit.
+    which delta**H * utility_bound falls below a floor, 2**-64 at first: no
+    period from H on adds more than that to a tagged utility.  It stands if
+    that is below an eighth of every tagged utility's float spacing, so no
+    later period could change it (a quarter is half the spacing of the
+    binade below; the other factor 2 covers the rounding of the weights).
+    Otherwise the floor becomes the smallest such eighth and the batch reruns
+    to the new H.  Either way the gain is the full-length batch's bit for bit.
     """
     if config.protocol_flavor != SOCIAL_NORM:
         raise ValueError("deviation measurement drives the social-norm flavor")
@@ -718,19 +717,19 @@ def measure_deviation_gain(config: SimConfig, theta: int, n_pairs: int = 30) -> 
     if config.kind_counts()[PeerKind.RECIPROCATIVE] < 1:
         raise ValueError("need at least one reciprocative peer to tag")
     dist = stationary_for_regime(config.params, config.analytic_env())
-    T, delta = config.n_periods, config.env.delta
-    H, tail = 1, config.utility_bound() * delta
-    while H < T and tail >= 2.0 ** -64:
-        H, tail = H + 1, tail * delta
+    T, delta, tail, floor = config.n_periods, config.env.delta, config.utility_bound(), 2.0 ** -64
     configs = []
     for i in range(n_pairs):
         seed_i = config.seed + i
         reps = _run_rng((seed_i,), 0xD5).choice(config.params.L + 1, size=config.n_peers, p=dist.eta)
         reps[0] = theta
-        base = config.replace(seed=seed_i, init_reputations=reps, deviant_policy=None, n_periods=H)
+        base = config.replace(seed=seed_i, init_reputations=reps, deviant_policy=None)
         configs += [base, base.replace(deviant_policy=DeviantPolicy(peer_id=0, window=(0, 1)))]
-    traces = run_replicas(configs)
-    if H < T and any(tail >= np.spacing(abs(tr.discounted_utility[0])) / 8 for tr in traces):
-        traces = run_replicas([c.replace(n_periods=T) for c in configs])  # too small to settle
-    return float(np.mean([dev.discounted_utility[0] - base.discounted_utility[0]
-                          for base, dev in zip(traces[::2], traces[1::2])]))
+    for H in range(1, T + 1):  # tail: delta**H * utility_bound
+        tail *= delta
+        if H == T or tail < floor:  # run to H; stop if its own utilities settle there
+            traces = run_replicas([c.replace(n_periods=H) for c in configs])
+            floor = min(np.spacing(abs(tr.discounted_utility[0])) for tr in traces) / 8
+            if H == T or tail < floor:
+                return float(np.mean([dev.discounted_utility[0] - base.discounted_utility[0]
+                                      for base, dev in zip(traces[::2], traces[1::2])]))

@@ -201,14 +201,13 @@ def serial_bisect(ok, lo: float, hi: float, tol: float):
     return lo, hi, halvings
 
 
-def pick_by_rank(table: np.ndarray, rows, quota, size) -> np.ndarray:
-    """The replicas' picks laid end to end: replica r's run is the first
-    size[r] uniforms of its table row rows[r], and it picks the min(quota[r],
-    size[r]) smallest of them."""
+def pick_by_rank(runs: list, quota) -> np.ndarray:
+    """The replicas' picks laid end to end: replica r picks the elements
+    holding the quota[r] smallest of its run's uniforms runs[r]."""
     masks = []
-    for row, q, m in zip(rows, quota, size):
-        mask = np.zeros(m, dtype=bool)
-        mask[np.argsort(table[row, :m], kind="stable")[:q]] = True
+    for u, q in zip(runs, quota):
+        mask = np.zeros(len(u), dtype=bool)
+        mask[np.argsort(u, kind="stable")[:q]] = True
         masks.append(mask)
     return np.concatenate(masks)
 

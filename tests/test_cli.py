@@ -606,6 +606,22 @@ def test_compare_checks_each_social_norm_cell_once(scenario_file, count_calls, c
     assert calls == {"check_equilibrium": 3}
 
 
+def test_a_compare_row_does_not_depend_on_the_grid(capsys):
+    # each cell draws from its own random stream: the b=1 row reads the same
+    # at every sweep extent, and it is the strategic `simulate` run of b=1
+    argv = ["--r", "1", "--c", "0.2", "--eps", "0.1", "--lambda", "1", "--delta", "0.8",
+            "--L", "3", "--h-o", "1", "--n-peers", "300", "--n-periods", "200", "--seed", "5"]
+    rows = []
+    for extent in (1, 2, 3):
+        code, out = run_cli(capsys, "compare", *argv, "--b", "2", "--flavors", "SocialNorm",
+                            "--sweep", f"b:1:{extent}:1")
+        assert code == 0
+        rows.append(out.splitlines()[1])
+    assert rows[0].startswith("b,1.0,SocialNorm,True,") and rows == [rows[0]] * 3
+    code, out = run_cli(capsys, "simulate", *argv, "--b", "1", "--strategic")
+    assert float(rows[0].split(",")[4]) == json.loads(out)["summary"]["delivery_rate"]
+
+
 class TestScenarioRoundTrip:
     def test_emitted_config_echo_reloads_identically(self, scenario_file, capsys, tmp_path):
         path = scenario_file(sim={"n_peers": 80, "n_periods": 10, "seed": 2})

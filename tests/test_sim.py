@@ -214,12 +214,14 @@ class TestDeviationMeasurement:
         measure_deviation_gain(cfg, theta=3, n_pairs=15)
         assert len(batch_lengths) == 1 and batch_lengths[0] <= 72
 
-    def test_unsettled_utility_reruns_at_full_length(self, batch_lengths):
+    @pytest.mark.parametrize("T, lengths", [(60, [26, 56]), (40, [26, 40])])
+    def test_unsettled_utility_reruns_to_its_own_horizon(self, batch_lengths, T, lengths):
         # utilities near 1e-12 have a float spacing far below 2**-64: the
-        # short batch cannot show that the later periods change nothing
-        cfg = config(n_peers=40, n_periods=60, seed=7, env=env(r=1e-12, c=0.0, delta=0.5))
+        # short batch cannot show that the later periods change nothing, so
+        # it reruns to the horizon their spacing needs, or to n_periods
+        cfg = config(n_peers=40, n_periods=T, seed=7, env=env(r=1e-12, c=0.0, delta=0.5))
         gain = measure_deviation_gain(cfg, theta=3, n_pairs=3)
-        assert batch_lengths == [26, 60]
+        assert batch_lengths == lengths
         assert repr(gain) == repr(deviation_gain_full_horizon(cfg, 3, 3))
 
 
@@ -406,7 +408,7 @@ class TestReplicas:
         traces = sim.run_replicas([cfg, cfg.replace(seed=99), idle, cfg])
         assert _outcomes(traces[0]) == _outcomes(traces[2]) == _outcomes(traces[3])
         assert _outcomes(traces[1]) != _outcomes(traces[0])
-        # the stream is keyed by the batch's distinct seeds: copies of one
+        # each replica's stream is keyed by its own seed: copies of one
         # config replay the batch of one
         assert [_outcomes(t) for t in sim.run_replicas([cfg, cfg])] == [_outcomes(run_sim(cfg))] * 2
 
@@ -479,8 +481,8 @@ class TestReplicas:
         assert collapsed.counts["served_by_recip"].sum() == 0
         assert sustained.counts["served_by_recip"].sum() > 0
         assert calm.counts["errored"].sum() == 0 and sustained.counts["errored"].sum() > 0
-        # replicas that differ in params or env draw from one row per seed but
-        # end in different states
+        # same-seed replicas that differ in params or env start from one
+        # stream each but end in different states
         assert _outcomes(calm) != _outcomes(sustained)
 
     @pytest.mark.parametrize("mix", MIXES)
@@ -513,6 +515,37 @@ class TestReplicas:
             {k: v[:H].tolist() for k, v in full.counts.items()}
         assert {k: v.tolist() for k, v in short.mean_utility.items()} == \
             {k: v[:H].tolist() for k, v in full.mean_utility.items()}
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), mix=st.sampled_from(MIXES), R=st.integers(2, 5))
+    def test_a_replica_is_its_single_run(self, data, mix, R):
+        # each replica draws from its own stream exactly what it draws alone,
+        # so neither the other replicas' seeds nor their run sizes reach its
+        # trace; seeds 0-2 make same-seed pairs common
+        def replica():
+            flavor = data.draw(st.sampled_from(["SocialNorm", "TFT"]))
+            plain = ProtocolParams(L=3, h_o=1, b=2)
+            params = data.draw(st.sampled_from([plain, ProtocolParams(L=3, h_o=2, b=2, beta=0.6),
+                                                ProtocolParams(L=4, h_o=2, b=3, m_o=(1, 2, 3))]))
+            top = 1 if flavor == "TFT" else params.L
+            reps = data.draw(st.none() | st.lists(st.integers(0, top), min_size=40, max_size=40))
+            return config(n_peers=40, n_periods=25, seed=data.draw(st.integers(0, 2)),
+                          population_mix=mix, protocol_flavor=flavor, params=params,
+                          env=env(eps=data.draw(st.sampled_from([0.0, 0.1, 0.3])),
+                                  c=data.draw(st.sampled_from([0.2, 0.9])),
+                                  lam=data.draw(st.sampled_from([1.0, 1.5]))),
+                          deviant_policy=data.draw(st.sampled_from(
+                              [None, DeviantPolicy(peer_id=0, window=(0, 1)),
+                               DeviantPolicy(peer_id=3, window=(2, 9))])),
+                          init_reputations=reps,  # a mix is checked at plain params only
+                          strategic=data.draw(st.booleans()) and (
+                              not mix or flavor == "TFT" or params == plain))
+
+        cfgs = [replica() for _ in range(R)]
+        for cfg, trace in zip(cfgs, sim.run_replicas(cfgs)):
+            alone = sim.run_replicas([cfg])[0]
+            assert _outcomes(trace) == _outcomes(alone)
+            assert (trace.top_rep, trace.collapsed) == (alone.top_rep, alone.collapsed)
 
 
 def _trace_arrays(trace) -> tuple:
@@ -593,17 +626,20 @@ class TestBatchDraws:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), R=st.integers(1, 30))
     def test_pick_is_the_rank_oracle(self, data, R):
-        # repeated seeds share a row; quotas of 0, inside the run and at or
-        # above its size, for one run and for many
+        # quotas of 0, inside the run and at or above its size, for one run
+        # and for many, repeated seeds included; each run's uniforms come
+        # from its seed's own generator, which only runs with
+        # 0 < quota < size advance
         seeds = data.draw(st.lists(st.integers(0, 3), min_size=R, max_size=R))
         size = np.array(data.draw(st.lists(st.integers(0, 12), min_size=R, max_size=R)))
         quota = np.array([data.draw(st.integers(0, m + 2)) for m in size.tolist()])
-        distinct = list(dict.fromkeys(seeds))
-        rows = [distinct.index(s) for s in seeds]
-        batch, twin = sim._Batch(seeds, 20), sim._Batch(seeds, 20)
-        for _ in range(2):  # the second pick reads the stream where the first left it
-            table = twin.rng.random((len(distinct), int(size.max())))
-            want = pick_by_rank(table, rows, np.minimum(quota, size).tolist(), size.tolist())
+        batch = sim._Batch(seeds, 20)
+        twins = [np.random.Generator(np.random.PCG64(np.random.SeedSequence((s, 0))))
+                 for s in seeds]
+        for _ in range(2):  # the second pick reads each stream where the first left it
+            runs = [g.random(m) if 0 < q < m else np.zeros(m)
+                    for g, q, m in zip(twins, quota.tolist(), size.tolist())]
+            want = pick_by_rank(runs, np.minimum(quota, size).tolist())
             assert batch.pick(quota, size).tolist() == want.tolist()
             size = size[::-1].copy()
 
@@ -721,6 +757,6 @@ def test_stream_is_pinned():
     assert _integer_digest(run_tft(tft)) == \
         "49de317d3cf1559f5c8fb401d12f343412c8cb3f06a5a474f0dc730e9104f52b"
     batch = sim.run_replicas([social, social.replace(seed=4, deviant_policy=None), social])
-    pinned = "48ec836650f75d0db3bf48d8fc11ac38b2c2644bdf7107bf1a6bc16e04aa8bdc"
+    pinned = "9d9ec118d80da9e75f5133e4e698adc4daf2691f40889e0222d5313335ae260c"
     assert [_integer_digest(t) for t in batch] == [
-        pinned, "d8fdc1f526af4ff924195ce958a0d0f3aa5e39879ff2e3d2dc73cd9d995f0815", pinned]
+        pinned, "aeb2baada3448dbe4e7588f9035c58ee578193970cd451aab110a8241c8d6af4", pinned]
