@@ -210,10 +210,12 @@ def _emit_text(text: str, path: str | None) -> None:
             sys.stdout.write("\n")
 
 
-def _json_text(payload: dict) -> str:
+def _json_text(payload: dict, sort_keys: bool = True) -> str:
     """payload as JSON, one line per top-level key (sorted); each value is
-    compact, which keeps json on its C encoder (any indent selects Python's)."""
-    return "{\n" + ",\n".join(f" {json.dumps(key)}: {json.dumps(value, sort_keys=True)}"
+    compact, which keeps json on its C encoder (any indent selects Python's),
+    its dicts' keys sorted unless they were built in order (sort_keys=False)."""
+    return "{\n" + ",\n".join(f" {json.dumps(key)}: "
+                              f"{json.dumps(value, sort_keys=sort_keys, check_circular=False)}"
                               for key, value in sorted(payload.items())) + "\n}"
 
 
@@ -245,10 +247,11 @@ def _checked_blocks(pairs):
         for block in blocks(list(run), L):
             points = Points.of([p for p, _ in block], [e for _, e in block])
             rep = _built("env", lambda: check_equilibria(points), ValueError)
-            holds, v_one = rep.is_equilibrium, rep.utilities.v_one
-            recip = stationary_fixed_point(points).eta  # the reciprocative peers' own profile
+            holds, v_one = rep.is_equilibrium, np.ascontiguousarray(rep.utilities.v_one)
+            # the reciprocative peers' own profile, in rows for the dot products
+            recip = np.ascontiguousarray(stationary_fixed_point(points).eta)
             # where the norm fails, altruists alone serve and a free-rider sits at rung 0
-            collapsed = collapsed_social_utility(points, points.b, points.p_c)[:, 0]
+            collapsed = collapsed_social_utility(points, points.b, points.p_c)
             columns = {"alpha": rep.dist.alpha, "mu": rep.dist.mu, "eta": rep.dist.eta,
                        "v_one": v_one, "v_inf": rep.utilities.v_inf,
                        "social_utility": rep.social_utility,
@@ -317,7 +320,8 @@ def cmd_solve(args) -> int:
     payload = _solve_payload(spec, result)
     log = [{"candidate": list(cand) if isinstance(cand, tuple) else cand,
             "slack": slack, "utility": util} for cand, slack, util in result.search_log]
-    _emit_text(_json_text(dict(payload, search_log=log)), args.out or sc["output"].get("path"))
+    _emit_text(_json_text(dict(payload, search_log=log), sort_keys=False),
+               args.out or sc["output"].get("path"))
     if args.csv_out:
         _emit_text(_csv_text(SOLVE_COLUMNS, [_solve_csv_row(spec, payload)]), args.csv_out)
     return 0 if result.feasible else EXIT_INFEASIBLE

@@ -135,7 +135,7 @@ def _osne_cells(spec: DesignSpec, fractions=(None,)):
     for rows in blocks(np.arange(len(fractions) * len(grid)), spec.L):
         block = points.take(rows % len(grid))
         if fractions[0] is not None:
-            block = block.replace(p_c=np.array(fractions)[rows // len(grid), None])
+            block = block.replace(p_c=np.array(fractions)[rows // len(grid)])
         rep = check_equilibria(block)
         for i, slack, u, ok in zip(rows.tolist(), rep.serve_slack.tolist(),
                                    rep.social_utility.tolist(), rep.is_equilibrium):
@@ -169,7 +169,7 @@ def _forgiveness_search(spec: DesignSpec, vectors) -> DesignResult:
         for block in blocks(grid, spec.L, len(betas)):
             bases = [ProtocolParams(L=spec.L, h_o=h_o, b=b, m_o=m_o) for h_o, m_o, b in block]
             column = Points.of(bases, env).take(np.repeat(np.arange(len(bases)), len(betas)))
-            rep = check_equilibria(column.replace(beta=np.tile(betas, len(bases))[:, None]))
+            rep = check_equilibria(column.replace(beta=np.tile(betas, len(bases))))
             first = rep.is_equilibrium.reshape(len(bases), -1).argmax(axis=1)
             for j, ((h_o, m_o, b), base, k) in enumerate(zip(block, bases, first)):
                 i = j * len(betas) + k

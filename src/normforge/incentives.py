@@ -9,10 +9,10 @@ c.  This module computes one-period and discounted utilities in every
 population regime and evaluates the two constraint families.  Like the
 stationary layer, it answers one point (params, env) or a `Points` batch.
 `check_equilibria` is the one analytic evaluation: it checks a batch in one
-pass, and `check_equilibrium` is its batch of one.  Every design boundary
-but the closed-form cost ratio is read off that check along one axis: one
-call checks a grid, `_edge` finds where it stops passing and `_bisect`
-refines a continuous axis.  No slack is walked or binary-searched.
+rung-major pass, and `check_equilibrium` is its batch of one.  Every design
+boundary but the closed-form cost ratio is read off that check along one
+axis: one call checks a grid, `_edge` finds where it stops passing and
+`_bisect` refines a continuous axis.  No slack is walked or binary-searched.
 """
 
 from __future__ import annotations
@@ -74,12 +74,12 @@ def upload_cost_profile(points: Points, dist: ReputationDistribution) -> np.ndar
     uniformly among the servers willing to take it (`Points.willing`), so
     each willing server carries an equal share of that client class's
     demand.  With uniform thresholds this reduces to lam*b*c for every
-    active server.
+    active server.  It sums point-major, the willing table's layout.
     """
-    eta, willing = dist.eta, points.willing.astype(float)
+    eta, willing = np.ascontiguousarray(dist.eta), points.willing.astype(float)
     mass = np.einsum("is,ist->it", eta, willing)
     share = np.divide(eta, mass, out=np.zeros_like(eta), where=mass > 0.0)
-    return points.c * (points.lam * points.b) * np.einsum("ist,it->is", willing, share)
+    return (points.c * (points.lam * points.b))[:, None] * np.einsum("ist,it->is", willing, share)
 
 
 @batched
@@ -100,7 +100,7 @@ def one_period_utilities(points: Points, dist: ReputationDistribution) -> np.nda
     check_regime(points)
     act, h_o, p_c, p_d = points.active, points.h_o, points.p_c, points.p_d
     rate, gross = points.lam * points.b, (1.0 - points.eps) * points.r
-    v, mu = np.where(act, rate * (gross - points.c), 0.0), dist.mu[:, None]
+    v, mu = np.where(act, rate * (gross - points.c), 0.0), dist.mu
     if (p_d > 0.0).any():
         share = (mu - p_d / (h_o + 1)) / (mu + h_o * p_d / (h_o + 1))
         v = np.where(p_d > 0.0, np.where(act, rate * share * (gross - points.c), 0.0), v)
@@ -112,8 +112,8 @@ def one_period_utilities(points: Points, dist: ReputationDistribution) -> np.nda
                                          * points.c, punished), v)
     if not points.uniform.all():
         benefit = np.where(points.rung >= points.eligibility, rate * gross, punished)
-        v = np.where(points.uniform, v, benefit - upload_cost_profile(points, dist))
-    return v
+        v = np.where(points.uniform, v, benefit - upload_cost_profile(points, dist).T)
+    return v.T
 
 
 @batched
@@ -129,15 +129,15 @@ def overall_utilities(points: Points, dist: ReputationDistribution = None) -> Ut
     """
     if dist is None:
         dist = stationary_for_regime(points)
-    v_one = one_period_utilities(points, dist)
+    v_one = one_period_utilities(points, dist).T
     climb, stay, fall = points.moves
     held = 1.0 - points.delta * stay
     up = points.delta * climb / held
     az = np.stack([v_one, points.delta * fall]) / held
     for t in range(points.L - 1, -1, -1):
-        az[:, :, t] += up[:, t] * az[:, :, t + 1]
+        az[:, t] += up[t] * az[:, t + 1]
     a, z = az
-    return UtilityProfile(v_one=v_one, v_inf=a + z * (a[:, :1] / (1.0 - z[:, :1])))
+    return UtilityProfile(v_one=v_one.T, v_inf=(a + z * (a[:1] / (1.0 - z[:1]))).T)
 
 
 @batched
@@ -153,24 +153,24 @@ def social_utility(points: Points, dist: ReputationDistribution,
     upload costs with a two-branch formula split at p_c = 0.5, above which
     reciprocative demand alone caps the exchanged volume.
     """
-    rate, eta, t, p_c = points.lam * points.b, dist.eta, points.rung, points.p_c
+    rate, eta, t, p_c = points.lam * points.b, dist.eta.T, points.rung, points.p_c
     # every eligible client's requests land on some active server: summing
     # the cost that way, vectors sharing m_o(h_o) tie exactly, not by rounding
     elig = points.eligibility
-    served = (eta * (t >= np.maximum(points.h_o, elig))).sum(axis=1, keepdims=True)
-    asking = (eta * (t >= elig)).sum(axis=1, keepdims=True)
+    served = points.rung_sum(eta * (t >= np.maximum(points.h_o, elig)))
+    asking = points.rung_sum(eta * (t >= elig))
     u = rate * ((1.0 - points.eps) * points.r * served - points.c * asking)
     if (points.p_d > 0.0).any():
         v_one = one_period_utilities(points, dist) if v_one is None else v_one
-        u = np.where(points.p_d > 0.0, (eta * v_one).sum(axis=1, keepdims=True), u)
+        u = np.where(points.p_d > 0.0, points.rung_sum(eta * v_one.T), u)
     if (p_c > 0.0).any():
-        mu = dist.mu[:, None]
+        mu = dist.mu
         benefit = (rate * (1.0 - points.eps) * (fed_while_punished(p_c) * (1.0 - mu)
                                                 + (mu - p_c)) * points.r)
         cost = rate * ((mu - p_c) ** 2 / mu - p_c) * points.c
         u = np.where(p_c > 0.5, collapsed_social_utility(points, points.b, p_c),
                      np.where(p_c > 0.0, benefit - cost, u))
-    return u[:, 0]
+    return u
 
 
 def fed_while_punished(p_c):
@@ -186,34 +186,26 @@ def collapsed_social_utility(env: NetworkEnv, b: int, p_c: float) -> float:
     return env.lam * b * np.minimum(p_c, 1.0 - p_c) * ((1.0 - env.eps) * env.r - env.c)
 
 
-def _deviation_slacks(points: Points, v_inf: np.ndarray) -> np.ndarray:
-    """Per-reputation one-shot-deviation slacks, one row per point.
-
-    For active t the deviation is refusing all prescribed uploads: it saves
-    lam*b*c this period (once punishment is certain the peer refuses every
-    remaining request too) and swaps the compliance lottery for the deviation
-    lottery (keep t w.p. beta**(L-t+1), else drop to 0).  For inactive t the
-    deviation is serving someone, an instant loss of c followed by the same
-    deviation lottery.  Slack >= 0 for every t means no deviation profits.
-    """
-    t, keep = points.rung, points.keep
-    up = v_inf[:, np.minimum(points.L, t + 1)]
-    future_gap = points.delta * (1.0 - points.alpha) * (
-        up - keep * v_inf - (1.0 - keep) * v_inf[:, :1])
-    return np.where(points.active, future_gap - points.lam * points.b * points.c,
-                    future_gap + points.c)
-
-
 def check_equilibria(points: Points) -> IncentiveReport:
-    """check_equilibrium for every point of a batch, a row per point."""
+    """check_equilibrium for every point of a batch, a row per point.
+
+    The slack at rung t: for active t the deviation is refusing all
+    prescribed uploads, which saves lam*b*c this period (once punishment is
+    certain the peer refuses every remaining request too) and swaps the
+    compliance lottery for the deviation lottery (keep t w.p. beta**(L-t+1),
+    else drop to 0); for inactive t it is serving someone, an instant loss of
+    c followed by the same lottery.  Slack >= 0 at every t: no deviation pays."""
     dist = stationary_for_regime(points)
     utilities = overall_utilities(points, dist)
-    slacks = _deviation_slacks(points, utilities.v_inf)
+    v, keep = utilities.v_inf.T, points.keep
+    gap = points.delta * (1.0 - points.alpha) * (
+        np.concatenate([v[1:], v[-1:]]) - keep * v - (1.0 - keep) * v[:1])
+    slacks = np.where(points.active, gap - points.lam * points.b * points.c, gap + points.c)
     return IncentiveReport(
-        serve_slack=np.where(points.active, slacks, np.inf).min(axis=1),
-        refuse_slack=np.where(points.active, np.inf, slacks).min(axis=1),
-        per_theta_slacks=slacks,
-        is_equilibrium=slacks.min(axis=1) >= -SLACK_TOL,
+        serve_slack=np.where(points.active, slacks, np.inf).min(axis=0),
+        refuse_slack=np.where(points.active, np.inf, slacks).min(axis=0),
+        per_theta_slacks=slacks.T,
+        is_equilibrium=slacks.min(axis=0) >= -SLACK_TOL,
         social_utility=social_utility(points, dist, utilities.v_one),
         dist=dist,
         utilities=utilities,
@@ -265,7 +257,7 @@ def _bisect(passes, lo: float, hi: float, tol: float):
 def _along(params: ProtocolParams, env: NetworkEnv, field: str, values) -> np.ndarray:
     """The check's verdicts on (params, env) with the `field` column (beta, b,
     p_c or delta) set to each of values, in one check_equilibria call."""
-    values = np.asarray(values, dtype=float)[:, None]
+    values = np.asarray(values, dtype=float)
     return check_equilibria(Points.of([params] * len(values), env).replace(**{field: values})
                             ).is_equilibrium
 

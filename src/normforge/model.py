@@ -155,14 +155,17 @@ class ProtocolParams:
 
 
 class Points:
-    """B protocol points sharing L: each ProtocolParams and NetworkEnv field as
-    a (B, 1) column broadcasting over the ladder `rung`; `m_o` as each server
-    rung's client threshold (L + 1, which no client reaches, below h_o)."""
+    """B protocol points sharing L, rung-major: each ProtocolParams and
+    NetworkEnv field is a (B,) row against the (L + 1, 1) ladder column
+    `rung`, so per-rung tables are (L + 1, B) and reduce over rows of B
+    points.  `m_o` holds each server rung's client threshold (L + 1, which no
+    client reaches, below h_o); only `willing` is point-major."""
 
     FIELDS = ("h_o", "b", "beta", "r", "c", "eps", "lam", "delta", "p_c", "p_d")
+    admitted = False  # set by stationary.check_regime once it admits the batch
 
     def __init__(self, L: int, **cols):
-        self.L, self.cols, self.rung = L, cols, np.arange(L + 1)
+        self.L, self.cols, self.rung = L, cols, np.arange(L + 1)[:, None]
         self.__dict__.update(cols)
         self.active = self.rung >= self.h_o
 
@@ -174,14 +177,14 @@ class Points:
             raise ValueError("the points of a batch share L")
         table = np.array([(p.h_o, p.b, p.beta, e.r, e.c, e.eps, e.lam, e.delta, e.p_c, e.p_d)
                           for p, e in zip(params, envs)], dtype=float)
-        return cls(L, m_o=np.array([[L + 1] * p.h_o + list(p.m_o) for p in params]),
-                   **{name: table[:, k:k + 1] for k, name in enumerate(cls.FIELDS)})
+        m_o = np.array([[L + 1] * p.h_o + list(p.m_o) for p in params]).T
+        return cls(L, m_o=m_o.copy(), **dict(zip(cls.FIELDS, table.T.copy())))
 
     def __len__(self) -> int:
         return len(self.h_o)
 
     def take(self, rows) -> "Points":
-        return Points(self.L, **{k: v[rows] for k, v in self.cols.items()})
+        return Points(self.L, **{k: v[..., rows] for k, v in self.cols.items()})
 
     def replace(self, **cols) -> "Points":
         return Points(self.L, **{**self.cols, **cols})
@@ -192,47 +195,55 @@ class Points:
 
     @functools.cached_property
     def keep(self) -> np.ndarray:
-        """keep[i, t]: chance beta**(L - t + 1) that a punished peer keeps t."""
+        """keep[t, i]: chance beta**(L - t + 1) that a punished peer keeps t."""
         return self.beta ** (self.L - self.rung + 1)
 
     @functools.cached_property
     def willing(self) -> np.ndarray:
         """The service rule: willing[i, s, t] when a server at rung s serves
         a client at rung t, that is s >= h_o and t >= m_o(s)."""
-        return self.m_o[:, :, None] <= self.rung
+        return np.ascontiguousarray(self.m_o.T)[:, :, None] <= self.rung[:, 0]
 
     @functools.cached_property
     def moves(self) -> tuple:
-        """The ladder law: (climb, stay, fall)[i, t], the chances that a
+        """The ladder law: (climb, stay, fall)[t, i], the chances that a
         compliant peer at rung t moves up one rung, keeps t or falls to 0.
         An inactive peer climbs; an active one climbs unless an error gets it
         punished (alpha), and is then kept (keep) or falls.  A climb from L
         stays at L, so it counts in stay there."""
         punished = np.where(self.active, self.alpha, 0.0)
         climb, stay, fall = 1.0 - punished, punished * self.keep, punished * (1.0 - self.keep)
-        stay[:, -1] += climb[:, -1]
-        climb[:, -1] = 0.0
+        stay[-1] += climb[-1]
+        climb[-1] = 0.0
         return climb, stay, fall
 
     @functools.cached_property
     def eligibility(self) -> np.ndarray:
-        # m_o is non-decreasing and L + 1 below h_o: the row minimum is m_o(h_o)
-        return self.m_o.min(axis=1, keepdims=True)
+        # m_o is non-decreasing and L + 1 below h_o: the column minimum is m_o(h_o)
+        return self.m_o.min(axis=0)
 
     @functools.cached_property
     def uniform(self) -> np.ndarray:
-        return (self.eligibility == self.h_o) & (self.m_o[:, -1:] == self.h_o)
+        return (self.eligibility == self.h_o) & (self.m_o[-1] == self.h_o)
+
+    @staticmethod
+    def rung_sum(x: np.ndarray) -> np.ndarray:
+        """Sum of a rung-major array over its rungs, in the order of numpy's
+        sum along a point's row: a fold up to 7 rungs, pairwise from 8 on."""
+        return x.sum(axis=0) if len(x) < 8 else np.ascontiguousarray(x.T).sum(axis=1)
 
 
 def batched(fn):
     """Let `fn(points, *args)`, which answers a Points batch row by row, also
-    take one point as `(params, env, *args)`, run as a batch of one."""
+    take one point as `(params, env, *args)`, run as a batch of one (array
+    and dataclass arguments gain its leading axis too)."""
     @functools.wraps(fn)
     def call(params, *args):
         if isinstance(params, Points):
             return fn(params, *args)
         rest = [type(a)(**{k: np.asarray(v)[None] for k, v in vars(a).items()})
-                if dataclasses.is_dataclass(a) else a for a in args[1:]]
+                if dataclasses.is_dataclass(a) else
+                a[None] if isinstance(a, np.ndarray) else a for a in args[1:]]
         return point_of(fn(Points.of([params], args[0]), *rest), 0)
     return call
 

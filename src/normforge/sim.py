@@ -248,7 +248,7 @@ def _kind_labels(flavor: str) -> list:
 def _tft_point(env: NetworkEnv, b: int) -> Points:
     """Tit-for-tat's row: two rungs, both serving any client with a clean last period."""
     return Points.of([ProtocolParams(L=1, h_o=1, b=b)], env).replace(
-        h_o=np.zeros((1, 1)), m_o=np.ones((1, 2), dtype=np.int64))
+        h_o=np.zeros(1), m_o=np.ones((2, 1), dtype=np.int64))
 
 
 def tft_sustainable(env: NetworkEnv, b: int, p_c: float = 0.0) -> bool:
@@ -349,7 +349,7 @@ def _route(u: np.ndarray, seg: np.ndarray, sizes: np.ndarray, counts: np.ndarray
     G, R = sizes.shape
     used = sizes.any(axis=1)
     if np.count_nonzero(used) == 1:  # one group takes every request
-        return (u if R == 1 else 2.0 * seg + u).argsort(), used[:, None] * counts
+        return (u.argsort() if R == 1 else _by_label(seg, u, R)), used[:, None] * counts
     if R == 1:  # groups rise with u, so sorting by u sorts them too
         order, c = u.argsort(), sizes[:, 0].cumsum()
         cuts = (u[order] * c[-1]).astype(np.int64).searchsorted(c)
@@ -359,7 +359,16 @@ def _route(u: np.ndarray, seg: np.ndarray, sizes: np.ndarray, counts: np.ndarray
     bounds = (off + sizes[:-1].cumsum(axis=0)).T.ravel()
     slot = off[seg] + (u * tot[seg]).astype(np.int64)
     cell = (bounds.searchsorted(slot, side="right") - (G - 1) * seg) * R + seg
-    return (2.0 * cell + u).argsort(), np.bincount(cell, minlength=G * R).reshape(G, R)
+    return _by_label(cell, u, G * R), np.bincount(cell, minlength=G * R).reshape(G, R)
+
+
+def _by_label(label: np.ndarray, u: np.ndarray, n_labels: int) -> np.ndarray:
+    """Order by label (below n_labels), then u.  u comes from random(), so
+    u * 2**53 is an integer and this int64 key is exact below 2**10 labels;
+    lexsort is exact at any count but sorts 1,000 requests about 5x slower."""
+    if n_labels > 1 << 10:
+        return np.lexsort((u, label))
+    return ((u * 2.0 ** 53).astype(np.int64) | label << 53).argsort()
 
 
 def _fix_self_service(batch: _Batch, seg, clients, servers) -> list:
@@ -450,7 +459,7 @@ def _pools(config: SimConfig, others: bool):
     live = np.flatnonzero(cols.any(axis=1) | others)
     pool = np.full(len(cols), -1)
     pool[live] = np.arange(len(live))
-    return row.L, row.keep[0], pool[cls_of_rep.ravel()], cols[live]
+    return row.L, row.keep[:, 0], pool[cls_of_rep.ravel()], cols[live]
 
 
 def run_replicas(configs: list) -> list:

@@ -8,10 +8,11 @@ lands on 0, so the long-run distribution of that kernel is a running product
 of per-rung ratios (the harsh-punishment closed form is its beta = 0 case).
 This module computes that product directly (never by iteration), plus the
 mixtures induced by malicious and altruistic sub-populations, for one point
-(params, env) or a `Points` batch (answers then gain a leading batch axis).
-The ladder law is `Points.moves`; the kernel and the product both read it.
-`check_regime` alone decides which populations the analysis can model, and
-mixtures come through `stationary_for_regime` only.
+(params, env) or a `Points` batch (answers then gain a leading batch axis: a
+(B, L + 1) profile is a view of a rung-major one).  The ladder law is
+`Points.moves`; the kernel and the product both read it.  `check_regime`
+alone decides which populations the analysis can model, and mixtures come
+through `stationary_for_regime` only.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ def transition_matrix(points: Points) -> np.ndarray:
     """Row-stochastic one-period reputation kernel for a compliant peer: row
     t puts the ladder moves of `Points.moves` on t+1 (climb), t (stay) and
     0 (fall)."""
-    climb, stay, fall = points.moves
-    t = points.rung
+    climb, stay, fall = (m.T for m in points.moves)
+    t = points.rung[:, 0]
     P = np.zeros((len(points), points.L + 1, points.L + 1))
     P[:, t[:-1], t[1:]] = climb[:, :-1]
     P[:, t, t] += stay
@@ -56,7 +57,10 @@ def check_regime(points: Points) -> None:
     """Raise ValueError unless the analysis can model every point: one
     non-reciprocative kind at a time, uniform client thresholds with either
     kind present (altruists also on a row where every rung uploads, h_o = 0,
-    as tit-for-tat's), and harsh punishment (beta = 0) with malicious peers."""
+    as tit-for-tat's), and harsh punishment (beta = 0) with malicious peers.
+    A batch it admits is not checked again."""
+    if points.admitted:
+        return
     altruists, malicious = points.p_c > 0.0, points.p_d > 0.0
     if (altruists & malicious).any():
         raise ValueError("analytic profiles handle one non-reciprocative kind at a time")
@@ -64,6 +68,7 @@ def check_regime(points: Points) -> None:
         raise ValueError("mixed populations are analyzed under uniform client thresholds")
     if (malicious & (points.beta != 0.0)).any():
         raise ValueError("the malicious mixture is analyzed under harsh punishment (beta = 0)")
+    points.admitted = True
 
 
 def stationary_closed_form(params: ProtocolParams, env: NetworkEnv) -> ReputationDistribution:
@@ -103,17 +108,17 @@ def stationary_fixed_point(points: Points) -> ReputationDistribution:
     first one on the way up takes all the mass.
     """
     climb, _, fall = points.moves
-    out = climb[:, 1:] + fall[:, 1:]
+    out = climb[1:] + fall[1:]
     eta = np.ones_like(climb)
-    np.divide(climb[:, :-1], out, out=eta[:, 1:], where=out > 0.0)
-    eta = np.cumprod(eta, axis=1)
+    np.divide(climb[:-1], out, out=eta[1:], where=out > 0.0)
+    eta = np.cumprod(eta, axis=0)
     dead = out == 0.0
     if dead.any():
-        sink = np.where(dead.any(axis=1), dead.argmax(axis=1) + 1, -1)[:, None]
+        sink = np.where(dead.any(axis=0), dead.argmax(axis=0) + 1, -1)
         eta = np.where(sink < 0, eta, points.rung == sink)
-    eta /= eta.sum(axis=1, keepdims=True)
-    return ReputationDistribution(eta=eta, mu=(eta * points.active).sum(axis=1),
-                                  alpha=points.alpha[:, 0])
+    eta /= points.rung_sum(eta)
+    return ReputationDistribution(eta=eta.T, mu=points.rung_sum(eta * points.active),
+                                  alpha=points.alpha)
 
 
 @batched
@@ -126,7 +131,7 @@ def stationary_for_regime(points: Points) -> ReputationDistribution:
     if not (points.p_c + points.p_d > 0.0).any():
         return recip
     cycle = np.where(points.rung <= points.h_o, 1.0 / (points.h_o + 1), 0.0)
-    eta = ((1.0 - points.p_c - points.p_d) * recip.eta + points.p_d * cycle
+    eta = ((1.0 - points.p_c - points.p_d) * recip.eta.T + points.p_d * cycle
            + points.p_c * (points.rung == points.L))
-    return ReputationDistribution(eta=eta, mu=(eta * points.active).sum(axis=1),
+    return ReputationDistribution(eta=eta.T, mu=points.rung_sum(eta * points.active),
                                   alpha=recip.alpha)

@@ -9,7 +9,7 @@ import pytest
 from normforge import (NetworkEnv, ProtocolParams, SimConfig, check_equilibrium,
                        collapsed_social_utility, run_tft, sim, stationary_fixed_point,
                        stationary_for_regime, tft_sustainable)
-from normforge.cli import main
+from normforge.cli import _json_text, main
 
 BASE_SCENARIO = {
     "env": {"r": 1.0, "c": 0.2, "eps": 0.1, "lambda": 1.0, "delta": 0.8},
@@ -208,6 +208,18 @@ class TestSolve:
         code, out = run_cli(capsys, "solve", "--config", path)
         assert code == 0
         assert "p_c_star" in json_payload(out)
+
+    @pytest.mark.parametrize("problem, flags", [
+        ("OSNE", ["--c", "0.95"]),
+        ("OSNE_VP", []),
+        ("OSNE_VPS", []),
+        ("OSNE_AH", ["--p-c-grid", "0.25"]),
+    ])
+    def test_payload_keys_come_sorted(self, scenario_file, capsys, problem, flags):
+        # solve writes its payload without sort_keys: it must already be in that order
+        path = scenario_file(design={"problem": problem, "L": 2, "b_cap": 2})
+        _, out = run_cli(capsys, "solve", "--config", path, *flags)
+        assert out == _json_text(json.loads(out)) + "\n"
 
 
 class TestSweep:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from math import ceil, log2
 
@@ -415,3 +416,23 @@ def test_osne_ah_equals_per_fraction_osne(L, b_cap, pC_grid, e):
     log, best = _osne_ah_reference(spec)
     assert got.search_log == log
     assert (got.params, got.utility, got.pC_star) == (best[1], best[2], best[3])
+
+
+# sha256 of repr((params, utility, pC_star, search_log)) for the benchmark's
+# four design solves at the reference env
+DESIGN_DIGESTS = {
+    ("OSNE_VPS", 4, 3): "27e17d02ed8066b748132f5f0c05fed602d5e7635f62daa0d2b570e57442b5f4",
+    ("OSNE_VP", 6, 10): "2454cbc487969a6d4b329dd836bf4782951306392807c7135906d545fea2ba27",
+    ("OSNE_AH", 6, 10): "ab86154848e0d1f671f890cf447024f1499535f65e9fb73ab1dddfc91f8a0524",
+    ("OSNE", 6, 10): "1eee9a05ef0a7a24556d02373f970f3fb0ff7fd2dbd141dd07f429f910ae9c39",
+}
+
+
+@pytest.mark.parametrize("problem, L, b_cap", DESIGN_DIGESTS)
+def test_benchmark_designs_are_pinned(problem, L, b_cap):
+    # every candidate's slack and utility, the winner and its refinement,
+    # bit for bit: a layout or summation-order change must not move them
+    res = solve(DesignSpec(problem, L, b_cap, env(), pC_grid=0.0025))
+    digest = hashlib.sha256(repr((res.params, res.utility, res.pC_star, res.search_log))
+                            .encode()).hexdigest()
+    assert digest == DESIGN_DIGESTS[problem, L, b_cap]

@@ -224,14 +224,15 @@ def points_on(draw, L, lam_max=20.0):
 
 @st.composite
 def mixed_batches(draw):
-    L = draw(st.integers(1, 7))
+    L = draw(st.integers(1, 9))  # from L = 7 on, a rung sum has 8 or more terms
     return draw(st.lists(points_on(L), min_size=1, max_size=12))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(mixed_batches())
 def test_batched_check_matches_each_single_check(points):
-    # every point of a mixed batch gets what check_equilibrium gives it alone
+    # every point of a mixed batch gets what check_equilibrium gives it
+    # alone, bit for bit
     batch = check_equilibria(Points.of([p for p, _ in points], [e for _, e in points]))
     for i, (p, e) in enumerate(points):
         got, want = point_of(batch, i), check_equilibrium(p, e)
@@ -241,7 +242,7 @@ def test_batched_check_matches_each_single_check(points):
                      (got.utilities.v_inf, want.utilities.v_inf),
                      (got.social_utility, want.social_utility),
                      (got.dist.eta, want.dist.eta)):
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(a, b, strict=True)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -500,6 +501,15 @@ class TestSocialUtility:
         p = ProtocolParams(L=3, h_o=1, b=1)
         u = social_utility(p, e, stationary_for_regime(p, e))
         assert u == pytest.approx(1 * 0.4 * 0.6)
+
+    def test_given_one_period_utilities_of_one_point(self):
+        e = env(c=0.4, p_d=0.2)
+        p = ProtocolParams(L=3, h_o=1, b=2)
+        dist = stationary_for_regime(p, e)
+        v_one = one_period_utilities(p, e, dist)
+        u = social_utility(p, e, dist, v_one)
+        assert isinstance(u, float) and u == social_utility(p, e, dist)
+        assert u == pytest.approx(float(dist.eta @ v_one), rel=1e-12)
 
 
 class TestThresholdStructure:

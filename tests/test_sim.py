@@ -643,6 +643,26 @@ class TestBatchDraws:
             assert batch.pick(quota, size).tolist() == want.tolist()
             size = size[::-1].copy()
 
+    @pytest.mark.parametrize("alt", [0, 3])
+    def test_route_orders_near_ties_as_a_single_run(self, alt):
+        # two requests of replica 1 whose uniforms are one ulp apart, with
+        # one server group (alt = 0) or two: the batch orders them as the
+        # run alone does
+        u = np.array([np.nextafter(0.5, 1.0), 0.5])
+        sizes = np.array([[0, 0], [5, 5], [alt, alt], [0, 0]])
+        order, _ = sim._route(u, np.array([1, 1]), sizes, np.array([0, 2]))
+        alone, _ = sim._route(u, np.array([0, 0]), sizes[:, 1:], np.array([2]))
+        assert order.tolist() == alone.tolist() == [1, 0]
+
+    def test_route_orders_exactly_past_1024_labels(self):
+        # labels of 2**10 and above leave no room for u in a signed 64-bit key
+        R = 2 ** 10 + 1
+        u = np.array([0.25, np.nextafter(0.5, 1.0), 0.5])
+        seg = np.array([0, R - 1, R - 1])
+        sizes, counts = np.zeros((2, R), dtype=np.int64), np.zeros(R, dtype=np.int64)
+        sizes[1], counts[[0, -1]] = 5, [1, 2]
+        assert sim._route(u, seg, sizes, counts)[0].tolist() == [0, 2, 1]
+
 
 class TestScalarOracles:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
