@@ -27,10 +27,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,13 +43,6 @@ from .sim import KIND_ORDER, SOCIAL_NORM, TFT, SimConfig, _kind_labels, run_repl
 from .stationary import check_regime, stationary_fixed_point, stationary_for_regime
 
 SECTIONS = ("env", "params", "design", "sweep", "sim", "output")
-ENV_FIELDS = ("r", "c", "eps", "lambda", "delta", "p_c", "p_d")
-PARAM_TYPES = {"L": int, "h_o": int, "b": int, "beta": float}  # the numeric params fields
-INTEGERS = (*(f"params.{name}" for name, kind in PARAM_TYPES.items() if kind is int),
-            "design.L", "design.b_cap", "sim.n_peers", "sim.n_periods", "sim.seed")
-NUMBERS = (*(f"env.{name}" for name in ENV_FIELDS),
-           *(f"params.{name}" for name, kind in PARAM_TYPES.items() if kind is float),
-           "design.beta_grid", "design.p_c_grid")
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 
@@ -90,23 +85,64 @@ def _parse_mix(text: str) -> dict:
     return mix
 
 
-# the flags that carry text, parsed into their field's value
-TEXT_FIELDS = {"params.m_o": lambda text: [int(v) for v in text.split(",")],
-               "sim.population_mix": _parse_mix}
+def _integral(value) -> bool:
+    return type(value) in (int, float) and not value % 1
+
+
+class Kind(NamedTuple):
+    """A config field's kind: the JSON values it accepts, the error for any
+    other ({} takes the value's JSON), the cast of an accepted value (also a
+    typed flag's argparse type) and the parse of a text flag's value."""
+    accepts: Callable
+    error: str
+    cast: Callable = lambda value: value
+    parse: Callable = None
+
+
+NUMBER = Kind(lambda value: type(value) in (int, float), "expected a number, got {}", float)
+INTEGER = Kind(_integral, "expected an integer, got {}", int)  # sweep axes give 3.0
+INTEGERS = Kind(lambda value: value is None or isinstance(value, list)
+                and all(map(_integral, value)), "expected a list of integers, got {}",
+                parse=lambda text: [int(v) for v in text.split(",")])
+MIX = Kind(lambda value: isinstance(value, dict), "expected an object of kind: fraction pairs",
+           parse=_parse_mix)
+BOOLEAN = Kind(lambda value: isinstance(value, bool), "expected true or false")
+TEXT = Kind(lambda value: isinstance(value, str), "expected a string, got {}")
+
+# The scenario schema: each built section's noun, its required fields and its
+# optional ones (absent, they take the dataclass's default), with their kinds.
+SCHEMA = {
+    "env": ("environment", dict.fromkeys(("r", "c", "eps", "lambda", "delta"), NUMBER),
+            dict.fromkeys(("p_c", "p_d"), NUMBER)),
+    "params": ("protocol", dict.fromkeys(("L", "h_o", "b"), INTEGER),
+               {"beta": NUMBER, "m_o": INTEGERS}),
+    "design": ("design", {"problem": TEXT, "L": INTEGER, "b_cap": INTEGER},
+               dict.fromkeys(("beta_grid", "p_c_grid"), NUMBER)),
+    "sim": ("simulation", dict.fromkeys(("n_peers", "n_periods", "seed"), INTEGER),
+            {"population_mix": MIX, "protocol_flavor": TEXT, "strategic": BOOLEAN}),
+}
+FIELDS = {name: {**required, **optional} for name, (_, required, optional) in SCHEMA.items()}
+KEYWORDS = {"lambda": "lam", "p_c_grid": "pC_grid"}  # the dataclasses' own spelling
+# the sweepable axes, each with the section it sets: env's and params' numbers
+AXES = {name: section for section in ("env", "params")
+        for name, kind in FIELDS[section].items() if kind in (NUMBER, INTEGER)}
 
 
 def _scenario(args) -> dict:
     """The config file's sections, with each flag's value set on the field
-    its dest names ("env.eps", "sim.population_mix", ...)."""
+    its dest names ("env.eps", "sim.population_mix", ...).  The file's
+    params.L fills a missing design.L; a given --L sets both."""
     cfg = _load_config_file(args.config) if args.config else {}
     sc = {name: dict(cfg.get(name, {})) for name in SECTIONS if name != "sweep"}
+    if "L" in sc["params"]:
+        sc["design"].setdefault("L", sc["params"]["L"])
     for dest, value in vars(args).items():
         section, _, field = dest.partition(".")
         if field and value is not None:
-            parse = TEXT_FIELDS.get(dest)
+            parse = FIELDS[section][field].parse
             sc[section][field] = value if parse is None else _built(dest, lambda: parse(value))
-    if "L" in sc["params"]:
-        sc["design"].setdefault("L", sc["params"]["L"])
+            if dest == "params.L":
+                sc["design"]["L"] = value
     sweep = cfg.get("sweep", [])
     if not (isinstance(sweep, list) and all(isinstance(axis, dict) for axis in sweep)):
         raise CliError("sweep", "expected a list of axis objects")
@@ -119,28 +155,21 @@ def _scenario(args) -> dict:
     return dict(sc, sweep=sweep)
 
 
-def _integral(value) -> bool:
-    return type(value) in (int, float) and not value % 1
-
-
-def _check_fields(section: dict, name: str, noun: str, required, known) -> None:
-    """A section must carry every required field and no unknown one; number
-    fields take JSON numbers, integer fields ints or integral floats (sweep
-    axes give 3.0) and m_o a list of those."""
+def _fields(section: dict, name: str) -> dict:
+    """Section `name`'s fields as its dataclass's keywords, each cast to its
+    kind.  The section must carry every required field and no unknown one,
+    each of its kind."""
+    noun, required, _ = SCHEMA[name]
     for key in required:
         if key not in section:
             raise CliError(f"{name}.{key}", f"required {noun} field is missing")
     for key, value in section.items():
-        field = f"{name}.{key}"
-        if key not in known:
-            raise CliError(field, f"unknown {noun} field {key!r}")
-        if field in NUMBERS and type(value) not in (int, float):
-            raise CliError(field, f"expected a number, got {json.dumps(value)}")
-        if field in INTEGERS and not _integral(value):
-            raise CliError(field, f"expected an integer, got {json.dumps(value)}")
-        if field == "params.m_o" and not (value is None or isinstance(value, list)
-                                          and all(map(_integral, value))):
-            raise CliError(field, f"expected a list of integers, got {json.dumps(value)}")
+        kind = FIELDS[name].get(key)
+        if kind is None:
+            raise CliError(f"{name}.{key}", f"unknown {noun} field {key!r}")
+        if not kind.accepts(value):
+            raise CliError(f"{name}.{key}", kind.error.format(json.dumps(value)))
+    return {KEYWORDS.get(key, key): FIELDS[name][key].cast(value) for key, value in section.items()}
 
 
 def _built(field: str, make, errors=(TypeError, ValueError)):
@@ -152,50 +181,20 @@ def _built(field: str, make, errors=(TypeError, ValueError)):
         raise CliError(field, str(exc))
 
 
-def _env_of(section: dict) -> NetworkEnv:
-    return _built("env", lambda: NetworkEnv(**{"lam" if name == "lambda" else name: float(value)
-                                               for name, value in section.items()}))
-
-
-def _params_of(section: dict) -> ProtocolParams:
-    return _built("params", lambda: ProtocolParams(
-        **{name: kind(section[name]) for name, kind in PARAM_TYPES.items() if name in section},
-        m_o=section.get("m_o")))
-
-
 def _build_env(section: dict) -> NetworkEnv:
-    _check_fields(section, "env", "environment", ("r", "c", "eps", "lambda", "delta"), ENV_FIELDS)
-    return _env_of(section)
+    return _built("env", lambda: NetworkEnv(**_fields(section, "env")))
 
 
 def _build_params(section: dict) -> ProtocolParams:
-    _check_fields(section, "params", "protocol", ("L", "h_o", "b"), (*PARAM_TYPES, "m_o"))
-    return _params_of(section)
+    return _built("params", lambda: ProtocolParams(**_fields(section, "params")))
 
 
 def _build_design(section: dict, env: NetworkEnv) -> DesignSpec:
-    _check_fields(section, "design", "design", ("problem", "L", "b_cap"),
-                  ("problem", "L", "b_cap", "beta_grid", "p_c_grid"))
-    return _built("design", lambda: DesignSpec(
-        problem=str(section["problem"]), L=int(section["L"]), b_cap=int(section["b_cap"]),
-        env=env, beta_grid=float(section.get("beta_grid", 0.01)),
-        pC_grid=float(section.get("p_c_grid", 0.01))))
+    return _built("design", lambda: DesignSpec(**_fields(section, "design"), env=env))
 
 
 def _build_sim(section: dict, params: ProtocolParams, env: NetworkEnv) -> SimConfig:
-    _check_fields(section, "sim", "simulation", ("n_peers", "n_periods", "seed"),
-                  ("n_peers", "n_periods", "seed", "population_mix", "protocol_flavor",
-                   "strategic"))
-    if not isinstance(section.get("population_mix", {}), dict):
-        raise CliError("sim.population_mix", "expected an object of kind: fraction pairs")
-    if not isinstance(section.get("strategic", False), bool):
-        raise CliError("sim.strategic", "expected true or false")
-    return _built("sim", lambda: SimConfig(
-        n_peers=int(section["n_peers"]), n_periods=int(section["n_periods"]),
-        seed=int(section["seed"]), params=params, env=env,
-        population_mix=section.get("population_mix"),
-        protocol_flavor=section.get("protocol_flavor", SOCIAL_NORM),
-        strategic=section.get("strategic", False)))
+    return _built("sim", lambda: SimConfig(**_fields(section, "sim"), params=params, env=env))
 
 
 # ------------------------------------------------------------------- outputs
@@ -233,7 +232,7 @@ def _csv_cell(value):
 # ------------------------------------------------------------------ commands
 
 REPORT_FIELDS = ("serve_slack", "refuse_slack", "per_theta_slacks", "is_equilibrium")
-POINT_COLUMNS = ["r", "c", "eps", "lambda", "delta", "p_c", "p_d", "L", "h_o", "b", "beta", "m_o"]
+POINT_COLUMNS = [*FIELDS["env"], *FIELDS["params"]]
 RESULT_COLUMNS = ["alpha", "mu", "eta", "v_one", "v_inf",
                   "social_utility", "social_utility_effective", "recip_utility_effective",
                   "serve_slack", "refuse_slack", "is_equilibrium"]
@@ -331,7 +330,7 @@ def _axis_values(axis: dict) -> list:
     for name in ("param", "min", "max", "step"):
         if name not in axis:
             raise CliError(f"sweep.{name}", "sweep axis field is missing")
-    if axis["param"] not in (*ENV_FIELDS, *PARAM_TYPES):
+    if axis["param"] not in AXES:
         raise CliError("sweep.param", f"unknown sweep parameter {axis['param']!r}")
     lo, hi, step = (_built(f"sweep.{name}", lambda: float(axis[name]))
                     for name in ("min", "max", "step"))
@@ -346,10 +345,10 @@ def _axis_values(axis: dict) -> list:
 
 
 def _apply_point(env_sec: dict, par_sec: dict, names, values):
-    env_sec, par_sec = dict(env_sec), dict(par_sec)
+    sections = {"env": dict(env_sec), "params": dict(par_sec)}
     for name, value in zip(names, values):  # the builders cast each field
-        (env_sec if name in ENV_FIELDS else par_sec)[name] = value
-    return env_sec, par_sec
+        sections[AXES[name]][name] = value
+    return sections["env"], sections["params"]
 
 
 def cmd_sweep(args) -> int:
@@ -366,34 +365,26 @@ def cmd_sweep(args) -> int:
         if not sc["params"]:
             raise CliError("params", "sweep in analyze mode needs a params section")
 
-        par_axes = [j for j, name in enumerate(names) if name not in ENV_FIELDS]
-        env_axes = [j for j, name in enumerate(names) if name in ENV_FIELDS]
+        built = {}
 
-        def points():
-            """Each point's (params, env), each distinct section built once:
-            the first point's by the builders, a later params section with
-            only its integer axes re-checked.  Params come before env at
-            every point, so a bad grid fails with its first bad point's error."""
-            params, envs = {}, {}
-            for i, values in enumerate(grid):
-                p_key = tuple(values[j] for j in par_axes)
-                if p_key not in params:
-                    fields = {names[j]: values[j] for j in par_axes}
-                    if i:
-                        _check_fields(fields, "params", "protocol", (), PARAM_TYPES)
-                    params[p_key] = (_params_of if i else _build_params)({**sc["params"], **fields})
-                e_key = tuple(values[j] for j in env_axes)
-                if e_key not in envs:
-                    fields = {names[j]: values[j] for j in env_axes}
-                    envs[e_key] = (_env_of if i else _build_env)({**sc["env"], **fields})
-                yield params[p_key], envs[e_key]
+        def section(name, build, values):
+            """The point's section `name`, each distinct one built once."""
+            fields = tuple((n, v) for n, v in zip(names, values) if AXES[n] == name)
+            if (name, fields) not in built:
+                built[name, fields] = build({**sc[name], **dict(fields)})
+            return built[name, fields]
 
-        analyzed = (row for block, columns in _checked_blocks(points())
+        # params come before env at every point, so a bad grid fails with its
+        # first bad point's error
+        points = ((section("params", _build_params, values), section("env", _build_env, values))
+                  for values in grid)
+
+        analyzed = (row for block, columns in _checked_blocks(points)
                     for row in _analyze_rows(block, columns))
         header = [f"axis_{n}" for n in names] + ANALYZE_COLUMNS
         rows = [list(values) + row for values, row in zip(grid, analyzed)]
     else:
-        searched = [name for name in names if name in PARAM_TYPES and name != "L"]
+        searched = [name for name in names if AXES[name] == "params" and name != "L"]
         if searched:
             raise CliError("sweep.param", f"a design sweep searches {searched[0]!r} itself; "
                            "sweep env fields or L")
@@ -525,17 +516,23 @@ def cmd_compare(args) -> int:
 
 # --------------------------------------------------------------------- entry
 
+def _typed_flags(p: argparse.ArgumentParser, section: str, skip=()) -> None:
+    """A flag for each number and integer field of a section, of its kind."""
+    for name, kind in FIELDS[section].items():
+        if kind in (NUMBER, INTEGER) and name not in skip:
+            p.add_argument(f"--{name.replace('_', '-')}", dest=f"{section}.{name}", type=kind.cast)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="scenario JSON file")
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--csv-out", help="also write a flat CSV to this path")
-    for name in ENV_FIELDS:
-        p.add_argument(f"--{name.replace('_', '-')}", dest=f"env.{name}", type=float)
-    for name, kind in PARAM_TYPES.items():
-        p.add_argument(f"--{name.replace('_', '-')}", dest=f"params.{name}", type=kind)
+    _typed_flags(p, "env")
+    _typed_flags(p, "params")
     p.add_argument("--m-o", dest="params.m_o", help="comma-separated client thresholds for h_o..L")
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="normforge",
@@ -547,13 +544,9 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p)
         if design:
             p.add_argument("--problem", dest="design.problem", choices=PROBLEMS)
-            p.add_argument("--b-cap", dest="design.b_cap", type=int)
-            p.add_argument("--beta-grid", dest="design.beta_grid", type=float)
-            p.add_argument("--p-c-grid", dest="design.p_c_grid", type=float)
+            _typed_flags(p, "design", skip=("L",))  # --L sets design.L
         if run_mix:
-            p.add_argument("--n-peers", dest="sim.n_peers", type=int)
-            p.add_argument("--n-periods", dest="sim.n_periods", type=int)
-            p.add_argument("--seed", dest="sim.seed", type=int)
+            _typed_flags(p, "sim")
             p.add_argument("--mix", dest="sim.population_mix",
                            help=f"population mix, e.g. {run_mix}")
             p.add_argument("--strategic", dest="sim.strategic", action="store_true", default=None)
@@ -582,8 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except CliError as exc:

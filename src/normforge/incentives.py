@@ -149,9 +149,11 @@ def social_utility(points: Points, dist: ReputationDistribution,
     (computed unless given) over the stationary profile.  An
     all-reciprocative population gets the active peers' benefit minus the
     cost of serving every eligible client (lam*b*mu*[(1-eps)*r - c] under
-    uniform thresholds).  The altruistic regime accounts for altruists'
-    upload costs with a two-branch formula split at p_c = 0.5, above which
-    reciprocative demand alone caps the exchanged volume.
+    uniform thresholds).  The altruistic regime has two branches.  Up to
+    p_c = 0.5 it equals (1 - p_c) times the reciprocators' profile-weighted
+    v_one plus c*lam*b*p_c: the altruists' term adds their upload cost
+    rather than charging it.  Above one half, reciprocative demand alone
+    caps the exchanged volume, and c is charged per unit exchanged.
     """
     rate, eta, t, p_c = points.lam * points.b, dist.eta.T, points.rung, points.p_c
     # every eligible client's requests land on some active server: summing

@@ -9,7 +9,7 @@ import pytest
 from normforge import (NetworkEnv, ProtocolParams, SimConfig, check_equilibrium,
                        collapsed_social_utility, run_tft, sim, stationary_fixed_point,
                        stationary_for_regime, tft_sustainable)
-from normforge.cli import _json_text, main
+from normforge.cli import _json_text, build_parser, main
 
 BASE_SCENARIO = {
     "env": {"r": 1.0, "c": 0.2, "eps": 0.1, "lambda": 1.0, "delta": 0.8},
@@ -188,6 +188,19 @@ class TestSolve:
         assert payload["b_star"] == want.params.b
         assert payload["utility"] == pytest.approx(want.utility)
         assert payload["search_log"]
+
+    def test_l_flag_overrides_the_design_ladder(self, scenario_file, capsys):
+        # a given --L sets design.L over the file's; the file's params.L (3)
+        # only fills a missing design.L
+        flags = ["--r", "1", "--c", "0.2", "--eps", "0.1", "--lambda", "1", "--delta", "0.8",
+                 "--problem", "OSNE", "--b-cap", "3"]
+        at = {L: run_cli(capsys, "solve", *flags, "--L", str(L)) for L in (3, 6)}
+        assert at[3] != at[6]
+        six = scenario_file(design={"problem": "OSNE", "L": 6, "b_cap": 3})
+        assert run_cli(capsys, "solve", "--config", six) == at[6]
+        assert run_cli(capsys, "solve", "--config", six, "--L", "3") == at[3]
+        unset = scenario_file(design={"problem": "OSNE", "b_cap": 3})
+        assert run_cli(capsys, "solve", "--config", unset) == at[3]
 
     @pytest.mark.parametrize("problem, flags", [
         ("OSNE_VP", ["--p-d", "0.1"]),
@@ -481,9 +494,9 @@ UNANALYZABLE_CASES = [
 class TestUnanalyzablePopulation:
     @pytest.mark.parametrize("argv, field", [pytest.param(argv, field, id=" ".join(argv))
                                              for argv, field in UNANALYZABLE_CASES])
-    def test_is_a_config_error_in_every_command(self, scenario_file, capsys, argv, field):
-        path = scenario_file(sim={"n_peers": 50, "n_periods": 5, "seed": 1})
-        code, out = run_cli(capsys, argv[0], "--config", path, *argv[1:])
+    def test_is_a_config_error_in_every_command(self, scenario_file, capsys, tmp_path, argv,
+                                                field):
+        code, out = run_bad_config(scenario_file, capsys, tmp_path, argv, {})
         assert code == 2
         assert json.loads(out)["error"]["field"] == field
 
@@ -569,17 +582,50 @@ MALFORMED_CASES = [
 ]
 
 
+def run_bad_config(scenario_file, capsys, tmp_path, argv, sections):
+    """Run argv on BASE_SCENARIO with SIM_SECTION, `sections` replacing
+    sections; `sections` that are not a dict are the whole config."""
+    if isinstance(sections, dict):
+        path = scenario_file(**{"sim": SIM_SECTION, **sections})
+    else:
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(sections))
+    return run_cli(capsys, argv[0], "--config", str(path), *argv[1:])
+
+
 @pytest.mark.parametrize("argv, sections, field", MALFORMED_CASES)
 def test_malformed_input_is_a_config_error(scenario_file, capsys, tmp_path, argv, sections,
                                            field):
-    if isinstance(sections, dict):
-        path = scenario_file(**{"sim": SIM_SECTION, **sections})
-    else:  # a config that is not a JSON object
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(sections))
-    code, out = run_cli(capsys, argv[0], "--config", str(path), *argv[1:])
+    code, out = run_bad_config(scenario_file, capsys, tmp_path, argv, sections)
     assert code == 2
     assert json.loads(out)["error"]["field"] == field
+
+
+# sha256 of every MALFORMED_CASES and UNANALYZABLE_CASES command's exit code
+# and full output, recorded before the CLI's scenario schema became one table
+ERROR_OUTPUT_DIGEST = "aa9d76b220352f7fa509ebaafc2208649ed336af1f6a01b9936ea188967ec845"
+
+
+def test_error_outputs_are_pinned(scenario_file, capsys, tmp_path):
+    # each message, not only its field: no error output drifts unseen
+    cases = [(case.id, *case.values[:2]) for case in MALFORMED_CASES]
+    cases += [(" ".join(argv), argv, {}) for argv, _ in UNANALYZABLE_CASES]
+    text = "".join(f"{name}\n{code}\n{out}" for name, argv, sections in cases
+                   for code, out in [run_bad_config(scenario_file, capsys, tmp_path, argv,
+                                                    sections)])
+    assert hashlib.sha256(text.encode()).hexdigest() == ERROR_OUTPUT_DIGEST, text
+
+
+@pytest.mark.parametrize("command, section, base, name", [
+    ("solve", "design", {"problem": "OSNE", "L": 3, "b_cap": 3}, "problem"),
+    ("simulate", "sim", SIM_SECTION, "protocol_flavor"),
+])
+def test_text_fields_take_strings(scenario_file, capsys, tmp_path, command, section, base, name):
+    code, out = run_bad_config(scenario_file, capsys, tmp_path, [command],
+                               {section: dict(base, **{name: 3})})
+    assert code == 2
+    assert json.loads(out)["error"] == {"field": f"{section}.{name}",
+                                        "message": "expected a string, got 3"}
 
 
 def test_integral_floats_are_integers(scenario_file, capsys):
@@ -590,6 +636,21 @@ def test_integral_floats_are_integers(scenario_file, capsys):
                              sim={name: kind(v) for name, v in SIM_SECTION.items()})
         outs += [run_cli(capsys, command, "--config", path) for command in ("check", "simulate")]
     assert outs[:2] == outs[2:] and all(code == 0 for code, _ in outs)
+
+
+def test_repeated_main_calls_share_no_state(scenario_file, capsys):
+    # one parser serves every call: --sweep's list starts empty and
+    # --strategic unset each time
+    assert build_parser() is build_parser()
+    path = scenario_file(sim=SIM_SECTION)
+    sweep = ["sweep", "--config", path, "--sweep", "c:0.2:0.3:0.1"]
+    first = run_cli(capsys, *sweep)
+    assert len(first[1].splitlines()) == 3 and run_cli(capsys, *sweep) == first
+    plain = run_cli(capsys, "simulate", "--config", path)
+    code, out = run_cli(capsys, "simulate", "--config", path, "--strategic")
+    assert code == 0 and json.loads(out)["config"]["strategic"] is True
+    assert run_cli(capsys, "simulate", "--config", path) == plain
+    assert json.loads(plain[1])["config"]["strategic"] is False
 
 
 def test_analyze_point_solves_its_profile_once(scenario_file, count_calls, capsys):
