@@ -13,9 +13,12 @@ Subcommands
 Scenarios are JSON objects with sections env / params / design / sweep / sim /
 output; every field can also be set or overridden by a flag named after the
 parameter (--eps, --delta, --h-o, ...); its --help metavar names that field
-(ENV.EPS, SIM.POPULATION_MIX, ...).  Exit codes: 0 success, 2 config
-error (a machine-readable error object is printed; this includes an env or
-population mix the analysis cannot model), 3 infeasible design.
+(ENV.EPS, SIM.POPULATION_MIX, ...).  `main` loads the scenario and writes every
+output: a command returns its text (to --out, else output.path, else stdout),
+its CSV (analyze, solve and simulate, to --csv-out) and its exit code.  Exit
+codes: 0 success, 2 config error (a machine-readable error object is printed;
+this includes an env or population mix the analysis cannot model and an output
+path that cannot be written), 3 infeasible design.
 
 tft_sustainable, compare's sustained column and a strategic run's free-riding
 are one verdict, `sim.sustained`, taken at the simulated shares (kind counts
@@ -32,6 +35,7 @@ import io
 import itertools
 import json
 import sys
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -42,7 +46,6 @@ from .model import NetworkEnv, Points, ProtocolParams
 from .sim import KIND_ORDER, SOCIAL_NORM, TFT, SimConfig, _kind_labels, run_replicas, sustained
 from .stationary import check_regime, stationary_fixed_point, stationary_for_regime
 
-SECTIONS = ("env", "params", "design", "sweep", "sim", "output")
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 
@@ -109,7 +112,7 @@ MIX = Kind(lambda value: isinstance(value, dict), "expected an object of kind: f
 BOOLEAN = Kind(lambda value: isinstance(value, bool), "expected true or false")
 TEXT = Kind(lambda value: isinstance(value, str), "expected a string, got {}")
 
-# The scenario schema: each built section's noun, its required fields and its
+# The scenario schema: each checked section's noun, its required fields and its
 # optional ones (absent, they take the dataclass's default), with their kinds.
 SCHEMA = {
     "env": ("environment", dict.fromkeys(("r", "c", "eps", "lambda", "delta"), NUMBER),
@@ -120,7 +123,9 @@ SCHEMA = {
                dict.fromkeys(("beta_grid", "p_c_grid"), NUMBER)),
     "sim": ("simulation", dict.fromkeys(("n_peers", "n_periods", "seed"), INTEGER),
             {"population_mix": MIX, "protocol_flavor": TEXT, "strategic": BOOLEAN}),
+    "output": ("output", {}, {"path": TEXT}),
 }
+SECTIONS = (*SCHEMA, "sweep")
 FIELDS = {name: {**required, **optional} for name, (_, required, optional) in SCHEMA.items()}
 KEYWORDS = {"lambda": "lam", "p_c_grid": "pC_grid"}  # the dataclasses' own spelling
 # the sweepable axes, each with the section it sets: env's and params' numbers
@@ -133,7 +138,7 @@ def _scenario(args) -> dict:
     its dest names ("env.eps", "sim.population_mix", ...).  The file's
     params.L fills a missing design.L; a given --L sets both."""
     cfg = _load_config_file(args.config) if args.config else {}
-    sc = {name: dict(cfg.get(name, {})) for name in SECTIONS if name != "sweep"}
+    sc = {name: dict(cfg.get(name, {})) for name in SCHEMA}
     if "L" in sc["params"]:
         sc["design"].setdefault("L", sc["params"]["L"])
     for dest, value in vars(args).items():
@@ -199,14 +204,12 @@ def _build_sim(section: dict, params: ProtocolParams, env: NetworkEnv) -> SimCon
 
 # ------------------------------------------------------------------- outputs
 
-def _emit_text(text: str, path: str | None) -> None:
+def _emit_text(text: str, path: str | None, field: str) -> None:
+    """text to the file at `path`, else to stdout; `field` names the path's source."""
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _built(field, lambda: Path(path).write_text(text, encoding="utf-8"), OSError)
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
 def _json_text(payload: dict, sort_keys: bool = True) -> str:
@@ -270,27 +273,23 @@ def _analyze_rows(block, columns):
         yield [_csv_cell(point[name]) for name in POINT_COLUMNS] + list(result)
 
 
-def cmd_analyze(args) -> int:
-    sc = _scenario(args)
+def _checked_point(sc: dict) -> tuple:
+    """The scenario's one (params, env) point, checked: its block and columns."""
     env = _build_env(sc["env"])
-    params = _build_params(sc["params"])
-    [(block, columns)] = _checked_blocks([(params, env)])
+    return next(_checked_blocks([(_build_params(sc["params"]), env)]))
+
+
+def cmd_analyze(args, sc: dict) -> tuple:
+    block, columns = _checked_point(sc)
+    [(params, env)] = block
     payload = {"env": env.to_dict(), "params": params.to_dict(),
                **{name: col[0] for name, col in columns.items()}}
-    _emit_text(_json_text(payload), args.out or sc["output"].get("path"))
-    if args.csv_out:
-        _emit_text(_csv_text(ANALYZE_COLUMNS, _analyze_rows(block, columns)), args.csv_out)
-    return 0
+    return _json_text(payload), _csv_text(ANALYZE_COLUMNS, _analyze_rows(block, columns)), 0
 
 
-def cmd_check(args) -> int:
-    sc = _scenario(args)
-    env = _build_env(sc["env"])
-    params = _build_params(sc["params"])
-    [(_, columns)] = _checked_blocks([(params, env)])
-    _emit_text(_json_text({name: columns[name][0] for name in REPORT_FIELDS}),
-               args.out or sc["output"].get("path"))
-    return 0
+def cmd_check(args, sc: dict) -> tuple:
+    _, columns = _checked_point(sc)
+    return _json_text({name: columns[name][0] for name in REPORT_FIELDS}), None, 0
 
 
 SOLVE_COLUMNS = ["problem", "r", "c", "eps", "lambda", "delta",
@@ -311,26 +310,22 @@ def _solve_csv_row(spec: DesignSpec, payload: dict) -> list:
     return [_csv_cell(flat[name]) for name in SOLVE_COLUMNS]
 
 
-def cmd_solve(args) -> int:
-    sc = _scenario(args)
-    env = _build_env(sc["env"])
-    spec = _build_design(sc["design"], env)
+def cmd_solve(args, sc: dict) -> tuple:
+    spec = _build_design(sc["design"], _build_env(sc["env"]))
     result = solve(spec)
     payload = _solve_payload(spec, result)
-    log = [{"candidate": list(cand) if isinstance(cand, tuple) else cand,
-            "slack": slack, "utility": util} for cand, slack, util in result.search_log]
-    _emit_text(_json_text(dict(payload, search_log=log), sort_keys=False),
-               args.out or sc["output"].get("path"))
-    if args.csv_out:
-        _emit_text(_csv_text(SOLVE_COLUMNS, [_solve_csv_row(spec, payload)]), args.csv_out)
-    return 0 if result.feasible else EXIT_INFEASIBLE
+    log = [{"candidate": list(cand), "slack": slack, "utility": util}
+           for cand, slack, util in result.search_log]
+    return (_json_text(dict(payload, search_log=log), sort_keys=False),
+            _csv_text(SOLVE_COLUMNS, [_solve_csv_row(spec, payload)]),
+            0 if result.feasible else EXIT_INFEASIBLE)
 
 
 def _axis_values(axis: dict) -> list:
     for name in ("param", "min", "max", "step"):
         if name not in axis:
             raise CliError(f"sweep.{name}", "sweep axis field is missing")
-    if axis["param"] not in AXES:
+    if not (isinstance(axis["param"], str) and axis["param"] in AXES):
         raise CliError("sweep.param", f"unknown sweep parameter {axis['param']!r}")
     lo, hi, step = (_built(f"sweep.{name}", lambda: float(axis[name]))
                     for name in ("min", "max", "step"))
@@ -344,39 +339,35 @@ def _axis_values(axis: dict) -> list:
     return values
 
 
-def _apply_point(env_sec: dict, par_sec: dict, names, values):
-    sections = {"env": dict(env_sec), "params": dict(par_sec)}
-    for name, value in zip(names, values):  # the builders cast each field
-        sections[AXES[name]][name] = value
-    return sections["env"], sections["params"]
+def _grid_builder(sc: dict, names: list) -> Callable:
+    """build(name, make, values, *rest): make(section, *rest) on the scenario's
+    section `name` with a grid point's `values` set on the axes it has a field
+    for (design has L); each distinct call is made once."""
+    made = {}
+
+    def build(name, make, values, *rest):
+        key = (name, tuple((n, v) for n, v in zip(names, values) if n in FIELDS[name]), *rest)
+        if key not in made:  # the builders cast each field
+            made[key] = make({**sc[name], **dict(key[1])}, *rest)
+        return made[key]
+    return build
 
 
-def cmd_sweep(args) -> int:
-    sc = _scenario(args)
+def cmd_sweep(args, sc: dict) -> tuple:
     axes = sc["sweep"]
     if not axes:
         raise CliError("sweep", "sweep requires at least one axis")
+    grids = [_axis_values(ax) for ax in axes]  # each axis checked before its param is read
     names = [ax["param"] for ax in axes]
-    grids = [_axis_values(ax) for ax in axes]
-    mode = "solve" if sc["design"].get("problem") else "analyze"
     grid = list(itertools.product(*grids))
+    build = _grid_builder(sc, names)
 
-    if mode == "analyze":
+    if not sc["design"].get("problem"):  # analyze rows; with a problem, design rows
         if not sc["params"]:
             raise CliError("params", "sweep in analyze mode needs a params section")
-
-        built = {}
-
-        def section(name, build, values):
-            """The point's section `name`, each distinct one built once."""
-            fields = tuple((n, v) for n, v in zip(names, values) if AXES[n] == name)
-            if (name, fields) not in built:
-                built[name, fields] = build({**sc[name], **dict(fields)})
-            return built[name, fields]
-
         # params come before env at every point, so a bad grid fails with its
         # first bad point's error
-        points = ((section("params", _build_params, values), section("env", _build_env, values))
+        points = ((build("params", _build_params, values), build("env", _build_env, values))
                   for values in grid)
 
         analyzed = (row for block, columns in _checked_blocks(points)
@@ -390,14 +381,12 @@ def cmd_sweep(args) -> int:
                            "sweep env fields or L")
 
         def eval_point(values):
-            env_sec, par_sec = _apply_point(sc["env"], dict(), names, values)
-            spec = _build_design(dict(sc["design"], **par_sec), _build_env(env_sec))
+            spec = build("design", _build_design, values, build("env", _build_env, values))
             return list(values) + _solve_csv_row(spec, _solve_payload(spec, solve(spec)))
 
         header = [f"axis_{n}" for n in names] + SOLVE_COLUMNS
         rows = [eval_point(values) for values in grid]
-    _emit_text(_csv_text(header, rows), args.out or sc["output"].get("path"))
-    return 0
+    return _csv_text(header, rows), None, 0
 
 
 SIM_SUMMARY_COLUMNS = [
@@ -409,21 +398,25 @@ SIM_SUMMARY_COLUMNS = [
 ]
 
 
-def _sim_summary_row(config: SimConfig, trace) -> list:
-    s = trace.summary()
-    return [config.protocol_flavor, config.n_peers, config.n_periods, config.seed,
-            config.strategic, config.env.r, config.env.c, config.env.eps,
-            config.env.lam, config.env.delta, config.params.L, config.params.h_o,
-            config.params.b, config.params.beta,
-            *(config.population_mix.get(kind, 0.0) for kind in KIND_ORDER),
-            s["final_window_mu"], _csv_cell(s["final_window_eta"]),
-            s["delivery_rate"], s["recip_delivery_rate"],
-            s["final_window_mean_utility"].get(trace.strategic_kind()),
-            s["truncation_bound"]]
+def _trace_columns(trace) -> dict:
+    """A trace's named columns: its config echo, env, params, mix shares and
+    final-window summary, with the population's mean utility."""
+    config, s = trace.config, trace.summary()
+    per_kind = s["final_window_mean_utility"]
+    counts = config.kind_counts().values()  # in KIND_ORDER, as the labels
+    return {"flavor": config.protocol_flavor, "n_peers": config.n_peers,
+            "n_periods": config.n_periods, "seed": config.seed, "strategic": config.strategic,
+            **config.env.to_dict(), **config.params.to_dict(),
+            **{f"p_{kind.value}": config.population_mix.get(kind, 0.0) for kind in KIND_ORDER},
+            "mu_hat": s["final_window_mu"], "eta_hat": _csv_cell(s["final_window_eta"]),
+            "delivery_rate": s["delivery_rate"], "recip_delivery_rate": s["recip_delivery_rate"],
+            "recip_mean_utility": per_kind.get(trace.strategic_kind()),
+            "truncation_bound": s["truncation_bound"],
+            "mean_social_utility": sum(per_kind.get(label, 0.0) * w for label, w in zip(
+                _kind_labels(config.protocol_flavor), counts)) / config.n_peers}
 
 
-def cmd_simulate(args) -> int:
-    sc = _scenario(args)
+def cmd_simulate(args, sc: dict) -> tuple:
     env = _build_env(sc["env"])
     params = _build_params(sc["params"])
     config = _build_sim(sc["sim"], params, env)
@@ -438,7 +431,8 @@ def cmd_simulate(args) -> int:
     [trace] = run_replicas([config])
     payload = trace.to_json_dict()
     header = list(SIM_SUMMARY_COLUMNS)
-    row = _sim_summary_row(config, trace)
+    columns = _trace_columns(trace)
+    row = [columns[name] for name in SIM_SUMMARY_COLUMNS]
     if args.compare_analytic:
         linf = float(max(abs(trace.window_eta() - dist.eta)))
         payload["analytic_comparison"] = {
@@ -451,10 +445,7 @@ def cmd_simulate(args) -> int:
     if tft:
         header += ["tft_sustainable"]
         row += [sustained(config)]
-    _emit_text(_json_text(payload), args.out or sc["output"].get("path"))
-    if args.csv_out:
-        _emit_text(_csv_text(header, [row]), args.csv_out)
-    return 0
+    return _json_text(payload), _csv_text(header, [row]), 0
 
 
 COMPARE_COLUMNS = ["axis_param", "axis_value", "flavor", "sustained",
@@ -462,8 +453,7 @@ COMPARE_COLUMNS = ["axis_param", "axis_value", "flavor", "sustained",
                    "mean_social_utility"]
 
 
-def cmd_compare(args) -> int:
-    sc = _scenario(args)
+def cmd_compare(args, sc: dict) -> tuple:
     axes = sc["sweep"]
     if len(axes) != 1:
         raise CliError("sweep", "compare expects exactly one sweep axis")
@@ -477,11 +467,11 @@ def cmd_compare(args) -> int:
         raise CliError("params", "compare needs a params section")
     if not sc["sim"]:
         raise CliError("sim", "compare needs a sim section")
+    build = _grid_builder(sc, [axis["param"]])
 
     def cell_config(value, flavor):
-        env_sec, par_sec = _apply_point(sc["env"], sc["params"], [axis["param"]], [value])
-        env = _build_env(env_sec)
-        params = _build_params(par_sec)
+        env = build("env", _build_env, [value])
+        params = build("params", _build_params, [value])
         config = _build_sim({"strategic": True, **sc["sim"], "protocol_flavor": flavor},
                             params, env)
         if flavor == SOCIAL_NORM:
@@ -494,24 +484,17 @@ def cmd_compare(args) -> int:
         return config
 
     def row(value, trace):
-        config = trace.config
         # a strategic run checked the protocol it simulated
-        verdict = not trace.collapsed if config.strategic else sustained(config)
-        s = trace.summary()
-        per_kind = s["final_window_mean_utility"]
-        counts = config.kind_counts().values()  # in KIND_ORDER, as the labels
-        social = sum(per_kind.get(label, 0.0) * w for label, w in
-                     zip(_kind_labels(config.protocol_flavor), counts)) / config.n_peers
-        return [axis["param"], value, config.protocol_flavor, verdict,
-                s["delivery_rate"], s["recip_delivery_rate"],
-                per_kind.get(trace.strategic_kind()), social]
+        verdict = not trace.collapsed if trace.config.strategic else sustained(trace.config)
+        columns = dict(_trace_columns(trace), axis_param=axis["param"], axis_value=value,
+                       sustained=verdict)
+        return [columns[name] for name in COMPARE_COLUMNS]
 
     # the cells share the scenario seed: one batch of common-random-number runs
     cells = [(v, fl) for v in values for fl in flavors]
     traces = run_replicas([cell_config(v, fl) for v, fl in cells])
     rows = [row(v, trace) for (v, _), trace in zip(cells, traces)]
-    _emit_text(_csv_text(COMPARE_COLUMNS, rows), args.out or sc["output"].get("path"))
-    return 0
+    return _csv_text(COMPARE_COLUMNS, rows), None, 0
 
 
 # --------------------------------------------------------------------- entry
@@ -523,10 +506,11 @@ def _typed_flags(p: argparse.ArgumentParser, section: str, skip=()) -> None:
             p.add_argument(f"--{name.replace('_', '-')}", dest=f"{section}.{name}", type=kind.cast)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, csv: bool) -> None:
     p.add_argument("--config", help="scenario JSON file")
     p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--csv-out", help="also write a flat CSV to this path")
+    if csv:  # the commands that write a CSV beside their text
+        p.add_argument("--csv-out", help="also write a flat CSV to this path")
     _typed_flags(p, "env")
     _typed_flags(p, "params")
     p.add_argument("--m-o", dest="params.m_o", help="comma-separated client thresholds for h_o..L")
@@ -539,9 +523,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="reputation-protocol design and simulation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, fn, help_text, design=False, run_mix=None, sweep=False):
+    def command(name, fn, help_text, csv=False, design=False, run_mix=None, sweep=False):
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+        _add_common(p, csv)
         if design:
             p.add_argument("--problem", dest="design.problem", choices=PROBLEMS)
             _typed_flags(p, "design", skip=("L",))  # --L sets design.L
@@ -555,11 +539,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
-    command("analyze", cmd_analyze, "stationary profile, utilities, and verdict")
+    command("analyze", cmd_analyze, "stationary profile, utilities, and verdict", csv=True)
     command("check", cmd_check, "incentive slacks and equilibrium verdict")
-    command("solve", cmd_solve, "solve a protocol design problem", design=True)
+    command("solve", cmd_solve, "solve a protocol design problem", csv=True, design=True)
     command("sweep", cmd_sweep, "grid of analyze or solve rows as CSV", design=True, sweep=True)
-    p = command("simulate", cmd_simulate, "run one seeded agent-based simulation",
+    p = command("simulate", cmd_simulate, "run one seeded agent-based simulation", csv=True,
                 run_mix="reciprocative=0.9,altruistic=0.1")
     p.add_argument("--flavor", dest="sim.protocol_flavor", choices=(SOCIAL_NORM, TFT))
     p.add_argument("--compare-analytic", action="store_true",
@@ -577,7 +561,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        sc = _scenario(args)
+        path = _fields(sc["output"], "output").get("path")
+        text, csv_text, code = args.fn(args, sc)
+        if csv_text is not None and args.csv_out:  # first: if it fails, stdout has only the error
+            _emit_text(csv_text, args.csv_out, "csv_out")
+        _emit_text(text, args.out or path, "out" if args.out else "output.path")
+        return code
     except CliError as exc:
         print(json.dumps({"error": {"field": exc.field, "message": exc.message}},
                          sort_keys=True))

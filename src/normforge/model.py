@@ -132,16 +132,6 @@ class ProtocolParams:
     def uniform_thresholds(self) -> bool:
         return all(v == self.h_o for v in self.m_o)
 
-    def m_o_at(self, server_rep: int) -> int:
-        """Client threshold applied by a server at `server_rep` (>= h_o)."""
-        if server_rep < self.h_o:
-            raise ValueError(
-                f"no client threshold below the activity threshold: "
-                f"server_rep={server_rep} < h_o={self.h_o}")
-        if server_rep > self.L:
-            raise ValueError(f"reputation out of range: {server_rep} > L={self.L}")
-        return self.m_o[server_rep - self.h_o]
-
     def replace(self, **kw) -> "ProtocolParams":
         if "L" in kw or "h_o" in kw:
             # the m_o vector is tied to (L, h_o); drop it unless given explicitly

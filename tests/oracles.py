@@ -119,7 +119,7 @@ def brute_force_equilibrium(params: ProtocolParams, env: NetworkEnv,
         e_comply = float(P[t] @ v_inf)
         keep = beta ** (L - t + 1)
         e_deviate = keep * v_inf[t] + (1.0 - keep) * v_inf[0]
-        prescribed = np.array([t >= h_o and c >= params.m_o_at(t) if t >= h_o else False
+        prescribed = np.array([t >= h_o and c >= params.m_o[t - h_o] if t >= h_o else False
                                for c in range(L + 1)])
         for rule in itertools.product((False, True), repeat=L + 1):
             rule = np.array(rule)
@@ -243,7 +243,7 @@ def social_strategy(params: ProtocolParams, server_rep: int, client_rep: int) ->
     Serve iff the server is active (server_rep >= h_o) and the client clears
     the server's client threshold (client_rep >= m_o(server_rep)).
     """
-    if server_rep >= params.h_o and client_rep >= params.m_o_at(server_rep):
+    if server_rep >= params.h_o and client_rep >= params.m_o[server_rep - params.h_o]:
         return Action.SERVE
     return Action.NOT_SERVE
 

@@ -713,3 +713,60 @@ class TestScenarioRoundTrip:
         code2, out2 = run_cli(capsys, "simulate", "--config", str(path2))
         assert code2 == 0
         assert json.loads(out2)["config"] == echo
+
+
+OUTPUT_RUNS = {
+    "analyze": [], "check": [], "solve": ["--problem", "OSNE", "--b-cap", "3"],
+    "sweep": ["--sweep", "c:0.2:0.3:0.1"], "simulate": [], "compare": ["--sweep", "c:0.2:0.3:0.1"],
+}
+
+
+@pytest.mark.parametrize("command", OUTPUT_RUNS)
+def test_output_path_writes_what_out_writes(scenario_file, capsys, tmp_path, command):
+    # output.path and --out are one destination; a given --out wins
+    in_file, flag = tmp_path / "in_file.txt", tmp_path / "flag.txt"
+    path = scenario_file(sim=SIM_SECTION, output={"path": str(in_file)})
+    assert run_cli(capsys, command, "--config", path, *OUTPUT_RUNS[command]) == (0, "")
+    written = in_file.read_bytes()
+    in_file.unlink()
+    assert run_cli(capsys, command, "--config", path, *OUTPUT_RUNS[command],
+                   "--out", str(flag)) == (0, "")
+    assert flag.read_bytes() == written and not in_file.exists()
+
+
+@pytest.mark.parametrize("output, field, message", [
+    ({"path": 7}, "output.path", "expected a string, got 7"),
+    ({"pth": "x.json"}, "output.pth", "unknown output field 'pth'"),
+], ids=["path-not-a-string", "unknown-key"])
+def test_output_section_is_checked(scenario_file, capsys, tmp_path, output, field, message):
+    # checked even when --out names the destination
+    for flags in ([], ["--out", str(tmp_path / "x.json")]):
+        code, out = run_cli(capsys, "check", "--config", scenario_file(output=output), *flags)
+        assert (code, json.loads(out)) == (2, {"error": {"field": field, "message": message}})
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("command", ["check", "sweep", "compare"])
+def test_commands_without_a_csv_refuse_csv_out(scenario_file, capsys, tmp_path, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", scenario_file(), "--csv-out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2 and "--csv-out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["out", "csv_out", "output.path"])
+def test_unwritable_path_is_a_config_error(scenario_file, capsys, tmp_path, source):
+    # the error object alone reaches stdout, naming where the path came from
+    bad = str(tmp_path / "no" / "such" / "x.txt")
+    flags = {"out": ["--out", bad], "csv_out": ["--csv-out", bad], "output.path": []}[source]
+    path = scenario_file(output={"path": bad} if source == "output.path" else {})
+    code, out = run_cli(capsys, "analyze", "--config", path, *flags)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["field"] == source and "No such file or directory" in error["message"]
+
+
+@pytest.mark.parametrize("param", [{}, {"param": ["c"]}], ids=["missing", "a-list"])
+def test_sweep_param_is_checked_before_it_is_read(scenario_file, capsys, param):
+    path = scenario_file(extra={"sweep": [{**param, "min": 0.1, "max": 0.3, "step": 0.1}]})
+    code, out = run_cli(capsys, "sweep", "--config", path)
+    assert (code, json.loads(out)["error"]["field"]) == (2, "sweep.param")

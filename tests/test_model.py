@@ -40,11 +40,6 @@ class TestValidation:
             ProtocolParams(L=3, h_o=1, b=1, m_o=(1.7, 2.9, 3))
         assert ProtocolParams(L=3, h_o=1, b=1, m_o=(1.0, 2, 3)).m_o == (1, 2, 3)
 
-    def test_rejects_threshold_query_below_h_o(self):
-        p = ProtocolParams(L=3, h_o=2, b=1)
-        with pytest.raises(ValueError):
-            p.m_o_at(1)
-
     def test_default_thresholds_uniform(self):
         p = ProtocolParams(L=4, h_o=2, b=1)
         assert p.m_o == (2, 2, 2)
