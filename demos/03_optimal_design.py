@@ -31,7 +31,8 @@ for problem in ("OSNE", "OSNE_VP", "OSNE_VPS", "OSNE_AH"):
         extras += f"  p_c* = {res.pC_star:.2f}"
     print(f"  {problem:<9} h_o* = {p.h_o}  b* = {p.b}{extras}")
     print(f"            social utility = {res.utility:.4f}   "
-          f"candidates tried = {len(res.search_log)}")
+          f"candidates = {res.stats['candidates']}   "
+          f"points checked = {res.stats['points_checked']}")
 
 print()
 print("Nesting check (each relaxation can only help):")

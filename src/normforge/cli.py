@@ -123,7 +123,7 @@ SCHEMA = {
                dict.fromkeys(("beta_grid", "p_c_grid"), NUMBER)),
     "sim": ("simulation", dict.fromkeys(("n_peers", "n_periods", "seed"), INTEGER),
             {"population_mix": MIX, "protocol_flavor": TEXT, "strategic": BOOLEAN}),
-    "output": ("output", {}, {"path": TEXT}),
+    "output": ("output", {}, {"path": TEXT, "search_log": BOOLEAN}),
 }
 SECTIONS = (*SCHEMA, "sweep")
 FIELDS = {name: {**required, **optional} for name, (_, required, optional) in SCHEMA.items()}
@@ -314,9 +314,12 @@ def cmd_solve(args, sc: dict) -> tuple:
     spec = _build_design(sc["design"], _build_env(sc["env"]))
     result = solve(spec)
     payload = _solve_payload(spec, result)
-    log = [{"candidate": list(cand), "slack": slack, "utility": util}
-           for cand, slack, util in result.search_log]
-    return (_json_text(dict(payload, search_log=log), sort_keys=False),
+    if sc["output"].get("search_log"):  # checked by main
+        payload["search_log"] = [{"candidate": list(cand), "slack": slack, "utility": util}
+                                 for cand, slack, util in result.search_log]
+    else:
+        payload["stats"] = result.stats
+    return (_json_text(payload, sort_keys=False),
             _csv_text(SOLVE_COLUMNS, [_solve_csv_row(spec, payload)]),
             0 if result.feasible else EXIT_INFEASIBLE)
 
@@ -541,7 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("analyze", cmd_analyze, "stationary profile, utilities, and verdict", csv=True)
     command("check", cmd_check, "incentive slacks and equilibrium verdict")
-    command("solve", cmd_solve, "solve a protocol design problem", csv=True, design=True)
+    p = command("solve", cmd_solve, "solve a protocol design problem", csv=True, design=True)
+    p.add_argument("--search-log", dest="output.search_log", action="store_true", default=None)
     command("sweep", cmd_sweep, "grid of analyze or solve rows as CSV", design=True, sweep=True)
     p = command("simulate", cmd_simulate, "run one seeded agent-based simulation", csv=True,
                 run_mix="reciprocative=0.9,altruistic=0.1")

@@ -1,12 +1,11 @@
 """Optimal protocol design: pick the utility-maximizing sustainable protocol.
 
-Each of the four nested problems only generates candidates; one search loop
-keeps the best sustainable one.  `check_equilibria` scores a block of
-candidates per call: OSNE's (h_o, b) cells, one block stream over every
-(p_c, h_o, b) cell of OSNE_AH, and one over the beta columns of every
-threshold vector's b cells in the forgiveness search (all client-threshold
-vectors for OSNE_VPS, the uniform ones for OSNE_VP).  The discrete axes
-stay exhaustive, so every problem matches brute force.
+The four nested problems are one search over (m_o, b) cells: over the
+uniform threshold vectors or, for OSNE_VPS, all of them; with a beta column
+per cell for OSNE_VP and OSNE_VPS, and once per altruist fraction for
+OSNE_AH.  `check_equilibria` scores the cells in blocks, and one np.lexsort
+over the candidates' columns picks the winner.  The discrete axes stay
+exhaustive, so every problem matches brute force.
 
 Ties in utility break deterministically: smallest activity threshold, then
 most connections, then most forgiveness, then the lexicographically smallest
@@ -15,9 +14,11 @@ client-threshold vector, then the smallest altruist fraction.
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -79,44 +80,102 @@ class DesignResult:
 
     feasible is True when some candidate sustains cooperation (for OSNE_AH an
     altruist fraction above one half also counts: service then runs on
-    altruists alone and needs no incentive constraint).  search_log holds one
-    (candidate, slack, utility) triple per evaluated candidate; utility is
-    None when the check fails and slack is None where no check applies.
+    altruists alone and needs no incentive constraint).  stats counts the
+    candidates, the check_equilibria calls and the points they checked.
+    search_log, built on first read, holds a (candidate, slack, utility) per
+    candidate, utility None if the check fails, slack None if none applies.
     """
 
     params: Optional[ProtocolParams]
     utility: float
     feasible: bool
     pC_star: Optional[float] = None
-    search_log: list = field(default_factory=list)
+    stats: dict = field(default_factory=dict)
+    _log: Callable = field(default=list, repr=False, compare=False)
+
+    @functools.cached_property
+    def search_log(self) -> list:
+        return self._log()
 
 
-def _tie_key(utility: float, params: ProtocolParams, p_c: Optional[float]):
-    return (-utility, params.h_o, -params.b, -params.beta, params.m_o, p_c or 0.0)
+def _search(spec: DesignSpec, vectors=None, scan=False, fractions=(),
+            unchecked=np.empty((8, 0))) -> DesignResult:
+    """Best sustainable candidate over every (m_o, b) cell, once per altruist
+    fraction (outermost; fractions replace the env's p_c), then over the
+    `unchecked` candidates.  vectors default to the uniform ones.  The cells
+    go to check_equilibria in blocks that span vectors and fractions.  With a
+    scan a cell is a column of betas on the beta_grid, and its candidate is
+    its first passing beta (its first if none passes): the passing set need
+    not be an interval.  The candidates are the columns of one array, with
+    rows utility, h_o, b, beta, m_o (an index into vectors), p_c, verdict and
+    slack, and one np.lexsort picks the winner: within one h_o the vectors
+    come sorted, so their index orders them as m_o does.  A scanned winner is
+    refined, and its entry then ends the log as ("refined", ..., beta)."""
+    vectors = vectors or [(h_o,) * (spec.L - h_o + 1) for h_o in range(1, spec.L + 1)]
+    p_cs, parts = np.array(fractions or [spec.env.p_c]), []
+    betas = np.minimum(1.0, np.arange(int(round(1.0 / spec.beta_grid)), -1, -1)
+                       * spec.beta_grid) if scan else np.zeros(1)
+    grid = Points.of([ProtocolParams(L=spec.L, h_o=spec.L + 1 - len(m_o), b=b, m_o=m_o)
+                      for m_o in vectors for b in range(1, spec.b_cap + 1)], spec.env)
+    for cells in blocks(np.arange(len(p_cs) * len(grid)), spec.L, len(betas)):
+        rows = np.repeat(cells, len(betas))
+        block = grid.take(rows % len(grid)).replace(beta=np.tile(betas, len(cells)),
+                                                    p_c=p_cs[rows // len(grid)])
+        rep = check_equilibria(block)
+        first = np.arange(0, len(block), len(betas)) + \
+            rep.is_equilibrium.reshape(-1, len(betas)).argmax(axis=1)
+        parts.append(np.array([rep.social_utility, block.h_o, block.b, block.beta,
+                               rows % len(grid) // spec.b_cap, block.p_c, rep.is_equilibrium,
+                               rep.serve_slack])[:, first])
+    cols = np.concatenate(parts + [unchecked], axis=1)
+    stats = collections.Counter(candidates=cols.shape[1], evaluator_calls=len(parts),
+                                points_checked=len(p_cs) * len(grid) * len(betas))
+    log = functools.partial(_log, vectors=vectors, scan=scan, altruists=bool(fractions))
+    passing, refined = np.flatnonzero(cols[6]), []
+    result = DesignResult(None, 0.0, len(passing) > 0, stats=stats,
+                          _log=lambda: log(cols) + refined)
+    if len(passing):
+        u, h_o, b, beta, v, p_c = cols[:6, passing]
+        i = passing[np.lexsort((p_c, v, -beta, -b, h_o, -u))[0]]
+        [(entry, _, result.utility)] = log(cols[:, [i]])
+        result.params = ProtocolParams(L=spec.L, h_o=int(cols[1, i]), b=int(cols[2, i]),
+                                       beta=cols[3, i].item(), m_o=vectors[int(cols[4, i])])
+        result.pC_star = cols[5, i].item() if fractions else None
+        if scan:
+            result.params, result.utility = _refine(result.params, spec.env, betas, stats)
+            refined.append((("refined", *entry[:-1], result.params.beta), None, result.utility))
+    return result
 
 
-def _search(cells, refine=None) -> DesignResult:
-    """Log every cell (log entry, params, slack, utility or None when not
-    sustainable, deployed altruist fraction or None) and keep the best one.
-    `refine(params)` moves the winner's beta off its grid and returns it with
-    its utility; the winner's entry, beta last, is then logged again as
-    ("refined", ..., beta).
-    """
-    log, best = [], None
-    for entry, params, slack, u, p_c in cells:
-        log.append((entry, slack, u))
-        if u is None:
-            continue
-        key = _tie_key(u, params, p_c)
-        if best is None or key < best[0]:
-            best = (key, entry, params, u, p_c)
-    if best is None:
-        return DesignResult(params=None, utility=0.0, feasible=False, search_log=log)
-    _, entry, params, u, p_c = best
-    if refine is not None:
-        params, u = refine(params)
-        log.append((("refined", *entry[:-1], params.beta), None, u))
-    return DesignResult(params=params, utility=u, feasible=True, pC_star=p_c, search_log=log)
+def _log(cols: np.ndarray, vectors: list, scan: bool, altruists: bool) -> list:
+    """search_log triples of candidate columns.  An entry is (h_o, b); a scan
+    adds m_o and the first passing beta (None, and no slack, if none passes),
+    and altruists add p_c.  A NaN slack marks a candidate no check applies to:
+    its slack is None, its utility collapsed_social_utility's numpy float."""
+    log = []
+    for (u, h_o, b, beta, v, p_c, ok, slack), objective in zip(cols.T.tolist(), cols[0]):
+        entry = (int(h_o), int(b))
+        if slack != slack:
+            slack, u = None, objective
+        if scan:
+            entry, slack = entry + (vectors[int(v)], beta if ok else None), slack if ok else None
+        elif altruists:
+            entry += (p_c,)
+        log.append((entry, slack, u if ok else None))
+    return log
+
+
+def _refine(params: ProtocolParams, env: NetworkEnv, betas: np.ndarray, stats) -> tuple:
+    """params with beta bisected to the boundary in its grid cell, and its utility."""
+    def passes(values):
+        stats.update(evaluator_calls=1, points_checked=len(values))
+        return _along(params, env, "beta", values)
+    # the cell up to the next grid beta, or to 1.0 above the top of a grid
+    # that does not divide 1 (the one end the scan left unchecked)
+    hi = float(betas[betas > params.beta].min(initial=1.0))
+    refined = params.replace(beta=_edge(passes, [params.beta, hi], BISECT_TOL_BETA))
+    stats.update(evaluator_calls=1, points_checked=1)  # the refined utility's check
+    return refined, check_equilibrium(refined, env).social_utility
 
 
 def solve(spec: DesignSpec) -> DesignResult:
@@ -125,70 +184,10 @@ def solve(spec: DesignSpec) -> DesignResult:
             "OSNE_AH": solve_osne_ah}[spec.problem](spec)
 
 
-def _osne_cells(spec: DesignSpec, fractions=(None,)):
-    """Every (h_o, b) cell once per deployed altruist fraction (fractions
-    outermost; None keeps the env's own population): the p_c axis is laid
-    over one set of points, so a block can span fractions."""
-    grid = [ProtocolParams(L=spec.L, h_o=h_o, b=b)
-            for h_o in range(1, spec.L + 1) for b in range(1, spec.b_cap + 1)]
-    points = Points.of(grid, spec.env)
-    for rows in blocks(np.arange(len(fractions) * len(grid)), spec.L):
-        block = points.take(rows % len(grid))
-        if fractions[0] is not None:
-            block = block.replace(p_c=np.array(fractions)[rows // len(grid)])
-        rep = check_equilibria(block)
-        for i, slack, u, ok in zip(rows.tolist(), rep.serve_slack.tolist(),
-                                   rep.social_utility.tolist(), rep.is_equilibrium):
-            params, p_c = grid[i % len(grid)], fractions[i // len(grid)]
-            yield ((params.h_o, params.b) if p_c is None else (params.h_o, params.b, p_c),
-                   params, slack, u if ok else None, p_c)
-
-
 def solve_osne(spec: DesignSpec) -> DesignResult:
     """Best (h_o, b) under harsh punishment and uniform thresholds, by
     checking every pair in the env's population regime."""
-    return _search(_osne_cells(spec))
-
-
-def _forgiveness_search(spec: DesignSpec, vectors) -> DesignResult:
-    """Best (h_o, b, beta, m_o) over the given (h_o, m_o) threshold vectors.
-
-    Every vector's b cells go through one block stream, a block spanning
-    vectors; each cell's beta column is checked top-down on the beta_grid,
-    and the cell's candidate is its first passing beta.  The scan does not
-    assume that the forgiveness-feasible set is an interval: under non-uniform
-    thresholds a vector can fail harsh punishment yet pass at interior beta,
-    which a bisection from beta = 0 would miss.  The winner's beta is then
-    bisected toward the boundary inside its grid cell.
-    """
-    env = spec.env
-    betas = np.minimum(1.0, np.arange(int(round(1.0 / spec.beta_grid)), -1, -1) * spec.beta_grid)
-
-    def cells():
-        grid = [(h_o, m_o, b) for h_o, m_o in vectors for b in range(1, spec.b_cap + 1)]
-        for block in blocks(grid, spec.L, len(betas)):
-            bases = [ProtocolParams(L=spec.L, h_o=h_o, b=b, m_o=m_o) for h_o, m_o, b in block]
-            column = Points.of(bases, env).take(np.repeat(np.arange(len(bases)), len(betas)))
-            rep = check_equilibria(column.replace(beta=np.tile(betas, len(bases))))
-            first = rep.is_equilibrium.reshape(len(bases), -1).argmax(axis=1)
-            for j, ((h_o, m_o, b), base, k) in enumerate(zip(block, bases, first)):
-                i = j * len(betas) + k
-                if not rep.is_equilibrium[i]:
-                    yield (h_o, b, m_o, None), base, None, None, None
-                    continue
-                params = base.replace(beta=float(betas[k]))
-                yield ((h_o, b, m_o, params.beta), params,
-                       float(rep.serve_slack[i]), float(rep.social_utility[i]), None)
-
-    def refine(params):
-        # the cell up to the next grid beta, or to 1.0 above the top of a grid
-        # that does not divide 1 (the one end the scan left unchecked)
-        hi = float(betas[betas > params.beta].min(initial=1.0))
-        beta = _edge(lambda bs: _along(params, env, "beta", bs), [params.beta, hi], BISECT_TOL_BETA)
-        refined = params.replace(beta=beta)
-        return refined, check_equilibrium(refined, env).social_utility
-
-    return _search(cells(), refine)
+    return _search(spec)
 
 
 def solve_osne_vp(spec: DesignSpec) -> DesignResult:
@@ -199,8 +198,7 @@ def solve_osne_vp(spec: DesignSpec) -> DesignResult:
     search restricted to the L uniform vectors: candidates compete at
     beta_grid resolution, and the winner's beta is raised to the boundary.
     """
-    return _forgiveness_search(spec, ((h_o, (h_o,) * (spec.L - h_o + 1))
-                                      for h_o in range(1, spec.L + 1)))
+    return _search(spec, scan=True)
 
 
 def solve_osne_vps(spec: DesignSpec) -> DesignResult:
@@ -213,9 +211,9 @@ def solve_osne_vps(spec: DesignSpec) -> DesignResult:
     (923 at L = 6, 3,431 at L = 7); DesignSpec caps L at 6.  Utility depends
     on m_o only through m_o(h_o); ties break toward the smallest vector.
     """
-    return _forgiveness_search(spec, (
-        (h_o, m_o) for h_o in range(1, spec.L + 1) for m_o in
-        itertools.combinations_with_replacement(range(1, spec.L + 1), spec.L - h_o + 1)))
+    return _search(spec, scan=True, vectors=[
+        m_o for h_o in range(1, spec.L + 1) for m_o in
+        itertools.combinations_with_replacement(range(1, spec.L + 1), spec.L - h_o + 1)])
 
 
 def solve_osne_ah(spec: DesignSpec) -> DesignResult:
@@ -228,8 +226,9 @@ def solve_osne_ah(spec: DesignSpec) -> DesignResult:
     two regimes compete on utility, which is why the optimum can sit above
     the compliance boundary.
     """
-    p_cs = [min(1.0, i * spec.pC_grid) for i in range(int(round(1.0 / spec.pC_grid)) + 1)]
-    return _search(itertools.chain(
-        _osne_cells(spec, [p_c for p_c in p_cs if p_c <= 0.5]),
-        (((1, spec.b_cap, p_c), ProtocolParams(L=spec.L, h_o=1, b=spec.b_cap), None,
-          collapsed_social_utility(spec.env, spec.b_cap, p_c), p_c) for p_c in p_cs if p_c > 0.5)))
+    p_cs = np.minimum(1.0, np.arange(int(round(1.0 / spec.pC_grid)) + 1) * spec.pC_grid)
+    high = p_cs[p_cs > 0.5]
+    one = np.ones(len(high))  # h_o = 1 and b = b_cap, unchecked: slack NaN
+    collapsed = np.array([collapsed_social_utility(spec.env, spec.b_cap, high), one,
+                          spec.b_cap * one, 0 * one, 0 * one, high, one, np.nan * one])
+    return _search(spec, fractions=p_cs[p_cs <= 0.5].tolist(), unchecked=collapsed)

@@ -12,8 +12,10 @@ service slack by its closed form instead of the check, and the simulator's
 self-service fix by trying every reassignment of a pool's servers instead of
 swapping clashes away, a bracket search by halving one point at a time
 instead of checking several halvings per call, a batch's uniform pick by
-ranking each replica's row instead of partitioning it, and a deviation gain
-by running every period instead of stopping once the discount freezes it.  The
+ranking each replica's row instead of partitioning it, a deviation gain
+by running every period instead of stopping once the discount freezes it,
+and a design search's winner by comparing every candidate cell's tie key in
+turn, logging each as it goes, instead of one lexsort over columns.  The
 scalar decision rules at the end (one server, one client, one peer at a time)
 are the reference for the simulator's vectorised service table and
 reputation update.
@@ -23,14 +25,19 @@ from __future__ import annotations
 
 import enum
 import itertools
+from typing import Optional
 
 import numpy as np
 
 from normforge import (
+    DesignSpec,
     DeviantPolicy,
     NetworkEnv,
     ProtocolParams,
     SimConfig,
+    check_equilibria,
+    check_equilibrium,
+    collapsed_social_utility,
     error_punish_prob,
     one_period_utilities,
     run_replicas,
@@ -38,6 +45,8 @@ from normforge import (
     stationary_for_regime,
     transition_matrix,
 )
+from normforge.incentives import BISECT_TOL_BETA, _along, _edge, blocks
+from normforge.model import Points
 
 
 def value_iterate_v_inf(params: ProtocolParams, env: NetworkEnv,
@@ -228,6 +237,96 @@ def deviation_gain_full_horizon(config: SimConfig, theta: int, n_pairs: int) -> 
     traces = run_replicas(configs)
     return float(np.mean([dev.discounted_utility[0] - base.discounted_utility[0]
                           for base, dev in zip(traces[::2], traces[1::2])]))
+
+
+def _tie_key(utility: float, params: ProtocolParams, p_c: Optional[float]):
+    return (-utility, params.h_o, -params.b, -params.beta, params.m_o, p_c or 0.0)
+
+
+def _per_cell_search(cells, refine=None) -> tuple:
+    """Log every cell (log entry, params, slack, utility or None when not
+    sustainable, deployed altruist fraction or None) and keep the best one,
+    comparing each cell's tie key with the running best; a refined winner's
+    entry, beta last, is logged again as ("refined", ..., beta).  Returns
+    (params, utility, pC_star, search_log)."""
+    log, best = [], None
+    for entry, params, slack, u, p_c in cells:
+        log.append((entry, slack, u))
+        if u is None:
+            continue
+        key = _tie_key(u, params, p_c)
+        if best is None or key < best[0]:
+            best = (key, entry, params, u, p_c)
+    if best is None:
+        return None, 0.0, None, log
+    _, entry, params, u, p_c = best
+    if refine is not None:
+        params, u = refine(params)
+        log.append((("refined", *entry[:-1], params.beta), None, u))
+    return params, u, p_c, log
+
+
+def _osne_cells(spec: DesignSpec, fractions=(None,)):
+    """Every (h_o, b) cell once per deployed altruist fraction, one cell at a
+    time off check_equilibria's blocks."""
+    grid = [ProtocolParams(L=spec.L, h_o=h_o, b=b)
+            for h_o in range(1, spec.L + 1) for b in range(1, spec.b_cap + 1)]
+    points = Points.of(grid, spec.env)
+    for rows in blocks(np.arange(len(fractions) * len(grid)), spec.L):
+        block = points.take(rows % len(grid))
+        if fractions[0] is not None:
+            block = block.replace(p_c=np.array(fractions)[rows // len(grid)])
+        rep = check_equilibria(block)
+        for i, slack, u, ok in zip(rows.tolist(), rep.serve_slack.tolist(),
+                                   rep.social_utility.tolist(), rep.is_equilibrium):
+            params, p_c = grid[i % len(grid)], fractions[i // len(grid)]
+            yield ((params.h_o, params.b) if p_c is None else (params.h_o, params.b, p_c),
+                   params, slack, u if ok else None, p_c)
+
+
+def _forgiveness_cells(spec: DesignSpec, vectors, betas):
+    """Each (h_o, m_o, b) cell's first passing beta down its column."""
+    grid = [(h_o, m_o, b) for h_o, m_o in vectors for b in range(1, spec.b_cap + 1)]
+    for block in blocks(grid, spec.L, len(betas)):
+        bases = [ProtocolParams(L=spec.L, h_o=h_o, b=b, m_o=m_o) for h_o, m_o, b in block]
+        column = Points.of(bases, spec.env).take(np.repeat(np.arange(len(bases)), len(betas)))
+        rep = check_equilibria(column.replace(beta=np.tile(betas, len(bases))))
+        first = rep.is_equilibrium.reshape(len(bases), -1).argmax(axis=1)
+        for j, ((h_o, m_o, b), base, k) in enumerate(zip(block, bases, first)):
+            i = j * len(betas) + k
+            if not rep.is_equilibrium[i]:
+                yield (h_o, b, m_o, None), base, None, None, None
+                continue
+            params = base.replace(beta=float(betas[k]))
+            yield ((h_o, b, m_o, params.beta), params,
+                   float(rep.serve_slack[i]), float(rep.social_utility[i]), None)
+
+
+def per_cell_design(spec: DesignSpec) -> tuple:
+    """spec's design problem solved one cell at a time: (params, utility,
+    pC_star, search_log), as `designer.solve` reports them."""
+    L, env = spec.L, spec.env
+    if spec.problem == "OSNE":
+        return _per_cell_search(_osne_cells(spec))
+    if spec.problem == "OSNE_AH":
+        p_cs = [min(1.0, i * spec.pC_grid) for i in range(int(round(1.0 / spec.pC_grid)) + 1)]
+        return _per_cell_search(itertools.chain(
+            _osne_cells(spec, [p_c for p_c in p_cs if p_c <= 0.5]),
+            (((1, spec.b_cap, p_c), ProtocolParams(L=L, h_o=1, b=spec.b_cap), None,
+              collapsed_social_utility(env, spec.b_cap, p_c), p_c) for p_c in p_cs if p_c > 0.5)))
+    vectors = [(h_o, m_o) for h_o in range(1, L + 1) for m_o in (
+        itertools.combinations_with_replacement(range(1, L + 1), L - h_o + 1)
+        if spec.problem == "OSNE_VPS" else [(h_o,) * (L - h_o + 1)])]
+    betas = np.minimum(1.0, np.arange(int(round(1.0 / spec.beta_grid)), -1, -1) * spec.beta_grid)
+
+    def refine(params):
+        hi = float(betas[betas > params.beta].min(initial=1.0))
+        beta = _edge(lambda bs: _along(params, env, "beta", bs), [params.beta, hi],
+                     BISECT_TOL_BETA)
+        refined = params.replace(beta=beta)
+        return refined, check_equilibrium(refined, env).social_utility
+
+    return _per_cell_search(_forgiveness_cells(spec, vectors, betas), refine)
 
 
 class Action(enum.Enum):

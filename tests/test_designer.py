@@ -1,7 +1,9 @@
+import collections
 import hashlib
 import itertools
 from math import ceil, log2
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,8 +25,9 @@ from normforge import (
 )
 
 from normforge import designer, incentives
+from normforge.designer import PROBLEMS
 from normforge.incentives import BISECT_DEPTH, BISECT_TOL_BETA
-from oracles import brute_force_equilibrium
+from oracles import brute_force_equilibrium, per_cell_design
 from test_acceptance import _enumerate_beta_grid, _enumerate_osne
 
 
@@ -331,14 +334,16 @@ def test_one_evaluator_call_per_block(count_calls, monkeypatch):
     # the searches hand whole blocks to check_equilibria, never one cell at a
     # time; check_equilibrium (a block of one) is left to refinement steps
     calls = count_calls("check_equilibria", "check_equilibrium")
-    solve_osne_ah(DesignSpec(problem="OSNE_AH", L=3, b_cap=4, env=env(), pC_grid=0.25))
+    res = solve_osne_ah(DesignSpec(problem="OSNE_AH", L=3, b_cap=4, env=env(), pC_grid=0.25))
     # the 12 cells of each altruist fraction up to one half (0, 0.25 and 0.5)
-    # go to the evaluator as one block
+    # go to the evaluator as one block; 0.75 and 1 are not checked
     assert calls == {"check_equilibria": 1, "check_equilibrium": 0}
+    assert res.stats == {"candidates": 38, "evaluator_calls": 1, "points_checked": 36}
     calls.update(check_equilibria=0, check_equilibrium=0)
-    solve_osne_ah(DesignSpec(problem="OSNE_AH", L=6, b_cap=10, env=env(), pC_grid=0.01))
+    res = solve_osne_ah(DesignSpec(problem="OSNE_AH", L=6, b_cap=10, env=env(), pC_grid=0.01))
     # 51 fractions x 60 cells in blocks of BLOCK_ENTRIES // 7**2 = 668 points
     assert calls == {"check_equilibria": 5, "check_equilibrium": 0}
+    assert res.stats == {"candidates": 3110, "evaluator_calls": 5, "points_checked": 3060}
 
     sizes = []  # points per check_equilibria call
     for module in (incentives, designer):
@@ -354,8 +359,9 @@ def test_one_evaluator_call_per_block(count_calls, monkeypatch):
         of one)."""
         sizes.clear()
         calls.update(check_equilibrium=0)
-        solve(spec)
+        stats = solve(spec).stats
         assert calls["check_equilibrium"] == 1
+        assert (stats["evaluator_calls"], stats["points_checked"]) == (len(sizes), sum(sizes))
         edge = len(sizes) - 1 - sizes[::-1].index(2)  # the refinement's first call
         column = round(1.0 / spec.beta_grid) + 1
         assert all(n > 2 and n % column == 0 for n in sizes[:edge])
@@ -436,3 +442,62 @@ def test_benchmark_designs_are_pinned(problem, L, b_cap):
     digest = hashlib.sha256(repr((res.params, res.utility, res.pC_star, res.search_log))
                             .encode()).hexdigest()
     assert digest == DESIGN_DIGESTS[problem, L, b_cap]
+
+
+def _random_specs(n, seed=7):
+    """n valid DesignSpecs over all four problems, L <= 4, with small caps and
+    grids: random envs with exact ties (eps = 0, delta = 0, c = 0) and
+    infeasible costs mixed in.  Every field is a Python number, as the CLI
+    passes them."""
+    rng = np.random.default_rng(seed)
+
+    def pick(*values):
+        return values[rng.integers(len(values))]
+    specs = []
+    while len(specs) < n:
+        problem = PROBLEMS[len(specs) % len(PROBLEMS)]
+        population = {} if problem in ("OSNE_VPS", "OSNE_AH") else pick(
+            {}, {}, {"p_c": float(rng.uniform(0.05, 0.45))},
+            {"p_d": float(rng.uniform(0.05, 0.4))})
+        e = NetworkEnv(r=1.0, c=pick(0.0, 0.25, float(rng.uniform(0.02, 0.95))),
+                       eps=pick(0.0, float(rng.uniform(0.0, 0.4))), lam=pick(0.5, 1.0, 2.0),
+                       delta=pick(0.0, float(rng.uniform(0.3, 0.95))), **population)
+        try:
+            specs.append(DesignSpec(problem, L=int(rng.integers(1, 5)),
+                                    b_cap=int(rng.integers(1, 5)), env=e,
+                                    beta_grid=pick(0.1, 0.2, 0.25, 0.3, 0.5, 1.0),
+                                    pC_grid=pick(0.05, 0.1, 0.25, 0.3, 0.4, 1.0)))
+        except ValueError:
+            continue  # a population the problem's regime check refuses
+    return specs
+
+
+TIE_SPECS = [  # the exact ties of the tests above
+    DesignSpec("OSNE_VPS", L=4, b_cap=8, env=env(c=0.25), beta_grid=0.05),
+    DesignSpec("OSNE", L=3, b_cap=10, env=env(eps=0.0)),
+    DesignSpec("OSNE_VP", L=3, b_cap=5, env=env(eps=0.0), beta_grid=0.05),
+    DesignSpec("OSNE_AH", L=3, b_cap=3, env=env(c=0.0, eps=0.5), pC_grid=0.05),
+    DesignSpec("OSNE_AH", L=3, b_cap=4, env=env(c=0.35, delta=0.7), pC_grid=1.0),
+    # (1 - eps) * r = c: every collapsed fraction has utility 0
+    DesignSpec("OSNE_AH", L=2, b_cap=3, env=env(c=0.9, eps=0.1), pC_grid=0.1),
+]
+
+
+@pytest.mark.parametrize("block_entries, n", [(1 << 15, 500), (300, 120)],
+                         ids=["blocks", "small-blocks"])
+def test_column_search_equals_per_cell_search(block_entries, n, monkeypatch):
+    # one lexsort over the candidates' columns and the lazy log give what
+    # comparing and logging one cell at a time gives, bit for bit; small
+    # blocks make many evaluator calls, most of them with no passing cell
+    monkeypatch.setattr(incentives, "BLOCK_ENTRIES", block_entries)
+    specs = TIE_SPECS + _random_specs(n)
+    outcomes = collections.Counter()
+    for spec in specs:
+        got = solve(spec)
+        want = per_cell_design(spec)
+        assert repr((got.params, got.utility, got.pC_star, got.search_log)) == repr(want), spec
+        assert got.stats["candidates"] == len(want[3]) - (spec.problem in ("OSNE_VP", "OSNE_VPS")
+                                                          and got.feasible)
+        outcomes[spec.problem, got.feasible] += 1
+    assert all(outcomes[problem, feasible] for problem in PROBLEMS if problem != "OSNE_AH"
+               for feasible in (True, False))
