@@ -123,7 +123,7 @@ SCHEMA = {
                dict.fromkeys(("beta_grid", "p_c_grid"), NUMBER)),
     "sim": ("simulation", dict.fromkeys(("n_peers", "n_periods", "seed"), INTEGER),
             {"population_mix": MIX, "protocol_flavor": TEXT, "strategic": BOOLEAN}),
-    "output": ("output", {}, {"path": TEXT, "search_log": BOOLEAN}),
+    "output": ("output", {}, {"path": TEXT}),
 }
 SECTIONS = (*SCHEMA, "sweep")
 FIELDS = {name: {**required, **optional} for name, (_, required, optional) in SCHEMA.items()}
@@ -212,12 +212,12 @@ def _emit_text(text: str, path: str | None, field: str) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _json_text(payload: dict, sort_keys: bool = True) -> str:
+def _json_text(payload: dict) -> str:
     """payload as JSON, one line per top-level key (sorted); each value is
-    compact, which keeps json on its C encoder (any indent selects Python's),
-    its dicts' keys sorted unless they were built in order (sort_keys=False)."""
+    compact, with its dicts' keys sorted, which keeps json on its C encoder
+    (any indent selects Python's)."""
     return "{\n" + ",\n".join(f" {json.dumps(key)}: "
-                              f"{json.dumps(value, sort_keys=sort_keys, check_circular=False)}"
+                              f"{json.dumps(value, sort_keys=True, check_circular=False)}"
                               for key, value in sorted(payload.items())) + "\n}"
 
 
@@ -313,13 +313,8 @@ def _solve_csv_row(spec: DesignSpec, payload: dict) -> list:
 def cmd_solve(args, sc: dict) -> tuple:
     spec = _build_design(sc["design"], _build_env(sc["env"]))
     result = solve(spec)
-    payload = _solve_payload(spec, result)
-    if sc["output"].get("search_log"):  # checked by main
-        payload["search_log"] = [{"candidate": list(cand), "slack": slack, "utility": util}
-                                 for cand, slack, util in result.search_log]
-    else:
-        payload["stats"] = result.stats
-    return (_json_text(payload, sort_keys=False),
+    payload = dict(_solve_payload(spec, result), stats=result.stats)
+    return (_json_text(payload),
             _csv_text(SOLVE_COLUMNS, [_solve_csv_row(spec, payload)]),
             0 if result.feasible else EXIT_INFEASIBLE)
 
@@ -544,8 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("analyze", cmd_analyze, "stationary profile, utilities, and verdict", csv=True)
     command("check", cmd_check, "incentive slacks and equilibrium verdict")
-    p = command("solve", cmd_solve, "solve a protocol design problem", csv=True, design=True)
-    p.add_argument("--search-log", dest="output.search_log", action="store_true", default=None)
+    command("solve", cmd_solve, "solve a protocol design problem", csv=True, design=True)
     command("sweep", cmd_sweep, "grid of analyze or solve rows as CSV", design=True, sweep=True)
     p = command("simulate", cmd_simulate, "run one seeded agent-based simulation", csv=True,
                 run_mix="reciprocative=0.9,altruistic=0.1")

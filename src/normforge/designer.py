@@ -99,18 +99,20 @@ class DesignResult:
 
 
 def _search(spec: DesignSpec, vectors=None, scan=False, fractions=(),
-            unchecked=np.empty((8, 0))) -> DesignResult:
+            collapsed=(np.empty(0), np.empty(0))) -> DesignResult:
     """Best sustainable candidate over every (m_o, b) cell, once per altruist
     fraction (outermost; fractions replace the env's p_c), then over the
-    `unchecked` candidates.  vectors default to the uniform ones.  The cells
-    go to check_equilibria in blocks that span vectors and fractions.  With a
-    scan a cell is a column of betas on the beta_grid, and its candidate is
-    its first passing beta (its first if none passes): the passing set need
-    not be an interval.  The candidates are the columns of one array, with
-    rows utility, h_o, b, beta, m_o (an index into vectors), p_c, verdict and
-    slack, and one np.lexsort picks the winner: within one h_o the vectors
-    come sorted, so their index orders them as m_o does.  A scanned winner is
-    refined, and its entry then ends the log as ("refined", ..., beta)."""
+    `collapsed` (p_c, utility) pairs: OSNE_AH's fractions above one half,
+    candidates at h_o = 1 and b = b_cap that no check applies to.  vectors
+    default to the uniform ones.  The cells go to check_equilibria in blocks
+    that span vectors and fractions.  With a scan a cell is a column of betas
+    on the beta_grid, and its candidate is its first passing beta (its first
+    if none passes): the passing set need not be an interval.  The candidates
+    are the columns of one array, with rows utility, h_o, b, beta, m_o (an
+    index into vectors), p_c, verdict and slack, and one np.lexsort picks the
+    winner: within one h_o the vectors come sorted, so their index orders
+    them as m_o does.  A scanned winner is refined, and its entry then ends
+    the log as ("refined", ..., beta)."""
     vectors = vectors or [(h_o,) * (spec.L - h_o + 1) for h_o in range(1, spec.L + 1)]
     p_cs, parts = np.array(fractions or [spec.env.p_c]), []
     betas = np.minimum(1.0, np.arange(int(round(1.0 / spec.beta_grid)), -1, -1)
@@ -127,17 +129,23 @@ def _search(spec: DesignSpec, vectors=None, scan=False, fractions=(),
         parts.append(np.array([rep.social_utility, block.h_o, block.b, block.beta,
                                rows % len(grid) // spec.b_cap, block.p_c, rep.is_equilibrium,
                                rep.serve_slack])[:, first])
-    cols = np.concatenate(parts + [unchecked], axis=1)
+    high, objective = collapsed
+    one, zero = np.ones(len(high)), np.zeros(len(high))
+    cols = np.concatenate(parts + [[objective, one, spec.b_cap * one, zero, zero, high, one,
+                                    zero]], axis=1)
+    checked = cols.shape[1] - len(high)
+    # an unchecked entry has no slack and keeps the numpy float of its utility
+    unchecked = [((1, spec.b_cap, p_c), None, u) for p_c, u in zip(high.tolist(), objective)]
     stats = collections.Counter(candidates=cols.shape[1], evaluator_calls=len(parts),
                                 points_checked=len(p_cs) * len(grid) * len(betas))
     log = functools.partial(_log, vectors=vectors, scan=scan, altruists=bool(fractions))
     passing, refined = np.flatnonzero(cols[6]), []
     result = DesignResult(None, 0.0, len(passing) > 0, stats=stats,
-                          _log=lambda: log(cols) + refined)
+                          _log=lambda: log(cols[:, :checked]) + unchecked + refined)
     if len(passing):
         u, h_o, b, beta, v, p_c = cols[:6, passing]
         i = passing[np.lexsort((p_c, v, -beta, -b, h_o, -u))[0]]
-        [(entry, _, result.utility)] = log(cols[:, [i]])
+        entry, _, result.utility = log(cols[:, [i]])[0] if i < checked else unchecked[i - checked]
         result.params = ProtocolParams(L=spec.L, h_o=int(cols[1, i]), b=int(cols[2, i]),
                                        beta=cols[3, i].item(), m_o=vectors[int(cols[4, i])])
         result.pC_star = cols[5, i].item() if fractions else None
@@ -148,15 +156,12 @@ def _search(spec: DesignSpec, vectors=None, scan=False, fractions=(),
 
 
 def _log(cols: np.ndarray, vectors: list, scan: bool, altruists: bool) -> list:
-    """search_log triples of candidate columns.  An entry is (h_o, b); a scan
-    adds m_o and the first passing beta (None, and no slack, if none passes),
-    and altruists add p_c.  A NaN slack marks a candidate no check applies to:
-    its slack is None, its utility collapsed_social_utility's numpy float."""
+    """search_log triples of checked candidates' columns.  An entry is
+    (h_o, b); a scan adds m_o and the first passing beta (None, and no slack,
+    if none passes), and altruists add p_c."""
     log = []
-    for (u, h_o, b, beta, v, p_c, ok, slack), objective in zip(cols.T.tolist(), cols[0]):
+    for u, h_o, b, beta, v, p_c, ok, slack in cols.T.tolist():
         entry = (int(h_o), int(b))
-        if slack != slack:
-            slack, u = None, objective
         if scan:
             entry, slack = entry + (vectors[int(v)], beta if ok else None), slack if ok else None
         elif altruists:
@@ -228,7 +233,5 @@ def solve_osne_ah(spec: DesignSpec) -> DesignResult:
     """
     p_cs = np.minimum(1.0, np.arange(int(round(1.0 / spec.pC_grid)) + 1) * spec.pC_grid)
     high = p_cs[p_cs > 0.5]
-    one = np.ones(len(high))  # h_o = 1 and b = b_cap, unchecked: slack NaN
-    collapsed = np.array([collapsed_social_utility(spec.env, spec.b_cap, high), one,
-                          spec.b_cap * one, 0 * one, 0 * one, high, one, np.nan * one])
-    return _search(spec, fractions=p_cs[p_cs <= 0.5].tolist(), unchecked=collapsed)
+    return _search(spec, fractions=p_cs[p_cs <= 0.5].tolist(),
+                   collapsed=(high, collapsed_social_utility(spec.env, spec.b_cap, high)))

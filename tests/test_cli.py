@@ -179,7 +179,7 @@ class TestSolve:
     def test_osne_matches_direct_call(self, scenario_file, capsys):
         from normforge import DesignSpec, NetworkEnv, solve_osne
         path = scenario_file(design={"problem": "OSNE", "L": 3, "b_cap": 6})
-        code, out = run_cli(capsys, "solve", "--config", path, "--search-log")
+        code, out = run_cli(capsys, "solve", "--config", path)
         assert code == 0
         payload = json.loads(out)
         env = NetworkEnv(r=1.0, c=0.2, eps=0.1, lam=1.0, delta=0.8)
@@ -187,7 +187,7 @@ class TestSolve:
         assert payload["h_o_star"] == want.params.h_o
         assert payload["b_star"] == want.params.b
         assert payload["utility"] == pytest.approx(want.utility)
-        assert payload["search_log"]
+        assert payload["stats"] == want.stats
 
     def test_l_flag_overrides_the_design_ladder(self, scenario_file, capsys):
         # a given --L sets design.L over the file's; the file's params.L (3)
@@ -229,14 +229,13 @@ class TestSolve:
         ("OSNE_AH", ["--p-c-grid", "0.25"]),
     ])
     def test_payload_keys_come_sorted(self, scenario_file, capsys, problem, flags):
-        # solve writes its payload without sort_keys: it must already be in that order
+        # solve writes the canonical text of its payload
         path = scenario_file(design={"problem": problem, "L": 2, "b_cap": 2})
-        for log in ([], ["--search-log"]):
-            _, out = run_cli(capsys, "solve", "--config", path, *flags, *log)
-            assert out == _json_text(json.loads(out)) + "\n"
+        _, out = run_cli(capsys, "solve", "--config", path, *flags)
+        assert out == _json_text(json.loads(out)) + "\n"
 
-    # sha256 of `solve --search-log` stdout for the benchmark's four design
-    # solves at the reference env, recorded while every solve wrote its log
+    # sha256 of solve's stdout for the benchmark's four design solves at the
+    # reference env, as written when every solve wrote its search log
     SEARCH_LOG_DIGESTS = {
         ("OSNE_VPS", 4, 3): "44df9a420a7a42f318f397f4f20c54be920f60dbf6c7be6e6de5cab93250d8da",
         ("OSNE_VP", 6, 10): "67d4d77db25c7389747b3a8a084e367b736ca0fb86300e1e1977aedf850c2bc7",
@@ -245,35 +244,23 @@ class TestSolve:
     }
 
     @pytest.mark.parametrize("problem, L, b_cap", SEARCH_LOG_DIGESTS)
-    def test_search_log_output_is_pinned(self, capsys, problem, L, b_cap):
-        # with --search-log the bytes are the log-writing solve's; without it
-        # the payload is the same but for search_log, and it carries stats
+    def test_output_with_the_library_log_is_pinned(self, capsys, problem, L, b_cap):
+        # solve writes stats in place of the search log; with the library's
+        # log put back, as those solves wrote it, the bytes are theirs
         from normforge import DesignSpec, solve
-        argv = ["solve", "--r", "1.0", "--c", "0.2", "--eps", "0.1", "--lambda", "1.0",
-                "--delta", "0.8", "--problem", problem, "--L", str(L), "--b-cap", str(b_cap),
-                "--p-c-grid", "0.0025"]
-        code, logged = run_cli(capsys, *argv, "--search-log")
+        code, out = run_cli(capsys, "solve", "--r", "1.0", "--c", "0.2", "--eps", "0.1",
+                            "--lambda", "1.0", "--delta", "0.8", "--problem", problem,
+                            "--L", str(L), "--b-cap", str(b_cap), "--p-c-grid", "0.0025")
         assert code == 0
-        assert hashlib.sha256(logged.encode()).hexdigest() == \
-            self.SEARCH_LOG_DIGESTS[problem, L, b_cap]
         env = NetworkEnv(r=1.0, c=0.2, eps=0.1, lam=1.0, delta=0.8)
-        stats = solve(DesignSpec(problem, L, b_cap, env, pC_grid=0.0025)).stats
-        payload = json.loads(logged)
-        del payload["search_log"]
-        assert json.loads(run_cli(capsys, *argv)[1]) == dict(payload, stats=stats)
-        assert list(stats) == ["candidates", "evaluator_calls", "points_checked"]
-
-    def test_search_log_comes_from_the_output_section(self, scenario_file, capsys):
-        path = scenario_file(design={"problem": "OSNE_VP", "L": 2, "b_cap": 2})
-        flagged = run_cli(capsys, "solve", "--config", path, "--search-log")
-        assert "search_log" in json.loads(flagged[1])
-        logged = scenario_file(design={"problem": "OSNE_VP", "L": 2, "b_cap": 2},
-                               output={"search_log": True})
-        assert run_cli(capsys, "solve", "--config", logged) == flagged
-        unlogged = scenario_file(design={"problem": "OSNE_VP", "L": 2, "b_cap": 2},
-                                 output={"search_log": False})
-        assert run_cli(capsys, "solve", "--config", unlogged) == \
-            run_cli(capsys, "solve", "--config", path)
+        result = solve(DesignSpec(problem, L, b_cap, env, pC_grid=0.0025))
+        payload = json.loads(out)
+        assert payload.pop("stats") == result.stats
+        assert list(result.stats) == ["candidates", "evaluator_calls", "points_checked"]
+        payload["search_log"] = [{"candidate": list(cand), "slack": slack, "utility": util}
+                                 for cand, slack, util in result.search_log]
+        assert hashlib.sha256((_json_text(payload) + "\n").encode()).hexdigest() == \
+            self.SEARCH_LOG_DIGESTS[problem, L, b_cap]
 
 
 class TestSweep:
@@ -778,8 +765,7 @@ def test_output_path_writes_what_out_writes(scenario_file, capsys, tmp_path, com
 @pytest.mark.parametrize("output, field, message", [
     ({"path": 7}, "output.path", "expected a string, got 7"),
     ({"pth": "x.json"}, "output.pth", "unknown output field 'pth'"),
-    ({"search_log": 1}, "output.search_log", "expected true or false"),
-], ids=["path-not-a-string", "unknown-key", "search-log-not-a-boolean"])
+], ids=["path-not-a-string", "unknown-key"])
 def test_output_section_is_checked(scenario_file, capsys, tmp_path, output, field, message):
     # checked even when --out names the destination
     for flags in ([], ["--out", str(tmp_path / "x.json")]):
