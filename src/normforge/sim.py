@@ -25,14 +25,15 @@ the batch's largest top.  Pool pass i routes each run's i-th pool in one
 vectorised step over one table of server groups (refusers on the first pass
 only, serving reciprocators, malicious peers, altruists with capacity left),
 and a request only meets servers of its own run; bounced and overflowing
-requests try the next pass.  Random stream version 4 (trace schema 4): each run
-draws from its own generator, keyed by its seed, what it would draw alone, so a
+requests try the next pass.  Random stream version 5 (trace schema 5): each run
+draws from its own PCG64, keyed by its seed, what it would draw alone, so a
 replica's trace is its single run's, a batch replays byte-for-byte, and
 same-seed runs draw alike while their draw counts agree (common random
-numbers).  A finished run checks that outcomes partition `emitted` in every
-period, that histograms sum to 1 and that altruists stay pinned, and raises
-RuntimeError naming the first bad period otherwise.  Tit-for-tat is the
-social-norm `Points` row L = 1, h_o = 0, m_o = (1, 1), beta = 0.
+numbers); self-service clashes are fixed without a draw.  A finished run
+checks that outcomes partition `emitted` in every period, that histograms sum
+to 1 and that altruists stay pinned, and raises RuntimeError naming the first
+bad period otherwise.  Tit-for-tat is the social-norm `Points` row L = 1,
+h_o = 0, m_o = (1, 1), beta = 0.
 """
 
 from __future__ import annotations
@@ -70,6 +71,11 @@ class DeviantPolicy:
     peer_id: int
     window: Optional[tuple] = None  # (start, stop) in periods, None = always
 
+    def __post_init__(self):
+        start, stop = self.window or (0, 1)
+        if not 0 <= start < stop:
+            raise ValueError(f"deviant window must satisfy 0 <= start < stop, got {self.window}")
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -106,7 +112,10 @@ class SimConfig:
         if self.requests_per_peer < 1:
             raise ValueError("round(lam * b) must be >= 1")
         if self.init_reputations is not None:
-            object.__setattr__(self, "init_reputations", tuple(int(v) for v in self.init_reputations))
+            reps = tuple(int(v) for v in self.init_reputations)
+            if reps != tuple(self.init_reputations):
+                raise ValueError("init_reputations entries must be integers")
+            object.__setattr__(self, "init_reputations", reps)
 
     @property
     def requests_per_peer(self) -> int:
@@ -189,6 +198,8 @@ class SimTrace:
         final quarter)."""
         if last is None:
             last = max(1, self.config.n_periods // 4)
+        elif last < 1:
+            raise ValueError(f"last must be >= 1, got {last}")
         return self.eta[-last:].mean(axis=0)
 
     def window_mu(self, last: int = None) -> float:
@@ -219,7 +230,7 @@ class SimTrace:
     def to_json_dict(self) -> dict:
         labels = _kind_labels(self.config.protocol_flavor)
         return {
-            "schema": 4,
+            "schema": 5,
             "config": self.config.as_dict(),
             "top_rep": self.top_rep,
             "periods": {
@@ -268,10 +279,9 @@ def sustained(config: SimConfig) -> bool:
 
 
 def _run_rng(seeds, stream: int) -> np.random.Generator:
-    """A Philox generator keyed by seeds and a stream, for side draws.
-    (`numpy.random` is only touched at call time, so importing the package
-    does not load it.)"""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(
+    """Every simulator generator: PCG64 keyed SeedSequence((*seeds, stream)).
+    (`numpy.random` is loaded at call time, not when the package is imported.)"""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
         (*(int(s) & (2 ** 64 - 1) for s in seeds), stream))))
 
 
@@ -280,19 +290,18 @@ class _Batch:
 
     Replica r owns peer ids r*n .. r*n + n - 1, so an ascending array of
     peer ids is one run per replica laid end to end; a `seg` array labels
-    its elements with their replica.  Replica r draws from its own PCG64
-    generator keyed SeedSequence((seed, 0)), a batch of one's key, exactly
-    what it would draw alone, in a Python loop over the replicas.  With one
-    replica, `count`, `uniforms`, `below`, `split`, `pick` and `_route` skip
-    that loop and the per-element labels.  Without all six, traces stay
-    identical, but the benchmark's single runs take more process CPU time
-    (8 alternating fresh-process pairs, 2 CPUs): 2000 x 2000 0.50 -> 0.61 s,
-    mixed 10000 x 300 0.38 -> 0.54 s.  PCG64 makes doubles faster than Philox."""
+    its elements with their replica.  Replica r draws from its own generator
+    `_run_rng((seed,), 0)`, a batch of one's, exactly what it would draw
+    alone, in a Python loop over the replicas.  With one replica, `count`,
+    `uniforms`, `below`, `split`, `pick` and `_route` skip that loop and the
+    per-element labels.  Without all six, traces stay identical, but the
+    benchmark's single runs take more process CPU time (8 alternating
+    fresh-process pairs, 2 CPUs): 2000 x 2000 0.50 -> 0.61 s, mixed
+    10000 x 300 0.38 -> 0.54 s."""
 
     def __init__(self, seeds: list, n: int):
         self.R, self.n = len(seeds), n
-        self.rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-            (int(s) & (2 ** 64 - 1), 0)))) for s in seeds]
+        self.rngs = [_run_rng((s,), 0) for s in seeds]
 
     def seg(self, ids: np.ndarray) -> np.ndarray:
         return ids // self.n
@@ -375,40 +384,30 @@ def _by_label(label: np.ndarray, u: np.ndarray, n_labels: int) -> np.ndarray:
 
 def _fix_self_service(batch: _Batch, seg, clients, servers) -> list:
     """Swap servers in place so no peer serves itself, never across replicas
-    (seg labels each pair's replica, sorted).  Three rounds swap each clash
-    with a uniformly drawn position of its replica, unless that position is a
-    clash, was drawn before in the round or would clash after the swap; then
-    each clash left picks uniformly among all valid partners in its replica.
-    Returns the positions of the pairs dropped: a pair is dropped only when
-    its replica has no valid partner."""
-    bad = (clients == servers).nonzero()[0]
+    (seg labels each pair's replica, sorted): each clash, in position order,
+    swaps with the next position of its replica's run, cyclically, whose swap
+    leaves neither pair a clash, or is dropped when there is none (returns
+    the dropped positions).  Nothing is drawn: swaps keep every server's load
+    and every request's position, and errors are drawn per position later,
+    so reputations, counts and kind mean utilities keep their law whichever
+    valid partner a clash takes; it decides only who serves the clash."""
     size = batch.count(seg)
-    start = size.cumsum() - size
-    for _ in range(3):
-        if not len(bad):
-            return []
-        u = batch.uniforms(batch.count(seg[bad]))
-        draws = start[seg[bad]] + (u * size[seg[bad]]).astype(np.int64)
-        clash, seen, left = set(bad.tolist()), set(), []
-        for i, j in zip(bad.tolist(), draws.tolist()):
-            if j in seen or j in clash or servers[j] == clients[i] or servers[i] == clients[j]:
-                left.append(i)
-            else:
-                servers[i], servers[j] = servers[j], servers[i]
-            seen.add(j)
-        bad = np.array(left, dtype=np.int64)
-    dropped = []  # a dropped pair is no valid partner for a later clash either
-    for i, u in zip(bad.tolist(), batch.uniforms(batch.count(seg[bad]))):
-        if clients[i] != servers[i]:  # an earlier clash's swap fixed it
+    ends = size.cumsum()
+    bad = (clients == servers).nonzero()[0]
+    for i, lo, hi in zip(bad.tolist(), (ends - size)[seg[bad]].tolist(), ends[seg[bad]].tolist()):
+        q = clients[i]
+        if servers[i] != q:  # an earlier clash's swap fixed it
             continue
-        run = slice(start[seg[i]], start[seg[i]] + size[seg[i]])
-        cand = run.start + ((servers[run] != clients[i]) & (clients[run] != servers[i])).nonzero()[0]
-        if len(cand):
-            j = cand[int(u * len(cand))]
+        # the valid position is almost always a few steps on: walk those first
+        j = next((j for j in range(i + 1, min(i + 9, hi)) if servers[j] != q and clients[j] != q), -1)
+        if j < 0:
+            valid = lo + ((servers[lo:hi] != q) & (clients[lo:hi] != q)).nonzero()[0]
+            j = valid[valid.searchsorted(i) % len(valid)] if len(valid) else -1
+        if j >= 0:
             servers[i], servers[j] = servers[j], servers[i]
-        else:
-            dropped.append(i)
-    return dropped
+    # swaps make no clash, and once a clash has no valid position, every pair
+    # of its run holds its peer, so no later swap fixes it
+    return bad[clients[bad] == servers[bad]].tolist()
 
 
 def _loads(batch: _Batch, members: np.ndarray, size: np.ndarray, n_req: np.ndarray):

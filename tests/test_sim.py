@@ -314,6 +314,14 @@ class TestTraceShape:
                           "recip_delivery_rate", "totals", "truncation_bound"}
         assert s["totals"]["emitted"] == 40 * 200 * 2
 
+    def test_window_needs_a_period(self):
+        # eta[-0:] would be the whole series, not an empty window
+        tr = run_sim(config(n_peers=50, n_periods=20))
+        for last in (0, -1):
+            with pytest.raises(ValueError, match="last"):
+                tr.window_mu(last)
+        assert np.array_equal(tr.window_eta(1), tr.eta[-1])
+
     def test_truncation_bound_bounds_the_tail(self):
         # one top-rung server serves every client above rung 0, so a period
         # can cost it far more than k uploads: a bound of k * max(r, c) is
@@ -351,10 +359,16 @@ class TestTraceShape:
         config(env=env(p_c=0.3),
                population_mix={PeerKind.RECIPROCATIVE: 0.7, PeerKind.ALTRUISTIC: 0.3})
 
-    @pytest.mark.parametrize("reps", [(), (0,) * 199, (0,) * 199 + (9,), (-1,) * 200])
+    @pytest.mark.parametrize("reps", [(), (0,) * 199, (0,) * 199 + (9,), (-1,) * 200,
+                                      (1.7,) + (0,) * 199])
     def test_init_reputations_validation(self, reps):
         with pytest.raises(ValueError, match="init_reputations"):
             run_sim(config(n_periods=2, init_reputations=reps))
+
+    @pytest.mark.parametrize("window", [(5, 2), (3, 3), (-1, 4), (1, 2, 3)])
+    def test_deviant_window_validation(self, window):
+        with pytest.raises(ValueError):
+            DeviantPolicy(peer_id=0, window=window)
 
 
 class TestRuntimeInvariants:
@@ -717,6 +731,7 @@ class TestPoolMatching:
     @example(replicas=[([2, 2, 2], [0, 1, 2])], seed=0)        # one client
     @example(replicas=[([1], [1])], seed=0)                    # nobody else to swap with
     @example(replicas=[([1], [1]), ([0, 2], [2, 0])], seed=0)  # partners only across replicas
+    @example(replicas=[([0, 2], [2, 0]), ([0, 1, 1], [2, 3, 1])], seed=0)  # wraps to the run's start
     def test_self_service_fix_matches_brute_force(self, replicas, seed):
         # replica r's peer ids are offset by r * 4, as in a batch of 4 peers
         seg = np.concatenate([[r] * len(c) for r, (c, _) in enumerate(replicas)])
@@ -726,7 +741,9 @@ class TestPoolMatching:
         fixed = servers.copy()
         batch = sim._Batch([seed + r for r in range(len(replicas))], 4)
         keep = np.ones(len(clients), dtype=bool)
+        states = [g.bit_generator.state for g in batch.rngs]
         keep[sim._fix_self_service(batch, seg, clients, fixed)] = False
+        assert [g.bit_generator.state for g in batch.rngs] == states  # the fix draws nothing
         assert not np.any(clients[keep] == fixed[keep])
         for r, (pool_clients, pool_servers) in enumerate(replicas):
             own = seg == r
@@ -770,13 +787,15 @@ def test_stream_is_pinned():
                        params=ProtocolParams(L=4, h_o=2, b=3, beta=0.5, m_o=(1, 2, 3)))
     tft = config(n_peers=50, n_periods=40, seed=5, protocol_flavor="TFT",
                  population_mix={PeerKind.RECIPROCATIVE: 0.8, PeerKind.ALTRUISTIC: 0.2})
-    assert _integer_digest(run_sim(social)) == \
-        "9d9ec118d80da9e75f5133e4e698adc4daf2691f40889e0222d5313335ae260c"
+    trace = run_sim(social)
+    assert trace.to_json_dict()["schema"] == 5
+    assert _integer_digest(trace) == \
+        "7e7bc8e2ede5688a7bd05826e4e7a5f43506eef53d1950fb65e8eed0b550595c"
     assert _integer_digest(run_sim(forgiving)) == \
-        "b9544a4e23661084bf763e36db6746685bfca21107730deb802ad07b5a45b8e9"
+        "b0c8355b62f2e23c5a2164b918812b954a39a609fb8a25b2a7300c934f3d8f43"
     assert _integer_digest(run_tft(tft)) == \
-        "49de317d3cf1559f5c8fb401d12f343412c8cb3f06a5a474f0dc730e9104f52b"
+        "7aa8aeacb918a827b8eaa9afa6f20238599acba97409ddcb95252410de48a25f"
     batch = sim.run_replicas([social, social.replace(seed=4, deviant_policy=None), social])
-    pinned = "9d9ec118d80da9e75f5133e4e698adc4daf2691f40889e0222d5313335ae260c"
+    pinned = "7e7bc8e2ede5688a7bd05826e4e7a5f43506eef53d1950fb65e8eed0b550595c"
     assert [_integer_digest(t) for t in batch] == [
-        pinned, "aeb2baada3448dbe4e7588f9035c58ee578193970cd451aab110a8241c8d6af4", pinned]
+        pinned, "58f90e3174a4c3a59c2e2147c0f4a8b5bee4b966df9239561b39911162c7a373", pinned]
