@@ -1,11 +1,15 @@
 """Optimal protocol design: pick the utility-maximizing sustainable protocol.
 
-The four nested problems are one search over (m_o, b) cells: over the
-uniform threshold vectors or, for OSNE_VPS, all of them; with a beta column
-per cell for OSNE_VP and OSNE_VPS, and once per altruist fraction for
-OSNE_AH.  `check_equilibria` scores the cells in blocks, and one np.lexsort
-over the candidates' columns picks the winner.  The discrete axes stay
-exhaustive, so every problem matches brute force.
+The four nested problems are one exact best-first search over (m_o, b)
+cells: over the uniform threshold vectors or, for OSNE_VPS, all of them;
+with a beta column per cell for OSNE_VP and OSNE_VPS, and once per altruist
+fraction for OSNE_AH.  A candidate's utility depends on its vector only
+through m_o(h_o), so the points sharing (h_o, m_o(h_o), b, beta, p_c), a
+class, share one stationary profile and one utility.  A utility pass solves
+one point per class and ranks the classes by the tie key.  The walk then
+checks the points of the classes in that order, in blocks, on their class's
+profile, and stops at the first class ranked after the best candidate found:
+no point it skips can beat that one, so every problem matches brute force.
 
 Ties in utility break deterministically: smallest activity threshold, then
 most connections, then most forgiveness, then the lexicographically smallest
@@ -17,15 +21,16 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .incentives import (BISECT_TOL_BETA, _along, _edge, blocks, check_equilibria,
-                         check_equilibrium, collapsed_social_utility)
+                         check_equilibrium, collapsed_social_utility, social_utility)
 from .model import NetworkEnv, Points, ProtocolParams
-from .stationary import check_regime
+from .stationary import ReputationDistribution, check_regime, stationary_for_regime
 
 PROBLEMS = ("OSNE", "OSNE_VP", "OSNE_VPS", "OSNE_AH")
 
@@ -64,8 +69,10 @@ class DesignSpec:
             raise ValueError(f"beta_grid must be in (0, 1], got {self.beta_grid}")
         if not 0.0 < self.pC_grid <= 1.0:
             raise ValueError(f"pC_grid must be in (0, 1], got {self.pC_grid}")
-        if self.problem == "OSNE_VPS" and self.L > 6:
-            raise ValueError("threshold-vector search enumerates m_o; keep L <= 6")
+        if self.problem == "OSNE_VPS" and self.L > 8:
+            raise ValueError("threshold-vector search checks vectors by class; keep L <= 8")
+        if self.problem == "OSNE_AH" and self.env.p_c != 0.0:
+            raise ValueError("OSNE_AH deploys its own altruist fraction: keep the env's p_c 0")
         # check_regime on what the problem explores: forgiveness (VP, VPS), a
         # non-uniform threshold vector (VPS), deployed altruists (AH)
         check_regime(ProtocolParams(
@@ -81,9 +88,10 @@ class DesignResult:
     feasible is True when some candidate sustains cooperation (for OSNE_AH an
     altruist fraction above one half also counts: service then runs on
     altruists alone and needs no incentive constraint).  stats counts the
-    candidates, the check_equilibria calls and the points they checked.
-    search_log, built on first read, holds a (candidate, slack, utility) per
-    candidate, utility None if the check fails, slack None if none applies.
+    candidates, the evaluator calls (the utility pass's and the checks') and
+    the points they took.  search_log, built on first read, holds a
+    (candidate, slack, utility) per candidate, utility None if the check
+    fails, slack None if none applies.
     """
 
     params: Optional[ProtocolParams]
@@ -101,73 +109,119 @@ class DesignResult:
 def _search(spec: DesignSpec, vectors=None, scan=False, fractions=(),
             collapsed=(np.empty(0), np.empty(0))) -> DesignResult:
     """Best sustainable candidate over every (m_o, b) cell, once per altruist
-    fraction (outermost; fractions replace the env's p_c), then over the
-    `collapsed` (p_c, utility) pairs: OSNE_AH's fractions above one half,
-    candidates at h_o = 1 and b = b_cap that no check applies to.  vectors
-    default to the uniform ones.  The cells go to check_equilibria in blocks
-    that span vectors and fractions.  With a scan a cell is a column of betas
-    on the beta_grid, and its candidate is its first passing beta (its first
-    if none passes): the passing set need not be an interval.  The candidates
-    are the columns of one array, with rows utility, h_o, b, beta, m_o (an
-    index into vectors), p_c, verdict and slack, and one np.lexsort picks the
-    winner: within one h_o the vectors come sorted, so their index orders
-    them as m_o does.  A scanned winner is refined, and its entry then ends
-    the log as ("refined", ..., beta)."""
-    vectors = vectors or [(h_o,) * (spec.L - h_o + 1) for h_o in range(1, spec.L + 1)]
-    p_cs, parts = np.array(fractions or [spec.env.p_c]), []
+    fraction (ascending, with one vector per class; they replace the env's
+    p_c), and over the `collapsed` (p_c, utility) pairs: OSNE_AH's fractions
+    above one half, candidates at h_o = 1 and b = b_cap that no check applies
+    to, ranked among the classes.  vectors default to the uniform ones.  With
+    a scan a cell is a column of betas on the beta_grid, and its candidate is
+    its first passing beta: the passing set need not be an interval, so a
+    cell that passes has its unchecked higher betas checked first.  A scanned
+    winner is refined, and its entry then ends the log as ("refined", ...,
+    beta).  search_log takes the walk without the stop."""
+    L, B, (high, objective) = spec.L, spec.b_cap, collapsed
+    vectors = vectors or [(h_o,) * (L - h_o + 1) for h_o in range(1, L + 1)]
+    p_cs, grid = np.array(fractions or [spec.env.p_c]), Points.of_vectors(L, vectors, spec.env)
     betas = np.minimum(1.0, np.arange(int(round(1.0 / spec.beta_grid)), -1, -1)
                        * spec.beta_grid) if scan else np.zeros(1)
-    grid = Points.of([ProtocolParams(L=spec.L, h_o=spec.L + 1 - len(m_o), b=b, m_o=m_o)
-                      for m_o in vectors for b in range(1, spec.b_cap + 1)], spec.env)
-    for cells in blocks(np.arange(len(p_cs) * len(grid)), spec.L, len(betas)):
-        rows = np.repeat(cells, len(betas))
-        block = grid.take(rows % len(grid)).replace(beta=np.tile(betas, len(cells)),
-                                                    p_c=p_cs[rows // len(grid)])
-        rep = check_equilibria(block)
-        first = np.arange(0, len(block), len(betas)) + \
-            rep.is_equilibrium.reshape(-1, len(betas)).argmax(axis=1)
-        parts.append(np.array([rep.social_utility, block.h_o, block.b, block.beta,
-                               rows % len(grid) // spec.b_cap, block.p_c, rep.is_equilibrium,
-                               rep.serve_slack])[:, first])
-    high, objective = collapsed
-    one, zero = np.ones(len(high)), np.zeros(len(high))
-    cols = np.concatenate(parts + [[objective, one, spec.b_cap * one, zero, zero, high, one,
-                                    zero]], axis=1)
-    checked = cols.shape[1] - len(high)
+    cells = (len(p_cs), len(vectors), B)
+    stats = collections.Counter(candidates=math.prod(cells) + len(high))
+    # a class's vectors are a run of the list, which is sorted by h_o, then m_o
+    first = np.flatnonzero(np.diff(grid.h_o * (L + 1) + grid.eligibility, prepend=0))
+    cls = np.repeat(np.arange(len(first)), np.diff(first, append=len(vectors)))
+    shape = (len(p_cs), len(first), B, len(betas))
+    # the class points, beta innermost, then the collapsed pairs as points at
+    # h_o = 1, b = b_cap and beta = 0 with no vectors to check
+    n, tail = math.prod(shape), np.arange(len(high))
+    f, c, b, k = np.concatenate([np.indices(shape).reshape(4, -1), [
+        len(p_cs) + tail, 0 * tail, B - 1 + 0 * tail, len(betas) - 1 + 0 * tail]], axis=1)
+
+    def points(q, v):
+        return grid.take(v).replace(b=b[q] + 1.0, beta=betas[k[q]], p_c=p_cs[f[q]])
+
+    u, eta, mu = np.append(np.empty(n), objective), np.empty((L + 1, n)), np.empty(n)
+    for q in blocks(np.arange(n), L):
+        block = points(q, first[c[q]])
+        dist = stationary_for_regime(block)
+        u[q], eta[:, q], mu[q] = social_utility(block, dist), dist.eta.T, dist.mu
+        stats.update(evaluator_calls=1, points_checked=len(q))
+    order = np.argsort(np.ravel_multi_index(  # by the tie key
+        (np.unique(-u, return_inverse=True)[1], grid.h_o[first[c]].astype(int), B - 1 - b, k,
+         first[c], f), (len(u), L + 1, B, len(betas), len(vectors), len(p_cs) + len(high))))
+    rank, sizes = np.argsort(order), np.where(f < len(p_cs), np.bincount(cls)[c], 0)[order]
+    ends = np.cumsum(sizes)  # where each class point's points end in the walk
+
+    def check(q, v, stats):
+        ok, slack = np.zeros(len(q), bool), np.empty(len(q))
+        for rows in blocks(np.arange(len(q)), L):
+            block = points(q[rows], v[rows])
+            rep = check_equilibria(block, ReputationDistribution(
+                eta.take(q[rows], axis=1).T, mu[q[rows]], block.alpha))
+            ok[rows], slack[rows] = rep.is_equilibrium, rep.serve_slack
+            stats.update(evaluator_calls=1, points_checked=len(rows))
+        return ok, slack
+
+    def walk(stats, stop=True):
+        """Each cell's candidate class point (its first beta's if none
+        passes), whether it passes and its slack, and the best rank."""
+        fi, v, bi = np.indices(cells).reshape(3, -1)
+        cand, won = np.ravel_multi_index((fi, cls[v], bi, 0 * v), shape), np.zeros(len(v), bool)
+        slack, checked = np.full(len(v), np.nan), np.zeros((len(v), len(betas)), bool)
+        best = rank[n:].min(initial=len(rank))  # the collapsed pairs enter first
+        for span in blocks(range(ends[-1]), L):
+            pos = np.arange(span.start, span.stop)
+            i = np.searchsorted(ends, pos, "right")
+            if stop and i[0] > best:
+                break
+            q, v = order[i], first[c[order[i]]] + pos - ends[i] + sizes[i]
+            cell = np.ravel_multi_index((f[q], v, b[q]), cells)
+            todo = np.flatnonzero(~won[cell])[np.argsort(k[q][~won[cell]], kind="stable")]
+            q, v, cell = q[todo], v[todo], cell[todo]  # higher betas first
+            (ok, s), checked[cell, k[q]] = check(q, v, stats), True
+            slack[cell] = s
+            # a passing cell's unchecked higher betas, then its candidate: its
+            # first passing point, higher betas first
+            new, at = np.unique(cell[ok], return_index=True)
+            r, j = np.nonzero((np.arange(len(betas)) < k[q[ok][at]][:, None]) & ~checked[new])
+            up = q[ok][at][r] - k[q[ok][at][r]] + j  # beta is the class points' last axis
+            ok_up, s_up = check(up, v[ok][at][r], stats)
+            new, at = np.unique(np.concatenate([new[r][ok_up], cell[ok]]), return_index=True)
+            cand[new], won[new] = np.concatenate([up[ok_up], q[ok]])[at], True
+            slack[new] = np.concatenate([s_up[ok_up], s[ok]])[at]
+            best = min(best, rank[cand[new]].min(initial=best))
+        return cand, won, slack, best
+
+    def entries(cand, won, slack, cell):
+        """search_log triples of cells.  An entry is (h_o, b); a scan adds m_o
+        and the first passing beta (None, and no slack, if none passes), and
+        fractions add p_c."""
+        log = []
+        for q, v, ok, gap in zip(cand[cell].tolist(), np.unravel_index(cell, cells)[1].tolist(),
+                                 won[cell].tolist(), slack[cell].tolist()):
+            entry = (int(grid.h_o[v]), int(b[q]) + 1)
+            if scan:
+                entry, gap = entry + (vectors[v], betas[k[q]].item() if ok else None), \
+                    gap if ok else None
+            elif fractions:
+                entry += (p_cs[f[q]].item(),)
+            log.append((entry, gap, u[q].item() if ok else None))
+        return log
+
+    cand, won, slack, best = walk(stats)
+    win = np.flatnonzero(won & (rank[cand] == best))[:1]  # the smallest vector of its class
     # an unchecked entry has no slack and keeps the numpy float of its utility
-    unchecked = [((1, spec.b_cap, p_c), None, u) for p_c, u in zip(high.tolist(), objective)]
-    stats = collections.Counter(candidates=cols.shape[1], evaluator_calls=len(parts),
-                                points_checked=len(p_cs) * len(grid) * len(betas))
-    log = functools.partial(_log, vectors=vectors, scan=scan, altruists=bool(fractions))
-    passing, refined = np.flatnonzero(cols[6]), []
-    result = DesignResult(None, 0.0, len(passing) > 0, stats=stats,
-                          _log=lambda: log(cols[:, :checked]) + unchecked + refined)
-    if len(passing):
-        u, h_o, b, beta, v, p_c = cols[:6, passing]
-        i = passing[np.lexsort((p_c, v, -beta, -b, h_o, -u))[0]]
-        entry, _, result.utility = log(cols[:, [i]])[0] if i < checked else unchecked[i - checked]
-        result.params = ProtocolParams(L=spec.L, h_o=int(cols[1, i]), b=int(cols[2, i]),
-                                       beta=cols[3, i].item(), m_o=vectors[int(cols[4, i])])
-        result.pC_star = cols[5, i].item() if fractions else None
-        if scan:
-            result.params, result.utility = _refine(result.params, spec.env, betas, stats)
-            refined.append((("refined", *entry[:-1], result.params.beta), None, result.utility))
+    unchecked, refined = [((1, B, p_c), None, u) for p_c, u in zip(high.tolist(), objective)], []
+    result = DesignResult(None, 0.0, bool(best < len(rank)), stats=stats, _log=lambda: entries(
+        *walk(collections.Counter(), stop=False)[:3], np.arange(len(cand))) + unchecked + refined)
+    if best < len(rank):  # the winner's entry gives its params
+        entry, _, result.utility = entries(cand, won, slack, win)[0] if len(win) else \
+            unchecked[int(np.flatnonzero(rank[n:] == best)[0])]
+        result.params = ProtocolParams(L=L, h_o=entry[0], b=entry[1], **(
+            {"m_o": entry[2], "beta": entry[3]} if scan else {}))
+        result.pC_star = entry[2] if fractions else None
+    if scan and result.feasible:
+        result.params, result.utility = _refine(result.params, spec.env, betas, stats)
+        refined.append((("refined", *entry[:-1], result.params.beta), None, result.utility))
     return result
-
-
-def _log(cols: np.ndarray, vectors: list, scan: bool, altruists: bool) -> list:
-    """search_log triples of checked candidates' columns.  An entry is
-    (h_o, b); a scan adds m_o and the first passing beta (None, and no slack,
-    if none passes), and altruists add p_c."""
-    log = []
-    for u, h_o, b, beta, v, p_c, ok, slack in cols.T.tolist():
-        entry = (int(h_o), int(b))
-        if scan:
-            entry, slack = entry + (vectors[int(v)], beta if ok else None), slack if ok else None
-        elif altruists:
-            entry += (p_c,)
-        log.append((entry, slack, u if ok else None))
-    return log
 
 
 def _refine(params: ProtocolParams, env: NetworkEnv, betas: np.ndarray, stats) -> tuple:
@@ -212,9 +266,10 @@ def solve_osne_vps(spec: DesignSpec) -> DesignResult:
     Raising a server's client threshold lightens its upload load and deepens
     the punishment (a punished peer re-enters through costly rungs), so
     non-uniform vectors trade a sliver of utility for feasibility headroom.
-    Every b's beta column is checked for each of the C(2L, L) - 1 vectors
-    (923 at L = 6, 3,431 at L = 7); DesignSpec caps L at 6.  Utility depends
-    on m_o only through m_o(h_o); ties break toward the smallest vector.
+    There are C(2L, L) - 1 vectors (12,869 at L = 8) but only L**2 classes
+    per (b, beta), and the walk checks the vectors of the classes that rank
+    above the winner; DesignSpec caps L at 8.  Ties break toward the
+    smallest vector.
     """
     return _search(spec, scan=True, vectors=[
         m_o for h_o in range(1, spec.L + 1) for m_o in

@@ -188,8 +188,9 @@ def collapsed_social_utility(env: NetworkEnv, b: int, p_c: float) -> float:
     return env.lam * b * np.minimum(p_c, 1.0 - p_c) * ((1.0 - env.eps) * env.r - env.c)
 
 
-def check_equilibria(points: Points) -> IncentiveReport:
-    """check_equilibrium for every point of a batch, a row per point.
+def check_equilibria(points: Points, dist: ReputationDistribution = None) -> IncentiveReport:
+    """check_equilibrium for every point of a batch, a row per point, on its
+    stationary profile dist (solved here unless given).
 
     The slack at rung t: for active t the deviation is refusing all
     prescribed uploads, which saves lam*b*c this period (once punishment is
@@ -197,7 +198,7 @@ def check_equilibria(points: Points) -> IncentiveReport:
     compliance lottery for the deviation lottery (keep t w.p. beta**(L-t+1),
     else drop to 0); for inactive t it is serving someone, an instant loss of
     c followed by the same lottery.  Slack >= 0 at every t: no deviation pays."""
-    dist = stationary_for_regime(points)
+    dist = stationary_for_regime(points) if dist is None else dist
     utilities = overall_utilities(points, dist)
     v, keep = utilities.v_inf.T, points.keep
     gap = points.delta * (1.0 - points.alpha) * (

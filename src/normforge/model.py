@@ -170,6 +170,15 @@ class Points:
         m_o = np.array([[L + 1] * p.h_o + list(p.m_o) for p in params]).T
         return cls(L, m_o=m_o.copy(), **dict(zip(cls.FIELDS, table.T.copy())))
 
+    @classmethod
+    def of_vectors(cls, L: int, vectors: list, env: NetworkEnv) -> "Points":
+        """One point per client-threshold vector (h_o = L + 1 - its length)
+        at b = 1 and beta = 0 under env, from arrays: no ProtocolParams each."""
+        n, m_o = len(vectors), [(L + 1,) * (L + 1 - len(m)) + tuple(m) for m in vectors]
+        return cls(L, m_o=np.array(m_o).T, h_o=L + 1.0 - np.array([len(m) for m in vectors]),
+                   b=np.ones(n), beta=np.zeros(n),
+                   **{name: np.full(n, float(getattr(env, name))) for name in cls.FIELDS[3:]})
+
     def __len__(self) -> int:
         return len(self.h_o)
 

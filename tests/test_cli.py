@@ -215,6 +215,16 @@ class TestSolve:
         assert code == 2
         assert json.loads(out)["error"]["field"] == "design"
 
+    @pytest.mark.parametrize("p_c", ["0.2", "0.45"])
+    def test_altruist_problem_refuses_env_altruists(self, scenario_file, capsys, p_c):
+        # OSNE_AH picks the altruist fraction itself: an env p_c is a design
+        # error, not an input it silently discards
+        path = scenario_file(design={"problem": "OSNE_AH", "L": 3, "b_cap": 2})
+        assert run_cli(capsys, "solve", "--config", path, "--p-c", "0")[0] == 0
+        code, out = run_cli(capsys, "solve", "--config", path, "--p-c", p_c)
+        assert code == 2
+        assert json.loads(out)["error"]["field"] == "design"
+
     def test_altruist_problem_reports_p_c_star(self, scenario_file, capsys):
         path = scenario_file(design={"problem": "OSNE_AH", "L": 2, "b_cap": 2,
                                      "p_c_grid": 0.25})
@@ -537,7 +547,7 @@ MALFORMED_CASES = [
     pytest.param(["sweep", "--sweep", "c:a:0.3:0.1"], {}, "sweep", id="sweep"),
     pytest.param(["sweep"], {"sweep": [{"param": "c", "min": "x", "max": 0.3, "step": 0.1}]},
                  "sweep.min", id="sweep.min"),
-    pytest.param(["solve", "--problem", "OSNE_VPS", "--L", "7", "--b-cap", "2"], {}, "design",
+    pytest.param(["solve", "--problem", "OSNE_VPS", "--L", "9", "--b-cap", "2"], {}, "design",
                  id="design"),
     pytest.param(["sweep"], {"sweep": "abc"}, "sweep", id="sweep-not-a-list"),
     pytest.param(["simulate"], {"sim": dict(SIM_SECTION, population_mix=[1])},
@@ -630,8 +640,10 @@ def test_malformed_input_is_a_config_error(scenario_file, capsys, tmp_path, argv
 
 
 # sha256 of every MALFORMED_CASES and UNANALYZABLE_CASES command's exit code
-# and full output, recorded before the CLI's scenario schema became one table
-ERROR_OUTPUT_DIGEST = "aa9d76b220352f7fa509ebaafc2208649ed336af1f6a01b9936ea188967ec845"
+# and full output, recorded before the CLI's scenario schema became one table;
+# re-recorded when the OSNE_VPS ladder cap rose from 6 to 8, which changed
+# the cap message and nothing else
+ERROR_OUTPUT_DIGEST = "6df1cf0fe49c117dadb899855e3d1b45cb76c92b45e54af03d3fb33fd42d7dda"
 
 
 def test_error_outputs_are_pinned(scenario_file, capsys, tmp_path):

@@ -248,6 +248,13 @@ class TestOsneAh:
             res = solve_osne_ah(spec)
             assert res.feasible and res.pC_star == 0.0, spec
 
+    def test_env_altruists_are_refused(self):
+        # the problem deploys its own fraction: an env p_c would be discarded
+        DesignSpec("OSNE_AH", L=3, b_cap=2, env=env(p_c=0.0))
+        for p_c in (0.2, 0.45):
+            with pytest.raises(ValueError, match="deploys its own altruist fraction"):
+                DesignSpec("OSNE_AH", L=3, b_cap=2, env=env(p_c=p_c))
+
     def test_dispatcher_routes_all_problems(self):
         e = env()
         for problem in ("OSNE", "OSNE_VP", "OSNE_VPS", "OSNE_AH"):
@@ -331,58 +338,79 @@ def test_solvers_match_brute_force(e):
 
 
 def test_one_evaluator_call_per_block(count_calls, monkeypatch):
-    # the searches hand whole blocks to check_equilibria, never one cell at a
-    # time; check_equilibrium (a block of one) is left to refinement steps
-    calls = count_calls("check_equilibria", "check_equilibrium")
-    res = solve_osne_ah(DesignSpec(problem="OSNE_AH", L=3, b_cap=4, env=env(), pC_grid=0.25))
-    # the 12 cells of each altruist fraction up to one half (0, 0.25 and 0.5)
-    # go to the evaluator as one block; 0.75 and 1 are not checked
-    assert calls == {"check_equilibria": 1, "check_equilibrium": 0}
-    assert res.stats == {"candidates": 38, "evaluator_calls": 1, "points_checked": 36}
-    calls.update(check_equilibria=0, check_equilibrium=0)
-    res = solve_osne_ah(DesignSpec(problem="OSNE_AH", L=6, b_cap=10, env=env(), pC_grid=0.01))
-    # 51 fractions x 60 cells in blocks of BLOCK_ENTRIES // 7**2 = 668 points
-    assert calls == {"check_equilibria": 5, "check_equilibrium": 0}
-    assert res.stats == {"candidates": 3110, "evaluator_calls": 5, "points_checked": 3060}
+    # the search hands whole blocks to the evaluator, never one point at a
+    # time: the utility pass solves one profile per class point, in blocks,
+    # then the walk checks the ranked classes' points in blocks no larger;
+    # check_equilibrium (a block of one) is left to refinement steps
+    calls = count_calls("check_equilibrium")
+    sizes = collections.defaultdict(list)  # points per evaluator call, by stage
+    for module, name, stage in ((designer, "stationary_for_regime", "pass"),
+                                (designer, "check_equilibria", "walk"),
+                                (incentives, "check_equilibria", "refine")):
+        monkeypatch.setattr(module, name, lambda points, *rest, _fn=getattr(module, name),
+                            _stage=stage: sizes[_stage].append(len(points)) or _fn(points, *rest))
 
-    sizes = []  # points per check_equilibria call
-    for module in (incentives, designer):
-        monkeypatch.setattr(module, "check_equilibria", lambda points, _fn=module.check_equilibria:
-                            sizes.append(len(points)) or _fn(points))
-
-    def scan_and_refinement(spec):
-        """Scan calls of one forgiveness search, after bounding its
-        refinement calls: a scan block holds whole beta columns, more than
-        two points; the winner's refinement checks both ends of its grid cell
-        in one call, then bisects the cell BISECT_DEPTH halvings per call, at
-        most 2**BISECT_DEPTH - 1 betas each, then checks its utility (a block
-        of one)."""
+    def search(spec, class_points):
+        """stats of one search, after checking its calls: the class points'
+        profiles in blocks of BLOCK_ENTRIES // (L + 1)**2, walk blocks no
+        larger, and stats that count every call and every point."""
         sizes.clear()
         calls.update(check_equilibrium=0)
         stats = solve(spec).stats
-        assert calls["check_equilibrium"] == 1
-        assert (stats["evaluator_calls"], stats["points_checked"]) == (len(sizes), sum(sizes))
-        edge = len(sizes) - 1 - sizes[::-1].index(2)  # the refinement's first call
-        column = round(1.0 / spec.beta_grid) + 1
-        assert all(n > 2 and n % column == 0 for n in sizes[:edge])
-        halvings = ceil(log2(spec.beta_grid / BISECT_TOL_BETA))
-        *bisect, utility = sizes[edge + 1:]
-        assert utility == 1 and 1 <= len(bisect) <= ceil(halvings / BISECT_DEPTH)
-        assert max(bisect) <= 2 ** BISECT_DEPTH - 1
-        return edge
+        block = incentives.BLOCK_ENTRIES // (spec.L + 1) ** 2
+        assert sizes["pass"] == [block] * (class_points // block) + \
+            [class_points % block] * (class_points % block > 0)
+        assert sizes["walk"] and all(0 < n <= block for n in sizes["walk"])
+        assert (stats["evaluator_calls"], stats["points_checked"]) == \
+            (sum(map(len, sizes.values())), sum(map(sum, sizes.values())))
+        return stats
 
-    # every vector's (b, beta) cells share one block stream: OSNE_VPS's
-    # C(6, 3) - 1 = 19 vectors x 4 b = 76 cells of 5 betas fit one block of
-    # BLOCK_ENTRIES // (4**2 * 5) = 409 cells, and so do OSNE_VP's 3 x 4
-    assert scan_and_refinement(DesignSpec("OSNE_VPS", L=3, b_cap=4, env=env(),
-                                          beta_grid=0.25)) == 1
-    assert scan_and_refinement(DesignSpec("OSNE_VP", L=3, b_cap=4, env=env(),
-                                          beta_grid=0.25)) == 1
-    # C(8, 4) - 1 = 69 vectors x 3 b = 207 cells of 101 betas, in blocks of
-    # BLOCK_ENTRIES // (5**2 * 101) = 12 cells: blocks span vectors, where a
-    # stream cut per vector would take 69 calls
-    assert scan_and_refinement(DesignSpec("OSNE_VPS", L=4, b_cap=3, env=env(),
-                                          beta_grid=0.01)) == ceil(207 / 12)
+    # OSNE_AH: the uniform vectors are one class each, so its class points
+    # are its cells, 3 x 4 for each altruist fraction up to one half (0,
+    # 0.25 and 0.5); 0.75 and 1 are ranked but never checked
+    stats = search(DesignSpec("OSNE_AH", L=3, b_cap=4, env=env(), pC_grid=0.25), 3 * 12)
+    assert calls["check_equilibrium"] == 0 and stats["candidates"] == 38
+    # 51 fractions x 60 cells, in blocks of BLOCK_ENTRIES // 7**2 = 668 points
+    stats = search(DesignSpec("OSNE_AH", L=6, b_cap=10, env=env(), pC_grid=0.01), 51 * 60)
+    assert calls["check_equilibrium"] == 0 and stats["candidates"] == 3110
+    assert not sizes["refine"]
+
+    def refined(spec, class_points):
+        """Walk points of one forgiveness search, after bounding its
+        refinement calls: the winner's refinement checks both ends of its
+        grid cell in one call, then bisects the cell BISECT_DEPTH halvings
+        per call, at most 2**BISECT_DEPTH - 1 betas each, then checks its
+        utility (a block of one)."""
+        search(spec, class_points)
+        assert calls["check_equilibrium"] == 1
+        edge, *bisect, utility = sizes["refine"]
+        halvings = ceil(log2(spec.beta_grid / BISECT_TOL_BETA))
+        assert edge == 2 and utility == 1 and 1 <= len(bisect) <= ceil(halvings / BISECT_DEPTH)
+        assert max(bisect) <= 2 ** BISECT_DEPTH - 1
+        return sum(sizes["walk"])
+
+    # OSNE_VPS's classes are its (h_o, m_o(h_o)) pairs: 3 x 3 at L = 3, one
+    # class point per (class, b, beta); OSNE_VP's are its 3 uniform vectors
+    assert refined(DesignSpec("OSNE_VPS", L=3, b_cap=4, env=env(), beta_grid=0.25),
+                   9 * 4 * 5) <= 19 * 4 * 5
+    assert refined(DesignSpec("OSNE_VP", L=3, b_cap=4, env=env(), beta_grid=0.25),
+                   3 * 4 * 5) <= 3 * 4 * 5
+    # 16 classes x 3 b x 101 betas = 4,848 class points in blocks of
+    # BLOCK_ENTRIES // 5**2 = 1,310; the walk checks a fraction of the
+    # C(8, 4) - 1 = 69 vectors x 3 b x 101 betas
+    assert refined(DesignSpec("OSNE_VPS", L=4, b_cap=3, env=env(), beta_grid=0.01),
+                   16 * 3 * 101) < 69 * 3 * 101 / 4
+
+
+def test_the_walk_stops_before_the_last_class():
+    # the benchmark's OSNE_VPS solve checks under a third of the 20,985
+    # points that checking every cell's beta column and refining took;
+    # reading the log walks every class and moves no reported number
+    res = solve(DesignSpec("OSNE_VPS", 4, 3, env()))
+    reported = repr((res.params, res.utility, res.pC_star, res.stats))
+    assert res.stats["points_checked"] < 20985 / 3
+    assert len(res.search_log) == 69 * 3 + 1
+    assert repr((res.params, res.utility, res.pC_star, res.stats)) == reported
 
 
 def _osne_ah_reference(spec):
@@ -412,7 +440,7 @@ def _osne_ah_reference(spec):
     (6, 10, 0.01, env()),
     (3, 4, 0.1, env(delta=0.0)),
     (4, 5, 0.05, env(eps=0.0)),
-    (2, 3, 0.3, env(c=0.4, p_c=0.2)),
+    (2, 3, 0.3, env(c=0.4)),
 ], ids=["zero-and-half", "across-blocks", "delta-0", "eps-0", "grid-not-dividing-1"])
 def test_osne_ah_equals_per_fraction_osne(L, b_cap, pC_grid, e):
     # laying the p_c axis over one set of points changes no number: the log,
@@ -481,6 +509,46 @@ TIE_SPECS = [  # the exact ties of the tests above
     # (1 - eps) * r = c: every collapsed fraction has utility 0
     DesignSpec("OSNE_AH", L=2, b_cap=3, env=env(c=0.9, eps=0.1), pC_grid=0.1),
 ]
+
+
+# L = 5 and 6, beyond the searches the tests above and the benchmark run: a
+# winner deep in the ranking, exact ties (eps = 0), no future (delta = 0),
+# costs no design sustains, the largest OSNE_VPS space at the reference env,
+# and random envs
+DEEP_SPECS = [
+    DesignSpec("OSNE_VPS", L=5, b_cap=5, env=env(c=0.486)),
+    DesignSpec("OSNE_VPS", L=6, b_cap=6, env=env()),
+    DesignSpec("OSNE_VPS", L=5, b_cap=4, env=env(eps=0.0), beta_grid=0.05),
+    DesignSpec("OSNE_VPS", L=6, b_cap=3, env=env(delta=0.0), beta_grid=0.1),
+    DesignSpec("OSNE_VPS", L=5, b_cap=3, env=env(c=0.95), beta_grid=0.05),
+    DesignSpec("OSNE_VP", L=6, b_cap=8, env=env(eps=0.0)),
+    DesignSpec("OSNE_VP", L=6, b_cap=6, env=env(delta=0.0)),
+    DesignSpec("OSNE_VP", L=5, b_cap=10, env=env(c=0.9)),
+]
+
+
+def _deep_random_specs(n, seed=30):
+    """n OSNE_VP and OSNE_VPS specs at L = 5 or 6 with small caps and grids."""
+    rng = np.random.default_rng(seed)
+    return [DesignSpec(str(rng.choice(["OSNE_VP", "OSNE_VPS"])), L=int(rng.integers(5, 7)),
+                       b_cap=int(rng.integers(1, 4)),
+                       env=env(c=float(rng.uniform(0.05, 0.6)), eps=float(rng.uniform(0.0, 0.3)),
+                               delta=float(rng.uniform(0.5, 0.95)),
+                               lam=float(rng.choice([0.5, 1.0, 2.0]))),
+                       beta_grid=float(rng.choice([0.05, 0.1, 0.25]))) for _ in range(n)]
+
+
+def test_long_ladders_equal_per_cell_search():
+    # the best-first walk and its log, bit for bit, where a class holds many
+    # vectors and the walk may reach most classes before its winner
+    outcomes = collections.Counter()
+    for spec in DEEP_SPECS + _deep_random_specs(6):
+        got = solve(spec)
+        assert repr((got.params, got.utility, got.pC_star, got.search_log)) == \
+            repr(per_cell_design(spec)), spec
+        outcomes[spec.problem, got.feasible] += 1
+    assert all(outcomes[problem, feasible] for problem in ("OSNE_VP", "OSNE_VPS")
+               for feasible in (True, False))
 
 
 @pytest.mark.parametrize("block_entries, n", [(1 << 15, 500), (300, 120)],
