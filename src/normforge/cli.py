@@ -35,6 +35,7 @@ import io
 import itertools
 import json
 import sys
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -48,6 +49,7 @@ from .stationary import check_regime, stationary_fixed_point, stationary_for_reg
 
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
+CSV_ROWS = 256  # rows formatted at once: a CSV holds one chunk's field strings at a time
 
 
 class CliError(Exception):
@@ -221,15 +223,37 @@ def _json_text(payload: dict) -> str:
                               for key, value in sorted(payload.items())) + "\n}"
 
 
-def _csv_text(header: list, rows: list) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
-    return buf.getvalue()
+def _csv_text(header: list, columns) -> str:
+    """The text csv.writer (QUOTE_MINIMAL, "\\n" line ends) gives a table of
+    two or more columns, given a column at a time (none for a table of no
+    rows), formatted CSV_ROWS rows at a time."""
+    columns = list(columns) or [()] * len(header)
+    return _csv_rows([[name] for name in header]) + "".join(
+        _csv_rows([_csv_fields(column[i:i + CSV_ROWS]) for column in columns])
+        for i in range(0, len(columns[0]), CSV_ROWS))
 
 
-def _csv_cell(value):
-    """A list (a profile, a threshold vector) goes in one ';'-joined cell."""
-    return ";".join(map(str, value)) if isinstance(value, list) else value
+def _csv_rows(fields: list) -> str:
+    """Rows of fields, given by column: joined by hand unless a field holds
+    a character csv.writer may quote."""
+    if any(ch in text for text in map("".join, fields) for ch in ',"\r\n'):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(zip(*fields))
+        return buf.getvalue()
+    return "\n".join([*map(",".join, zip(*fields)), ""])
+
+
+def _csv_fields(values) -> list:
+    """The text of a column's values; a list (a profile, a threshold vector)
+    goes in one ';'-joined field.  Values of one scalar type are formatted
+    once each, but each zero apart: a key of one type cannot take True for
+    1, and -0.0 == 0.0."""
+    kinds = set(map(type, values))
+    if len(kinds) > 1 or kinds & {list, type(None)}:
+        return [";".join(map(str, value)) if isinstance(value, list) else
+                "" if value is None else str(value) for value in values]
+    memo = {value: str(value) for value in set(values)}
+    return [memo[value] if value else str(value) for value in values]
 
 
 # ------------------------------------------------------------------ commands
@@ -244,9 +268,10 @@ ANALYZE_COLUMNS = POINT_COLUMNS + RESULT_COLUMNS
 
 def _checked_blocks(pairs):
     """Yield each block of (params, env) points that one evaluator call
-    checks, with the block's analyze fields as columns of Python values."""
+    checks, with the block's analyze fields and its points' fields
+    (ANALYZE_COLUMNS and per_theta_slacks) as columns of Python values."""
     for L, run in itertools.groupby(pairs, key=lambda pair: pair[0].L):
-        for block in blocks(list(run), L):
+        for block in blocks(list(run), (L + 1) ** 2):
             points = Points.of([p for p, _ in block], [e for _, e in block])
             rep = _built("env", lambda: check_equilibria(points), ValueError)
             holds, v_one = rep.is_equilibrium, np.ascontiguousarray(rep.utilities.v_one)
@@ -261,16 +286,10 @@ def _checked_blocks(pairs):
                        "recip_utility_effective": np.where(
                            holds, [eta @ v for eta, v in zip(recip, v_one)], v_one[:, 0]),
                        **{name: getattr(rep, name) for name in REPORT_FIELDS}}
-            yield block, {name: col.tolist() for name, col in columns.items()}
-
-
-def _analyze_rows(block, columns):
-    """A checked block's CSV rows (ANALYZE_COLUMNS): each point's fields,
-    then its result columns."""
-    results = zip(*(map(_csv_cell, columns[name]) for name in RESULT_COLUMNS))
-    for (params, env), result in zip(block, results):
-        point = {**env.to_dict(), **params.to_dict()}
-        yield [_csv_cell(point[name]) for name in POINT_COLUMNS] + list(result)
+            fields = zip(*(itemgetter(*POINT_COLUMNS)({**env.to_dict(), **params.to_dict()})
+                           for params, env in block))
+            yield block, {**dict(zip(POINT_COLUMNS, fields)),
+                          **{name: col.tolist() for name, col in columns.items()}}
 
 
 def _checked_point(sc: dict) -> tuple:
@@ -283,8 +302,8 @@ def cmd_analyze(args, sc: dict) -> tuple:
     block, columns = _checked_point(sc)
     [(params, env)] = block
     payload = {"env": env.to_dict(), "params": params.to_dict(),
-               **{name: col[0] for name, col in columns.items()}}
-    return _json_text(payload), _csv_text(ANALYZE_COLUMNS, _analyze_rows(block, columns)), 0
+               **{name: col[0] for name, col in columns.items() if name not in POINT_COLUMNS}}
+    return _json_text(payload), _csv_text(ANALYZE_COLUMNS, map(columns.get, ANALYZE_COLUMNS)), 0
 
 
 def cmd_check(args, sc: dict) -> tuple:
@@ -307,7 +326,7 @@ def _solve_payload(spec: DesignSpec, result: DesignResult) -> dict:
 
 def _solve_csv_row(spec: DesignSpec, payload: dict) -> list:
     flat = {**payload, **spec.env.to_dict(), "L": spec.L, "b_cap": spec.b_cap}
-    return [_csv_cell(flat[name]) for name in SOLVE_COLUMNS]
+    return [flat[name] for name in SOLVE_COLUMNS]
 
 
 def cmd_solve(args, sc: dict) -> tuple:
@@ -315,7 +334,7 @@ def cmd_solve(args, sc: dict) -> tuple:
     result = solve(spec)
     payload = dict(_solve_payload(spec, result), stats=result.stats)
     return (_json_text(payload),
-            _csv_text(SOLVE_COLUMNS, [_solve_csv_row(spec, payload)]),
+            _csv_text(SOLVE_COLUMNS, zip(_solve_csv_row(spec, payload))),
             0 if result.feasible else EXIT_INFEASIBLE)
 
 
@@ -368,10 +387,12 @@ def cmd_sweep(args, sc: dict) -> tuple:
         points = ((build("params", _build_params, values), build("env", _build_env, values))
                   for values in grid)
 
-        analyzed = (row for block, columns in _checked_blocks(points)
-                    for row in _analyze_rows(block, columns))
+        columns = {name: [] for name in ANALYZE_COLUMNS}
+        for _, checked in _checked_blocks(points):
+            for name, column in columns.items():
+                column += checked[name]
         header = [f"axis_{n}" for n in names] + ANALYZE_COLUMNS
-        rows = [list(values) + row for values, row in zip(grid, analyzed)]
+        columns = [*zip(*grid), *columns.values()]
     else:
         searched = [name for name in names if AXES[name] == "params" and name != "L"]
         if searched:
@@ -383,8 +404,8 @@ def cmd_sweep(args, sc: dict) -> tuple:
             return list(values) + _solve_csv_row(spec, _solve_payload(spec, solve(spec)))
 
         header = [f"axis_{n}" for n in names] + SOLVE_COLUMNS
-        rows = [eval_point(values) for values in grid]
-    return _csv_text(header, rows), None, 0
+        columns = zip(*map(eval_point, grid))
+    return _csv_text(header, columns), None, 0
 
 
 SIM_SUMMARY_COLUMNS = [
@@ -406,7 +427,7 @@ def _trace_columns(trace) -> dict:
             "n_periods": config.n_periods, "seed": config.seed, "strategic": config.strategic,
             **config.env.to_dict(), **config.params.to_dict(),
             **{f"p_{kind.value}": config.population_mix.get(kind, 0.0) for kind in KIND_ORDER},
-            "mu_hat": s["final_window_mu"], "eta_hat": _csv_cell(s["final_window_eta"]),
+            "mu_hat": s["final_window_mu"], "eta_hat": s["final_window_eta"],
             "delivery_rate": s["delivery_rate"], "recip_delivery_rate": s["recip_delivery_rate"],
             "recip_mean_utility": per_kind.get(trace.strategic_kind()),
             "truncation_bound": s["truncation_bound"],
@@ -427,23 +448,17 @@ def cmd_simulate(args, sc: dict) -> tuple:
         dist = _built("sim.population_mix", lambda: fn(params, config.analytic_env()),
                       ValueError)
     [trace] = run_replicas([config])
-    payload = trace.to_json_dict()
-    header = list(SIM_SUMMARY_COLUMNS)
-    columns = _trace_columns(trace)
-    row = [columns[name] for name in SIM_SUMMARY_COLUMNS]
+    payload, columns, header = trace.to_json_dict(), _trace_columns(trace), SIM_SUMMARY_COLUMNS
     if args.compare_analytic:
         linf = float(max(abs(trace.window_eta() - dist.eta)))
-        payload["analytic_comparison"] = {
-            "eta_analytic": dist.eta.tolist(),
-            "mu_analytic": dist.mu,
-            "eta_linf": linf,
-        }
-        header += ["eta_linf", "mu_analytic"]
-        row += [linf, dist.mu]
+        payload["analytic_comparison"] = {"eta_analytic": dist.eta.tolist(),
+                                          "mu_analytic": dist.mu, "eta_linf": linf}
+        columns.update(eta_linf=linf, mu_analytic=dist.mu)
+        header = header + ["eta_linf", "mu_analytic"]
     if tft:
-        header += ["tft_sustainable"]
-        row += [sustained(config)]
-    return _json_text(payload), _csv_text(header, [row]), 0
+        columns["tft_sustainable"] = sustained(config)
+        header = header + ["tft_sustainable"]
+    return _json_text(payload), _csv_text(header, ([columns[name]] for name in header)), 0
 
 
 COMPARE_COLUMNS = ["axis_param", "axis_value", "flavor", "sustained",
@@ -491,8 +506,8 @@ def cmd_compare(args, sc: dict) -> tuple:
     # the cells share the scenario seed: one batch of common-random-number runs
     cells = [(v, fl) for v in values for fl in flavors]
     traces = run_replicas([cell_config(v, fl) for v, fl in cells])
-    rows = [row(v, trace) for (v, _), trace in zip(cells, traces)]
-    return _csv_text(COMPARE_COLUMNS, rows), None, 0
+    return _csv_text(COMPARE_COLUMNS, zip(*(row(v, trace) for (v, _), trace
+                                            in zip(cells, traces)))), None, 0
 
 
 # --------------------------------------------------------------------- entry

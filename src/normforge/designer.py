@@ -27,10 +27,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .incentives import (BISECT_TOL_BETA, _along, _edge, blocks, check_equilibria,
-                         check_equilibrium, collapsed_social_utility, social_utility)
+from .incentives import (BISECT_TOL_BETA, PASS_TABLES, _along, _edge, blocks, check_equilibria,
+                         collapsed_social_utility, social_utility)
 from .model import NetworkEnv, Points, ProtocolParams
-from .stationary import ReputationDistribution, check_regime, stationary_for_regime
+from .stationary import (ReputationDistribution, check_regime, stationary_fixed_point,
+                         stationary_for_regime)
 
 PROBLEMS = ("OSNE", "OSNE_VP", "OSNE_VPS", "OSNE_AH")
 
@@ -123,6 +124,7 @@ def _search(spec: DesignSpec, vectors=None, scan=False, fractions=(),
     p_cs, grid = np.array(fractions or [spec.env.p_c]), Points.of_vectors(L, vectors, spec.env)
     betas = np.minimum(1.0, np.arange(int(round(1.0 / spec.beta_grid)), -1, -1)
                        * spec.beta_grid) if scan else np.zeros(1)
+    keeps = betas ** (L + 1 - np.arange(L + 1)[:, None])  # Points.keep of each grid beta
     cells = (len(p_cs), len(vectors), B)
     stats = collections.Counter(candidates=math.prod(cells) + len(high))
     # a class's vectors are a run of the list, which is sorted by h_o, then m_o
@@ -136,14 +138,27 @@ def _search(spec: DesignSpec, vectors=None, scan=False, fractions=(),
         len(p_cs) + tail, 0 * tail, B - 1 + 0 * tail, len(betas) - 1 + 0 * tail]], axis=1)
 
     def points(q, v):
-        return grid.take(v).replace(b=b[q] + 1.0, beta=betas[k[q]], p_c=p_cs[f[q]])
+        """Class points q at vectors v, admitted: check_regime refuses by
+        kind, beta != 0 and non-uniform m_o only, so the most demanding
+        point, which DesignSpec admitted, covers every point of the space."""
+        block = grid.take(v, b=b[q] + 1.0, beta=betas[k[q]], p_c=p_cs[f[q]])
+        block.admitted, block.keep = True, keeps[:, k[q]]
+        return block
 
+    # the reciprocators' profile does not read p_c: with fractions (the class
+    # points' outer axis), solve it once per fraction column and mix it
     u, eta, mu = np.append(np.empty(n), objective), np.empty((L + 1, n)), np.empty(n)
-    for q in blocks(np.arange(n), L):
+    m, recip = n // len(p_cs), None
+    if len(p_cs) > 1:
+        recip = stationary_fixed_point(points(np.arange(m), first[c[:m]]))
+        stats.update(evaluator_calls=1, points_checked=m)
+    for q in blocks(np.arange(n), (L + 1) * PASS_TABLES):
         block = points(q, first[c[q]])
-        dist = stationary_for_regime(block)
+        dist = stationary_for_regime(block, None if recip is None else ReputationDistribution(
+            recip.eta.T[:, q % m].T, recip.mu[q % m], recip.alpha[q % m]))
         u[q], eta[:, q], mu[q] = social_utility(block, dist), dist.eta.T, dist.mu
         stats.update(evaluator_calls=1, points_checked=len(q))
+    del block, dist  # the walk's peak memory holds no pass block
     order = np.argsort(np.ravel_multi_index(  # by the tie key
         (np.unique(-u, return_inverse=True)[1], grid.h_o[first[c]].astype(int), B - 1 - b, k,
          first[c], f), (len(u), L + 1, B, len(betas), len(vectors), len(p_cs) + len(high))))
@@ -152,7 +167,7 @@ def _search(spec: DesignSpec, vectors=None, scan=False, fractions=(),
 
     def check(q, v, stats):
         ok, slack = np.zeros(len(q), bool), np.empty(len(q))
-        for rows in blocks(np.arange(len(q)), L):
+        for rows in blocks(np.arange(len(q)), (L + 1) ** 2):
             block = points(q[rows], v[rows])
             rep = check_equilibria(block, ReputationDistribution(
                 eta.take(q[rows], axis=1).T, mu[q[rows]], block.alpha))
@@ -167,7 +182,7 @@ def _search(spec: DesignSpec, vectors=None, scan=False, fractions=(),
         cand, won = np.ravel_multi_index((fi, cls[v], bi, 0 * v), shape), np.zeros(len(v), bool)
         slack, checked = np.full(len(v), np.nan), np.zeros((len(v), len(betas)), bool)
         best = rank[n:].min(initial=len(rank))  # the collapsed pairs enter first
-        for span in blocks(range(ends[-1]), L):
+        for span in blocks(range(ends[-1]), (L + 1) ** 2):
             pos = np.arange(span.start, span.stop)
             i = np.searchsorted(ends, pos, "right")
             if stop and i[0] > best:
@@ -225,16 +240,20 @@ def _search(spec: DesignSpec, vectors=None, scan=False, fractions=(),
 
 
 def _refine(params: ProtocolParams, env: NetworkEnv, betas: np.ndarray, stats) -> tuple:
-    """params with beta bisected to the boundary in its grid cell, and its utility."""
+    """params with beta bisected to the boundary in its grid cell, and the
+    utility the check that passed that beta gave."""
+    utility = {}
+
     def passes(values):
         stats.update(evaluator_calls=1, points_checked=len(values))
-        return _along(params, env, "beta", values)
+        rep = _along(params, env, "beta", values)
+        utility.update(zip(values, rep.social_utility.tolist()))
+        return rep.is_equilibrium
     # the cell up to the next grid beta, or to 1.0 above the top of a grid
     # that does not divide 1 (the one end the scan left unchecked)
-    hi = float(betas[betas > params.beta].min(initial=1.0))
-    refined = params.replace(beta=_edge(passes, [params.beta, hi], BISECT_TOL_BETA))
-    stats.update(evaluator_calls=1, points_checked=1)  # the refined utility's check
-    return refined, check_equilibrium(refined, env).social_utility
+    beta = _edge(passes, [params.beta, float(betas[betas > params.beta].min(initial=1.0))],
+                 BISECT_TOL_BETA)
+    return params.replace(beta=beta), utility[beta]
 
 
 def solve(spec: DesignSpec) -> DesignResult:

@@ -31,9 +31,11 @@ BISECT_TOL_DELTA = 1e-10
 BISECT_TOL_PC = 1e-6
 SCAN_STEP_PC = 0.01
 BISECT_DEPTH = 4  # halvings per evaluator call: 2**4 - 1 = 15 midpoints
-# willing-table entries, (L + 1)**2 a point, per evaluator call: a wider grid
-# costs calls, not memory
+# table entries per evaluator call, so that a wider grid costs calls, not
+# memory: a check's largest table is its (B, L + 1, L + 1) willing table; a
+# utility pass builds none and holds about PASS_TABLES (L + 1, B) float tables
 BLOCK_ENTRIES = 1 << 15
+PASS_TABLES = 4
 
 
 @dataclass
@@ -215,9 +217,9 @@ def check_equilibria(points: Points, dist: ReputationDistribution = None) -> Inc
     )
 
 
-def blocks(items: list, L: int, points_per_item: int = 1):
-    """Slices of items (points_per_item points each) for one evaluator call."""
-    size = max(1, BLOCK_ENTRIES // ((L + 1) ** 2 * points_per_item))
+def blocks(items: list, entries: int):
+    """Slices of items, `entries` table entries each, for one evaluator call."""
+    size = max(1, BLOCK_ENTRIES // entries)
     for i in range(0, len(items), size):
         yield items[i:i + size]
 
@@ -239,44 +241,55 @@ def _require_baseline(env: NetworkEnv, what: str) -> None:
         raise ValueError(f"{what} assumes an all-reciprocative population (p_c = p_d = 0)")
 
 
-def _bisect(passes, lo: float, hi: float, tol: float):
+def _cells(lo: float, hi: float, tol: float) -> list:
+    """The cells wider than tol that the next BISECT_DEPTH halvings of [lo,
+    hi] may visit, whose midpoints one call checks."""
+    cells, level = [], [(lo, hi)]
+    for _ in range(BISECT_DEPTH):
+        level = [(a, b) for a, b in level if b - a > tol]
+        cells += level
+        level = [half for a, b in level for half in ((a, 0.5 * (a + b)), (0.5 * (a + b), b))]
+    return cells
+
+
+def _bisect(passes, lo: float, hi: float, tol: float, ok=None):
     """Halve [lo, hi] to width tol, keeping passes at lo and not at hi.  One
     passes(values) call checks the midpoints of the next BISECT_DEPTH
     halvings, the floats that halving one at a time computes, and the path
-    is walked through them: the bracket is bit-identical."""
+    is walked through them: the bracket is bit-identical.  ok holds the
+    verdicts of cells already checked."""
+    ok = {} if ok is None else ok
     while hi - lo > tol:
-        cells, level = [], [(lo, hi)]
-        for _ in range(BISECT_DEPTH):
-            level = [(a, b) for a, b in level if b - a > tol]
-            cells += level
-            level = [half for a, b in level for half in ((a, 0.5 * (a + b)), (0.5 * (a + b), b))]
-        ok = dict(zip(cells, passes([0.5 * (a + b) for a, b in cells])))
-        while (lo, hi) in ok:
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if ok[lo, hi] else (lo, mid)
+        if (lo, hi) not in ok:
+            cells = _cells(lo, hi, tol)
+            ok.update(zip(cells, passes([0.5 * (a + b) for a, b in cells])))
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if ok[lo, hi] else (lo, mid)
     return lo, hi
 
 
-def _along(params: ProtocolParams, env: NetworkEnv, field: str, values) -> np.ndarray:
-    """The check's verdicts on (params, env) with the `field` column (beta, b,
-    p_c or delta) set to each of values, in one check_equilibria call."""
-    values = np.asarray(values, dtype=float)
-    return check_equilibria(Points.of([params] * len(values), env).replace(**{field: values})
-                            ).is_equilibrium
+def _along(params: ProtocolParams, env: NetworkEnv, field: str, values) -> IncentiveReport:
+    """check_equilibria on (params, env) with the `field` column (beta, b,
+    p_c or delta) set to each of values, in one call."""
+    return check_equilibria(Points.of([params], env).take(
+        np.zeros(len(values), int), **{field: np.asarray(values, dtype=float)}))
 
 
 def _edge(passes, grid: list, tol: Optional[float] = None):
     """Edge of the passing set along an ascending grid, with passes(values)
     checking the whole grid in one call: None if grid[0] fails, grid[-1] if
     nothing fails, else the last passing value, or with tol the boundary
-    bisected inside the first failing cell."""
-    ok = passes(grid)
+    bisected inside the first failing cell.  A grid of two values is that
+    cell, so the call also checks the first bisection call's midpoints."""
+    cells = _cells(*grid, tol) if tol is not None and len(grid) == 2 else []
+    ok = passes(list(grid) + [0.5 * (a + b) for a, b in cells])
     if not ok[0]:
         return None
-    k = int(np.argmin(ok))  # the first failing value
+    k = int(np.argmin(ok[:len(grid)]))  # the first failing value
     if ok[k]:
         return grid[-1]
-    return grid[k - 1] if tol is None else _bisect(passes, grid[k - 1], grid[k], tol)[0]
+    return grid[k - 1] if tol is None else _bisect(
+        passes, grid[k - 1], grid[k], tol, dict(zip(cells, ok[len(grid):])))[0]
 
 
 def min_service_threshold(env: NetworkEnv, b: int) -> Optional[int]:
@@ -324,7 +337,7 @@ def max_connections(env: NetworkEnv, h_o: int, b_cap: int) -> Optional[int]:
     if b_cap < 1:
         raise ValueError(f"b_cap must be >= 1, got {b_cap}")
     base = ProtocolParams(L=h_o, h_o=h_o, b=1)
-    return _edge(lambda bs: _along(base, env, "b", bs), list(range(1, b_cap + 1)))
+    return _edge(lambda bs: _along(base, env, "b", bs).is_equilibrium, list(range(1, b_cap + 1)))
 
 
 def existence_cost_threshold(env: NetworkEnv, L: int) -> float:
@@ -366,8 +379,8 @@ def existence_discount_threshold(env: NetworkEnv, L: int) -> Optional[float]:
         return None
     design = ProtocolParams(L=L, h_o=L, b=1)
     unit = env.replace(lam=1.0)  # unit utilization: lam*b = 1 at b = 1
-    lo, hi = _bisect(lambda ds: ~_along(design, unit, "delta", ds), 0.0, 1.0 - 1e-15,
-                     BISECT_TOL_DELTA)
+    lo, hi = _bisect(lambda ds: ~_along(design, unit, "delta", ds).is_equilibrium, 0.0,
+                     1.0 - 1e-15, BISECT_TOL_DELTA)
     return float(0.5 * (lo + hi))
 
 
@@ -379,7 +392,8 @@ def max_forgiveness(params: ProtocolParams, env: NetworkEnv) -> Optional[float]:
     Returns None when even beta = 0 fails and 1.0 when beta = 1 still passes;
     otherwise bisects the boundary to BISECT_TOL_BETA.
     """
-    return _edge(lambda betas: _along(params, env, "beta", betas), [0.0, 1.0], BISECT_TOL_BETA)
+    return _edge(lambda bs: _along(params, env, "beta", bs).is_equilibrium, [0.0, 1.0],
+                 BISECT_TOL_BETA)
 
 
 def max_altruist_fraction(params: ProtocolParams, env: NetworkEnv) -> float:
@@ -397,4 +411,5 @@ def max_altruist_fraction(params: ProtocolParams, env: NetworkEnv) -> float:
     while scan[-1] + SCAN_STEP_PC < 0.5:
         scan.append(scan[-1] + SCAN_STEP_PC)
     scan.append(0.5)
-    return _edge(lambda p_cs: _along(params, env, "p_c", p_cs), scan, BISECT_TOL_PC) or 0.0
+    return _edge(lambda p_cs: _along(params, env, "p_c", p_cs).is_equilibrium, scan,
+                 BISECT_TOL_PC) or 0.0

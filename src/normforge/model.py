@@ -152,7 +152,7 @@ class Points:
     client reaches, below h_o); only `willing` is point-major."""
 
     FIELDS = ("h_o", "b", "beta", "r", "c", "eps", "lam", "delta", "p_c", "p_d")
-    admitted = False  # set by stationary.check_regime once it admits the batch
+    admitted = False  # set by check_regime, or by a search whose spec admitted its space
 
     def __init__(self, L: int, **cols):
         self.L, self.cols, self.rung = L, cols, np.arange(L + 1)[:, None]
@@ -182,11 +182,10 @@ class Points:
     def __len__(self) -> int:
         return len(self.h_o)
 
-    def take(self, rows) -> "Points":
-        return Points(self.L, **{k: v[..., rows] for k, v in self.cols.items()})
-
-    def replace(self, **cols) -> "Points":
-        return Points(self.L, **{**self.cols, **cols})
+    def take(self, rows, **cols) -> "Points":
+        """The points at rows, with the columns in cols set on them."""
+        return Points(self.L, **{k: v[..., rows] for k, v in self.cols.items() if k not in cols},
+                      **cols)
 
     @functools.cached_property
     def alpha(self) -> np.ndarray:

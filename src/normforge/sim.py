@@ -258,8 +258,8 @@ def _kind_labels(flavor: str) -> list:
 
 def _tft_point(env: NetworkEnv, b: int) -> Points:
     """Tit-for-tat's row: two rungs, both serving any client with a clean last period."""
-    return Points.of([ProtocolParams(L=1, h_o=1, b=b)], env).replace(
-        h_o=np.zeros(1), m_o=np.ones((2, 1), dtype=np.int64))
+    return Points.of([ProtocolParams(L=1, h_o=1, b=b)], env).take(
+        [0], h_o=np.zeros(1), m_o=np.ones((2, 1), dtype=np.int64))
 
 
 def tft_sustainable(env: NetworkEnv, b: int, p_c: float = 0.0) -> bool:

@@ -122,12 +122,14 @@ def stationary_fixed_point(points: Points) -> ReputationDistribution:
 
 
 @batched
-def stationary_for_regime(points: Points) -> ReputationDistribution:
+def stationary_for_regime(points: Points, recip: ReputationDistribution = None
+                          ) -> ReputationDistribution:
     """Stationary profile of the population mix, once check_regime admits it:
     each malicious peer cycles uniformly through 0..h_o (it climbs while
-    inactive and is punished the moment it must upload), altruists sit at L."""
+    inactive and is punished the moment it must upload), altruists sit at L.
+    recip, the reciprocators' own profile, is solved unless given."""
     check_regime(points)
-    recip = stationary_fixed_point(points)
+    recip = stationary_fixed_point(points) if recip is None else recip
     if not (points.p_c + points.p_d > 0.0).any():
         return recip
     cycle = np.where(points.rung <= points.h_o, 1.0 / (points.h_o + 1), 0.0)

@@ -45,7 +45,7 @@ from normforge import (
     stationary_for_regime,
     transition_matrix,
 )
-from normforge.incentives import BISECT_TOL_BETA, _along, _edge, blocks
+from normforge.incentives import BISECT_TOL_BETA, _along, _bisect, blocks
 from normforge.model import Points
 
 
@@ -272,10 +272,10 @@ def _osne_cells(spec: DesignSpec, fractions=(None,)):
     grid = [ProtocolParams(L=spec.L, h_o=h_o, b=b)
             for h_o in range(1, spec.L + 1) for b in range(1, spec.b_cap + 1)]
     points = Points.of(grid, spec.env)
-    for rows in blocks(np.arange(len(fractions) * len(grid)), spec.L):
+    for rows in blocks(np.arange(len(fractions) * len(grid)), (spec.L + 1) ** 2):
         block = points.take(rows % len(grid))
         if fractions[0] is not None:
-            block = block.replace(p_c=np.array(fractions)[rows // len(grid)])
+            block = points.take(rows % len(grid), p_c=np.array(fractions)[rows // len(grid)])
         rep = check_equilibria(block)
         for i, slack, u, ok in zip(rows.tolist(), rep.serve_slack.tolist(),
                                    rep.social_utility.tolist(), rep.is_equilibrium):
@@ -287,10 +287,10 @@ def _osne_cells(spec: DesignSpec, fractions=(None,)):
 def _forgiveness_cells(spec: DesignSpec, vectors, betas):
     """Each (h_o, m_o, b) cell's first passing beta down its column."""
     grid = [(h_o, m_o, b) for h_o, m_o in vectors for b in range(1, spec.b_cap + 1)]
-    for block in blocks(grid, spec.L, len(betas)):
+    for block in blocks(grid, (spec.L + 1) ** 2 * len(betas)):
         bases = [ProtocolParams(L=spec.L, h_o=h_o, b=b, m_o=m_o) for h_o, m_o, b in block]
-        column = Points.of(bases, spec.env).take(np.repeat(np.arange(len(bases)), len(betas)))
-        rep = check_equilibria(column.replace(beta=np.tile(betas, len(bases))))
+        rep = check_equilibria(Points.of(bases, spec.env).take(
+            np.repeat(np.arange(len(bases)), len(betas)), beta=np.tile(betas, len(bases))))
         first = rep.is_equilibrium.reshape(len(bases), -1).argmax(axis=1)
         for j, ((h_o, m_o, b), base, k) in enumerate(zip(block, bases, first)):
             i = j * len(betas) + k
@@ -300,6 +300,22 @@ def _forgiveness_cells(spec: DesignSpec, vectors, betas):
             params = base.replace(beta=float(betas[k]))
             yield ((h_o, b, m_o, params.beta), params,
                    float(rep.serve_slack[i]), float(rep.social_utility[i]), None)
+
+
+def refine_by_edge(params: ProtocolParams, env: NetworkEnv, betas: np.ndarray) -> tuple:
+    """A scanned winner's beta refined and its utility, one step per
+    evaluator call: a call for both ends of its grid cell, the bisection's
+    calls (five at the default grid), then the refined point's check as a
+    batch of one."""
+    hi = float(betas[betas > params.beta].min(initial=1.0))
+
+    def passes(values):
+        return _along(params, env, "beta", values).is_equilibrium
+    ok = passes([params.beta, hi])
+    assert ok[0], "a scanned winner passes its check"
+    refined = params.replace(beta=hi if ok[1] else _bisect(passes, params.beta, hi,
+                                                           BISECT_TOL_BETA)[0])
+    return refined, check_equilibrium(refined, env).social_utility
 
 
 def per_cell_design(spec: DesignSpec) -> tuple:
@@ -319,14 +335,8 @@ def per_cell_design(spec: DesignSpec) -> tuple:
         if spec.problem == "OSNE_VPS" else [(h_o,) * (L - h_o + 1)])]
     betas = np.minimum(1.0, np.arange(int(round(1.0 / spec.beta_grid)), -1, -1) * spec.beta_grid)
 
-    def refine(params):
-        hi = float(betas[betas > params.beta].min(initial=1.0))
-        beta = _edge(lambda bs: _along(params, env, "beta", bs), [params.beta, hi],
-                     BISECT_TOL_BETA)
-        refined = params.replace(beta=beta)
-        return refined, check_equilibrium(refined, env).social_utility
-
-    return _per_cell_search(_forgiveness_cells(spec, vectors, betas), refine)
+    return _per_cell_search(_forgiveness_cells(spec, vectors, betas),
+                            lambda params: refine_by_edge(params, env, betas))
 
 
 class Action(enum.Enum):

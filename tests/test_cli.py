@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from normforge import (NetworkEnv, ProtocolParams, SimConfig, check_equilibrium,
                        collapsed_social_utility, run_tft, sim, stationary_fixed_point,
                        stationary_for_regime, tft_sustainable)
-from normforge.cli import _json_text, build_parser, main
+from normforge.cli import _csv_text, _json_text, build_parser, main
 
 BASE_SCENARIO = {
     "env": {"r": 1.0, "c": 0.2, "eps": 0.1, "lambda": 1.0, "delta": 0.8},
@@ -167,6 +168,23 @@ def test_column_path_matches_the_library(scenario_file, capsys, tmp_path, argv):
                                      "refuse_slack": want.refuse_slack,
                                      "per_theta_slacks": want.per_theta_slacks.tolist(),
                                      "is_equilibrium": want.is_equilibrium}
+
+
+def test_csv_text_is_what_csv_writer_writes():
+    # the column writer formats each distinct value of a column once: keys
+    # must tell -0.0 from 0.0 and True from 1 (equal, with equal hashes),
+    # lists go in one ';'-joined field, and text that csv.writer quotes is
+    # quoted as it quotes it
+    header = ["floats", "bools", "ints", "mixed", "lists", "text", "numpy"]
+    rows = [list(row) for row in itertools.product(
+        [-0.0, 0.0, 2.5, -0.0], [True, False], [1, 0], [True, 1, 1.0, 0, False, -0.0, None],
+        [[0.0, -0.0], [1, 2], [], [True, 1.0]], ["", "a,b", 'q"t', "x\ny", "r\rs", "plain"],
+        [np.float64(-0.0), np.float64(0.1)])]
+    for table in (rows, rows[:1], []):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([header, *(
+            [";".join(map(str, v)) if isinstance(v, list) else v for v in row] for row in table)])
+        assert _csv_text(header, zip(*table)) == buf.getvalue()
 
 
 class TestSolve:

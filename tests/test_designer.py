@@ -2,10 +2,11 @@ import collections
 import hashlib
 import itertools
 from math import ceil, log2
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from normforge import (
     DesignSpec,
@@ -26,6 +27,7 @@ from normforge import (
 
 from normforge import designer, incentives
 from normforge.designer import PROBLEMS
+from normforge.stationary import check_regime
 from normforge.incentives import BISECT_DEPTH, BISECT_TOL_BETA
 from oracles import brute_force_equilibrium, per_cell_design
 from test_acceptance import _enumerate_beta_grid, _enumerate_osne
@@ -337,14 +339,42 @@ def test_solvers_match_brute_force(e):
         spec, lambda h: itertools.combinations_with_replacement((1, 2), 3 - h)), 0.25)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_envs(), st.sampled_from(PROBLEMS), st.integers(1, 4), st.integers(1, 3),
+       st.sampled_from([0.1, 0.25, 0.5, 1.0]))
+def test_admitted_blocks_pass_a_fresh_regime_check(e, problem, L, b_cap, grid):
+    # the search marks its blocks admitted because DesignSpec admitted the
+    # most demanding point of its space: each block, copied afresh, must
+    # pass check_regime too, in populations with altruists or malicious peers
+    try:
+        spec = DesignSpec(problem, L=L, b_cap=b_cap, env=e, beta_grid=grid, pC_grid=grid)
+    except ValueError:
+        assume(False)  # a population the problem's regime check refuses
+    built = []
+
+    def recording(name):
+        fn = getattr(designer, name)
+        return mock.patch.object(designer, name, lambda points, *rest: built.append(points)
+                                 or fn(points, *rest))
+    with recording("stationary_fixed_point"), recording("stationary_for_regime"), \
+            recording("check_equilibria"):
+        solve(spec)
+    assert built and all(block.admitted for block in built)
+    for block in built:
+        check_regime(block.take(slice(None)))
+
+
 def test_one_evaluator_call_per_block(count_calls, monkeypatch):
     # the search hands whole blocks to the evaluator, never one point at a
-    # time: the utility pass solves one profile per class point, in blocks,
-    # then the walk checks the ranked classes' points in blocks no larger;
-    # check_equilibrium (a block of one) is left to refinement steps
+    # time: the utility pass solves one profile per class point, in blocks
+    # sized by its (L + 1, B) tables (OSNE_AH first solves the reciprocators'
+    # profiles of one fraction column), then the walk checks the ranked
+    # classes' points in blocks sized by the willing table; no step makes a
+    # check_equilibrium (a block of one)
     calls = count_calls("check_equilibrium")
     sizes = collections.defaultdict(list)  # points per evaluator call, by stage
-    for module, name, stage in ((designer, "stationary_for_regime", "pass"),
+    for module, name, stage in ((designer, "stationary_fixed_point", "column"),
+                                (designer, "stationary_for_regime", "pass"),
                                 (designer, "check_equilibria", "walk"),
                                 (incentives, "check_equilibria", "refine")):
         monkeypatch.setattr(module, name, lambda points, *rest, _fn=getattr(module, name),
@@ -352,15 +382,19 @@ def test_one_evaluator_call_per_block(count_calls, monkeypatch):
 
     def search(spec, class_points):
         """stats of one search, after checking its calls: the class points'
-        profiles in blocks of BLOCK_ENTRIES // (L + 1)**2, walk blocks no
-        larger, and stats that count every call and every point."""
+        profiles in blocks of BLOCK_ENTRIES // ((L + 1) * PASS_TABLES), one
+        fraction column's reciprocators' profiles first for more than one
+        fraction, walk blocks of at most BLOCK_ENTRIES // (L + 1)**2, and
+        stats that count every call and every point."""
         sizes.clear()
         calls.update(check_equilibrium=0)
         stats = solve(spec).stats
-        block = incentives.BLOCK_ENTRIES // (spec.L + 1) ** 2
+        block = incentives.BLOCK_ENTRIES // ((spec.L + 1) * incentives.PASS_TABLES)
         assert sizes["pass"] == [block] * (class_points // block) + \
             [class_points % block] * (class_points % block > 0)
-        assert sizes["walk"] and all(0 < n <= block for n in sizes["walk"])
+        assert sizes["column"] == ([spec.L * spec.b_cap] if spec.problem == "OSNE_AH" else [])
+        assert sizes["walk"] and all(
+            0 < n <= incentives.BLOCK_ENTRIES // (spec.L + 1) ** 2 for n in sizes["walk"])
         assert (stats["evaluator_calls"], stats["points_checked"]) == \
             (sum(map(len, sizes.values())), sum(map(sum, sizes.values())))
         return stats
@@ -370,22 +404,23 @@ def test_one_evaluator_call_per_block(count_calls, monkeypatch):
     # 0.25 and 0.5); 0.75 and 1 are ranked but never checked
     stats = search(DesignSpec("OSNE_AH", L=3, b_cap=4, env=env(), pC_grid=0.25), 3 * 12)
     assert calls["check_equilibrium"] == 0 and stats["candidates"] == 38
-    # 51 fractions x 60 cells, in blocks of BLOCK_ENTRIES // 7**2 = 668 points
+    # 51 fractions x 60 cells, in blocks of BLOCK_ENTRIES // (7 * 4) = 1,170 points
     stats = search(DesignSpec("OSNE_AH", L=6, b_cap=10, env=env(), pC_grid=0.01), 51 * 60)
     assert calls["check_equilibrium"] == 0 and stats["candidates"] == 3110
     assert not sizes["refine"]
 
     def refined(spec, class_points):
         """Walk points of one forgiveness search, after bounding its
-        refinement calls: the winner's refinement checks both ends of its
-        grid cell in one call, then bisects the cell BISECT_DEPTH halvings
-        per call, at most 2**BISECT_DEPTH - 1 betas each, then checks its
-        utility (a block of one)."""
+        refinement calls: the winner's refinement bisects its grid cell
+        BISECT_DEPTH halvings per call, at most 2**BISECT_DEPTH - 1 betas
+        each, and its first call also checks both ends of the cell; the
+        refined utility is read off the call that passed its beta."""
         search(spec, class_points)
-        assert calls["check_equilibrium"] == 1
-        edge, *bisect, utility = sizes["refine"]
+        assert calls["check_equilibrium"] == 0
+        edge, *bisect = sizes["refine"]
         halvings = ceil(log2(spec.beta_grid / BISECT_TOL_BETA))
-        assert edge == 2 and utility == 1 and 1 <= len(bisect) <= ceil(halvings / BISECT_DEPTH)
+        assert edge == 2 + 2 ** BISECT_DEPTH - 1
+        assert 1 <= len(bisect) <= ceil(halvings / BISECT_DEPTH) - 1
         assert max(bisect) <= 2 ** BISECT_DEPTH - 1
         return sum(sizes["walk"])
 
@@ -396,7 +431,7 @@ def test_one_evaluator_call_per_block(count_calls, monkeypatch):
     assert refined(DesignSpec("OSNE_VP", L=3, b_cap=4, env=env(), beta_grid=0.25),
                    3 * 4 * 5) <= 3 * 4 * 5
     # 16 classes x 3 b x 101 betas = 4,848 class points in blocks of
-    # BLOCK_ENTRIES // 5**2 = 1,310; the walk checks a fraction of the
+    # BLOCK_ENTRIES // (5 * 4) = 1,638; the walk checks a fraction of the
     # C(8, 4) - 1 = 69 vectors x 3 b x 101 betas
     assert refined(DesignSpec("OSNE_VPS", L=4, b_cap=3, env=env(), beta_grid=0.01),
                    16 * 3 * 101) < 69 * 3 * 101 / 4

@@ -27,7 +27,7 @@ from normforge import (
     upload_cost_profile,
 )
 
-from normforge.incentives import BISECT_DEPTH, _bisect
+from normforge.incentives import BISECT_DEPTH, _bisect, _edge
 from normforge.model import point_of
 from oracles import (brute_force_equilibrium, serial_bisect, smallest_feasible_h_o,
                      uniform_service_slack, utilities_dense, value_iterate_v_inf)
@@ -439,6 +439,11 @@ def test_bisect_is_serial_halving_in_fewer_calls(lo, width, frac, edge, mod, mon
     assert [x.hex() for x in got] == [want_lo.hex(), want_hi.hex()]
     assert len(calls) == ceil(halvings / BISECT_DEPTH)
     assert all(1 <= n <= 2 ** BISECT_DEPTH - 1 for n in calls)
+    # the edge of [lo, hi] checks both ends in the first bisection call
+    calls.clear()
+    bisects = ok(lo) and not ok(hi)
+    assert _edge(passes, [lo, hi], tol) == (want_lo if bisects else hi if ok(lo) else None)
+    assert len(calls) == (max(1, ceil(halvings / BISECT_DEPTH)) if bisects else 1)
 
 
 class TestMaxForgiveness:
